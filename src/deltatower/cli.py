@@ -117,6 +117,16 @@ def _parse_positive_ints(text: str, what: str) -> tuple[int, ...]:
     return values
 
 
+def _parse_positive_int(text: str, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{what} must be an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{what} must be a positive integer")
+    return value
+
+
 def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
@@ -210,12 +220,7 @@ def cmd_tower_build(args, argv) -> int:
 
 
 def cmd_grid_verify(args, argv) -> int:
-    budget = _cell_budget()
-    if args.max_cells > budget:
-        raise BudgetExceeded(
-            f"max-cells={args.max_cells} exceeds the exhaustive budget {budget}"
-        )
-    reports = gridcheck.run_grid_suite(max_cells=args.max_cells, budget=budget)
+    reports = gridcheck.run_grid_suite(max_cells=args.max_cells, budget=_cell_budget())
     run = RunReport("grid verify", tuple(argv))
     for prop in reports:
         detail = f"instances={prop.instances}"
@@ -341,7 +346,9 @@ def _build_parser() -> argparse.ArgumentParser:
     grid = sub.add_parser("grid", help="grid model experiments")
     grid_sub = grid.add_subparsers(dest="grid_command", required=True)
     verify = grid_sub.add_parser("verify", help="exhaustive property verification")
-    verify.add_argument("--max-cells", type=int, default=9)
+    verify.add_argument(
+        "--max-cells", type=lambda t: _parse_positive_int(t, "--max-cells"), default=9
+    )
     verify.set_defaults(fn=cmd_grid_verify)
     seqred = grid_sub.add_parser("seqred", help="prescribed-U-type constructions")
     seqred.add_argument(

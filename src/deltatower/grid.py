@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import NotMonotone
@@ -71,21 +73,6 @@ def closure(S: CellSet, g: GridModel) -> CellSet:
     return from_heights(heights(S, g), g)
 
 
-def closed_sets(g: GridModel) -> Iterator[CellSet]:
-    """All closed subsets (all height vectors)."""
-    for h in _height_vectors([g.depth] * g.columns):
-        yield from_heights(h, g)
-
-
-def _height_vectors(limits: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    if not limits:
-        yield ()
-        return
-    for rest in _height_vectors(limits[1:]):
-        for v in range(limits[0] + 1):
-            yield (v,) + rest
-
-
 def urank(S: CellSet, T: CellSet, g: GridModel) -> int:
     """Number of cells the closure of S adds over the closure of T."""
     g.check(S)
@@ -118,8 +105,8 @@ def coreduction(S: CellSet, T: CellSet, g: GridModel) -> CellSet:
     """Smallest closed T' inside cl(S|T) with S internal over T|T'.
 
     Brute force over all closed subsets.  The witness family must have a
-    least element (equivalently: a unique minimal witness), which is
-    asserted.
+    least element (equivalently: a unique minimal witness); RuntimeError
+    reports a family without one.
     """
     g.check(S)
     g.check(T)
@@ -127,13 +114,15 @@ def coreduction(S: CellSet, T: CellSet, g: GridModel) -> CellSet:
     full_h = heights(frozenset(S) | frozenset(T), g)
     witnesses = [
         h
-        for h in _height_vectors(full_h)
+        for h in product(*(range(v + 1) for v in full_h))
         # X = closed set of heights h; S internal over T|X
         if all(fv <= max(tv, xv) + 1 for fv, tv, xv in zip(full_h, ht, h))
     ]
-    assert witnesses, "a witness always exists (the full closure works)"
-    least = tuple(min(w[j] for w in witnesses) for j in range(g.columns))
-    assert least in witnesses, "minimal coreduction witnesses disagree"
+    if not witnesses:
+        raise RuntimeError("no coreduction witness, though the full closure is one")
+    least = tuple(map(min, zip(*witnesses)))
+    if least not in witnesses:
+        raise RuntimeError("minimal coreduction witnesses disagree")
     return from_heights(least, g)
 
 
@@ -204,7 +193,8 @@ def analysis_by_coreductions(S: CellSet, T: CellSet, g: GridModel) -> Analysis:
     while current != base:
         chain.append(current)
         prev = closure(coreduction(current, T, g) | frozenset(T), g)
-        assert prev < current, "coreduction must strictly shrink the closure"
+        if not prev < current:
+            raise RuntimeError("coreduction must strictly shrink the closure")
         current = prev
     chain.reverse()
     return Analysis(g, base, target, tuple(chain))
@@ -221,21 +211,33 @@ def is_incompressible(a: Analysis) -> bool:
     return True
 
 
-def _successor_heights(
-    h: tuple[int, ...], target: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    """All strictly larger height vectors reachable in one internal step."""
-    choices = [(h[j],) if h[j] >= target[j] else (h[j], h[j] + 1) for j in range(len(h))]
+def height_chains(
+    base_h: Sequence[int],
+    target_h: Sequence[int],
+    *,
+    max_length: int,
+    exact_length: int | None = None,
+) -> Iterator[list[tuple[int, ...]]]:
+    """All analyses of target_h over base_h (target_h >= base_h columnwise)
+    as lists of step height vectors, with at most (or exactly) the given
+    number of steps.  A step raises every column by at most one and at
+    least one column in all.  DFS with the remaining-distance prune."""
+    base_h, target_h = tuple(base_h), tuple(target_h)
 
-    def rec(j: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if j == len(choices):
-            if acc != h:
-                yield acc
+    def rec(h: tuple[int, ...], prefix: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
+        if h == target_h:
+            # Steps past the target cannot strictly increase, so stop here.
+            if exact_length is None or len(prefix) == exact_length:
+                yield prefix
             return
-        for v in choices[j]:
-            yield from rec(j + 1, acc + (v,))
+        if len(prefix) + max(map(sub, target_h, h)) > max_length:
+            return
+        options = [(v,) if v >= t else (v, v + 1) for v, t in zip(h, target_h)]
+        for nxt in product(*options):
+            if nxt != h:
+                yield from rec(nxt, prefix + [nxt])
 
-    yield from rec(0, ())
+    yield from rec(base_h, [])
 
 
 def enumerate_analyses(
@@ -247,23 +249,10 @@ def enumerate_analyses(
     exact_length: int | None = None,
 ) -> Iterator[Analysis]:
     """All valid analyses of (S over T) with at most (or exactly) the given
-    number of steps.  Height-vector DFS with the remaining-distance prune."""
+    number of steps, in the order of ``height_chains``."""
     base_h = heights(closure(T, g), g)
     target_h = heights(closure(frozenset(S) | frozenset(T), g), g)
-
-    def rec(h: tuple[int, ...], prefix: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
-        if h == target_h:
-            # Steps past the target cannot strictly increase, so stop here.
-            if exact_length is None or len(prefix) == exact_length:
-                yield prefix
-            return
-        remaining = max(t - v for v, t in zip(h, target_h))
-        if len(prefix) + remaining > max_length:
-            return
-        for nxt in _successor_heights(h, target_h):
-            yield from rec(nxt, prefix + [nxt])
-
-    for seq in rec(base_h, []):
+    for seq in height_chains(base_h, target_h, max_length=max_length, exact_length=exact_length):
         yield Analysis(
             g,
             from_heights(base_h, g),

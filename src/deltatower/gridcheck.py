@@ -6,16 +6,26 @@ invariant).  The verification is layered so that each layer is checked
 exhaustively against the one below:
 
 * layer 0 - the public ``closure`` is compared with the bitmask closure
-  table on **every** subset of every grid (``closure_axioms``);
+  table on **every** subset of every grid (``closure_axioms``), and rank
+  additivity holds on every closed triple of that table
+  (``urank_additivity``);
 * layer 1 - the public ``reduction`` and ``coreduction`` are compared on
   **every** closed pair (T, G) with the literal brute-force definitions,
   stated in bitmask arithmetic (``reduction_maximality``,
-  ``coreduction_uniqueness``);
+  ``coreduction_uniqueness``).  The same pairs tie the one-step column
+  rules ``_red_column`` and ``_cored_column`` to those definitions;
 * layer 2 - the chain properties (minimality, canonicity, the local
   criteria, ...) quantify over every closed pair but iterate the
-  layer-1-verified height maps; the public analysis functions are
-  cross-checked against those chains on a deterministic slice of the
+  layer-1-verified column rules.  They search analyses with
+  ``grid.height_chains`` and with one prefix DFS, ``_sequences``, whose
+  step rule says which analyses it grows.  The public analysis functions
+  are cross-checked against those chains on a deterministic slice of the
   pairs.
+
+``_check`` is the only code that times a property and builds its
+``PropertyReport``.  The chain properties are per-pair functions run by
+``_check_pairs`` over the closed height-vector pairs; it owns the sampled
+slice and the ``grid DxC: ..., T=... G=...`` counterexample.
 
 Cells are packed column-major: cell (i, j) is bit (j-1)*depth + (i-1).
 Closed sets are exactly the masks whose columns are downward intervals,
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -39,6 +50,7 @@ from .grid import (
     closure,
     coreduction,
     from_heights,
+    height_chains,
     heights,
     internal,
     is_incompressible,
@@ -131,49 +143,86 @@ def _pairs_closed(gr: _Grid):
             yield t_h, g_h
 
 
+def _mask_pairs(gr: _Grid):
+    """(T, G, closed masks inside G) for closed masks T inside G, G ascending."""
+    for g_mask in gr.closed_masks:
+        inside = gr.closed_array[(gr.closed_array & ~g_mask) == 0]
+        for t_mask in inside.tolist():
+            yield t_mask, g_mask, inside
+
+
+def _sampled(gr: _Grid, index: int) -> bool:
+    """Whether the index-th pair of a grid also cross-checks the public functions."""
+    return index % CROSS_CHECK_SLICE == 0 or gr.cells <= 6
+
+
+def _counterexample(gr: _Grid, reason: str, t, g) -> str:
+    return f"grid {gr.depth}x{gr.columns}: {reason}, T={t} G={g}"
+
+
 def _check(name, gen):
-    """Run a generator yielding counterexample strings or None per instance."""
+    """Time a property and build its report.  gen yields None for an
+    instance that holds, an int for a batch of that many instances that
+    hold, or a counterexample string, which ends the run."""
     start = time.perf_counter()
     count = 0
+    counterexample = None
     for outcome in gen:
-        count += 1
-        if outcome is not None:
-            millis = int((time.perf_counter() - start) * 1000)
-            return PropertyReport(name, count, False, outcome, millis)
+        if outcome is None:
+            count += 1
+        elif isinstance(outcome, int):
+            count += outcome
+        else:
+            count += 1
+            counterexample = outcome
+            break
     millis = int((time.perf_counter() - start) * 1000)
-    return PropertyReport(name, count, True, None, millis)
+    return PropertyReport(name, count, counterexample is None, counterexample, millis)
 
 
-# --- height maps verified exhaustively in layer 1 ---------------------------
+def _check_pairs(name, max_cells, per_pair):
+    """Run per_pair(gr, t_h, g_h, sampled), which returns None or a reason,
+    on every closed height pair of every grid."""
+
+    def gen():
+        for gr in _grids(max_cells):
+            for index, (t_h, g_h) in enumerate(_pairs_closed(gr), 1):
+                reason = per_pair(gr, t_h, g_h, _sampled(gr, index))
+                yield None if reason is None else _counterexample(gr, reason, t_h, g_h)
+
+    return _check(name, gen())
 
 
-def _red_next(h, target):
-    """Heights of reduction(G over current): one step up per column."""
-    return tuple(min(tv, hv + 1) for hv, tv in zip(h, target))
+# --- column rules verified exhaustively in layer 1 --------------------------
 
 
-def _cored_next(h, base):
-    """Heights of cl(base | coreduction(current over base)): one step down."""
-    return tuple(max(bv, hv - 1) for hv, bv in zip(h, base))
+def _red_column(before, after):
+    """Height of reduction(after over before) in one column: one step up."""
+    return min(after, before + 1)
+
+
+def _cored_column(before, after):
+    """Height of cl(before | coreduction(after over before)) in one column:
+    one step down."""
+    return max(before, after - 1)
+
+
+def _step(column, before, after):
+    return tuple(map(column, before, after))
 
 
 def _red_chain(t_h, g_h):
-    chain = []
-    cur = t_h
-    while cur != g_h:
-        cur = _red_next(cur, g_h)
-        chain.append(cur)
-    return chain
+    chain = [t_h]
+    while chain[-1] != g_h:
+        chain.append(_step(_red_column, chain[-1], g_h))
+    return chain[1:]
 
 
 def _cored_chain(t_h, g_h):
-    chain = []
-    cur = g_h
-    while cur != t_h:
-        chain.append(cur)
-        cur = _cored_next(cur, t_h)
-    chain.reverse()
-    return chain
+    chain = [g_h]
+    while chain[-1] != t_h:
+        chain.append(_step(_cored_column, t_h, chain[-1]))
+    return chain[-2::-1]
 
 
 def _utype(chain, t_h):
@@ -186,33 +235,59 @@ def _utype(chain, t_h):
     return tuple(out)
 
 
-def _chains_dfs(t_h, g_h, max_length, exact_length=None):
-    """All analyses as height chains: steps raise each column by at most 1,
-    strictly increase, and end at the target."""
-
-    def rec(h, prefix):
-        if h == g_h:
-            if exact_length is None or len(prefix) == exact_length:
-                yield prefix
-            return
-        if len(prefix) + max(tv - hv for hv, tv in zip(h, g_h)) > max_length:
-            return
-        options = [
-            (hv,) if hv >= tv else (hv, hv + 1) for hv, tv in zip(h, g_h)
-        ]
-        for nxt in product(*options):
-            if nxt != h:
-                yield from rec(nxt, prefix + [nxt])
-
-    yield from rec(t_h, [])
-
-
 def _shortest_chain_length(t_h, g_h) -> int:
-    upper = sum(g_h) - sum(t_h)
-    for k in range(upper + 1):
-        if next(iter(_chains_dfs(t_h, g_h, k)), None) is not None:
+    for k in range(sum(g_h) - sum(t_h) + 1):
+        if next(height_chains(t_h, g_h, max_length=k), None) is not None:
             return k
-    raise AssertionError("a chain of length <= total rank always exists")
+    raise RuntimeError("no analysis found, though one of length <= total rank exists")
+
+
+def _sequences(base_h, target_h, steps):
+    """Analyses of target_h over base_h grown by prefix DFS: steps(before,
+    last, target_h) yields the admissible steps after ``last``, where
+    ``before`` is the step before it (None at the first step)."""
+
+    def rec(prefix):
+        last = prefix[-1]
+        if last == target_h:
+            yield prefix[1:]
+            return
+        before = prefix[-2] if len(prefix) >= 2 else None
+        for nxt in steps(before, last, target_h):
+            yield from rec(prefix + [nxt])
+
+    yield from rec([base_h])
+
+
+def _column_rule_steps(column, before, last, target_h):
+    """Next steps after ``last`` that raise each column by at most one and
+    meet column(before_j, next_j) == last_j in every column j, so that
+    ``last`` is the one-step reduction (``_red_column``) or coreduction
+    (``_cored_column``) of the next step over ``before``.  Candidates are
+    built column by column, so a dead branch costs O(columns)."""
+    if before is None:
+        options = [(lv, lv + 1) if lv < tv else (lv,) for lv, tv in zip(last, target_h)]
+    else:
+        options = []
+        for bv, lv, tv in zip(before, last, target_h):
+            opts = [v for v in ((lv, lv + 1) if lv < tv else (lv,)) if column(bv, v) == lv]
+            if not opts:
+                return
+            options.append(opts)
+    for nxt in product(*options):
+        if nxt != last:
+            yield nxt
+
+
+def _single_cell_steps(before, last, target_h):
+    """Steps adding exactly one cell that are not internal over the step
+    before last: the analysis stays incompressible, and a violated prefix
+    can never recover."""
+    for j, (lv, tv) in enumerate(zip(last, target_h)):
+        if lv < tv:
+            nxt = last[:j] + (lv + 1,) + last[j + 1 :]
+            if before is None or not all(a <= b + 1 for a, b in zip(nxt, before)):
+                yield nxt
 
 
 # --- individual properties --------------------------------------------------
@@ -222,20 +297,18 @@ def check_closure_axioms(max_cells: int) -> PropertyReport:
     def gen():
         for gr in _grids(max_cells):
             size = 1 << gr.cells
+            where = f"grid {gr.depth}x{gr.columns}: closure"
             for mask in range(size):
                 S = gr.to_set(mask)
                 cl = closure(S, gr.g)
-                cl_mask = int(gr.closure_table[mask])
-                if cl != gr.to_set(cl_mask):
-                    yield f"grid {gr.depth}x{gr.columns}: closure mismatch on {sorted(S)}"
-                    return
-                if not S <= cl:
-                    yield f"grid {gr.depth}x{gr.columns}: closure not extensive on {sorted(S)}"
-                    return
-                if closure(cl, gr.g) != cl:
-                    yield f"grid {gr.depth}x{gr.columns}: closure not idempotent on {sorted(S)}"
-                    return
-                yield None
+                if cl != gr.to_set(int(gr.closure_table[mask])):
+                    yield f"{where} mismatch on {sorted(S)}"
+                elif not S <= cl:
+                    yield f"{where} not extensive on {sorted(S)}"
+                elif closure(cl, gr.g) != cl:
+                    yield f"{where} not idempotent on {sorted(S)}"
+                else:
+                    yield None
             # monotonicity over all nested pairs via submask enumeration
             for big in range(size):
                 cl_big = int(gr.closure_table[big])
@@ -243,7 +316,7 @@ def check_closure_axioms(max_cells: int) -> PropertyReport:
                 while True:
                     if int(gr.closure_table[sub]) & ~cl_big:
                         yield (
-                            f"grid {gr.depth}x{gr.columns}: closure not monotone "
+                            f"{where} not monotone "
                             f"on {sorted(gr.to_set(sub))} <= {sorted(gr.to_set(big))}"
                         )
                         return
@@ -256,455 +329,216 @@ def check_closure_axioms(max_cells: int) -> PropertyReport:
 
 
 def check_urank_additivity(max_cells: int) -> PropertyReport:
-    start = time.perf_counter()
-    count = 0
-    for gr in _grids(max_cells):
-        closed = gr.closed_array
-        pc = gr.popcount
-        # closed masks are union-stable, so cl(X|Y) = X|Y there; closure
-        # itself is tied to the table exhaustively by closure_axioms.
-        # Cross-check the public urank on a deterministic slice of pairs.
-        for idx in range(0, len(gr.closed_masks), CROSS_CHECK_SLICE):
-            x = gr.closed_masks[idx]
-            for y in gr.closed_masks[::CROSS_CHECK_SLICE]:
-                expected = int(pc[x | y] - pc[y])
-                if urank(gr.to_set(x), gr.to_set(y), gr.g) != expected:
-                    millis = int((time.perf_counter() - start) * 1000)
-                    return PropertyReport(
-                        "urank_additivity",
-                        count,
-                        False,
-                        f"grid {gr.depth}x{gr.columns}: urank disagrees with the mask table",
-                        millis,
-                    )
-        # additivity over all closed triples, vectorized
-        for t in gr.closed_masks:
-            tb = closed | t  # T|B for all B
-            lhs = pc[(closed[:, None] | closed[None, :]) | t] - pc[t]
-            rhs = (
-                pc[closed[:, None] | tb[None, :]]
-                - pc[tb][None, :]
-                + (pc[tb] - pc[t])[None, :]
-            )
-            count += lhs.size
-            if not np.array_equal(lhs, rhs):
-                a_i, b_i = np.argwhere(lhs != rhs)[0]
-                millis = int((time.perf_counter() - start) * 1000)
-                return PropertyReport(
-                    "urank_additivity",
-                    count,
-                    False,
-                    f"grid {gr.depth}x{gr.columns}: additivity fails at "
-                    f"A={sorted(gr.to_set(int(closed[a_i])))} "
-                    f"B={sorted(gr.to_set(int(closed[b_i])))} T={sorted(gr.to_set(t))}",
-                    millis,
+    def gen():
+        for gr in _grids(max_cells):
+            closed = gr.closed_array
+            pc = gr.popcount
+            # closed masks are union-stable, so cl(X|Y) = X|Y there; closure
+            # itself is tied to the table exhaustively by closure_axioms.
+            # Cross-check the public urank on a deterministic slice of pairs.
+            for x in gr.closed_masks[::CROSS_CHECK_SLICE]:
+                for y in gr.closed_masks[::CROSS_CHECK_SLICE]:
+                    if urank(gr.to_set(x), gr.to_set(y), gr.g) != int(pc[x | y] - pc[y]):
+                        yield f"grid {gr.depth}x{gr.columns}: urank disagrees with the mask table"
+                        return
+            # additivity over all closed triples, one vectorised row per T
+            for t in gr.closed_masks:
+                tb = closed | t  # T|B for all B
+                lhs = pc[(closed[:, None] | closed[None, :]) | t] - pc[t]
+                rhs = (
+                    pc[closed[:, None] | tb[None, :]]
+                    - pc[tb][None, :]
+                    + (pc[tb] - pc[t])[None, :]
                 )
-    millis = int((time.perf_counter() - start) * 1000)
-    return PropertyReport("urank_additivity", count, True, None, millis)
+                if not np.array_equal(lhs, rhs):
+                    a_i, b_i = np.argwhere(lhs != rhs)[0]
+                    yield (
+                        f"grid {gr.depth}x{gr.columns}: additivity fails at "
+                        f"A={sorted(gr.to_set(int(closed[a_i])))} "
+                        f"B={sorted(gr.to_set(int(closed[b_i])))} T={sorted(gr.to_set(t))}"
+                    )
+                    return
+                yield lhs.size
+
+    return _check("urank_additivity", gen())
 
 
 def check_reduction_maximality(max_cells: int) -> PropertyReport:
-    start = time.perf_counter()
-    count = 0
-    for gr in _grids(max_cells):
-        closed = gr.closed_array
-        cm, r1 = gr.cells_mask, gr.row1_mask
-        for g_mask in gr.closed_masks:
-            inside = closed[(closed & ~g_mask) == 0]
-            for t_mask in inside.tolist():
-                count += 1
-                red = reduction(gr.to_set(g_mask), gr.to_set(t_mask), gr.g)
-                red_mask = 0
-                for i, j in red:
-                    red_mask |= 1 << ((j - 1) * gr.depth + i - 1)
-                if not internal(red, gr.to_set(t_mask), gr.g):
-                    return PropertyReport(
-                        "reduction_maximality",
-                        count,
-                        False,
-                        f"grid {gr.depth}x{gr.columns}: reduction not internal, "
-                        f"T={sorted(gr.to_set(t_mask))} G={sorted(gr.to_set(g_mask))}",
-                        int((time.perf_counter() - start) * 1000),
-                    )
+    def gen():
+        for gr in _grids(max_cells):
+            for t_mask, g_mask, inside in _mask_pairs(gr):
+                T, G = gr.to_set(t_mask), gr.to_set(g_mask)
+                red = reduction(G, T, gr.g)
+                red_mask = sum(1 << ((j - 1) * gr.depth + i - 1) for i, j in red)
                 # brute force: internal closed subsets of G over T
-                allowed_t = t_mask | ((t_mask << 1) & cm) | r1
-                flags = ((inside | t_mask) & ~allowed_t) == 0
-                candidates = inside[flags]
-                if np.any(candidates & ~red_mask):
-                    return PropertyReport(
-                        "reduction_maximality",
-                        count,
-                        False,
-                        f"grid {gr.depth}x{gr.columns}: an internal subset escapes the "
-                        f"reduction, T={sorted(gr.to_set(t_mask))} G={sorted(gr.to_set(g_mask))}",
-                        int((time.perf_counter() - start) * 1000),
-                    )
-                if red_mask not in candidates:
-                    return PropertyReport(
-                        "reduction_maximality",
-                        count,
-                        False,
-                        f"grid {gr.depth}x{gr.columns}: the reduction is not itself an "
-                        f"internal closed subset, T={sorted(gr.to_set(t_mask))}",
-                        int((time.perf_counter() - start) * 1000),
-                    )
-                # ties the one-step-up height map used by the chain properties
-                # to the public reduction, on every pair
-                formula = gr.mask_of_heights(
-                    _red_next(gr.heights_of(t_mask), gr.heights_of(g_mask))
-                )
-                if red_mask != formula:
-                    return PropertyReport(
-                        "reduction_maximality",
-                        count,
-                        False,
-                        f"grid {gr.depth}x{gr.columns}: reduction disagrees with the "
-                        f"height map, T={sorted(gr.to_set(t_mask))}",
-                        int((time.perf_counter() - start) * 1000),
-                    )
-    return PropertyReport(
-        "reduction_maximality", count, True, None, int((time.perf_counter() - start) * 1000)
-    )
+                allowed = t_mask | ((t_mask << 1) & gr.cells_mask) | gr.row1_mask
+                candidates = inside[((inside | t_mask) & ~allowed) == 0]
+                # ties the one-step-up column rule used by the chain
+                # properties to the public reduction, on every pair
+                formula = _step(_red_column, gr.heights_of(t_mask), gr.heights_of(g_mask))
+                if not internal(red, T, gr.g):
+                    reason = "reduction not internal"
+                elif np.any(candidates & ~red_mask):
+                    reason = "an internal subset escapes the reduction"
+                elif red_mask not in candidates:
+                    reason = "the reduction is not itself an internal closed subset"
+                elif red_mask != gr.mask_of_heights(formula):
+                    reason = "reduction disagrees with the height map"
+                else:
+                    reason = None
+                yield None if reason is None else _counterexample(gr, reason, sorted(T), sorted(G))
+
+    return _check("reduction_maximality", gen())
 
 
 def check_coreduction_uniqueness(max_cells: int) -> PropertyReport:
-    start = time.perf_counter()
-    count = 0
-    for gr in _grids(max_cells):
-        closed = gr.closed_array
-        cm, r1 = gr.cells_mask, gr.row1_mask
-        pair_index = 0
-        for g_mask in gr.closed_masks:
-            inside = closed[(closed & ~g_mask) == 0]
-            for t_mask in inside.tolist():
-                count += 1
-                pair_index += 1
+    def gen():
+        for gr in _grids(max_cells):
+            for index, (t_mask, g_mask, inside) in enumerate(_mask_pairs(gr), 1):
                 tx = inside | t_mask
-                allowed = tx | ((tx << 1) & cm) | r1
+                allowed = tx | ((tx << 1) & gr.cells_mask) | gr.row1_mask
                 witnesses = inside[(g_mask & ~allowed) == 0]
                 least = int(np.bitwise_and.reduce(witnesses))
-                if least not in witnesses:
-                    return PropertyReport(
-                        "coreduction_uniqueness",
-                        count,
-                        False,
-                        f"grid {gr.depth}x{gr.columns}: minimal witnesses disagree, "
-                        f"T={sorted(gr.to_set(t_mask))} G={sorted(gr.to_set(g_mask))}",
-                        int((time.perf_counter() - start) * 1000),
-                    )
-                # ties the one-step-down height map used by the chain
+                # ties the one-step-down column rule used by the chain
                 # properties to the least witness, on every pair
-                formula = gr.mask_of_heights(
-                    _cored_next(gr.heights_of(g_mask), gr.heights_of(t_mask))
+                formula = _step(_cored_column, gr.heights_of(t_mask), gr.heights_of(g_mask))
+                if least not in witnesses:
+                    reason = "minimal witnesses disagree"
+                elif (t_mask | least) != gr.mask_of_heights(formula):
+                    reason = "least witness disagrees with the height map"
+                elif _sampled(gr, index) and (
+                    coreduction(gr.to_set(g_mask), gr.to_set(t_mask), gr.g) != gr.to_set(least)
+                ):
+                    reason = "coreduction disagrees with brute force"
+                else:
+                    reason = None
+                yield None if reason is None else _counterexample(
+                    gr, reason, sorted(gr.to_set(t_mask)), sorted(gr.to_set(g_mask))
                 )
-                if (t_mask | least) != formula:
-                    return PropertyReport(
-                        "coreduction_uniqueness",
-                        count,
-                        False,
-                        f"grid {gr.depth}x{gr.columns}: least witness disagrees with "
-                        f"the height map, T={sorted(gr.to_set(t_mask))}",
-                        int((time.perf_counter() - start) * 1000),
-                    )
-                if pair_index % CROSS_CHECK_SLICE == 0 or gr.cells <= 6:
-                    cored = coreduction(gr.to_set(g_mask), gr.to_set(t_mask), gr.g)
-                    if cored != gr.to_set(least):
-                        return PropertyReport(
-                            "coreduction_uniqueness",
-                            count,
-                            False,
-                            f"grid {gr.depth}x{gr.columns}: coreduction disagrees with "
-                            f"brute force, T={sorted(gr.to_set(t_mask))} "
-                            f"G={sorted(gr.to_set(g_mask))}",
-                            int((time.perf_counter() - start) * 1000),
-                        )
-    return PropertyReport(
-        "coreduction_uniqueness", count, True, None, int((time.perf_counter() - start) * 1000)
-    )
+
+    return _check("coreduction_uniqueness", gen())
 
 
 def check_analyses_minimal(max_cells: int) -> PropertyReport:
-    def gen():
-        for gr in _grids(max_cells):
-            pair_index = 0
-            for t_h, g_h in _pairs_closed(gr):
-                pair_index += 1
-                red_chain = _red_chain(t_h, g_h)
-                cored_chain = _cored_chain(t_h, g_h)
-                shortest = _shortest_chain_length(t_h, g_h)
-                bad = None
-                for label, chain in (("reductions", red_chain), ("coreductions", cored_chain)):
-                    if any(u < 1 for u in _utype(chain, t_h)):
-                        bad = f"degenerate {label} step"
-                        break
-                    if len(chain) != shortest:
-                        bad = f"analysis by {label} not minimal"
-                        break
-                if bad is None and len(red_chain) != len(cored_chain):
-                    bad = "analysis lengths differ"
-                if bad is None and (pair_index % CROSS_CHECK_SLICE == 0 or gr.cells <= 6):
-                    T = gr.set_of_heights(t_h)
-                    G = gr.set_of_heights(g_h)
-                    ar = analysis_by_reductions(G, T, gr.g)
-                    ac = analysis_by_coreductions(G, T, gr.g)
-                    ar.validate()
-                    ac.validate()
-                    if ar.step_heights() != red_chain or ac.step_heights() != cored_chain:
-                        bad = "public analysis disagrees with the verified chain"
-                    elif not (is_minimal(ar, gr.g) and is_minimal(ac, gr.g)):
-                        bad = "public is_minimal disagrees"
-                if bad is not None:
-                    yield f"grid {gr.depth}x{gr.columns}: {bad}, T={t_h} G={g_h}"
-                    return
-                yield None
+    def per_pair(gr, t_h, g_h, sampled):
+        red_chain = _red_chain(t_h, g_h)
+        cored_chain = _cored_chain(t_h, g_h)
+        shortest = _shortest_chain_length(t_h, g_h)
+        for label, chain in (("reductions", red_chain), ("coreductions", cored_chain)):
+            if any(u < 1 for u in _utype(chain, t_h)):
+                return f"degenerate {label} step"
+            if len(chain) != shortest:
+                return f"analysis by {label} not minimal"
+        if sampled:
+            T = gr.set_of_heights(t_h)
+            G = gr.set_of_heights(g_h)
+            ar = analysis_by_reductions(G, T, gr.g)
+            ac = analysis_by_coreductions(G, T, gr.g)
+            ar.validate()
+            ac.validate()
+            if ar.step_heights() != red_chain or ac.step_heights() != cored_chain:
+                return "public analysis disagrees with the verified chain"
+            if not (is_minimal(ar, gr.g) and is_minimal(ac, gr.g)):
+                return "public is_minimal disagrees"
+        return None
 
-    return _check("analyses_minimal", gen())
+    return _check_pairs("analyses_minimal", max_cells, per_pair)
 
 
 def check_equal_utype_canonical(max_cells: int) -> PropertyReport:
-    def gen():
-        for gr in _grids(max_cells):
-            for t_h, g_h in _pairs_closed(gr):
-                red_chain = _red_chain(t_h, g_h)
-                cored_chain = _cored_chain(t_h, g_h)
-                if _utype(red_chain, t_h) != _utype(cored_chain, t_h):
-                    yield None
-                    continue
-                length = len(red_chain)
-                for other in _chains_dfs(t_h, g_h, length, exact_length=length):
-                    if other != red_chain:
-                        yield (
-                            f"grid {gr.depth}x{gr.columns}: equal U-types but a minimal "
-                            f"analysis deviates, T={t_h} G={g_h} other={other}"
-                        )
-                        return
-                if length and cored_chain != red_chain:
-                    yield f"grid {gr.depth}x{gr.columns}: analyses disagree stepwise, T={t_h} G={g_h}"
-                    return
-                yield None
+    def per_pair(gr, t_h, g_h, sampled):
+        red_chain = _red_chain(t_h, g_h)
+        cored_chain = _cored_chain(t_h, g_h)
+        if _utype(red_chain, t_h) != _utype(cored_chain, t_h):
+            return None
+        length = len(red_chain)
+        for other in height_chains(t_h, g_h, max_length=length, exact_length=length):
+            if other != red_chain:
+                return f"equal U-types but the minimal analysis {other} deviates"
+        if cored_chain != red_chain:
+            return "analyses disagree stepwise"
+        return None
 
-    return _check("equal_utype_canonical", gen())
+    return _check_pairs("equal_utype_canonical", max_cells, per_pair)
 
 
 def check_incompressible_ones_minimal(max_cells: int) -> PropertyReport:
-    def gen():
-        for gr in _grids(max_cells):
-            pair_index = 0
-            for t_h, g_h in _pairs_closed(gr):
-                pair_index += 1
-                if t_h == g_h:
-                    yield None
-                    continue
-                shortest = _shortest_chain_length(t_h, g_h)
-                for seq in _ones_incompressible_sequences(t_h, g_h):
-                    if len(seq) != shortest:
-                        yield (
-                            f"grid {gr.depth}x{gr.columns}: incompressible (1,..,1) analysis "
-                            f"of length {len(seq)} but minimum is {shortest}, T={t_h} G={g_h}"
-                        )
-                        return
-                    if pair_index % CROSS_CHECK_SLICE == 0 or gr.cells <= 6:
-                        a = Analysis(
-                            gr.g,
-                            gr.set_of_heights(t_h),
-                            gr.set_of_heights(g_h),
-                            tuple(gr.set_of_heights(h) for h in seq),
-                        )
-                        a.validate()
-                        if not (
-                            all(u == 1 for u in a.utype())
-                            and is_incompressible(a)
-                            and is_minimal(a, gr.g)
-                        ):
-                            yield (
-                                f"grid {gr.depth}x{gr.columns}: public predicates disagree "
-                                f"on {seq}, T={t_h} G={g_h}"
-                            )
-                            return
-                yield None
+    def per_pair(gr, t_h, g_h, sampled):
+        if t_h == g_h:
+            return None
+        shortest = _shortest_chain_length(t_h, g_h)
+        for seq in _sequences(t_h, g_h, _single_cell_steps):
+            if len(seq) != shortest:
+                return (
+                    f"incompressible (1,..,1) analysis of length {len(seq)} "
+                    f"but minimum is {shortest}"
+                )
+            if sampled:
+                a = Analysis(
+                    gr.g,
+                    gr.set_of_heights(t_h),
+                    gr.set_of_heights(g_h),
+                    tuple(gr.set_of_heights(h) for h in seq),
+                )
+                a.validate()
+                if not (
+                    all(u == 1 for u in a.utype())
+                    and is_incompressible(a)
+                    and is_minimal(a, gr.g)
+                ):
+                    return f"public predicates disagree on {seq}"
+        return None
 
-    return _check("incompressible_ones_minimal", gen())
+    return _check_pairs("incompressible_ones_minimal", max_cells, per_pair)
 
 
-def _ones_incompressible_sequences(base_h, target_h):
-    """All analyses whose steps each add exactly one cell, pruned by the
-    incompressibility definition (a violated prefix can never recover)."""
+def check_local_criterion(max_cells: int, direction: str) -> PropertyReport:
+    """The local criterion of the analysis by reductions (direction
+    "reductions") or by coreductions ("coreductions"): each step is the
+    reduction of the next step over the step before (or the coreduction
+    of the next step over the step before, joined with that step).
+    Forward, that analysis meets the criterion; reverse, the prefix DFS
+    finds no other analysis meeting it."""
+    column, official_chain = {
+        "reductions": (_red_column, _red_chain),
+        "coreductions": (_cored_column, _cored_chain),
+    }[direction]
+    steps = partial(_column_rule_steps, column)
 
-    def rec(prefix):
-        last = prefix[-1]
-        if last == target_h:
-            yield list(prefix[1:])
-            return
-        before = prefix[-2] if len(prefix) >= 2 else None
-        for j in range(len(last)):
-            if last[j] >= target_h[j]:
-                continue
-            nxt = last[:j] + (last[j] + 1,) + last[j + 1 :]
-            if before is not None and all(a <= b + 1 for a, b in zip(nxt, before)):
-                continue  # step would be internal over the step before last
-            yield from rec(prefix + [nxt])
+    def per_pair(gr, t_h, g_h, sampled):
+        official = official_chain(t_h, g_h)
+        chain = [t_h] + official
+        for i in range(1, len(chain) - 1):
+            if _step(column, chain[i - 1], chain[i + 1]) != chain[i]:
+                return f"by-{direction} analysis fails the local criterion at step {i}"
+        if sampled:
+            for i in range(1, len(chain) - 1):
+                after = gr.set_of_heights(chain[i + 1])
+                before = gr.set_of_heights(chain[i - 1])
+                if direction == "reductions":
+                    got = heights(reduction(after, before, gr.g), gr.g)
+                else:
+                    cored = heights(coreduction(after, before, gr.g), gr.g)
+                    got = tuple(map(max, cored, chain[i - 1]))
+                if got != chain[i]:
+                    return f"public {direction[:-1]} disagrees at step {i}"
+        for seq in _sequences(t_h, g_h, steps):
+            if seq != official:
+                return f"the locally-by-{direction} analysis {seq} differs"
+        return None
 
-    yield from rec([base_h])
-
-
-def check_local_criterion_reductions(max_cells: int) -> PropertyReport:
-    def gen():
-        for gr in _grids(max_cells):
-            pair_index = 0
-            for t_h, g_h in _pairs_closed(gr):
-                pair_index += 1
-                official = _red_chain(t_h, g_h)
-                chain = [t_h] + official
-                # forward: the by-reductions analysis satisfies the local criterion
-                for i in range(1, len(chain) - 1):
-                    if _red_next(chain[i - 1], chain[i + 1]) != chain[i]:
-                        yield (
-                            f"grid {gr.depth}x{gr.columns}: by-reductions analysis fails "
-                            f"the local criterion at step {i}, T={t_h} G={g_h}"
-                        )
-                        return
-                if pair_index % CROSS_CHECK_SLICE == 0 or gr.cells <= 6:
-                    for i in range(1, len(chain) - 1):
-                        red = reduction(
-                            gr.set_of_heights(chain[i + 1]),
-                            gr.set_of_heights(chain[i - 1]),
-                            gr.g,
-                        )
-                        if heights(red, gr.g) != chain[i]:
-                            yield (
-                                f"grid {gr.depth}x{gr.columns}: public reduction disagrees "
-                                f"at step {i}, T={t_h} G={g_h}"
-                            )
-                            return
-                # reverse: anything satisfying the local criterion is that analysis
-                for seq in _local_red_sequences(t_h, g_h):
-                    if seq != official:
-                        yield (
-                            f"grid {gr.depth}x{gr.columns}: locally-by-reductions analysis "
-                            f"differs, T={t_h} G={g_h} got {seq}"
-                        )
-                        return
-                yield None
-
-    return _check("local_criterion_reductions", gen())
-
-
-def _local_red_sequences(base_h, target_h):
-    """DFS of analyses satisfying: step i is the reduction of step i+1 over
-    the (i-1)-st step.  Candidates for the next step are generated from the
-    constraint column by column, so dead branches cost O(columns)."""
-
-    def candidates(last, before):
-        options = []
-        for j in range(len(last)):
-            opts = [v for v in (last[j], last[j] + 1) if v <= target_h[j]]
-            if before is not None:
-                opts = [v for v in opts if min(v, before[j] + 1) == last[j]]
-            if not opts:
-                return
-            options.append(opts)
-        for nxt in product(*options):
-            if nxt != last:
-                yield nxt
-
-    def rec(prefix):
-        last = prefix[-1]
-        if last == target_h:
-            yield list(prefix[1:])
-            return
-        before = prefix[-2] if len(prefix) >= 2 else None
-        for nxt in candidates(last, before):
-            yield from rec(prefix + [nxt])
-
-    yield from rec([base_h])
-
-
-def check_local_criterion_coreductions(max_cells: int) -> PropertyReport:
-    def gen():
-        for gr in _grids(max_cells):
-            pair_index = 0
-            for t_h, g_h in _pairs_closed(gr):
-                pair_index += 1
-                official = _cored_chain(t_h, g_h)
-                chain = [t_h] + official
-                for i in range(1, len(chain) - 1):
-                    if _cored_next(chain[i + 1], chain[i - 1]) != chain[i]:
-                        yield (
-                            f"grid {gr.depth}x{gr.columns}: by-coreductions analysis fails "
-                            f"the local criterion at step {i}, T={t_h} G={g_h}"
-                        )
-                        return
-                if pair_index % CROSS_CHECK_SLICE == 0 or gr.cells <= 6:
-                    for i in range(1, len(chain) - 1):
-                        cored = coreduction(
-                            gr.set_of_heights(chain[i + 1]),
-                            gr.set_of_heights(chain[i - 1]),
-                            gr.g,
-                        )
-                        merged = tuple(
-                            max(a, b)
-                            for a, b in zip(heights(cored, gr.g), chain[i - 1])
-                        )
-                        if merged != chain[i]:
-                            yield (
-                                f"grid {gr.depth}x{gr.columns}: public coreduction disagrees "
-                                f"at step {i}, T={t_h} G={g_h}"
-                            )
-                            return
-                for seq in _local_cored_sequences(t_h, g_h):
-                    if seq != official:
-                        yield (
-                            f"grid {gr.depth}x{gr.columns}: locally-by-coreductions "
-                            f"analysis differs, T={t_h} G={g_h} got {seq}"
-                        )
-                        return
-                yield None
-
-    return _check("local_criterion_coreductions", gen())
-
-
-def _local_cored_sequences(base_h, target_h):
-    """Dual DFS: step i must be the coreduction of step i+1 over step i-1."""
-
-    def candidates(last, before):
-        options = []
-        for j in range(len(last)):
-            opts = []
-            for v in (last[j], last[j] + 1):
-                if v > target_h[j]:
-                    continue
-                if before is not None and max(before[j], v - 1) != last[j]:
-                    continue
-                opts.append(v)
-            if not opts:
-                return
-            options.append(opts)
-        for nxt in product(*options):
-            if nxt != last:
-                yield nxt
-
-    def rec(prefix):
-        last = prefix[-1]
-        if last == target_h:
-            yield list(prefix[1:])
-            return
-        before = prefix[-2] if len(prefix) >= 2 else None
-        for nxt in candidates(last, before):
-            yield from rec(prefix + [nxt])
-
-    yield from rec([base_h])
+    return _check_pairs(f"local_criterion_{direction}", max_cells, per_pair)
 
 
 def check_column_chain_length(max_cells: int) -> PropertyReport:
     def gen():
         for depth in range(1, max_cells + 1):
             g = GridModel(depth, 1)
-            target = frozenset({(depth, 1)})
             shortest = _shortest_chain_length((0,), (depth,))
             if shortest != depth:
                 yield f"column of depth {depth}: minimal analysis length {shortest}"
                 return
-            a = analysis_by_reductions(target, frozenset(), g)
+            a = analysis_by_reductions(frozenset({(depth, 1)}), frozenset(), g)
             if a.length != depth or not is_minimal(a, g):
                 yield f"column of depth {depth}: public analysis has length {a.length}"
                 return
@@ -726,8 +560,16 @@ ALL_PROPERTIES = [
     ("analyses_minimal", check_analyses_minimal, PAIR_PROPERTY_CELLS),
     ("equal_utype_canonical", check_equal_utype_canonical, PAIR_PROPERTY_CELLS),
     ("incompressible_ones_minimal", check_incompressible_ones_minimal, PAIR_PROPERTY_CELLS),
-    ("local_criterion_reductions", check_local_criterion_reductions, PAIR_PROPERTY_CELLS),
-    ("local_criterion_coreductions", check_local_criterion_coreductions, PAIR_PROPERTY_CELLS),
+    (
+        "local_criterion_reductions",
+        partial(check_local_criterion, direction="reductions"),
+        PAIR_PROPERTY_CELLS,
+    ),
+    (
+        "local_criterion_coreductions",
+        partial(check_local_criterion, direction="coreductions"),
+        PAIR_PROPERTY_CELLS,
+    ),
     ("column_chain_length", check_column_chain_length, MAX_VERIFY_CELLS),
 ]
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd as int_gcd
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Var = tuple[str, int, int]
 # A monomial is a tuple of (var, exponent) pairs, sorted by var, exponents > 0.
@@ -152,11 +152,6 @@ class Poly:
                 out.add(v)
         return out
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(m_degree(m) for m in self.terms)
-
     def lead(self) -> tuple[Monomial, Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -269,14 +264,6 @@ class Poly:
                     rest.append((mv, me))
             out.setdefault(e, {})[tuple(rest)] = c
         return {e: Poly(d, _trusted=True) for e, d in out.items()}
-
-    @staticmethod
-    def from_coeffs_in(v: Var, coeffs: dict[int, "Poly"]) -> "Poly":
-        res: dict[Monomial, Fraction] = {}
-        for e, p in coeffs.items():
-            for m, c in p.terms.items():
-                res[m_mul(m, ((v, e),) if e else ONE_MONOMIAL)] = c
-        return Poly(res, _trusted=True)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -427,10 +414,3 @@ def _make_primitive(p: Poly) -> Poly:
         return p
     content = _int_content(p)
     return p.scale(Fraction(1) / content)
-
-
-def lcm_many(values: Iterator[int]) -> int:
-    out = 1
-    for x in values:
-        out = out * x // int_gcd(out, x)
-    return out

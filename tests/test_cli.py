@@ -78,6 +78,15 @@ class TestGridVerify:
         code, _, err = run_cli(capsys, "grid", "verify", "--max-cells", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("max_cells", ["0", "-3"])
+    def test_non_positive_max_cells_is_a_usage_error(self, capsys, max_cells):
+        with pytest.raises(SystemExit) as info:
+            main(["grid", "verify", "--max-cells", max_cells])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
 
 class TestGridSeqred:
     def test_reductions(self, capsys):

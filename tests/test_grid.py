@@ -1,6 +1,7 @@
 """Grid pregeometry: closure, rank, internality, analyses, constructions."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -21,7 +22,14 @@ from deltatower import (
     reduction,
     urank,
 )
-from deltatower.grid import dump_scenario, enumerate_analyses, load_scenario
+from deltatower.grid import (
+    dump_scenario,
+    enumerate_analyses,
+    from_heights,
+    height_chains,
+    load_scenario,
+)
+from deltatower.gridcheck import _shortest_chain_length
 
 G22 = GridModel(2, 2)
 EMPTY = frozenset()
@@ -185,6 +193,40 @@ class TestAnalyses:
                 for a in enumerate_analyses(S, EMPTY, g, max_length=n)
             }
             assert min(found) == n  # nothing shorter exists
+
+    def test_height_chains_match_literal_enumeration(self):
+        # every strictly increasing sequence of height vectors from T to G,
+        # kept when Analysis.validate accepts it, on every closed pair of
+        # every grid with at most 4 cells
+        def increasing(h, g_h):
+            if h == g_h:
+                yield []
+                return
+            for nxt in product(*[range(v, top + 1) for v, top in zip(h, g_h)]):
+                if nxt != h:
+                    for rest in increasing(nxt, g_h):
+                        yield [nxt] + rest
+
+        for depth, columns in [(d, c) for d in range(1, 5) for c in range(1, 4 // d + 1)]:
+            g = GridModel(depth, columns)
+            for g_h in product(range(depth + 1), repeat=columns):
+                for t_h in product(*[range(v + 1) for v in g_h]):
+                    T, G = from_heights(t_h, g), from_heights(g_h, g)
+                    literal = set()
+                    for seq in increasing(t_h, g_h):
+                        try:
+                            Analysis(g, T, G, tuple(from_heights(h, g) for h in seq)).validate()
+                        except ValueError:
+                            continue
+                        literal.add(tuple(seq))
+                    for k in range(sum(g_h) - sum(t_h) + 1):
+                        found = [tuple(c) for c in height_chains(t_h, g_h, max_length=k)]
+                        assert len(found) == len(set(found))
+                        assert set(found) == {c for c in literal if len(c) <= k}
+                        exact = height_chains(t_h, g_h, max_length=k, exact_length=k)
+                        assert {tuple(c) for c in exact} == {c for c in literal if len(c) == k}
+                    shortest = min(len(c) for c in literal)
+                    assert _shortest_chain_length(t_h, g_h) == shortest
 
     def test_validate_rejects_non_internal_steps(self):
         g = GridModel(2, 1)

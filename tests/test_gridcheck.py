@@ -1,9 +1,12 @@
 """Exhaustive verifier machinery (small budget; the full budget runs in the
 acceptance suite)."""
 
+import re
+
 import pytest
 
-from deltatower import BudgetExceeded
+from deltatower import BudgetExceeded, closure, urank
+from deltatower import gridcheck
 from deltatower.gridcheck import ALL_PROPERTIES, run_grid_suite
 
 
@@ -35,3 +38,38 @@ def test_report_lines_carry_counts():
         assert line.startswith(r.name)
         assert f"instances={r.instances}" in line
         assert "PASS" in line
+
+
+def test_instance_counts_match_closed_forms():
+    # a column of depth d has (d+1)(d+2)/2 nested closed (T, G) pairs and
+    # d+1 closed sets; the closure axioms visit every subset and every
+    # nested pair of subsets (3^n of them)
+    grids = [(d, c) for d in range(1, 7) for c in range(1, 6 // d + 1)]
+    pairs = sum(((d + 1) * (d + 2) // 2) ** c for d, c in grids)
+    expected = {name: pairs for name, _, _ in ALL_PROPERTIES}
+    expected["closure_axioms"] = sum(2 ** (d * c) + 3 ** (d * c) for d, c in grids)
+    expected["urank_additivity"] = sum((d + 1) ** (3 * c) for d, c in grids)
+    expected["column_chain_length"] = 6
+    assert {r.name: r.instances for r in run_grid_suite(max_cells=6)} == expected
+
+
+# (public name as gridcheck sees it, broken replacement, property that must fail)
+BROKEN = [
+    ("urank", lambda S, T, g: urank(S, T, g) + 1, "urank_additivity"),
+    ("reduction", lambda S, T, g: closure(T, g), "reduction_maximality"),
+    ("reduction", lambda S, T, g: closure(T, g), "local_criterion_reductions"),
+    ("coreduction", lambda S, T, g: closure(S | T, g), "coreduction_uniqueness"),
+    ("coreduction", lambda S, T, g: closure(S | T, g), "local_criterion_coreductions"),
+    ("is_minimal", lambda a, g: False, "analyses_minimal"),
+]
+
+
+@pytest.mark.parametrize("attr, broken, prop", BROKEN)
+def test_broken_public_function_fails_its_property(monkeypatch, attr, broken, prop):
+    monkeypatch.setattr(gridcheck, attr, broken)
+    check = {name: fn for name, fn, _ in ALL_PROPERTIES}[prop]
+    report = check(4)
+    assert not report.passed
+    assert re.match(r"grid \d+x\d+: ", report.counterexample), report.counterexample
+    assert report.instances >= 1
+    assert report.line().startswith(f"{prop} instances={report.instances} FAIL grid ")
