@@ -22,6 +22,7 @@ from .polyring import (
     Poly,
     Var,
     exact_div,
+    exact_quotient,
     poly_gcd,
     var_name,
 )
@@ -41,31 +42,34 @@ class Element:
             return
         if den.is_zero():
             raise DivisionByZero("zero denominator")
+        if not num.is_zero() and not den.is_const():
+            q = exact_div(num, den)
+            if q is not None:
+                num, den = q, ONE
+            else:
+                g = poly_gcd(num, den)
+                if not g.is_const():
+                    num = exact_quotient(num, g, "the gcd of numerator and denominator")
+                    den = exact_quotient(den, g, "the gcd of numerator and denominator")
+        self._set_coprime(num, den)
+
+    def _set_coprime(self, num: Poly, den: Poly) -> None:
+        """Store coprime num/den, scaled so the denominator's leading
+        coefficient is 1 (a constant denominator becomes 1)."""
         if num.is_zero():
             self.num, self.den = Poly(), ONE
             return
-        if den.is_const():
-            self.num = num.scale(Fraction(1) / den.const_value())
-            self.den = ONE
-            return
-        q = exact_div(num, den)
-        if q is not None:
-            self.num, self.den = q, ONE
-            return
-        g = poly_gcd(num, den)
-        if not g.is_const():
-            num2 = exact_div(num, g)
-            den2 = exact_div(den, g)
-            assert num2 is not None and den2 is not None
-            num, den = num2, den2
         lc = den.lead()[1]
         if lc != 1:
             inv = Fraction(1) / lc
             num, den = num.scale(inv), den.scale(inv)
-        if den.is_const():
-            self.num, self.den = num, ONE
-        else:
-            self.num, self.den = num, den
+        self.num, self.den = num, ONE if den.is_const() else den
+
+    @classmethod
+    def _coprime(cls, num: Poly, den: Poly) -> "Element":
+        out = cls.__new__(cls)
+        out._set_coprime(num, den)
+        return out
 
     # --- constructors ----------------------------------------------------
 
@@ -110,11 +114,46 @@ class Element:
             return Element.from_rational(x)
         return None
 
+    def _plus(self, o: "Element", negate: bool) -> "Element":
+        """self + o or self - o by Henrici's addition (Knuth, TAOCP vol. 2,
+        4.5.1): with g = gcd(d1, d2), the sum t = n1 d2/g +- n2 d1/g over
+        the lcm g (d1/g) (d2/g) can share a factor only with g."""
+        if self.den == o.den:
+            g, rest = self.den, ONE
+            t = self.num - o.num if negate else self.num + o.num
+        else:
+            g = poly_gcd(self.den, o.den)
+            mine = exact_quotient(self.den, g, "the gcd of two denominators")
+            theirs = exact_quotient(o.den, g, "the gcd of two denominators")
+            a, b = self.num * theirs, o.num * mine
+            t = a - b if negate else a + b
+            rest = mine * theirs
+        h = poly_gcd(t, g)
+        if not h.is_const():
+            t = exact_quotient(t, h, "the gcd of a sum and its denominator")
+            g = exact_quotient(g, h, "the gcd of a sum and its denominator")
+        return Element._coprime(t, g * rest)
+
+    @staticmethod
+    def _times(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> "Element":
+        """(n1 n2) / (d1 d2) for coprime n1, d1 and coprime n2, d2 by
+        Henrici's multiplication: only n1 with d2 and n2 with d1 can share
+        factors, so those two gcds replace one of the whole products."""
+        g = poly_gcd(n1, d2)
+        if not g.is_const():
+            n1 = exact_quotient(n1, g, "the gcd of a numerator and a denominator")
+            d2 = exact_quotient(d2, g, "the gcd of a numerator and a denominator")
+        g = poly_gcd(n2, d1)
+        if not g.is_const():
+            n2 = exact_quotient(n2, g, "the gcd of a numerator and a denominator")
+            d1 = exact_quotient(d1, g, "the gcd of a numerator and a denominator")
+        return Element._coprime(n1 * n2, d1 * d2)
+
     def __add__(self, other) -> "Element":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Element(self.num * o.den + o.num * self.den, self.den * o.den)
+        return self._plus(o, negate=False)
 
     __radd__ = __add__
 
@@ -122,7 +161,7 @@ class Element:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Element(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self._plus(o, negate=True)
 
     def __rsub__(self, other) -> "Element":
         o = self._coerce(other)
@@ -137,7 +176,7 @@ class Element:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Element(self.num * o.num, self.den * o.den)
+        return Element._times(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -147,7 +186,7 @@ class Element:
             return NotImplemented
         if o.is_zero():
             raise DivisionByZero("division by zero element")
-        return Element(self.num * o.den, self.den * o.num)
+        return Element._times(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other) -> "Element":
         o = self._coerce(other)

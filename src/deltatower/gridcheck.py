@@ -264,16 +264,20 @@ def _column_rule_steps(column, before, last, target_h):
     meet column(before_j, next_j) == last_j in every column j, so that
     ``last`` is the one-step reduction (``_red_column``) or coreduction
     (``_cored_column``) of the next step over ``before``.  Candidates are
-    built column by column, so a dead branch costs O(columns)."""
+    built column by column, so a dead branch costs O(columns): a column may
+    stay iff column(b, l) == l and rise iff column(b, l + 1) == l."""
     if before is None:
         options = [(lv, lv + 1) if lv < tv else (lv,) for lv, tv in zip(last, target_h)]
     else:
         options = []
         for bv, lv, tv in zip(before, last, target_h):
-            opts = [v for v in ((lv, lv + 1) if lv < tv else (lv,)) if column(bv, v) == lv]
-            if not opts:
+            stay = column(bv, lv) == lv
+            if lv < tv and column(bv, lv + 1) == lv:
+                options.append((lv, lv + 1) if stay else (lv + 1,))
+            elif stay:
+                options.append((lv,))
+            else:
                 return
-            options.append(opts)
     for nxt in product(*options):
         if nxt != last:
             yield nxt

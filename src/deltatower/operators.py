@@ -180,9 +180,10 @@ def decompose(f: TowerElement, i: int, spec: TowerSpec) -> EigenDecomposition:
     # Internal consistency: eigen-equations and the sum must come back exact.
     for j, comp in enumerate(components, start=1):
         check = d_twist(comp, i, spec) - spec.symbol(i, j).expr() * comp
-        assert check.is_zero(), f"component {j} fails its eigen-equation"
-    total = EigenDecomposition(i, components).total()
-    assert total == f, "decomposition does not sum back to the input"
+        if not check.is_zero():
+            raise RuntimeError(f"component {j} fails its eigen-equation")
+    if EigenDecomposition(i, components).total() != f:
+        raise RuntimeError("decomposition does not sum back to the input")
     return EigenDecomposition(i, components)
 
 

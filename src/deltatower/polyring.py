@@ -7,14 +7,20 @@ lexicographic order: total degree first, then exponents read off the
 variables from most significant down, where variables are ordered by
 their natural tuple order (so ``('c', i, j)`` beats every ``('b', ...)``).
 
-The gcd is the recursive content/primitive-part algorithm over Z with a
-pseudo-remainder sequence in the top variable; everything is exact.
+The gcd first strips the factors whose shape is known in advance: the
+monomial content and the linear level sums ``sum_j b[k][j]`` (each
+``e_k`` is one), which are irreducible, so each can be split off on its
+own.  A division by a level sum is tried only when the polynomial
+vanishes, modulo a prime, at a point where the sum does.  Only a
+cofactor built from other factors reaches the general algorithm, the
+recursive content/primitive-part gcd over Z with a pseudo-remainder
+sequence in the top variable.  Every result is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
 from typing import Iterable
 
@@ -57,15 +63,28 @@ def m_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
+# Every (var, exponent) pair that m_mul or m_div creates is shared through
+# this table, so the many monomials of a large polynomial hold references
+# to a few pair objects instead of their own copies.
+_PAIRS: dict[tuple[Var, int], tuple[Var, int]] = {}
+
+
+def _pair(v: Var, e: int) -> tuple[Var, int]:
+    p = (v, e)
+    return _PAIRS.setdefault(p, p)
+
+
 def m_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1:
         return m2
     if not m2:
         return m1
-    acc = dict(m1)
-    for v, e in m2:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items()))
+    acc = {p[0]: p for p in m1}
+    for p in m2:
+        v = p[0]
+        old = acc.get(v)
+        acc[v] = p if old is None else _pair(v, old[1] + p[1])
+    return tuple(sorted(acc.values()))
 
 
 def m_divides(m1: Monomial, m2: Monomial) -> bool:
@@ -76,38 +95,33 @@ def m_divides(m1: Monomial, m2: Monomial) -> bool:
 
 def m_div(m1: Monomial, m2: Monomial) -> Monomial:
     """m1 / m2; requires m2 | m1."""
-    acc = dict(m1)
+    acc = {p[0]: p for p in m1}  # keeps the sorted order of m1
     for v, e in m2:
-        n = acc.get(v, 0) - e
+        old = acc.get(v)
+        n = (0 if old is None else old[1]) - e
         if n < 0:
             raise ValueError("monomial division is not exact")
-        acc[v] = n
-    return tuple(sorted((v, e) for v, e in acc.items() if e != 0))
+        if n:
+            acc[v] = _pair(v, n)
+        else:
+            del acc[v]
+    return tuple(acc.values())
 
 
-def m_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Graded lex: degree first, then most significant variable."""
-    d1, d2 = m_degree(m1), m_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    i, j = len(m1) - 1, len(m2) - 1
-    while i >= 0 and j >= 0:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 != v2:
-            return 1 if v1 > v2 else -1
-        if e1 != e2:
-            return 1 if e1 > e2 else -1
-        i -= 1
-        j -= 1
-    if i >= 0:
-        return 1
-    if j >= 0:
-        return -1
-    return 0
+def MONOMIAL_KEY(m: Monomial) -> tuple:
+    """Sort key of the graded lex order: total degree first, then the
+    (var, exponent) pairs read from the most significant variable down,
+    where a monomial that runs out of variables first is the smaller."""
+    return (m_degree(m), m[::-1])
 
 
-MONOMIAL_KEY = cmp_to_key(m_cmp)
+def _descending_key(m: Monomial) -> tuple:
+    """A heap entry that orders monomials the opposite way to MONOMIAL_KEY,
+    so a min-heap pops the leading monomial first; the monomial itself
+    rides along last.  Within one degree no pair sequence is a proper
+    prefix of another, so negating every entry reverses the order exactly
+    (variable kinds are single letters, so ord() keeps their order)."""
+    return (-m_degree(m), [(-ord(k), -i, -j, -e) for (k, i, j), e in reversed(m)], m)
 
 
 class Poly:
@@ -281,7 +295,14 @@ ONE = Poly.const(1)
 
 
 def exact_div(p: Poly, q: Poly) -> Poly | None:
-    """p / q when the division is exact, else None."""
+    """p / q when the division is exact, else None.
+
+    The remainder's monomials sit in a heap, so each step finds the
+    leading term in O(log n) instead of rescanning the whole remainder.
+    Each step removes the remainder's leading term and only adds smaller
+    ones, so a monomial popped once never comes back; a heap entry whose
+    term has cancelled meanwhile is skipped.
+    """
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero():
@@ -289,17 +310,43 @@ def exact_div(p: Poly, q: Poly) -> Poly | None:
     if q.is_const():
         return p.scale(Fraction(1) / q.const_value())
     qm, qc = q.lead()
+    q_tail = [(m, c) for m, c in q.terms.items() if m != qm]
+    rest = dict(p.terms)
+    heap = [_descending_key(m) for m in rest]
+    heapify(heap)
     quotient: dict[Monomial, Fraction] = {}
-    rest = p
-    while rest.terms:
-        rm, rc = rest.lead()
+    while heap:
+        rm = heappop(heap)[-1]
+        rc = rest.pop(rm, None)
+        if rc is None:
+            continue
         if not m_divides(qm, rm):
             return None
         m = m_div(rm, qm)
         c = rc / qc
         quotient[m] = c
-        rest = rest - q.mul_term(m, c)
+        for tm, tc in q_tail:
+            nm = m_mul(tm, m)
+            s = rest.get(nm)
+            if s is None:
+                rest[nm] = -c * tc
+                heappush(heap, _descending_key(nm))
+            else:
+                s = s - c * tc
+                if s:
+                    rest[nm] = s
+                else:
+                    del rest[nm]
     return Poly(quotient, _trusted=True)
+
+
+def exact_quotient(p: Poly, q: Poly, what: str) -> Poly:
+    """p / q where the maths makes the division exact; RuntimeError (not
+    an assert, so it survives ``python -O``) names ``what`` otherwise."""
+    res = exact_div(p, q)
+    if res is None:
+        raise RuntimeError(f"{what} does not divide exactly")
+    return res
 
 
 # --- gcd: content / primitive part over Z --------------------------------
@@ -345,11 +392,10 @@ def _prem(a: Poly, b: Poly, v: Var) -> Poly:
     return r
 
 
-def _monomial_gcd(p: Poly, q: Poly) -> Poly:
-    """gcd when q is a single term: the componentwise minimum exponent."""
-    (qm, _), = q.terms.items()
-    shared = dict(qm)
-    for m in p.terms:
+def _monomial_content(ms: Iterable[Monomial], bound: Monomial) -> Monomial:
+    """The componentwise minimum exponent over bound and every monomial in ms."""
+    shared = dict(bound)
+    for m in ms:
         exps = dict(m)
         for v in list(shared):
             e = min(shared[v], exps.get(v, 0))
@@ -359,7 +405,83 @@ def _monomial_gcd(p: Poly, q: Poly) -> Poly:
                 del shared[v]
         if not shared:
             break
-    return Poly({tuple(sorted(shared.items())): Fraction(1)}, _trusted=True)
+    return tuple(sorted(shared.items()))
+
+
+def _level_sums(p: Poly) -> set[Monomial]:
+    """Per level k, the sum of the b[k][j] occurring in p, as its tuple of
+    variables (two or more).  Each is linear, hence irreducible, and it is
+    e_k whenever e_k divides p, since a factor's variables all occur in p."""
+    by_level: dict[int, set[Var]] = {}
+    for v in p.variables():
+        if v[0] == "b":
+            by_level.setdefault(v[1], set()).add(v)
+    return {tuple(sorted(vs)) for vs in by_level.values() if len(vs) > 1}
+
+
+_PRIME = (1 << 61) - 1
+
+
+def _coordinate(v: Var) -> int:
+    """A fixed pseudo-random residue modulo _PRIME for each variable (the
+    splitmix64 finaliser of its packed indices)."""
+    kind, level, index = v
+    x = (ord(kind) << 40) ^ (level << 20) ^ index
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 % (1 << 64)
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB % (1 << 64)
+    return (x ^ (x >> 31)) % _PRIME
+
+
+def _may_divide(s_vars: tuple[Var, ...], p: Poly) -> bool:
+    """False only when s = sum(s_vars) cannot divide p: s | p forces p to
+    vanish wherever s does, and p is nonzero modulo _PRIME at one such
+    point.  A division that is going to fail runs to the last term, so
+    this test saves most of its cost."""
+    variables = p.variables()
+    if not variables.issuperset(s_vars):
+        return False
+    point = {v: _coordinate(v) for v in variables}
+    point[s_vars[0]] = -sum(point[v] for v in s_vars[1:]) % _PRIME
+    total = 0
+    for m, c in p.terms.items():
+        if c.denominator % _PRIME == 0:
+            return True
+        t = c.numerator if c.denominator == 1 else c.numerator * pow(c.denominator, -1, _PRIME)
+        for v, e in m:
+            t = t * pow(point[v], e, _PRIME) % _PRIME
+        total += t
+    return total % _PRIME == 0
+
+
+def _strip(p: Poly, s: Poly, s_vars: tuple[Var, ...]) -> tuple[int, Poly]:
+    """(k, p / s^k) for the largest k with s^k | p."""
+    k = 0
+    while _may_divide(s_vars, p):
+        r = exact_div(p, s)
+        if r is None:
+            break
+        k, p = k + 1, r
+    return k, p
+
+
+def _strip_known_factors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
+    """(p', q', h) with h the part of gcd(p, q) made of the monomial content
+    and the level sums, and p', q' the cofactors free of those factors.
+    Every factor split off is irreducible, so gcd(p, q) = h * gcd(p', q')."""
+    pm = _monomial_content(p.terms, next(iter(p.terms)))
+    qm = _monomial_content(q.terms, next(iter(q.terms)))
+    h = Poly({_monomial_content([pm], qm): Fraction(1)}, _trusted=True)
+    p = Poly({m_div(m, pm): c for m, c in p.terms.items()}, _trusted=True)
+    q = Poly({m_div(m, qm): c for m, c in q.terms.items()}, _trusted=True)
+    for s_vars in sorted(_level_sums(p) | _level_sums(q)):
+        if p.is_const() or q.is_const():
+            break
+        s = Poly({((v, 1),): Fraction(1) for v in s_vars}, _trusted=True)
+        a, p = _strip(p, s, s_vars)
+        b, q = _strip(q, s, s_vars)
+        if min(a, b):
+            h = h * s ** min(a, b)
+    return p, q, h
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -372,10 +494,15 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return _make_primitive(p)
     if p.is_const() or q.is_const():
         return ONE
-    if len(q.terms) == 1:
-        return _monomial_gcd(p, q)
-    if len(p.terms) == 1:
-        return _monomial_gcd(q, p)
+    p, q, h = _strip_known_factors(p, q)
+    if p.is_const() or q.is_const():
+        return h
+    return _make_primitive(h * _prs_gcd(p, q))
+
+
+def _prs_gcd(p: Poly, q: Poly) -> Poly:
+    """The general gcd: recursive content/primitive part over Z with a
+    primitive pseudo-remainder sequence in the top shared variable."""
     a = _make_primitive(p)
     b = _make_primitive(q)
     shared = a.variables() & b.variables()
@@ -385,9 +512,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     v = max(shared)
     ca, cb = _content_wrt(a, v), _content_wrt(b, v)
     cont = poly_gcd(ca, cb)
-    pa = exact_div(a, ca)
-    pb = exact_div(b, cb)
-    assert pa is not None and pb is not None
+    pa = exact_quotient(a, ca, "the content of the first gcd argument")
+    pb = exact_quotient(b, cb, "the content of the second gcd argument")
     if pa.degree_in(v) < pb.degree_in(v):
         pa, pb = pb, pa
     while True:
@@ -399,14 +525,12 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
             g = ONE
             break
         pa, pb = pb, _primitive_wrt(r, v)
-    return _make_primitive(cont * g)
+    return cont * g
 
 
 def _primitive_wrt(p: Poly, v: Var) -> Poly:
     c = _content_wrt(p, v)
-    res = exact_div(p, c)
-    assert res is not None
-    return _make_primitive(res)
+    return _make_primitive(exact_quotient(p, c, f"the content in {var_name(v)}"))
 
 
 def _make_primitive(p: Poly) -> Poly:

@@ -147,8 +147,12 @@ def residual(a: Series, b: Series) -> float:
 
     The difference is scaled by max(1, |a|, |b|) so the number means
     "relative disagreement" regardless of how fast the coefficients grow.
+    A non-finite coefficient on either side gives ``inf``, so no check of
+    the form ``residual < tol`` can pass on overflowed values.
     """
     n = min(len(a.coeffs), len(b.coeffs))
     x, y = a.coeffs[:n], b.coeffs[:n]
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return math.inf
     scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y))))
     return float(np.max(np.abs(x - y))) / scale

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .constants import ConstSymbol
 from .elements import Element, ONE_ELEMENT
 from .errors import LevelOutOfRange, LogOfZero, DomainViolation
-from .polyring import Poly, Var, var_b, var_name
+from .polyring import Poly, Var, exact_quotient, m_div, poly_gcd, var_b, var_name
 from .series import Series, residual as series_residual
 
 TowerElement = Element
@@ -156,20 +156,24 @@ def _derive_poly(p: Poly, spec: TowerSpec) -> Poly:
             dv = spec._delta_var(v)
             if dv.is_zero():
                 continue
-            rest = tuple((w, we) for w, we in m if w != v)
-            if e > 1:
-                rest = tuple(sorted(rest + ((v, e - 1),)))
-            out = out + dv.mul_term(rest, coeff * e)
+            out = out + dv.mul_term(m_div(m, ((v, 1),)), coeff * e)
     return out
 
 
 def derive(x: TowerElement, spec: TowerSpec) -> TowerElement:
-    """delta(x), extended from the generators as a derivation."""
+    """delta(x), extended from the generators as a derivation.
+
+    The quotient rule runs over g = gcd(f, delta f) for the denominator f:
+    delta(n/f) = (delta(n) f/g - n delta(f)/g) / (f f/g), so delta(n/h^k)
+    has denominator h^(k+1), not h^(2k)."""
     dnum = _derive_poly(x.num, spec)
     if x.den.is_const():
         return Element(dnum, x.den)
     dden = _derive_poly(x.den, spec)
-    return Element(dnum * x.den - x.num * dden, x.den * x.den)
+    g = poly_gcd(x.den, dden)
+    f = exact_quotient(x.den, g, "gcd(f, delta f)")
+    df = exact_quotient(dden, g, "gcd(f, delta f)")
+    return Element(dnum * f - x.num * df, x.den * f)
 
 
 def d_twist(x: TowerElement, i: int, spec: TowerSpec) -> TowerElement:

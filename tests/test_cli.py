@@ -1,9 +1,11 @@
 """CLI behaviour: exit codes, report lines, determinism, round-trips."""
 
+import hashlib
 import json
 
 import pytest
 
+from deltatower import cli
 from deltatower.cli import main
 
 
@@ -47,6 +49,70 @@ class TestTowerBuild:
             capsys, "tower", "build", "--utype", "2,1", "--check", "--out", str(out_file)
         )
         assert _strip_millis(out1) == _strip_millis(out2)
+
+
+# sha256 prefixes of the stripped stdout and of RunReport.to_json of
+# `tower build --utype U --check` at the default seed, as printed by the
+# version before the structure-aware gcd: the 23 budget U-types it finished.
+REPORT_DIGESTS = {
+    "1": ("7c064a22ed63a6f6", "0ce9cbdd1632108a"),
+    "2": ("b48b878abd1d46d0", "95cd2dd2c31dae43"),
+    "3": ("4f3e51d17ad86659", "ab03762c1e0991a4"),
+    "1,1": ("906b01f9b5b1e6bb", "d7bd4a65ff650180"),
+    "1,2": ("c6dad31e31cc1f94", "a89b0147bcfb87e4"),
+    "1,3": ("63e27ba4622c095c", "c9bc8bf02febccc6"),
+    "2,1": ("e406e55c07359a87", "544ec9739c7e8195"),
+    "2,2": ("730cf4527cfcb50d", "609b4cc1ab57be50"),
+    "2,3": ("62c4abda9975a65e", "45c2418fd1c61b6a"),
+    "3,1": ("eb86c272a384f3d9", "a347de022a807122"),
+    "3,2": ("38ca714f9be2dcde", "a2053d2f0d1051b0"),
+    "1,1,1": ("482a298d6162c20f", "21c52616ff639b1d"),
+    "1,1,2": ("426f6d407323cdf3", "3712079a88e5ef04"),
+    "1,1,3": ("a73e58bd87f2f96f", "05756438f19ad428"),
+    "1,2,1": ("d3e7f546f308afd7", "0e739a776deff65a"),
+    "1,2,2": ("2d7ba9249f368d2a", "20885227d2697d8f"),
+    "1,3,1": ("fc7cba28097eb755", "6809fc87671de4e6"),
+    "2,1,1": ("a1e15db94778f7a5", "a1403ed1236305f6"),
+    "2,1,2": ("2a9433e13c91e4d6", "2ec306699f0e8a4b"),
+    "2,2,1": ("a1a9b72c62421da9", "cb7cda822e5c356a"),
+    "3,1,1": ("cd4e15aef429b411", "c579501d9f2aed4b"),
+    "3,1,2": ("be4deffbe954d3ee", "d7436ac8a8dcf8db"),
+    "3,2,1": ("71aab856b083b855", "9cb3b2186a3688f9"),
+}
+
+
+def _build_report(capsys, monkeypatch, utype):
+    """Run `tower build --check`; return exit code, stripped stdout and the
+    RunReport's to_json."""
+    reports = []
+
+    class Recording(cli.RunReport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            reports.append(self)
+
+    monkeypatch.setattr(cli, "RunReport", Recording)
+    code, out, _ = run_cli(capsys, "tower", "build", "--utype", utype, "--check")
+    return code, _strip_millis(out), reports[0].to_json()
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestTowerBudget:
+    @pytest.mark.parametrize("utype", ["3,3", "2,3,3", "3,2,3", "3,3,3"])
+    def test_previously_unfinished_utypes_pass(self, capsys, monkeypatch, utype):
+        code, out, _ = _build_report(capsys, monkeypatch, utype)
+        assert code == 0
+        assert out.count(" PASS ") == 5 * len(utype.split(","))
+        assert out.endswith("RESULT PASS")
+
+    @pytest.mark.parametrize("utype", sorted(REPORT_DIGESTS))
+    def test_reports_unchanged(self, capsys, monkeypatch, utype):
+        code, out, report_json = _build_report(capsys, monkeypatch, utype)
+        assert code == 0
+        assert (_digest(out), _digest(report_json)) == REPORT_DIGESTS[utype], out
 
 
 def _strip_millis(text):
@@ -128,6 +194,15 @@ class TestSeries:
         )
         assert code == 0
         assert "residual" in out
+
+    def test_overflowing_initial_values_fail(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "series", "--logd-system", "2", "--order", "8", "--initial", "1e308,1e308"
+        )
+        assert code == 1
+        assert "CHECK residual FAIL" in out
+        assert "defining-equation residual inf" in out
+        assert out.strip().endswith("RESULT FAIL")
 
     def test_zero_initial_value(self, capsys):
         code, _, err = run_cli(

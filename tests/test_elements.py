@@ -1,0 +1,141 @@
+"""Element canonicalisation: Henrici's addition and multiplication and the
+gcd quotient rule against the literal formulas they replace, and
+canonical strings against sympy.cancel (test-only)."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from deltatower.elements import Element, format_element
+from deltatower.polyring import MONOMIAL_KEY, Poly, monomial, var_b, var_c
+from deltatower.tower import _derive_poly, build_spec, derive
+
+SPEC = build_spec((3, 2))
+GENS = [var_b(1, j) for j in (1, 2, 3)] + [var_b(2, j) for j in (1, 2)]
+CONSTS = [var_c(1, j) for j in (1, 2, 3)] + [var_c(2, j) for j in (1, 2)]
+E1 = sum((Poly.variable(v) for v in GENS[:3]), Poly())
+E2 = Poly.variable(GENS[3]) + Poly.variable(GENS[4])
+
+
+def _random_poly(rng, max_terms, max_deg):
+    p = Poly()
+    for _ in range(rng.randint(1, max_terms)):
+        pairs = [(rng.choice(GENS + CONSTS), 1) for _ in range(rng.randint(0, max_deg))]
+        p = p + Poly({monomial(pairs): Fraction(rng.randint(1, 5), rng.randint(1, 3))})
+    return p if p else Poly.const(1)
+
+
+def _random_element(rng):
+    """A random numerator over a tower-shaped denominator (generator and
+    e_k powers, sometimes times a random polynomial)."""
+    den = Poly.variable(rng.choice(GENS)) ** rng.randint(0, 2)
+    den = den * E1 ** rng.randint(0, 2) * E2 ** rng.randint(0, 1)
+    if rng.random() < 0.3:
+        den = den * _random_poly(rng, 2, 1)
+    return Element(_random_poly(rng, 3, 2), den)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_henrici_arithmetic_matches_the_product_formulas(seed):
+    rng = random.Random(seed)
+    x, y = _random_element(rng), _random_element(rng)
+    assert x + y == Element(x.num * y.den + y.num * x.den, x.den * y.den)
+    assert x - y == Element(x.num * y.den - y.num * x.den, x.den * y.den)
+    assert x * y == Element(x.num * y.num, x.den * y.den)
+    assert x / y == Element(x.num * y.den, x.den * y.num)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gcd_quotient_rule_matches_the_literal_one(seed):
+    rng = random.Random(seed)
+    x = _random_element(rng)
+    dnum, dden = _derive_poly(x.num, SPEC), _derive_poly(x.den, SPEC)
+    literal = Element(dnum * x.den - x.num * dden, x.den * x.den)
+    assert derive(x, SPEC) == literal
+
+
+def test_quotient_rule_denominator_of_a_power():
+    # delta(1/e_1^3) = -3 delta(e_1)/e_1^4: the denominator is e_1^4, not e_1^6
+    x = Element(Poly.const(1), E1**3)
+    assert derive(x, SPEC).den == E1**4
+
+
+# --- canonical strings against sympy.cancel ------------------------------
+
+
+def _sympy_symbols(sympy):
+    return {v: sympy.Symbol(f"{v[0]}_{v[1]}_{v[2]}") for v in GENS + CONSTS}
+
+
+def _to_sympy(p, syms, sympy):
+    total = sympy.Integer(0)
+    for m, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for v, e in m:
+            term *= syms[v] ** e
+        total += term
+    return total
+
+
+def _from_sympy(expr, syms, sympy):
+    """Print sympy's cancelled form the way Element prints: numerator and
+    denominator scaled so the denominator's leading coefficient is 1."""
+    order = list(syms)
+    num, den = sympy.fraction(sympy.cancel(expr))
+
+    def poly(e):
+        terms = sympy.Poly(e, *[syms[v] for v in order]).terms()
+        return Poly(
+            {
+                monomial(zip(order, exps)): Fraction(int(c.p), int(c.q))
+                for exps, c in terms
+            }
+        )
+
+    n, d = poly(num), poly(den)
+    lc = d.terms[max(d.terms, key=MONOMIAL_KEY)]
+    n, d = n.scale(1 / lc), d.scale(1 / lc)
+    if d.is_const():
+        return format_element(Element(n, Poly.const(1), _canonical=True))
+    return format_element(Element(n, d, _canonical=True))
+
+
+def _sympy_delta(expr, syms, sympy):
+    """The tower derivation by the chain rule:
+    delta b[i][j] = c[i][j] b[i][j] prod_{k<i} e_k."""
+    e1 = _to_sympy(E1, syms, sympy)
+    out = sympy.Integer(0)
+    for kind, i, j in GENS:
+        twist = e1 if i == 2 else 1
+        image = syms[("c", i, j)] * syms[(kind, i, j)] * twist
+        out += sympy.diff(expr, syms[(kind, i, j)]) * image
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_canonical_strings_match_sympy_cancel(seed):
+    sympy = pytest.importorskip("sympy")
+    syms = _sympy_symbols(sympy)
+    rng = random.Random(seed)
+    x, y, z = (_random_element(rng) for _ in range(3))
+    # w and v make the sum and the product cancel against x: x + w = z - y
+    # and x * v = z shares factors across numerators and denominators
+    w, v = z - y - x, z / x
+
+    def s(e):
+        return _to_sympy(e.num, syms, sympy) / _to_sympy(e.den, syms, sympy)
+
+    sx, sy, sw, sv = s(x), s(y), s(w), s(v)
+    cases = [
+        (x + y, sx + sy),
+        (x - y, sx - sy),
+        (x * y, sx * sy),
+        (x / y, sx / sy),
+        (x + w, sx + sw),
+        (x * v, sx * sv),
+        (v / x, sv / sx),
+        (derive(x, SPEC), _sympy_delta(sx, syms, sympy)),
+    ]
+    for ours, theirs in cases:
+        assert str(ours) == _from_sympy(theirs, syms, sympy)

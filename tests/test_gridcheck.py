@@ -73,3 +73,25 @@ def test_broken_public_function_fails_its_property(monkeypatch, attr, broken, pr
     assert re.match(r"grid \d+x\d+: ", report.counterexample), report.counterexample
     assert report.instances >= 1
     assert report.line().startswith(f"{prop} instances={report.instances} FAIL grid ")
+
+
+@pytest.mark.parametrize("column", [gridcheck._red_column, gridcheck._cored_column])
+def test_column_rule_steps_match_literal_filter(column):
+    """The per-column stay/rise rule yields the same steps, in the same
+    order, as filtering every candidate height through the column rule."""
+    from itertools import product
+
+    def literal(before, last, target_h):
+        options = []
+        for bv, lv, tv in zip(before, last, target_h):
+            opts = [v for v in ((lv, lv + 1) if lv < tv else (lv,)) if column(bv, v) == lv]
+            if not opts:
+                return []
+            options.append(opts)
+        return [nxt for nxt in product(*options) if nxt != last]
+
+    vectors = list(product(range(4), repeat=2))
+    for before, last, target_h in product(vectors, repeat=3):
+        if all(map(int.__le__, last, target_h)):
+            got = list(gridcheck._column_rule_steps(column, before, last, target_h))
+            assert got == literal(before, last, target_h), (before, last, target_h)

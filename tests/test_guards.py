@@ -1,0 +1,84 @@
+"""The guards on mathematical identities raise RuntimeError, not assert, so
+they also hold under ``python -O``.  Each test breaks one identity through
+a monkeypatch and checks that its guard fires."""
+
+import pytest
+
+from deltatower import elements, operators, polyring, relations, tower
+from deltatower.elements import Element, ZERO_ELEMENT
+from deltatower.polyring import Poly, var_b, var_c
+from deltatower.relations import MonomialRelation, ReductionTrace, Verdict
+from deltatower.tower import build_spec
+
+SPEC = build_spec((2, 2))
+B11, B12, C11 = (Poly.variable(v) for v in (var_b(1, 1), var_b(1, 2), var_c(1, 1)))
+# Two polynomials whose gcd needs the general algorithm: b[1][1] + 2 is
+# neither a monomial nor a level sum.
+LEFT = (B11 + Poly.const(2)) * (B11 + Poly.const(3))
+RIGHT = (B11 + Poly.const(2)) * (B11 + C11)
+
+
+def _no_divisor(*args):
+    return Poly.variable(var_b(2, 2))
+
+
+def test_poly_gcd_guards_the_content_division(monkeypatch):
+    monkeypatch.setattr(polyring, "_content_wrt", _no_divisor)
+    with pytest.raises(RuntimeError, match="content of the first gcd argument"):
+        polyring.poly_gcd(LEFT, RIGHT)
+
+
+def test_primitive_part_guards_the_content_division(monkeypatch):
+    monkeypatch.setattr(polyring, "_content_wrt", _no_divisor)
+    with pytest.raises(RuntimeError, match=r"content in b\[1\]\[1\]"):
+        polyring._primitive_wrt(LEFT, var_b(1, 1))
+
+
+def test_element_guards_the_gcd_division(monkeypatch):
+    monkeypatch.setattr(elements, "poly_gcd", _no_divisor)
+    with pytest.raises(RuntimeError, match="gcd of numerator and denominator"):
+        Element(LEFT, RIGHT)
+
+
+def test_element_addition_guards_the_denominator_gcd(monkeypatch):
+    x, y = Element(Poly.const(1), LEFT), Element(Poly.const(1), RIGHT)
+    monkeypatch.setattr(elements, "poly_gcd", _no_divisor)
+    with pytest.raises(RuntimeError, match="gcd of two denominators"):
+        x + y
+
+
+def test_derive_guards_the_quotient_rule_gcd(monkeypatch):
+    monkeypatch.setattr(tower, "poly_gcd", _no_divisor)
+    with pytest.raises(RuntimeError, match=r"gcd\(f, delta f\)"):
+        tower.derive(Element(Poly.const(1), B11 + B12), SPEC)
+
+
+def test_decompose_guards_the_eigen_equations(monkeypatch):
+    monkeypatch.setattr(operators, "d_twist", lambda x, i, spec: x)
+    with pytest.raises(RuntimeError, match="fails its eigen-equation"):
+        operators.decompose(SPEC.e(1), 1, SPEC)
+
+
+def test_decompose_guards_the_sum(monkeypatch):
+    monkeypatch.setattr(operators.EigenDecomposition, "total", lambda self: ZERO_ELEMENT)
+    with pytest.raises(RuntimeError, match="does not sum back"):
+        operators.decompose(SPEC.e(1), 1, SPEC)
+
+
+def test_invariant_monomial_guards_its_identity(monkeypatch):
+    G = MonomialRelation(1, tuple(SPEC.generators(1)), {(1, 0): Element(C11), (0, 1): Element(C11)})
+    real = relations.logd
+    # shifting every logarithmic derivative by 1 keeps the eigenvalue
+    # differences but breaks logd(h) = (r2 - r1).lambda
+    monkeypatch.setattr(relations, "logd", lambda h, level, spec: real(h, level, spec) + 1)
+    with pytest.raises(RuntimeError, match="fails its defining identity"):
+        relations.invariant_monomial(G, (1, 0), (0, 1), SPEC)
+
+
+def test_certify_independence_guards_the_verdict(monkeypatch):
+    def found(generic, spec):
+        return ReductionTrace(generic, (), Verdict.INVARIANT_MONOMIAL_FOUND)
+
+    monkeypatch.setattr(relations, "run_reduction", found)
+    with pytest.raises(RuntimeError, match="found a relation"):
+        relations.certify_independence(SPEC.generators(1), 2, SPEC, level=1)

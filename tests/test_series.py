@@ -49,6 +49,14 @@ class TestSeriesArithmetic:
         s = Series([2.0, 1.0, 0.5, 0.25])
         assert np.allclose((s**-2 * s * s).coeffs, [1, 0, 0, 0], atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_residual_is_inf_on_non_finite_coefficients(self, bad):
+        finite = Series([1.0, 2.0, 3.0])
+        broken = Series([1.0, bad, 3.0])
+        assert residual(broken, finite) == math.inf
+        assert residual(finite, broken) == math.inf
+        assert residual(broken, broken) == math.inf
+
 
 class TestEvalSeries:
     def test_level_one_generator_is_exp(self):
