@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from . import gridcheck
-from .errors import BudgetExceeded, DeltaTowerError
+from .errors import BudgetExceeded, DeltaTowerError, TruncationTooShort
 from .grid import analysis_by_coreductions, analysis_by_reductions, build_seqred_a, build_seqred_b
 from .operators import (
+    FactoredOperator,
     apply_operator,
     build_E,
     decompose,
@@ -185,8 +186,6 @@ def cmd_tower_build(args, argv) -> int:
         def check_symmetry(op=op, i=i):
             base = expand(op)
             for perm in permutations(op.factors):
-                from .operators import FactoredOperator
-
                 other = expand(FactoredOperator(i, perm))
                 if other.coefficients != base.coefficients:
                     return False, "expansion depends on the factor order"
@@ -279,9 +278,13 @@ def _format_series(s: Series) -> str:
 def cmd_series(args, argv) -> int:
     if args.order > MAX_SERIES_ORDER:
         raise BudgetExceeded(f"order {args.order} exceeds the cap {MAX_SERIES_ORDER}")
+    if args.order < 2:
+        raise TruncationTooShort(f"--order {args.order} is below 2, the shortest truncation")
     report = RunReport("series", tuple(argv))
     if args.logd_system is not None:
         n = args.logd_system
+        if n < 1:
+            raise DeltaTowerError(f"--logd-system {n} is not a positive dimension")
         h = parse_element(args.h)
         system = logd_system(n, h)
         initial = args.initial if args.initial is not None else [1.0] * n
@@ -303,8 +306,12 @@ def cmd_series(args, argv) -> int:
     else:
         x = parse_element(args.element)
         if args.spec:
-            with open(args.spec, encoding="utf-8") as fh:
-                spec = TowerSpec.from_json(fh.read())
+            try:
+                with open(args.spec, encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise DeltaTowerError(f"cannot read --spec {args.spec}: {exc.strerror}") from None
+            spec = TowerSpec.from_json(text)
         else:
             spec = _infer_spec([x])
         ctx = SeriesContext.default(spec, order=args.order)

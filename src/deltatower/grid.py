@@ -27,8 +27,6 @@ CellSet = frozenset[Cell]
 
 EMPTY: CellSet = frozenset()
 
-DEFAULT_CELL_BUDGET = 12
-
 
 @dataclass(frozen=True)
 class GridModel:

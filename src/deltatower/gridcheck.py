@@ -502,7 +502,7 @@ def check_local_criterion(max_cells: int, direction: str) -> PropertyReport:
     reduction of the next step over the step before (or the coreduction
     of the next step over the step before, joined with that step).
     Forward, that analysis meets the criterion; reverse, the prefix DFS
-    finds no other analysis meeting it."""
+    finds it and no other analysis meeting it."""
     column, official_chain = {
         "reductions": (_red_column, _red_chain),
         "coreductions": (_cored_column, _cored_chain),
@@ -526,9 +526,9 @@ def check_local_criterion(max_cells: int, direction: str) -> PropertyReport:
                     got = tuple(map(max, cored, chain[i - 1]))
                 if got != chain[i]:
                     return f"public {direction[:-1]} disagrees at step {i}"
-        for seq in _sequences(t_h, g_h, steps):
-            if seq != official:
-                return f"the locally-by-{direction} analysis {seq} differs"
+        found = list(_sequences(t_h, g_h, steps))
+        if found != [official]:
+            return f"the locally-by-{direction} analyses {found} are not exactly [{official}]"
         return None
 
     return _check_pairs(f"local_criterion_{direction}", max_cells, per_pair)

@@ -28,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from .constants import qlinear_dot
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from .errors import SupportTooSmall, TruncationTooShort
 from .series import Series
@@ -93,14 +94,10 @@ class MonomialRelation:
     def functionals(self, spec: TowerSpec) -> dict[ExponentVector, Element]:
         """phi(r) = logD_i(s_r) + r . lambda for every support vector."""
         lams = self.eigenvalues(spec)
-        out: dict[ExponentVector, Element] = {}
-        for r, s in self.coefficients.items():
-            phi = ZERO_ELEMENT if s.is_constant() else logd(s, self.level, spec)
-            for e, lam in zip(r, lams):
-                if e:
-                    phi = phi + lam * e
-            out[r] = phi
-        return out
+        return {
+            r: _logd_coefficient(s, self.level, spec) + qlinear_dot(r, lams)
+            for r, s in self.coefficients.items()
+        }
 
     def evaluate(self) -> Element:
         """G at its own variables (the relation candidate's value)."""
@@ -112,6 +109,10 @@ class MonomialRelation:
                     term = term * v**e
             total = total + term
         return total
+
+
+def _logd_coefficient(s: Element, level: int, spec: TowerSpec) -> Element:
+    return ZERO_ELEMENT if s.is_constant() else logd(s, level, spec)
 
 
 def reduce_step(G: MonomialRelation, pivot: ExponentVector, spec: TowerSpec) -> MonomialRelation:
@@ -140,9 +141,7 @@ def reduce_step(G: MonomialRelation, pivot: ExponentVector, spec: TowerSpec) -> 
 class ReductionStep:
     pivot: ExponentVector
     functionals: dict[ExponentVector, Element] = field(compare=False)
-    eliminated_term: ExponentVector = ()
     remaining_support: tuple[ExponentVector, ...] = ()
-    result: MonomialRelation | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,8 @@ class ReductionTrace:
     colliding_pair: tuple[ExponentVector, ExponentVector] | None = None
 
     def replay(self, spec: TowerSpec) -> bool:
-        """Re-execute every step and compare the stored intermediates exactly."""
+        """Re-execute every step literally, expanding the coefficients with
+        reduce_step, and compare the stored functionals and supports exactly."""
         current = self.initial
         for step in self.steps:
             if step.pivot not in current.coefficients:
@@ -165,8 +165,6 @@ class ReductionTrace:
             if current.functionals(spec) != step.functionals:
                 return False
             current = reduce_step(current, step.pivot, spec)
-            if step.result is None or current.coefficients != step.result.coefficients:
-                return False
             if tuple(current.support) != step.remaining_support:
                 return False
         return True
@@ -183,7 +181,7 @@ class ReductionTrace:
                     "functionals": {
                         ",".join(map(str, r)): str(phi) for r, phi in sorted(s.functionals.items())
                     },
-                    "eliminated_term": list(s.eliminated_term),
+                    "eliminated_term": list(s.pivot),
                     "remaining_support": [list(r) for r in s.remaining_support],
                 }
                 for s in self.steps
@@ -198,38 +196,36 @@ class ReductionTrace:
 
 
 def run_reduction(G: MonomialRelation, spec: TowerSpec) -> ReductionTrace:
-    """Iterate reduce_step with the lex-least pivot until a verdict."""
+    """Reduce with the lex-least pivot until a verdict, carrying only the
+    functionals: a step multiplies s_r by the nonzero phi* - phi(r), and
+    logD_i is additive over products, so phi(r) gains logD_i(phi* - phi(r)),
+    which is zero when the difference is constant."""
     steps: list[ReductionStep] = []
-    current = G
-    while True:
-        if len(current.coefficients) == 1:
-            return ReductionTrace(G, tuple(steps), Verdict.NO_NONTRIVIAL_RELATION)
-        phis = current.functionals(spec)
+    phis = G.functionals(spec) if len(G.coefficients) > 1 else {}
+    while phis:
         collision = _find_collision(phis)
         if collision is not None:
             r1, r2 = collision
-            h = invariant_monomial(current, r1, r2, spec)
-            diff = tuple(b - a for a, b in zip(r1, r2))
             return ReductionTrace(
                 G,
                 tuple(steps),
                 Verdict.INVARIANT_MONOMIAL_FOUND,
-                invariant_exponent=diff,
-                invariant_element=h,
+                invariant_exponent=tuple(b - a for a, b in zip(r1, r2)),
+                invariant_element=invariant_monomial(G, r1, r2, spec),
                 colliding_pair=(r1, r2),
             )
-        pivot = min(current.coefficients)
-        nxt = reduce_step(current, pivot, spec)
-        steps.append(
-            ReductionStep(
-                pivot=pivot,
-                functionals=phis,
-                eliminated_term=pivot,
-                remaining_support=tuple(nxt.support),
-                result=nxt,
-            )
-        )
-        current = nxt
+        pivot = min(phis)
+        rest = tuple(sorted(r for r in phis if r != pivot))
+        steps.append(ReductionStep(pivot, phis, rest))
+        if len(rest) == 1:
+            # the survivor's functional is never needed, and its logD can
+            # take the general gcd far longer than the whole run
+            break
+        phis = {
+            r: phis[r] + _logd_coefficient(phis[pivot] - phis[r], G.level, spec)
+            for r in rest
+        }
+    return ReductionTrace(G, tuple(steps), Verdict.NO_NONTRIVIAL_RELATION)
 
 
 def _find_collision(
@@ -268,15 +264,7 @@ def certify_independence(
         r: ONE_ELEMENT for r in degree_vectors(m, degree_bound, include_zero=False)
     }
     generic = MonomialRelation(level, tuple(variables), full)
-    lams = generic.eigenvalues(spec)
-    phi_all: dict[ExponentVector, Element] = {}
-    for r in degree_vectors(m, degree_bound, include_zero=True):
-        phi = ZERO_ELEMENT
-        for e, lam in zip(r, lams):
-            if e:
-                phi = phi + lam * e
-        phi_all[r] = phi
-    collision = _find_collision(phi_all)
+    collision = _find_collision({(0,) * m: ZERO_ELEMENT, **generic.functionals(spec)})
     if collision is not None:
         return ReductionTrace(
             generic, (), Verdict.DEGENERATE, colliding_pair=collision
@@ -304,11 +292,7 @@ def invariant_monomial(
     for v, e1, e2 in zip(G.variables, r1, r2):
         if e2 != e1:
             h = h * v ** (e2 - e1)
-    lams = G.eigenvalues(spec)
-    expected = ZERO_ELEMENT
-    for lam, e1, e2 in zip(lams, r1, r2):
-        if e2 != e1:
-            expected = expected + lam * (e2 - e1)
+    expected = qlinear_dot([e2 - e1 for e1, e2 in zip(r1, r2)], G.eigenvalues(spec))
     if logd(h, G.level, spec) != expected:
         raise RuntimeError("invariant monomial fails its defining identity")
     return h

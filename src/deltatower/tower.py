@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .constants import ConstSymbol
 from .elements import Element, ONE_ELEMENT
-from .errors import LevelOutOfRange, LogOfZero, DomainViolation
+from .errors import LevelOutOfRange, LogOfZero, DomainViolation, ParseError
 from .polyring import Poly, Var, exact_quotient, m_div, poly_gcd, var_b, var_name
 from .series import Series, residual as series_residual
 
@@ -131,7 +131,12 @@ class TowerSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "TowerSpec":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"tower spec is not JSON: {exc}") from None
+        if not isinstance(doc, dict) or "ranks" not in doc:
+            raise ParseError("tower spec has no ranks field")
         ranks = tuple(int(n) for n in doc["ranks"])
         if "ell" in doc and int(doc["ell"]) != len(ranks):
             raise ValueError("ell does not match the number of ranks")

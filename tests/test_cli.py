@@ -238,6 +238,33 @@ class TestSeries:
         assert code == 2
         assert "cap" in err
 
+    # (arguments, spec file text or None, a word of the message); the spec
+    # argument, when present, names a file in the test's directory
+    BAD_INPUTS = [
+        (["--logd-system", "2", "--order", "1"], None, "order"),
+        (["--element", "b[1][1]", "--order", "1"], None, "order"),
+        (["--logd-system", "2", "--order", "0"], None, "order"),
+        (["--logd-system", "0"], None, "logd-system"),
+        (["--logd-system", "-1"], None, "logd-system"),
+        (["--element", "b[1][1]", "--spec"], "{ranks: [2", "JSON"),
+        (["--element", "b[1][1]", "--spec"], '{"ell": 1}', "ranks"),
+        (["--element", "b[1][1]", "--spec"], None, "no-such-spec.json"),
+    ]
+
+    @pytest.mark.parametrize("argv, spec_text, word", BAD_INPUTS)
+    def test_bad_input_is_one_error_line(self, capsys, tmp_path, argv, spec_text, word):
+        if argv[-1] == "--spec":
+            path = tmp_path / ("spec.json" if spec_text is not None else "no-such-spec.json")
+            if spec_text is not None:
+                path.write_text(spec_text)
+            argv = argv + [str(path)]
+        code, out, err = run_cli(capsys, "series", *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert word in lines[0]
+
 
 class TestDeterminism:
     def test_reports_identical_modulo_timing(self, capsys):

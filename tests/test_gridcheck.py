@@ -95,3 +95,38 @@ def test_column_rule_steps_match_literal_filter(column):
         if all(map(int.__le__, last, target_h)):
             got = list(gridcheck._column_rule_steps(column, before, last, target_h))
             assert got == literal(before, last, target_h), (before, last, target_h)
+
+
+def _dropping_steps(drop_stay):
+    """gridcheck._column_rule_steps with a defect: a column that may both
+    stay and rise only rises (drop_stay) or only stays."""
+    original = gridcheck._column_rule_steps
+
+    def steps(column, before, last, target_h):
+        for nxt in original(column, before, last, target_h):
+            if before is None or not any(
+                l < t and column(b, l) == l == column(b, l + 1) and (n == l) == drop_stay
+                for b, l, n, t in zip(before, last, nxt, target_h)
+            ):
+                yield nxt
+
+    return steps
+
+
+@pytest.mark.parametrize(
+    "drop_stay, prop",
+    [
+        (True, "local_criterion_coreductions"),
+        (False, "local_criterion_reductions"),
+        (False, "local_criterion_coreductions"),
+    ],
+)
+def test_local_criterion_fails_when_the_official_chain_is_not_found(monkeypatch, drop_stay, prop):
+    """A step rule that drops admissible steps loses the official chain on
+    some pair; the property must then FAIL, not merely find nothing else.
+    Dropping the stay only ever bites the coreduction direction (6 of the
+    1,524 pairs at <= 6 cells), dropping the rise bites both."""
+    monkeypatch.setattr(gridcheck, "_column_rule_steps", _dropping_steps(drop_stay))
+    report = {name: fn for name, fn, _ in ALL_PROPERTIES}[prop](6)
+    assert not report.passed
+    assert "are not exactly" in report.counterexample, report.counterexample

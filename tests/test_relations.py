@@ -1,5 +1,7 @@
 """The term-minimization prover and its numerical counterpart."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -18,9 +20,10 @@ from deltatower import (
     run_reduction,
     series_rank_check,
 )
+from deltatower import relations
 from deltatower.constants import scale_symbol
 from deltatower.elements import Element, ONE_ELEMENT
-from deltatower.relations import agreement, degree_vectors
+from deltatower.relations import ReductionStep, agreement, degree_vectors
 from deltatower.tower import SeriesContext, logd
 
 SPEC = build_spec((3, 2))
@@ -151,6 +154,31 @@ class TestRunReduction:
         trace = run_reduction(G, SPEC)
         assert trace.replay(SPEC)
 
+    def test_run_does_not_expand_coefficients(self, monkeypatch):
+        # only replay re-executes the literal step
+        def refuse(*args):
+            raise AssertionError("run_reduction called reduce_step")
+
+        monkeypatch.setattr(relations, "reduce_step", refuse)
+        support = {r: ONE_ELEMENT for r in degree_vectors(3, 2, include_zero=False)}
+        trace = run_reduction(relation(1, (B11, B12, B13), support), SPEC)
+        assert len(trace.steps) == len(support) - 1
+        assert "result" not in {f.name for f in dataclasses.fields(ReductionStep)}
+
+    @pytest.mark.parametrize("field_name", ["functionals", "remaining_support"])
+    def test_replay_rejects_a_tampered_step(self, field_name):
+        G = relation(2, tuple(SPEC.generators(2)), {(1, 0): B11, (0, 1): B11 * B12, (1, 1): B13})
+        trace = run_reduction(G, SPEC)
+        step = trace.steps[1]
+        if field_name == "functionals":
+            r = min(step.functionals)
+            tampered = {**step.functionals, r: step.functionals[r] + ONE_ELEMENT}
+        else:
+            tampered = step.remaining_support + ((2, 2),)
+        steps = (trace.steps[0], dataclasses.replace(step, **{field_name: tampered}))
+        assert trace.replay(SPEC)
+        assert not dataclasses.replace(trace, steps=steps).replay(SPEC)
+
     def test_trace_json_is_deterministic(self):
         support = {r: ONE_ELEMENT for r in degree_vectors(2, 2, include_zero=False)}
         G = relation(1, (B11, B12), support)
@@ -187,17 +215,26 @@ class TestCertifyIndependence:
 
     def test_higher_level_variant_with_unit_coefficients(self):
         # coefficients that are generator monomials: their logD enters the
-        # functional, the machinery stays exact
-        G = relation(
-            2,
-            tuple(SPEC.generators(2)),
-            {
-                (1, 0): B11,
-                (0, 1): B11 * B12,
-            },
-        )
-        trace = run_reduction(G, SPEC)
+        # functional, the machinery stays exact; with three terms the carried
+        # functionals gain logD of non-constant differences, and the literal
+        # replay must agree with them
+        for coeffs in (
+            {(1, 0): B11, (0, 1): B11 * B12},
+            {(1, 0): B11, (0, 1): B11 * B12, (1, 1): B13},
+        ):
+            G = relation(2, tuple(SPEC.generators(2)), coeffs)
+            trace = run_reduction(G, SPEC)
+            assert trace.verdict is Verdict.NO_NONTRIVIAL_RELATION
+            assert len(trace.steps) == len(coeffs) - 1
+            assert trace.replay(SPEC)
+
+    def test_degree_seven_level_one(self):
+        # C(10, 3) - 1 = 119 terms, one eliminated per step; the literal
+        # replay of this trace takes minutes and is not run here
+        spec = build_spec((3,))
+        trace = certify_independence(spec.generators(1), 7, spec)
         assert trace.verdict is Verdict.NO_NONTRIVIAL_RELATION
+        assert len(trace.steps) == 118
 
 
 class TestInvariantMonomial:
@@ -291,3 +328,65 @@ def test_random_supports_collapse(seed):
     assert trace.verdict is Verdict.NO_NONTRIVIAL_RELATION
     assert len(trace.steps) == len(support) - 1
     assert trace.replay(SPEC)
+
+
+# sha256 prefixes of to_json for traces whose bytes must never change: the
+# reduction carries only the functionals, and the trace is the same as when
+# every intermediate relation was expanded
+TRACE_DIGESTS = {
+    "(3,) m=1 d=1": "acd0d1701237f0f7",
+    "(3,) m=1 d=2": "6ab3129734554ab1",
+    "(3,) m=1 d=3": "4d7143fd741b8e9c",
+    "(3,) m=1 d=4": "5ad84001a48439d9",
+    "(3,) m=1 d=5": "72c193aed6882fdf",
+    "(3,) m=2 d=1": "8a6f1f1c95e6336c",
+    "(3,) m=2 d=2": "0449aaad3f164d71",
+    "(3,) m=2 d=3": "59ab32aafa8c8dbe",
+    "(3,) m=2 d=4": "10d9b7b990ab5f79",
+    "(3,) m=2 d=5": "bb07fa4f51401bca",
+    "(3,) m=3 d=1": "7b4ae2c4793ccf2a",
+    "(3,) m=3 d=2": "d85b19c7942070e8",
+    "(3,) m=3 d=3": "eae2ba3dd7ae2e98",
+    "(3,) m=3 d=4": "1cc2fac672152f53",
+    "(3,) m=3 d=5": "21886b25256a2a4c",
+    "(3, 3) level=2 d=1": "3b5e91085ae2cab6",
+    "(3, 3) level=2 d=2": "f5ef7b95f00e314e",
+    "(3, 3) level=2 d=3": "17f6a8caa9d593f7",
+    "(1, 1, 3) level=3 d=1": "842440991c21e390",
+    "(1, 1, 3) level=3 d=2": "365f070901faf5f0",
+    "(1, 1, 3) level=3 d=3": "68cc4abe41e917e4",
+    "duplicated b[1][1] d=1": "22bf2f75e5557eb9",
+    "duplicated b[1][1] d=2": "b3faf5c8ce943174",
+    "invariant monomial": "da46129d345521b6",
+    "level 2 two terms": "d8b8b3e1d7e5bed7",
+    "level 2 three terms": "9f43c1074979e5ab",
+}
+
+
+def _certify_at(utype, m, d, level):
+    spec = build_spec(utype)
+    return lambda: certify_independence(spec.generators(level)[:m], d, spec, level=level)
+
+
+def _reduce_at_level_2(coeffs):
+    return lambda: run_reduction(relation(2, tuple(SPEC.generators(2)), coeffs), SPEC)
+
+
+PINNED_TRACES = {
+    **{f"(3,) m={m} d={d}": _certify_at((3,), m, d, 1) for m in (1, 2, 3) for d in range(1, 6)},
+    **{f"(3, 3) level=2 d={d}": _certify_at((3, 3), 3, d, 2) for d in (1, 2, 3)},
+    **{f"(1, 1, 3) level=3 d={d}": _certify_at((1, 1, 3), 3, d, 3) for d in (1, 2, 3)},
+    "duplicated b[1][1] d=1": lambda: certify_independence([B11, B11], 1, SPEC),
+    "duplicated b[1][1] d=2": lambda: certify_independence([B11, B11], 2, SPEC),
+    "invariant monomial": lambda: run_reduction(
+        relation(1, (B11, B11), {(1, 0): ONE_ELEMENT, (0, 1): -ONE_ELEMENT}), SPEC
+    ),
+    "level 2 two terms": _reduce_at_level_2({(1, 0): B11, (0, 1): B11 * B12}),
+    "level 2 three terms": _reduce_at_level_2({(1, 0): B11, (0, 1): B11 * B12, (1, 1): B13}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+def test_trace_json_unchanged(name):
+    text = PINNED_TRACES[name]().to_json()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == TRACE_DIGESTS[name], text
