@@ -9,22 +9,23 @@ Subcommands::
     deltatower series --element "b[1][1]*b[1][2]" --order 8 [--spec FILE]
 
 Reports are line oriented: one ``CHECK <name> <PASS|FAIL> <millis>
-[detail]`` line per check and a final ``RESULT <PASS|FAIL>``.  The exit
-status is 0 exactly when every check passed.  Serialized reports omit
-timing so they are byte-identical across runs for fixed arguments and
-seed.  The environment variable DELTATOWER_BUDGET overrides the
-exhaustive-verification cell budget (default 12).
+[detail]`` line per check, printed as soon as that check finishes, and a
+final ``RESULT <PASS|FAIL>``.  The exit status is 0 exactly when every
+check passed.  Serialized reports omit timing so they are byte-identical
+across runs for fixed arguments and seed.  ``grid verify`` refuses more
+than ``gridcheck.MAX_VERIFY_CELLS`` (12) cells, and element text refuses a
+power whose expansion may exceed ``textio.MAX_POWER_TERMS`` terms.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations
 
 from . import gridcheck
@@ -60,39 +61,31 @@ MAX_SERIES_ORDER = 64
 
 
 @dataclass
-class CheckRecord:
-    name: str
-    passed: bool
-    millis: int
-    detail: str | None = None
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        tail = f" {self.detail}" if self.detail else ""
-        return f"CHECK {self.name} {status} {self.millis}{tail}"
-
-
-@dataclass
 class RunReport:
+    """PASS/FAIL report of one command; each CHECK line is printed as soon
+    as its check finishes, so a slow or killed run shows what it got to."""
+
     command: str
     arguments: tuple[str, ...]
-    checks: list[CheckRecord] = field(default_factory=list)
+    checks: list[tuple[str, str, str | None]] = field(default_factory=list)  # name, status, detail
 
     @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def status(self) -> str:
+        return "PASS" if all(status == "PASS" for _, status, _ in self.checks) else "FAIL"
 
     def run(self, name: str, fn) -> None:
-        """Execute one check; fn returns (ok, detail)."""
+        """Time one check, fn returning (ok, detail), and print its line."""
         start = time.perf_counter()
         ok, detail = fn()
         millis = int((time.perf_counter() - start) * 1000)
-        self.checks.append(CheckRecord(name, ok, millis, detail))
+        status = "PASS" if ok else "FAIL"
+        self.checks.append((name, status, detail))
+        print(f"CHECK {name} {status} {millis}" + (f" {detail}" if detail else ""), flush=True)
 
-    def lines(self) -> list[str]:
-        out = [c.line() for c in self.checks]
-        out.append(f"RESULT {'PASS' if self.passed else 'FAIL'}")
-        return out
+    def finish(self) -> int:
+        """Print the RESULT line; return the exit status."""
+        print(f"RESULT {self.status}", flush=True)
+        return 0 if self.status == "PASS" else 1
 
     def to_json(self) -> str:
         """Deterministic serialization: everything except elapsed times."""
@@ -100,10 +93,10 @@ class RunReport:
             "command": self.command,
             "arguments": list(self.arguments),
             "checks": [
-                {"name": c.name, "status": "PASS" if c.passed else "FAIL", "detail": c.detail}
-                for c in self.checks
+                {"name": name, "status": status, "detail": detail}
+                for name, status, detail in self.checks
             ],
-            "result": "PASS" if self.passed else "FAIL",
+            "result": self.status,
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -130,16 +123,6 @@ def _parse_positive_int(text: str, what: str) -> int:
 
 def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
-
-
-def _cell_budget() -> int:
-    raw = os.environ.get("DELTATOWER_BUDGET")
-    if raw is None:
-        return gridcheck.MAX_VERIFY_CELLS
-    try:
-        return int(raw)
-    except ValueError:
-        raise BudgetExceeded(f"DELTATOWER_BUDGET={raw!r} is not an integer")
 
 
 # --- tower build -------------------------------------------------------------
@@ -210,25 +193,17 @@ def cmd_tower_build(args, argv) -> int:
 
         report.run(f"independence_level{i}", check_independence)
 
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
+    return report.finish()
 
 
 # --- grid verify -------------------------------------------------------------
 
 
 def cmd_grid_verify(args, argv) -> int:
-    reports = gridcheck.run_grid_suite(max_cells=args.max_cells, budget=_cell_budget())
-    run = RunReport("grid verify", tuple(argv))
-    for prop in reports:
-        detail = f"instances={prop.instances}"
-        if prop.counterexample:
-            detail += f" {prop.counterexample}"
-        run.checks.append(CheckRecord(prop.name, prop.passed, prop.millis, detail))
-    for line in run.lines():
-        print(line)
-    return 0 if run.passed else 1
+    report = RunReport("grid verify", tuple(argv))
+    for name, check in gridcheck.properties(args.max_cells):
+        report.run(name, lambda check=check: check().verdict())
+    return report.finish()
 
 
 # --- grid seqred -------------------------------------------------------------
@@ -251,9 +226,7 @@ def cmd_grid_seqred(args, argv) -> int:
         "utype_matches",
         lambda: (utype == tuple(s), f"expected {tuple(s)}, computed {utype}"),
     )
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
+    return report.finish()
 
 
 # --- series ------------------------------------------------------------------
@@ -273,6 +246,10 @@ def _infer_spec(elements) -> TowerSpec:
 
 def _format_series(s: Series) -> str:
     return "[" + ", ".join(repr(float(c)) for c in s.coeffs) + "]"
+
+
+def _small(residual: float, label: str) -> tuple[bool, str]:
+    return residual < 1e-9, f"{label} {residual:.3e}"
 
 
 def cmd_series(args, argv) -> int:
@@ -301,8 +278,8 @@ def cmd_series(args, argv) -> int:
         solution = solve_prolonged(system, initial, args.order, ctx, spec)
         for i, s in enumerate(solution, start=1):
             print(f"x_{i}: {_format_series(s)}")
-        residual = prolonged_residual(system, solution, h_series)
-        report.run("residual", lambda: (residual < 1e-9, f"defining-equation residual {residual:.3e}"))
+        residual = partial(prolonged_residual, system, solution, h_series)
+        report.run("residual", lambda: _small(residual(), "defining-equation residual"))
     else:
         x = parse_element(args.element)
         if args.spec:
@@ -318,14 +295,9 @@ def cmd_series(args, argv) -> int:
         s = eval_series(x, ctx, spec)
         print(f"element: {x}")
         print(f"series: {_format_series(s)}")
-        residual = delta_consistency_residual(x, ctx, spec)
-        report.run(
-            "delta_consistency",
-            lambda: (residual < 1e-9, f"derivation/series residual {residual:.3e}"),
-        )
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
+        residual = partial(delta_consistency_residual, x, ctx, spec)
+        report.run("delta_consistency", lambda: _small(residual(), "derivation/series residual"))
+    return report.finish()
 
 
 # --- entry point --------------------------------------------------------------

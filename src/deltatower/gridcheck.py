@@ -22,10 +22,12 @@ exhaustively against the one below:
   are cross-checked against those chains on a deterministic slice of the
   pairs.
 
-``_check`` is the only code that times a property and builds its
-``PropertyReport``.  The chain properties are per-pair functions run by
+``_check`` is the only code that builds a ``PropertyReport``; the caller
+times it.  The chain properties are per-pair functions run by
 ``_check_pairs`` over the closed height-vector pairs; it owns the sampled
-slice and the ``grid DxC: ..., T=... G=...`` counterexample.
+slice and the ``grid DxC: ..., T=... G=...`` counterexample.  ``properties``
+is the one budget-checked list of checks that ``run_grid_suite`` and the
+CLI run.
 
 Cells are packed column-major: cell (i, j) is bit (j-1)*depth + (i-1).
 Closed sets are exactly the masks whose columns are downward intervals,
@@ -34,7 +36,7 @@ so unions of closed masks are closed and ranks are popcount differences.
 
 from __future__ import annotations
 
-import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -71,7 +73,11 @@ class PropertyReport:
     instances: int
     passed: bool
     counterexample: str | None = None
-    millis: int = 0
+
+    def verdict(self) -> tuple[bool, str]:
+        """(passed, detail) of the property's CHECK line."""
+        tail = f" {self.counterexample}" if self.counterexample else ""
+        return self.passed, f"instances={self.instances}{tail}"
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -161,10 +167,9 @@ def _counterexample(gr: _Grid, reason: str, t, g) -> str:
 
 
 def _check(name, gen):
-    """Time a property and build its report.  gen yields None for an
-    instance that holds, an int for a batch of that many instances that
-    hold, or a counterexample string, which ends the run."""
-    start = time.perf_counter()
+    """Build a property's report.  gen yields None for an instance that
+    holds, an int for a batch of that many instances that hold, or a
+    counterexample string, which ends the run."""
     count = 0
     counterexample = None
     for outcome in gen:
@@ -176,8 +181,7 @@ def _check(name, gen):
             count += 1
             counterexample = outcome
             break
-    millis = int((time.perf_counter() - start) * 1000)
-    return PropertyReport(name, count, counterexample is None, counterexample, millis)
+    return PropertyReport(name, count, counterexample is None, counterexample)
 
 
 def _check_pairs(name, max_cells, per_pair):
@@ -578,14 +582,19 @@ ALL_PROPERTIES = [
 ]
 
 
-def run_grid_suite(max_cells: int = 9, budget: int = MAX_VERIFY_CELLS) -> list[PropertyReport]:
-    """Run every property exhaustively on all grids with at most max_cells
-    cells (each property additionally honors its own stated cap).  Larger
-    requests are refused rather than sampled."""
-    if max_cells > budget:
+def properties(max_cells: int) -> list[tuple[str, Callable[[], PropertyReport]]]:
+    """(name, check) of every property on all grids with at most max_cells
+    cells, each capped at its own cell count; larger requests are refused
+    rather than sampled.  ALL_PROPERTIES is read at call time, so an entry
+    patched in place is the one that runs."""
+    if max_cells > MAX_VERIFY_CELLS:
         raise BudgetExceeded(
-            f"max_cells={max_cells} exceeds the exhaustive-verification budget {budget}"
+            f"max_cells={max_cells} exceeds the exhaustive-verification budget {MAX_VERIFY_CELLS}"
         )
     if max_cells < 1:
         raise ValueError("max_cells must be positive")
-    return [fn(min(max_cells, cap)) for _, fn, cap in ALL_PROPERTIES]
+    return [(name, partial(fn, min(max_cells, cap))) for name, fn, cap in ALL_PROPERTIES]
+
+
+def run_grid_suite(max_cells: int = 9) -> list[PropertyReport]:
+    return [check() for _, check in properties(max_cells)]

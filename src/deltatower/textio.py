@@ -15,9 +15,14 @@ bit-exactly through :func:`parse_element`.
 from __future__ import annotations
 
 import re
+from math import comb
 
 from .elements import Element
 from .errors import ParseError
+
+# cap on the terms a power in element text may expand to; the slowest
+# accepted powers, such as 1/(b[1][1]+b[1][2])^255, take seconds
+MAX_POWER_TERMS = 256
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[bcuD])|(?P<op>[-+*/^()\[\]]))"
@@ -31,12 +36,11 @@ class _Tokens:
         pos = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
+            if m is None or m.lastgroup is None:
                 if text[pos:].strip():
                     raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
                 break
             kind = m.lastgroup
-            assert kind is not None
             self.items.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
         self.i = 0
@@ -104,9 +108,14 @@ def _parse_base(tokens: _Tokens) -> Element:
 
 def _parse_factor(tokens: _Tokens) -> Element:
     base = _parse_base(tokens)
-    if tokens.accept("^"):
-        return base ** _parse_int(tokens)
-    return base
+    if not tokens.accept("^"):
+        return base
+    n = _parse_int(tokens)
+    # (t terms)^n has at most C(|n|+t-1, t-1) terms, one per multiset of |n| terms
+    t = max(len(base.num.terms), len(base.den.terms))
+    if comb(abs(n) + t - 1, t - 1) > MAX_POWER_TERMS:
+        raise ParseError(f"power {n} of {t} terms may expand past {MAX_POWER_TERMS}, the cap")
+    return base**n
 
 
 def _parse_term(tokens: _Tokens) -> Element:
@@ -138,9 +147,8 @@ def parse_element(text: str) -> Element:
     """Parse element text into canonical form."""
     tokens = _Tokens(text)
     e = _parse_expr(tokens)
-    if not tokens.done():
-        tok = tokens.peek()
-        assert tok is not None
+    tok = tokens.peek()
+    if tok is not None:
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
     return e
 

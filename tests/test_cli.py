@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
-from deltatower import cli
+from deltatower import cli, gridcheck
 from deltatower.cli import main
 
 
@@ -33,6 +34,24 @@ class TestTowerBuild:
         code, _, err = run_cli(capsys, "tower", "build", "--utype", "3,3,3,3")
         assert code == 2
         assert "budget" in err.lower()
+
+    def test_check_lines_stream(self, capsys, monkeypatch):
+        # the first level-2 check raises: the five level-1 lines are out already
+        real = cli.apply_operator
+
+        def apply_operator(op, x, spec):
+            if op.level == 2:
+                raise RuntimeError("interrupted")
+            return real(op, x, spec)
+
+        monkeypatch.setattr(cli, "apply_operator", apply_operator)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            main(["tower", "build", "--utype", "2,1", "--check"])
+        checks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("CHECK ")]
+        assert [line.split()[1:3] for line in checks] == [
+            [name, "PASS"]
+            for name in ("kernel_e1", "genericity_e1", "expand_symmetry_E1", "expand_apply_E1")
+        ] + [["independence_level1", "PASS"]]
 
     def test_spec_roundtrip_identical_report(self, capsys, tmp_path):
         out_file = tmp_path / "spec.json"
@@ -139,10 +158,20 @@ class TestGridVerify:
         assert code == 2
         assert "budget" in err.lower()
 
-    def test_env_budget_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("DELTATOWER_BUDGET", "3")
-        code, _, err = run_cli(capsys, "grid", "verify", "--max-cells", "4")
-        assert code == 2
+    def test_check_lines_stream(self, capsys, monkeypatch):
+        # the fourth property raises: the first three lines are out already
+        def interrupted(max_cells):
+            raise RuntimeError("interrupted")
+
+        props = list(gridcheck.ALL_PROPERTIES)
+        props[3] = (props[3][0], interrupted, props[3][2])
+        monkeypatch.setattr(gridcheck, "ALL_PROPERTIES", props)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            main(["grid", "verify", "--max-cells", "4"])
+        out = capsys.readouterr().out
+        assert [line.split()[1:3] for line in out.splitlines()] == [
+            [name, "PASS"] for name, _, _ in props[:3]
+        ]
 
     @pytest.mark.parametrize("max_cells", ["0", "-3"])
     def test_non_positive_max_cells_is_a_usage_error(self, capsys, max_cells):
@@ -249,7 +278,39 @@ class TestSeries:
         (["--element", "b[1][1]", "--spec"], "{ranks: [2", "JSON"),
         (["--element", "b[1][1]", "--spec"], '{"ell": 1}', "ranks"),
         (["--element", "b[1][1]", "--spec"], None, "no-such-spec.json"),
+        (["--element", "b[1][1]", "--spec"], '{"ranks": [0]}', "malformed"),
+        (
+            ["--element", "b[1][1]", "--spec"],
+            '{"ranks": [2], "assignments": {"c[1][1]": "abc"}}',
+            "decimal",
+        ),
+        (
+            ["--element", "b[1][1]", "--spec"],
+            '{"ranks": [2], "assignments": {"c[1][1]": "2", "c[1][2]": "2"}}',
+            "distinct",
+        ),
+        (["--element", "(b[1][1]+b[1][2]+b[1][3]+c[1][1])^30", "--order", "8"], None, "cap"),
     ]
+
+    @pytest.mark.parametrize(
+        "argv, slow",
+        [
+            (["--logd-system", "2", "--order", "5"], "prolonged_residual"),
+            (["--element", "b[1][1]", "--order", "5"], "delta_consistency_residual"),
+        ],
+    )
+    def test_check_time_includes_the_residual(self, capsys, monkeypatch, argv, slow):
+        real = getattr(cli, slow)
+
+        def slow_residual(*args):
+            time.sleep(0.2)
+            return real(*args)
+
+        monkeypatch.setattr(cli, slow, slow_residual)
+        code, out, _ = run_cli(capsys, "series", *argv)
+        assert code == 0
+        check = next(line for line in out.splitlines() if line.startswith("CHECK "))
+        assert int(check.split()[3]) >= 200, check
 
     @pytest.mark.parametrize("argv, spec_text, word", BAD_INPUTS)
     def test_bad_input_is_one_error_line(self, capsys, tmp_path, argv, spec_text, word):

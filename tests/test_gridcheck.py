@@ -26,9 +26,22 @@ def test_budget_is_enforced():
         run_grid_suite(max_cells=0)
 
 
-def test_budget_override():
-    with pytest.raises(BudgetExceeded):
-        run_grid_suite(max_cells=5, budget=4)
+def test_properties_read_the_list_at_call_time():
+    # the list is patched in place by callers that wrap the checkers
+    name, fn, cap = ALL_PROPERTIES[0]
+    calls = []
+
+    def wrapped(max_cells):
+        calls.append(max_cells)
+        return fn(max_cells)
+
+    ALL_PROPERTIES[0] = (name, wrapped, cap)
+    try:
+        checks = gridcheck.properties(3)
+    finally:
+        ALL_PROPERTIES[0] = (name, fn, cap)
+    assert [n for n, _ in checks] == [n for n, _, _ in ALL_PROPERTIES]
+    assert checks[0][1]().passed and calls == [3]
 
 
 def test_report_lines_carry_counts():

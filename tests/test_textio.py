@@ -6,7 +6,7 @@ import pytest
 
 from deltatower import DivisionByZero, ParseError, parse_element
 from deltatower.elements import Element
-from deltatower.textio import format_operator_factors, parse_operator_factors
+from deltatower.textio import MAX_POWER_TERMS, format_operator_factors, parse_operator_factors
 from deltatower.tower import build_spec, random_element
 
 
@@ -39,6 +39,27 @@ def test_parse_errors():
     for bad in ("", "b[0][1]", "b[1]", "1 +", "(1", "x", "1 ** 2", "c[1][1]c[1][2]"):
         with pytest.raises(ParseError):
             parse_element(bad)
+
+
+def test_power_expansion_cap():
+    # (t terms)^n may have C(n+t-1, t-1) terms: 256 for t=2, n=255
+    assert len(parse_element("(b[1][1] + b[1][2])^255").num.terms) == MAX_POWER_TERMS
+    assert parse_element("b[1][1]^1000") == Element.from_var(("b", 1, 1)) ** 1000
+    for bad in (
+        "(b[1][1] + b[1][2])^256",
+        "1/(b[1][1] + b[1][2])^-256",
+        "(b[1][1] + b[1][2] + b[1][3] + c[1][1])^10",
+        "(1/(b[1][1] + b[1][2] + b[1][3]))^22 * 2",
+    ):
+        with pytest.raises(ParseError, match="cap"):
+            parse_element(bad)
+    assert parse_element("(b[1][1] + b[1][2] + b[1][3] + c[1][1])^9") is not None
+
+
+def test_trailing_input_is_a_parse_error():
+    assert parse_element(" b[1][1]  ") == Element.from_var(("b", 1, 1))
+    with pytest.raises(ParseError, match="trailing input"):
+        parse_element("b[1][1] )")
 
 
 def test_literal_division_by_zero():
