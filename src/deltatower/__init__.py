@@ -11,90 +11,45 @@ The package has two halves that check each other:
 plus a finite combinatorial grid model in which closure, rank,
 internality, analyses, reductions and coreductions are all computed by
 exhaustive search.
+
+Exports are lazy (PEP 562): ``import deltatower`` loads no submodule, and
+each name in ``__all__`` imports its module on first use, so a command
+loads only the modules it runs; numpy comes only with the numeric half.
 """
 
-from .constants import (
-    ConstExpr,
-    ConstSymbol,
-    Rational,
-    arith,
-    qlinear_dot,
-    qlinear_independent,
-    scale_symbol,
-)
-from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
-from .errors import (
-    BudgetExceeded,
-    DeltaTowerError,
-    DivisionByZero,
-    DomainViolation,
-    LengthMismatch,
-    LevelOutOfRange,
-    LogOfZero,
-    NonInvertibleSeries,
-    NotLinear,
-    NotMonotone,
-    NotNormalForm,
-    ParseError,
-    SupportTooSmall,
-    TruncationTooShort,
-    ZeroInitialValue,
-)
-from .grid import (
-    Analysis,
-    CellSet,
-    GridModel,
-    analysis_by_coreductions,
-    analysis_by_reductions,
-    build_seqred_a,
-    build_seqred_b,
-    closure,
-    coreduction,
-    internal,
-    is_canonical,
-    is_incompressible,
-    is_minimal,
-    reduction,
-    urank,
-)
-from .operators import (
-    EigenDecomposition,
-    ExpandedOperator,
-    FactoredOperator,
-    LinearFactor,
-    ProlongedSystem,
-    apply_operator,
-    build_E,
-    decompose,
-    expand,
-    is_generic,
-    logd_system,
-    solve_prolonged,
-    wronskian,
-)
-from .relations import (
-    MonomialRelation,
-    RankReport,
-    ReductionTrace,
-    Verdict,
-    certify_independence,
-    invariant_monomial,
-    reduce_step,
-    run_reduction,
-    series_rank_check,
-)
-from .series import Series
-from .textio import parse_element
-from .tower import (
-    SeriesContext,
-    TowerElement,
-    TowerSpec,
-    build_spec,
-    d_twist,
-    derive,
-    eval_series,
-    logd,
-    logd_iter,
-)
+from importlib import import_module
 
+# module -> the names it exports here, separated by spaces
+_EXPORTS = {
+    "constants": "ConstExpr ConstSymbol Rational arith qlinear_dot qlinear_independent "
+        "scale_symbol",
+    "elements": "Element ONE_ELEMENT ZERO_ELEMENT",
+    "errors": "BudgetExceeded DeltaTowerError DivisionByZero DomainViolation LengthMismatch "
+        "LevelOutOfRange LogOfZero NonInvertibleSeries NotLinear NotMonotone NotNormalForm "
+        "ParseError SupportTooSmall TruncationTooShort ZeroInitialValue",
+    "grid": "Analysis CellSet GridModel analysis_by_coreductions analysis_by_reductions "
+        "build_seqred_a build_seqred_b closure coreduction internal is_canonical "
+        "is_incompressible is_minimal reduction urank",
+    "operators": "EigenDecomposition ExpandedOperator FactoredOperator LinearFactor "
+        "ProlongedSystem apply_operator build_E decompose expand is_generic logd_system "
+        "solve_prolonged wronskian",
+    "relations": "MonomialRelation RankReport ReductionTrace Verdict certify_independence "
+        "invariant_monomial reduce_step run_reduction series_rank_check",
+    "series": "Series",
+    "textio": "parse_element",
+    "tower": "SeriesContext TowerElement TowerSpec build_spec d_twist derive eval_series "
+        "logd logd_iter",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -28,9 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import permutations
 
-from . import gridcheck
 from .errors import BudgetExceeded, DeltaTowerError, TruncationTooShort
-from .grid import analysis_by_coreductions, analysis_by_reductions, build_seqred_a, build_seqred_b
 from .operators import (
     FactoredOperator,
     apply_operator,
@@ -43,7 +41,6 @@ from .operators import (
     solve_prolonged,
 )
 from .relations import Verdict, certify_independence
-from .series import Series
 from .textio import parse_element
 from .tower import (
     SeriesContext,
@@ -52,6 +49,7 @@ from .tower import (
     delta_consistency_residual,
     eval_series,
     random_element,
+    to_float,
 )
 
 DEFAULT_SEED = 20406
@@ -200,6 +198,8 @@ def cmd_tower_build(args, argv) -> int:
 
 
 def cmd_grid_verify(args, argv) -> int:
+    from . import gridcheck
+
     report = RunReport("grid verify", tuple(argv))
     for name, check in gridcheck.properties(args.max_cells):
         report.run(name, lambda check=check: check().verdict())
@@ -210,6 +210,9 @@ def cmd_grid_verify(args, argv) -> int:
 
 
 def cmd_grid_seqred(args, argv) -> int:
+    from .grid import analysis_by_coreductions, analysis_by_reductions
+    from .grid import build_seqred_a, build_seqred_b
+
     s = args.s
     if args.mode == "reductions":
         g, target = build_seqred_a(s)
@@ -253,6 +256,8 @@ def _small(residual: float, label: str) -> tuple[bool, str]:
 
 
 def cmd_series(args, argv) -> int:
+    from .series import Series
+
     if args.order > MAX_SERIES_ORDER:
         raise BudgetExceeded(f"order {args.order} exceeds the cap {MAX_SERIES_ORDER}")
     if args.order < 2:
@@ -269,7 +274,7 @@ def cmd_series(args, argv) -> int:
             raise DeltaTowerError(f"expected {n} initial values, got {len(initial)}")
         if h.is_rational():
             spec = ctx = None
-            h_series = Series.const(float(h.as_rational()), args.order)
+            h_series = Series.const(to_float(h.as_rational()), args.order)
         else:
             spec = _infer_spec([h])
             ctx = SeriesContext.default(spec, order=args.order)

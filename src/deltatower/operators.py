@@ -16,14 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from .errors import NotNormalForm, ZeroInitialValue
 from .polyring import Poly
-from .series import Series, residual as series_residual
 from .textio import format_operator_factors, parse_element, parse_operator_factors
-from .tower import SeriesContext, TowerElement, TowerSpec, d_twist, eval_series
+from .tower import SeriesContext, TowerElement, TowerSpec, d_twist, eval_series, to_float
 
 
 @dataclass(frozen=True)
@@ -271,12 +268,16 @@ def solve_prolonged(
     h is evaluated through ``ctx``/``spec`` when it involves tower data;
     rational h needs no context.
     """
+    import numpy as np
+
+    from .series import Series
+
     if len(initial_values) != system.n:
         raise ValueError(f"expected {system.n} initial values")
     if any(v == 0 for v in initial_values):
         raise ZeroInitialValue("initial values must be nonzero")
     if system.h.is_rational():
-        h_series = Series.const(float(system.h.as_rational()), order)
+        h_series = Series.const(to_float(system.h.as_rational()), order)
     else:
         if ctx is None or spec is None:
             raise ValueError("a SeriesContext and TowerSpec are needed for a non-rational h")
@@ -288,11 +289,13 @@ def solve_prolonged(
     xs = np.zeros((n, order))
     xs[:, 0] = initial_values
     h = h_series.coeffs
-    for k in range(order - 1):
-        for i in range(n):
-            rhs = h[: k + 1] if i == n - 1 else xs[i + 1, : k + 1]
-            conv = float(np.dot(xs[i, : k + 1], rhs[::-1]))
-            xs[i, k + 1] = conv / (k + 1)
+    # huge initial values overflow to inf/nan here; the residual check FAILs them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(order - 1):
+            for i in range(n):
+                rhs = h[: k + 1] if i == n - 1 else xs[i + 1, : k + 1]
+                conv = float(np.dot(xs[i, : k + 1], rhs[::-1]))
+                xs[i, k + 1] = conv / (k + 1)
     return [Series(xs[i]) for i in range(n)]
 
 
@@ -300,10 +303,12 @@ def prolonged_residual(
     system: ProlongedSystem, solution: list[Series], h_series: Series | None = None
 ) -> float:
     """Scaled residual of delta x_i - x_i x_{i+1} (and the h row)."""
+    from .series import Series, residual as series_residual
+
     worst = 0.0
     n = system.n
     if h_series is None:
-        h_series = Series.const(float(system.h.as_rational()), solution[-1].order)
+        h_series = Series.const(to_float(system.h.as_rational()), solution[-1].order)
     for i in range(n):
         lhs = solution[i].deriv()
         rhs = solution[i] * (solution[i + 1] if i < n - 1 else h_series)

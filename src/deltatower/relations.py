@@ -26,12 +26,9 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .constants import qlinear_dot
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from .errors import SupportTooSmall, TruncationTooShort
-from .series import Series
 from .tower import SeriesContext, TowerElement, TowerSpec, eval_series, logd
 
 ExponentVector = tuple[int, ...]
@@ -332,6 +329,10 @@ def series_rank_check(
     exponential and the rank drops, and nearly colliding exponents can fall
     below the threshold.
     """
+    import numpy as np
+
+    from .series import Series
+
     vectors = degree_vectors(len(variables), degree_bound, include_zero=True)
     if len(vectors) > ctx.order:
         raise TruncationTooShort(

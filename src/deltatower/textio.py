@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import re
 from math import comb
+from operator import add, mul, sub, truediv
 
 from .elements import Element
 from .errors import ParseError
 
-# cap on the terms a power in element text may expand to; the slowest
-# accepted powers, such as 1/(b[1][1]+b[1][2])^255, take seconds
+# cap on the terms a power or a product in element text may expand to; the
+# slowest accepted powers, such as 1/(b[1][1]+b[1][2])^255, take seconds
 MAX_POWER_TERMS = 256
+
+_OPS = {"+": add, "-": sub, "*": mul, "/": truediv}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[bcuD])|(?P<op>[-+*/^()\[\]]))"
@@ -118,29 +121,36 @@ def _parse_factor(tokens: _Tokens) -> Element:
     return base**n
 
 
+def _combine(op: str, x: Element, y: Element) -> Element:
+    """x op y, refused when a polynomial product it forms may have more than
+    MAX_POWER_TERMS terms.  A single-term side adds no terms, so printed
+    canonical forms, such as (num)/(den), always pass."""
+    yn, yd = (y.den, y.num) if op == "/" else (y.num, y.den)
+    products = [(x.num, yn), (x.den, yd)]
+    if op in "+-":  # a sum is formed over the product of the denominators at most
+        products = [(x.num, yd), (yn, x.den), (x.den, yd)]
+    for p, q in products:
+        s, t = len(p.terms), len(q.terms)
+        if s > 1 and t > 1 and s * t > MAX_POWER_TERMS:
+            raise ParseError(f"product of {s} and {t} terms may pass the cap {MAX_POWER_TERMS}")
+    return _OPS[op](x, y)
+
+
+def _chain(tokens: _Tokens, out: Element, operand, ops: tuple[str, str]) -> Element:
+    """Fold ``out (op operand)*`` left to right, op one of ``ops``."""
+    while (tok := tokens.peek()) is not None and tok[1] in ops:
+        tokens.next()
+        out = _combine(tok[1], out, operand(tokens))
+    return out
+
+
 def _parse_term(tokens: _Tokens) -> Element:
-    out = _parse_factor(tokens)
-    while True:
-        if tokens.accept("*"):
-            out = out * _parse_factor(tokens)
-        elif tokens.accept("/"):
-            out = out / _parse_factor(tokens)
-        else:
-            return out
+    return _chain(tokens, _parse_factor(tokens), _parse_factor, ("*", "/"))
 
 
 def _parse_expr(tokens: _Tokens) -> Element:
-    negate = tokens.accept("-")
-    out = _parse_term(tokens)
-    if negate:
-        out = -out
-    while True:
-        if tokens.accept("+"):
-            out = out + _parse_term(tokens)
-        elif tokens.accept("-"):
-            out = out - _parse_term(tokens)
-        else:
-            return out
+    first = -_parse_term(tokens) if tokens.accept("-") else _parse_term(tokens)
+    return _chain(tokens, first, _parse_term, ("+", "-"))
 
 
 def parse_element(text: str) -> Element:

@@ -23,12 +23,12 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .constants import ConstSymbol
 from .elements import Element, ONE_ELEMENT
-from .errors import LevelOutOfRange, LogOfZero, DomainViolation, ParseError
+from .errors import BudgetExceeded, LevelOutOfRange, LogOfZero, DomainViolation, ParseError
 from .polyring import Poly, Var, exact_quotient, m_div, poly_gcd, var_b, var_name
-from .series import Series, residual as series_residual
 
 TowerElement = Element
 
@@ -262,9 +262,19 @@ class SeriesContext:
         return dict(self.initial)
 
 
+@cache
+def _series():
+    """The series module, imported on first use so the exact half never loads
+    numpy; cached, as an import statement costs microseconds per call."""
+    from . import series
+
+    return series
+
+
 def generator_series(ctx: SeriesContext, spec: TowerSpec) -> dict[Var, Series]:
     """Series for every generator: b[1][j] -> v*exp(c t) and, above level 1,
     b[i][j] -> v*exp(c * integral of prod_{k<i} e_k)."""
+    Series = _series().Series
     values = ctx.value_map()
     initial = ctx.initial_map()
     out: dict[Var, Series] = {}
@@ -286,10 +296,19 @@ def generator_series(ctx: SeriesContext, spec: TowerSpec) -> dict[Var, Series]:
     return out
 
 
+def to_float(q: Fraction) -> float:
+    """q as a float; BudgetExceeded when q is past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        raise BudgetExceeded(f"coefficient {q} is outside float range") from None
+
+
 def _eval_poly(p: Poly, gens: dict[Var, Series], values: dict[Var, float], order: int) -> Series:
+    Series = _series().Series
     total = Series.zero(order)
     for m, coeff in p.terms.items():
-        scalar = float(coeff)
+        scalar = to_float(coeff)
         factor: Series | None = None
         for v, e in m:
             if v[0] == "b":
@@ -298,7 +317,10 @@ def _eval_poly(p: Poly, gens: dict[Var, Series], values: dict[Var, float], order
             else:
                 if v not in values:
                     raise KeyError(f"no numeric value assigned to {var_name(v)}")
-                scalar *= values[v] ** e
+                try:
+                    scalar *= values[v] ** e
+                except OverflowError:
+                    raise BudgetExceeded(f"{var_name(v)}^{e} is outside float range") from None
         term = Series.const(scalar, order) if factor is None else factor * scalar
         total = total + term
     return total
@@ -310,7 +332,7 @@ def eval_series(x: TowerElement, ctx: SeriesContext, spec: TowerSpec) -> Series:
     values = ctx.value_map()
     num = _eval_poly(x.num, gens, values, ctx.order)
     if x.den.is_const():
-        return num / float(x.den.const_value())
+        return num / to_float(x.den.const_value())
     den = _eval_poly(x.den, gens, values, ctx.order)
     return num / den
 
@@ -320,7 +342,7 @@ def delta_consistency_residual(x: TowerElement, ctx: SeriesContext, spec: TowerS
     shared coefficients."""
     symbolic = eval_series(derive(x, spec), ctx, spec)
     numeric = eval_series(x, ctx, spec).deriv()
-    return series_residual(symbolic, numeric)
+    return _series().residual(symbolic, numeric)
 
 
 def random_element(

@@ -224,11 +224,12 @@ class TestSeries:
         assert code == 0
         assert "residual" in out
 
-    def test_overflowing_initial_values_fail(self, capsys):
-        code, out, _ = run_cli(
+    def test_overflowing_initial_values_fail(self, capsys, recwarn):
+        code, out, err = run_cli(
             capsys, "series", "--logd-system", "2", "--order", "8", "--initial", "1e308,1e308"
         )
         assert code == 1
+        assert err == "" and not recwarn.list  # the FAIL line says it; numpy stays quiet
         assert "CHECK residual FAIL" in out
         assert "defining-equation residual inf" in out
         assert out.strip().endswith("RESULT FAIL")
@@ -290,6 +291,10 @@ class TestSeries:
             "distinct",
         ),
         (["--element", "(b[1][1]+b[1][2]+b[1][3]+c[1][1])^30", "--order", "8"], None, "cap"),
+        (["--element", "2^1100", "--order", "8"], None, "float range"),
+        (["--element", "c[1][1]^1100", "--order", "8"], None, "float range"),
+        (["--logd-system", "2", "--h", "2^1100", "--order", "8"], None, "float range"),
+        (["--element", "*".join(["(b[1][1]+b[1][2]+b[1][3]+c[1][1])^9"] * 3)], None, "cap"),
     ]
 
     @pytest.mark.parametrize(

@@ -1,11 +1,21 @@
-"""Rules checked on the package source text."""
+"""Rules checked on the package source text, and on what importing it loads."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import deltatower
 
-SOURCES = sorted(Path(deltatower.__file__).parent.glob("*.py"))
+PACKAGE = Path(deltatower.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+# the numeric half: only these modules may import numpy when they load
+NUMERIC_MODULES = {"series.py", "gridcheck.py"}
 
 
 def test_no_assert_statements():
@@ -17,3 +27,101 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+def _load_time_nodes(node):
+    """Every node that runs when the module loads (not inside a function)."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _load_time_nodes(child)
+
+
+def _numeric_imports(tree) -> list[int]:
+    """Lines of load-time imports of numpy, the series module or gridcheck."""
+    lines = []
+    for node in _load_time_nodes(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names = [base] if node.module else [base + alias.name for alias in node.names]
+        else:
+            continue
+        if any(n.split(".")[0] == "numpy" or n in (".series", ".gridcheck") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_numeric_modules_import_numpy_at_load():
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name not in NUMERIC_MODULES
+        for line in _numeric_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+    # the rule sees every spelling it forbids
+    for text in ("import numpy as np", "from numpy import dot", "from .series import Series",
+                 "from . import gridcheck", "if True:\n    import numpy",
+                 "class A:\n    from .series import residual"):
+        assert _numeric_imports(ast.parse(text)) != [], text
+    assert _numeric_imports(ast.parse("def f():\n    import numpy")) == []
+
+
+def _run(script: str) -> str:
+    path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_import_loads_no_submodule():
+    script = (
+        "import sys, deltatower\n"
+        "print(sorted(m for m in sys.modules if m.startswith('deltatower.') or m == 'numpy'))"
+    )
+    assert _run(script) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tower", "build", "--utype", "2,3,3", "--check"],
+        ["grid", "seqred", "--s", "3,2,1", "--mode", "reductions"],
+    ],
+)
+def test_exact_commands_load_no_numeric_module(argv):
+    script = (
+        "import sys\n"
+        "from deltatower.cli import main\n"
+        f"code = main({argv!r})\n"
+        "numeric = ('numpy', 'deltatower.series', 'deltatower.gridcheck')\n"
+        "print(code, [m for m in numeric if m in sys.modules])"
+    )
+    assert _run(script) == "0 []"
+
+
+def test_exports_are_the_module_attributes():
+    exported = [name for names in deltatower._EXPORTS.values() for name in names.split()]
+    assert sorted(deltatower.__all__) == sorted(exported) and len(set(exported)) == len(exported)
+    for module, names in deltatower._EXPORTS.items():
+        loaded = importlib.import_module(f"deltatower.{module}")
+        for name in names.split():
+            assert getattr(deltatower, name) is getattr(loaded, name), name
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        deltatower.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from deltatower import no_such_name  # noqa: F401
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from deltatower import *", namespace)
+    assert all(namespace[name] is getattr(deltatower, name) for name in deltatower.__all__)

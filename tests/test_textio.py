@@ -56,6 +56,26 @@ def test_power_expansion_cap():
     assert parse_element("(b[1][1] + b[1][2] + b[1][3] + c[1][1])^9") is not None
 
 
+def test_product_and_sum_cap():
+    # A = (b11 + b12)^15 and B = (b11 + b13)^15 have 16 terms each
+    a, b = "(b[1][1] + b[1][2])^15", "(b[1][1] + b[1][3])^15"
+    a17 = "(b[1][1] + b[1][2])^16"
+    assert len(parse_element(f"{a}*{b}").num.terms) == MAX_POWER_TERMS
+    assert parse_element(f"b[1][1]/{a} + b[1][2]/{b}") is not None
+    assert parse_element(f"{a}/{a}") == Element.from_rational(1)
+    for bad in (f"{a17}*{b}", f"1/{a17}*1/{b}", f"1/{a17} + 1/{b}", f"{a17}/{b}*{b}"):
+        with pytest.raises(ParseError, match="cap"):
+            parse_element(bad)
+
+
+def test_long_printed_forms_pass_the_cap():
+    # each polynomial product in "(num)/(den)" has a single-term side
+    b11, b12, b13 = (Element.from_var(("b", 1, j)) for j in (1, 2, 3))
+    x = (b11 + b12) ** 299 / (b11 + b13) ** 299
+    assert len(x.num.terms) > MAX_POWER_TERMS and len(x.den.terms) > MAX_POWER_TERMS
+    assert parse_element(str(x)) == x
+
+
 def test_trailing_input_is_a_parse_error():
     assert parse_element(" b[1][1]  ") == Element.from_var(("b", 1, 1))
     with pytest.raises(ParseError, match="trailing input"):
