@@ -14,7 +14,8 @@ final ``RESULT <PASS|FAIL>``.  The exit status is 0 exactly when every
 check passed.  Serialized reports omit timing so they are byte-identical
 across runs for fixed arguments and seed.  ``grid verify`` refuses more
 than ``gridcheck.MAX_VERIFY_CELLS`` (12) cells, and element text refuses a
-power whose expansion may exceed ``textio.MAX_POWER_TERMS`` terms.
+power whose expansion may exceed ``textio.MAX_POWER_TERMS`` terms or
+``textio.MAX_POWER_BITS`` coefficient bits.
 """
 
 from __future__ import annotations
@@ -349,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     series.add_argument("--h", default="0", help="right-hand side element")
     series.add_argument("--initial", type=_parse_floats, help="comma-separated initial values")
     series.add_argument("--spec", help="TowerSpec JSON file")
-    series.add_argument("--seed", type=int, default=DEFAULT_SEED)
     series.set_defaults(fn=cmd_series)
 
     return parser

@@ -10,6 +10,10 @@ directly above the base's closure: one step per column.
 On top of that sit reductions (largest internal part), coreductions
 (smallest base making the set internal), analyses by iterating either,
 and the minimality / canonicity notions decided by exhaustive search.
+Columns are independent, so a reduction or coreduction is one rule per
+column (``_red_column``, ``_cored_column``) and an analysis iterates it on
+height vectors (``_red_chain``, ``_cored_chain``); ``gridcheck`` ties
+these rules to the literal definitions on every closed pair.
 """
 
 from __future__ import annotations
@@ -73,55 +77,84 @@ def closure(S: CellSet, g: GridModel) -> CellSet:
 
 def urank(S: CellSet, T: CellSet, g: GridModel) -> int:
     """Number of cells the closure of S adds over the closure of T."""
+    ht, hs = _pair_heights(S, T, g)
+    return sum(hs) - sum(ht)
+
+
+def _pair_heights(S: CellSet, T: CellSet, g: GridModel) -> tuple[tuple[int, ...], ...]:
+    """Heights of cl(T) and of cl(S|T), once both sets are checked to lie in g."""
     g.check(S)
     g.check(T)
-    return len(closure(S | T, g)) - len(closure(T, g))
+    return heights(T, g), heights(frozenset(S) | frozenset(T), g)
 
 
 def internal(S: CellSet, T: CellSet, g: GridModel) -> bool:
     """One-step criterion: every new closed cell is in row 1 or directly
     above the closure of T."""
-    g.check(S)
-    g.check(T)
-    ht = heights(T, g)
-    hs = heights(frozenset(S) | frozenset(T), g)
+    ht, hs = _pair_heights(S, T, g)
     return all(hs[j] <= ht[j] + 1 for j in range(g.columns))
 
 
+# --- the one-step rules, one row per column ----------------------------------
+
+
+def _red_column(before, after):
+    """Height of reduction(after over before) in one column: one step up."""
+    return min(after, before + 1)
+
+
+def _cored_column(before, after):
+    """Height of cl(before | coreduction(after over before)) in one column:
+    one step down."""
+    return max(before, after - 1)
+
+
+def _step(column, before, after):
+    return tuple(map(column, before, after))
+
+
+def _red_chain(t_h, g_h):
+    """Step heights of the analysis by reductions of g_h over t_h."""
+    chain = [t_h]
+    while chain[-1] != g_h:
+        chain.append(_step(_red_column, chain[-1], g_h))
+    return chain[1:]
+
+
+def _cored_chain(t_h, g_h):
+    """Step heights of the analysis by coreductions of g_h over t_h: walk
+    back from g_h, one coreduction over t_h at a time."""
+    chain = [g_h]
+    while chain[-1] != t_h:
+        prev = _step(_cored_column, t_h, chain[-1])
+        if any(map(int.__gt__, prev, chain[-1])):
+            raise RuntimeError("coreduction must strictly shrink the closure")
+        chain.append(prev)
+    return chain[-2::-1]
+
+
+def _utype(chain, t_h):
+    """Cells each step of a height chain adds over the one before."""
+    sizes = [sum(t_h)] + [sum(h) for h in chain]
+    return tuple(map(sub, sizes[1:], sizes))
+
+
 def reduction(S: CellSet, T: CellSet, g: GridModel) -> CellSet:
-    """Largest internal part: all cells of cl(S|T) internal over T, closed."""
-    g.check(S)
-    g.check(T)
-    full = closure(frozenset(S) | frozenset(T), g)
-    ht = heights(closure(T, g), g)
-    # cell (i, j) is internal over T exactly when i <= height_T(j) + 1
-    part = frozenset(x for x in full if x[0] <= ht[x[1] - 1] + 1)
-    return closure(part, g)
+    """Largest internal part of cl(S|T) over T, closed: one row above cl(T)
+    in every column."""
+    ht, full_h = _pair_heights(S, T, g)
+    return from_heights(_step(_red_column, ht, full_h), g)
 
 
 def coreduction(S: CellSet, T: CellSet, g: GridModel) -> CellSet:
     """Smallest closed T' inside cl(S|T) with S internal over T|T'.
 
-    Brute force over all closed subsets.  The witness family must have a
-    least element (equivalently: a unique minimal witness); RuntimeError
-    reports a family without one.
+    Columns are independent, so the least witness is taken per column:
+    nothing where cl(S|T) is already one step above cl(T), else all but
+    the top cell of cl(S|T).
     """
-    g.check(S)
-    g.check(T)
-    ht = heights(closure(T, g), g)
-    full_h = heights(frozenset(S) | frozenset(T), g)
-    witnesses = [
-        h
-        for h in product(*(range(v + 1) for v in full_h))
-        # X = closed set of heights h; S internal over T|X
-        if all(fv <= max(tv, xv) + 1 for fv, tv, xv in zip(full_h, ht, h))
-    ]
-    if not witnesses:
-        raise RuntimeError("no coreduction witness, though the full closure is one")
-    least = tuple(map(min, zip(*witnesses)))
-    if least not in witnesses:
-        raise RuntimeError("minimal coreduction witnesses disagree")
-    return from_heights(least, g)
+    ht, full_h = _pair_heights(S, T, g)
+    return from_heights([0 if full <= t + 1 else full - 1 for full, t in zip(full_h, ht)], g)
 
 
 @dataclass(frozen=True)
@@ -156,46 +189,27 @@ class Analysis:
         return len(self.steps)
 
     def utype(self) -> tuple[int, ...]:
-        g = self.grid
-        prev = closure(self.base, g)
-        out = []
-        for step in self.steps:
-            s = closure(frozenset(step) | self.base, g)
-            out.append(len(s) - len(prev))
-            prev = s
-        return tuple(out)
+        return _utype(self.step_heights(), heights(self.base, self.grid))
 
     def step_heights(self) -> list[tuple[int, ...]]:
         g = self.grid
         return [heights(frozenset(step) | self.base, g) for step in self.steps]
 
 
+def _analysis(chain, S: CellSet, T: CellSet, g: GridModel) -> Analysis:
+    t_h, full_h = _pair_heights(S, T, g)
+    steps = tuple(from_heights(h, g) for h in chain(t_h, full_h))
+    return Analysis(g, from_heights(t_h, g), from_heights(full_h, g), steps)
+
+
 def analysis_by_reductions(S: CellSet, T: CellSet, g: GridModel) -> Analysis:
     """Iterate A_k = reduction(S, T | A_{k-1}) until the closure stabilizes."""
-    target = closure(frozenset(S) | frozenset(T), g)
-    steps: list[CellSet] = []
-    current = closure(T, g)
-    while current != target:
-        nxt = reduction(S, frozenset(T) | current, g)
-        steps.append(nxt)
-        current = nxt
-    return Analysis(g, closure(T, g), target, tuple(steps))
+    return _analysis(_red_chain, S, T, g)
 
 
 def analysis_by_coreductions(S: CellSet, T: CellSet, g: GridModel) -> Analysis:
     """Walk backward: the predecessor of each step is its coreduction over T."""
-    base = closure(T, g)
-    target = closure(frozenset(S) | frozenset(T), g)
-    chain: list[CellSet] = []
-    current = target
-    while current != base:
-        chain.append(current)
-        prev = closure(coreduction(current, T, g) | frozenset(T), g)
-        if not prev < current:
-            raise RuntimeError("coreduction must strictly shrink the closure")
-        current = prev
-    chain.reverse()
-    return Analysis(g, base, target, tuple(chain))
+    return _analysis(_cored_chain, S, T, g)
 
 
 def is_incompressible(a: Analysis) -> bool:
@@ -248,8 +262,7 @@ def enumerate_analyses(
 ) -> Iterator[Analysis]:
     """All valid analyses of (S over T) with at most (or exactly) the given
     number of steps, in the order of ``height_chains``."""
-    base_h = heights(closure(T, g), g)
-    target_h = heights(closure(frozenset(S) | frozenset(T), g), g)
+    base_h, target_h = _pair_heights(S, T, g)
     for seq in height_chains(base_h, target_h, max_length=max_length, exact_length=exact_length):
         yield Analysis(
             g,

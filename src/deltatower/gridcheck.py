@@ -9,14 +9,16 @@ exhaustively against the one below:
   table on **every** subset of every grid (``closure_axioms``), and rank
   additivity holds on every closed triple of that table
   (``urank_additivity``);
-* layer 1 - the public ``reduction`` and ``coreduction`` are compared on
-  **every** closed pair (T, G) with the literal brute-force definitions,
-  stated in bitmask arithmetic (``reduction_maximality``,
-  ``coreduction_uniqueness``).  The same pairs tie the one-step column
-  rules ``_red_column`` and ``_cored_column`` to those definitions;
+* layer 1 - ``grid``'s one-step column rules ``_red_column`` and
+  ``_cored_column``, which its ``reduction`` and ``coreduction`` apply, are
+  compared on **every** closed pair (T, G) with the literal brute-force
+  definitions, stated in bitmask arithmetic (``reduction_maximality``,
+  ``coreduction_uniqueness``); so is the public ``reduction``, and the
+  public ``coreduction`` on the sampled slice of the pairs;
 * layer 2 - the chain properties (minimality, canonicity, the local
   criteria, ...) quantify over every closed pair but iterate the
-  layer-1-verified column rules.  They search analyses with
+  layer-1-verified column rules (``grid._red_chain``,
+  ``grid._cored_chain``).  They search analyses with
   ``grid.height_chains`` and with one prefix DFS, ``_sequences``, whose
   step rule says which analyses it grows.  The public analysis functions
   are cross-checked against those chains on a deterministic slice of the
@@ -47,6 +49,12 @@ from .errors import BudgetExceeded
 from .grid import (
     Analysis,
     GridModel,
+    _cored_chain,
+    _cored_column,
+    _red_chain,
+    _red_column,
+    _step,
+    _utype,
     analysis_by_coreductions,
     analysis_by_reductions,
     closure,
@@ -132,9 +140,6 @@ class _Grid:
             out |= ((1 << top) - 1) << (j * self.depth)
         return out
 
-    def set_of_heights(self, h) -> frozenset:
-        return from_heights(h, self.g)
-
 
 def _grids(max_cells: int):
     for depth in range(1, max_cells + 1):
@@ -197,46 +202,7 @@ def _check_pairs(name, max_cells, per_pair):
     return _check(name, gen())
 
 
-# --- column rules verified exhaustively in layer 1 --------------------------
-
-
-def _red_column(before, after):
-    """Height of reduction(after over before) in one column: one step up."""
-    return min(after, before + 1)
-
-
-def _cored_column(before, after):
-    """Height of cl(before | coreduction(after over before)) in one column:
-    one step down."""
-    return max(before, after - 1)
-
-
-def _step(column, before, after):
-    return tuple(map(column, before, after))
-
-
-def _red_chain(t_h, g_h):
-    chain = [t_h]
-    while chain[-1] != g_h:
-        chain.append(_step(_red_column, chain[-1], g_h))
-    return chain[1:]
-
-
-def _cored_chain(t_h, g_h):
-    chain = [g_h]
-    while chain[-1] != t_h:
-        chain.append(_step(_cored_column, t_h, chain[-1]))
-    return chain[-2::-1]
-
-
-def _utype(chain, t_h):
-    out = []
-    prev = sum(t_h)
-    for h in chain:
-        cells = sum(h)
-        out.append(cells - prev)
-        prev = cells
-    return tuple(out)
+# --- analysis search ---------------------------------------------------------
 
 
 def _shortest_chain_length(t_h, g_h) -> int:
@@ -438,8 +404,8 @@ def check_analyses_minimal(max_cells: int) -> PropertyReport:
             if len(chain) != shortest:
                 return f"analysis by {label} not minimal"
         if sampled:
-            T = gr.set_of_heights(t_h)
-            G = gr.set_of_heights(g_h)
+            T = from_heights(t_h, gr.g)
+            G = from_heights(g_h, gr.g)
             ar = analysis_by_reductions(G, T, gr.g)
             ac = analysis_by_coreductions(G, T, gr.g)
             ar.validate()
@@ -484,9 +450,9 @@ def check_incompressible_ones_minimal(max_cells: int) -> PropertyReport:
             if sampled:
                 a = Analysis(
                     gr.g,
-                    gr.set_of_heights(t_h),
-                    gr.set_of_heights(g_h),
-                    tuple(gr.set_of_heights(h) for h in seq),
+                    from_heights(t_h, gr.g),
+                    from_heights(g_h, gr.g),
+                    tuple(from_heights(h, gr.g) for h in seq),
                 )
                 a.validate()
                 if not (
@@ -521,8 +487,8 @@ def check_local_criterion(max_cells: int, direction: str) -> PropertyReport:
                 return f"by-{direction} analysis fails the local criterion at step {i}"
         if sampled:
             for i in range(1, len(chain) - 1):
-                after = gr.set_of_heights(chain[i + 1])
-                before = gr.set_of_heights(chain[i - 1])
+                after = from_heights(chain[i + 1], gr.g)
+                before = from_heights(chain[i - 1], gr.g)
                 if direction == "reductions":
                     got = heights(reduction(after, before, gr.g), gr.g)
                 else:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 
 from .constants import qlinear_dot
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
@@ -42,20 +43,9 @@ class Verdict(Enum):
 
 def degree_vectors(m: int, d: int, *, include_zero: bool = True) -> list[ExponentVector]:
     """All exponent vectors of length m with total degree <= d, sorted lex."""
-    out: list[ExponentVector] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int):
-        if len(prefix) == m:
-            out.append(prefix)
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e)
-
-    rec((), d)
-    out.sort()
-    if not include_zero:
-        out = [r for r in out if any(r)]
-    return out
+    return [
+        r for r in product(range(d + 1), repeat=m) if sum(r) <= d and (include_zero or any(r))
+    ]
 
 
 @dataclass(frozen=True)

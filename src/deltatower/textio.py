@@ -25,6 +25,10 @@ from .errors import ParseError
 # slowest accepted powers, such as 1/(b[1][1]+b[1][2])^255, take seconds
 MAX_POWER_TERMS = 256
 
+# cap on |n| times the bit length of the largest coefficient numerator or
+# denominator of a power's base (1 counts 0): 2^20000 passes, 3^40000 not
+MAX_POWER_BITS = 1 << 16
+
 _OPS = {"+": add, "-": sub, "*": mul, "/": truediv}
 
 _TOKEN_RE = re.compile(
@@ -118,6 +122,14 @@ def _parse_factor(tokens: _Tokens) -> Element:
     t = max(len(base.num.terms), len(base.den.terms))
     if comb(abs(n) + t - 1, t - 1) > MAX_POWER_TERMS:
         raise ParseError(f"power {n} of {t} terms may expand past {MAX_POWER_TERMS}, the cap")
+    bits = abs(n) * max(
+        0 if abs(k) == 1 else abs(k).bit_length()
+        for p in (base.num, base.den)
+        for c in p.terms.values()
+        for k in (c.numerator, c.denominator)
+    )
+    if bits > MAX_POWER_BITS:
+        raise ParseError(f"power {n} may need {bits} bits, past the cap {MAX_POWER_BITS}")
     return base**n
 
 

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import log10
 
 from .constants import ConstSymbol
 from .elements import Element, ONE_ELEMENT
@@ -297,11 +298,14 @@ def generator_series(ctx: SeriesContext, spec: TowerSpec) -> dict[Var, Series]:
 
 
 def to_float(q: Fraction) -> float:
-    """q as a float; BudgetExceeded when q is past the float range."""
+    """q as a float; BudgetExceeded when q is past the float range.  The
+    message names q's magnitude from bit lengths: q may have more digits
+    than an int may print."""
     try:
         return float(q)
     except OverflowError:
-        raise BudgetExceeded(f"coefficient {q} is outside float range") from None
+        digits = int((abs(q.numerator).bit_length() - q.denominator.bit_length()) * log10(2))
+        raise BudgetExceeded(f"coefficient of about 10^{digits} is outside float range") from None
 
 
 def _eval_poly(p: Poly, gens: dict[Var, Series], values: dict[Var, float], order: int) -> Series:

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +204,22 @@ class TestGridSeqred:
         assert code == 2
         assert "nonincreasing" in err
 
+    def test_wide_coreductions_finish(self):
+        # 20 columns of depth 2: a search over the closed subsets below the
+        # target would visit 3^20 of them
+        path = [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        argv = ["grid", "seqred", "--s", "20,20", "--mode", "coreductions"]
+        done = subprocess.run(
+            [sys.executable, "-m", "deltatower.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "utype: 20,20" in done.stdout
+
 
 class TestSeries:
     def test_logd_system_exponential(self, capsys):
@@ -295,6 +315,8 @@ class TestSeries:
         (["--element", "c[1][1]^1100", "--order", "8"], None, "float range"),
         (["--logd-system", "2", "--h", "2^1100", "--order", "8"], None, "float range"),
         (["--element", "*".join(["(b[1][1]+b[1][2]+b[1][3]+c[1][1])^9"] * 3)], None, "cap"),
+        (["--element", "2^20000", "--order", "8"], None, "float range"),
+        (["--element", "3^8000000", "--order", "8"], None, "cap"),
     ]
 
     @pytest.mark.parametrize(
@@ -316,6 +338,11 @@ class TestSeries:
         assert code == 0
         check = next(line for line in out.splitlines() if line.startswith("CHECK "))
         assert int(check.split()[3]) >= 200, check
+
+    def test_float_range_error_names_only_the_magnitude(self, capsys):
+        code, _, err = run_cli(capsys, "series", "--element", "2^1100", "--order", "8")
+        assert code == 2
+        assert err == "error: coefficient of about 10^331 is outside float range\n"
 
     @pytest.mark.parametrize("argv, spec_text, word", BAD_INPUTS)
     def test_bad_input_is_one_error_line(self, capsys, tmp_path, argv, spec_text, word):

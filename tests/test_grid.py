@@ -23,10 +23,12 @@ from deltatower import (
     urank,
 )
 from deltatower.grid import (
+    _cored_chain,
     dump_scenario,
     enumerate_analyses,
     from_heights,
     height_chains,
+    heights,
     load_scenario,
 )
 from deltatower.gridcheck import _shortest_chain_length
@@ -125,6 +127,75 @@ class TestCoreduction:
 
     def test_internal_needs_no_witness(self):
         assert coreduction(cells((1, 1)), EMPTY, G22) == EMPTY
+
+
+# Test-local references for the column rules, stated on sets: a cell filter,
+# a search over every closed subset for the least witness, and loops over
+# closed sets.
+
+
+def _reference_reduction(S, T, g):
+    full = closure(S | T, g)
+    ht = heights(closure(T, g), g)
+    return closure(frozenset(x for x in full if x[0] <= ht[x[1] - 1] + 1), g)
+
+
+def _reference_coreduction(S, T, g):
+    ht = heights(closure(T, g), g)
+    full_h = heights(S | T, g)
+    witnesses = [
+        h
+        for h in product(*(range(v + 1) for v in full_h))
+        if all(fv <= max(tv, xv) + 1 for fv, tv, xv in zip(full_h, ht, h))
+    ]
+    least = tuple(map(min, zip(*witnesses)))
+    assert least in witnesses
+    return from_heights(least, g)
+
+
+def _reference_analysis_by_reductions(S, T, g):
+    target = closure(S | T, g)
+    steps, current = [], closure(T, g)
+    while current != target:
+        current = _reference_reduction(S, T | current, g)
+        steps.append(current)
+    return steps
+
+
+def _reference_analysis_by_coreductions(S, T, g):
+    base = closure(T, g)
+    chain, current = [], closure(S | T, g)
+    while current != base:
+        chain.append(current)
+        prev = closure(_reference_coreduction(current, T, g) | T, g)
+        assert prev < current
+        current = prev
+    return chain[::-1]
+
+
+def test_column_rules_match_the_set_based_definitions():
+    # every closed pair of every grid with at most 6 cells
+    for depth, columns in [(d, c) for d in range(1, 7) for c in range(1, 6 // d + 1)]:
+        g = GridModel(depth, columns)
+        for g_h in product(range(depth + 1), repeat=columns):
+            for t_h in product(*[range(v + 1) for v in g_h]):
+                T, G = from_heights(t_h, g), from_heights(g_h, g)
+                where = (depth, columns, t_h, g_h)
+                assert reduction(G, T, g) == _reference_reduction(G, T, g), where
+                assert coreduction(G, T, g) == _reference_coreduction(G, T, g), where
+                for analysis, reference in (
+                    (analysis_by_reductions, _reference_analysis_by_reductions),
+                    (analysis_by_coreductions, _reference_analysis_by_coreductions),
+                ):
+                    a = analysis(G, T, g)
+                    assert (a.base, a.target) == (T, G), where
+                    assert list(a.steps) == reference(G, T, g), where
+
+
+def test_coreduction_chain_refuses_a_step_that_does_not_shrink():
+    # a base above the target: the step back to it would grow the closure
+    with pytest.raises(RuntimeError, match="strictly shrink"):
+        _cored_chain((2,), (1,))
 
 
 class TestAnalyses:

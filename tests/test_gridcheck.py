@@ -6,7 +6,7 @@ import re
 import pytest
 
 from deltatower import BudgetExceeded, closure, urank
-from deltatower import gridcheck
+from deltatower import grid, gridcheck
 from deltatower.gridcheck import ALL_PROPERTIES, run_grid_suite
 
 
@@ -88,7 +88,7 @@ def test_broken_public_function_fails_its_property(monkeypatch, attr, broken, pr
     assert report.line().startswith(f"{prop} instances={report.instances} FAIL grid ")
 
 
-@pytest.mark.parametrize("column", [gridcheck._red_column, gridcheck._cored_column])
+@pytest.mark.parametrize("column", [grid._red_column, grid._cored_column])
 def test_column_rule_steps_match_literal_filter(column):
     """The per-column stay/rise rule yields the same steps, in the same
     order, as filtering every candidate height through the column rule."""

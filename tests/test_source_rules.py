@@ -1,7 +1,9 @@
 """Rules checked on the package source text, and on what importing it loads."""
 
+import argparse
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -125,3 +127,27 @@ def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from deltatower import *", namespace)
     assert all(namespace[name] is getattr(deltatower, name) for name in deltatower.__all__)
+
+
+def _command_parsers(parser):
+    """Every parser below parser that runs a command (has an ``fn`` default)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _command_parsers(sub)
+    if "fn" in parser._defaults:
+        yield parser
+
+
+def test_every_option_is_read_by_its_command():
+    from deltatower import cli
+
+    commands = list(_command_parsers(cli._build_parser()))
+    unread = [
+        f"{parser.prog} {action.dest}"
+        for parser in commands
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        and f"args.{action.dest}" not in inspect.getsource(parser._defaults["fn"])
+    ]
+    assert len(commands) == 4 and unread == []
