@@ -13,8 +13,9 @@ Reports are line oriented: one ``CHECK <name> <PASS|FAIL> <millis>
 final ``RESULT <PASS|FAIL>``.  The exit status is 0 exactly when every
 check passed.  Serialized reports omit timing so they are byte-identical
 across runs for fixed arguments and seed.  ``grid verify`` refuses more
-than ``gridcheck.MAX_VERIFY_CELLS`` (12) cells, and element text refuses a
-power whose expansion may exceed ``textio.MAX_POWER_TERMS`` terms or
+than ``gridcheck.MAX_VERIFY_CELLS`` (12) cells, ``grid seqred`` more than
+``MAX_SEQRED_CELLS`` (2,000), and element text refuses a power whose
+expansion may exceed ``textio.MAX_POWER_TERMS`` terms or
 ``textio.MAX_POWER_BITS`` coefficient bits.
 """
 
@@ -57,6 +58,10 @@ DEFAULT_SEED = 20406
 MAX_LEVELS = 3
 MAX_RANK = 3
 MAX_SERIES_ORDER = 64
+# grid seqred: the analysis keeps one set of cells per level, so its work
+# grows as depth x cells; at this cap the slowest shape, one column of
+# 2,000 levels, takes about a second
+MAX_SEQRED_CELLS = 2000
 
 
 @dataclass
@@ -215,6 +220,9 @@ def cmd_grid_seqred(args, argv) -> int:
     from .grid import build_seqred_a, build_seqred_b
 
     s = args.s
+    cells = len(s) * max(s)
+    if cells > MAX_SEQRED_CELLS:
+        raise BudgetExceeded(f"a grid of {cells} cells exceeds the cap {MAX_SEQRED_CELLS}")
     if args.mode == "reductions":
         g, target = build_seqred_a(s)
         analysis = analysis_by_reductions(target, frozenset(), g)

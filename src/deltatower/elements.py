@@ -16,16 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero
-from .polyring import (
-    MONOMIAL_KEY,
-    ONE,
-    Poly,
-    Var,
-    exact_div,
-    exact_quotient,
-    poly_gcd,
-    var_name,
-)
+from .polyring import MONOMIAL_KEY, ONE, Poly, Var, cancel, var_name
 
 _COERCIBLE = (int, Fraction)
 
@@ -35,22 +26,11 @@ class Element:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly = ONE, *, _canonical: bool = False):
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
+    def __init__(self, num: Poly, den: Poly = ONE):
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         if not num.is_zero() and not den.is_const():
-            q = exact_div(num, den)
-            if q is not None:
-                num, den = q, ONE
-            else:
-                g = poly_gcd(num, den)
-                if not g.is_const():
-                    num = exact_quotient(num, g, "the gcd of numerator and denominator")
-                    den = exact_quotient(den, g, "the gcd of numerator and denominator")
+            _, num, den = cancel(num, den, "the gcd of numerator and denominator")
         self._set_coprime(num, den)
 
     def _set_coprime(self, num: Poly, den: Poly) -> None:
@@ -122,16 +102,11 @@ class Element:
             g, rest = self.den, ONE
             t = self.num - o.num if negate else self.num + o.num
         else:
-            g = poly_gcd(self.den, o.den)
-            mine = exact_quotient(self.den, g, "the gcd of two denominators")
-            theirs = exact_quotient(o.den, g, "the gcd of two denominators")
+            g, mine, theirs = cancel(self.den, o.den, "the gcd of two denominators")
             a, b = self.num * theirs, o.num * mine
             t = a - b if negate else a + b
             rest = mine * theirs
-        h = poly_gcd(t, g)
-        if not h.is_const():
-            t = exact_quotient(t, h, "the gcd of a sum and its denominator")
-            g = exact_quotient(g, h, "the gcd of a sum and its denominator")
+        _, t, g = cancel(t, g, "the gcd of a sum and its denominator")
         return Element._coprime(t, g * rest)
 
     @staticmethod
@@ -139,14 +114,8 @@ class Element:
         """(n1 n2) / (d1 d2) for coprime n1, d1 and coprime n2, d2 by
         Henrici's multiplication: only n1 with d2 and n2 with d1 can share
         factors, so those two gcds replace one of the whole products."""
-        g = poly_gcd(n1, d2)
-        if not g.is_const():
-            n1 = exact_quotient(n1, g, "the gcd of a numerator and a denominator")
-            d2 = exact_quotient(d2, g, "the gcd of a numerator and a denominator")
-        g = poly_gcd(n2, d1)
-        if not g.is_const():
-            n2 = exact_quotient(n2, g, "the gcd of a numerator and a denominator")
-            d1 = exact_quotient(d1, g, "the gcd of a numerator and a denominator")
+        _, n1, d2 = cancel(n1, d2, "the gcd of a numerator and a denominator")
+        _, n2, d1 = cancel(n2, d1, "the gcd of a numerator and a denominator")
         return Element._coprime(n1 * n2, d1 * d2)
 
     def __add__(self, other) -> "Element":
@@ -170,7 +139,7 @@ class Element:
         return o - self
 
     def __neg__(self) -> "Element":
-        return Element(-self.num, self.den, _canonical=True)
+        return Element._coprime(-self.num, self.den)
 
     def __mul__(self, other) -> "Element":
         o = self._coerce(other)
@@ -195,15 +164,14 @@ class Element:
         return o / self
 
     def __pow__(self, n: int) -> "Element":
+        """Powers of a coprime pair are coprime, so no gcd runs."""
         if not isinstance(n, int):
             return NotImplemented
-        if n == 0:
-            return Element.from_rational(1)
-        if n < 0:
-            if self.is_zero():
-                raise DivisionByZero("negative power of zero")
-            return Element(self.den, self.num) ** (-n)
-        return Element(self.num**n, self.den**n)
+        if n >= 0:
+            return Element._coprime(self.num**n, self.den**n)
+        if self.is_zero():
+            raise DivisionByZero("negative power of zero")
+        return Element._coprime(self.den**-n, self.num**-n)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)

@@ -13,8 +13,8 @@ exhaustively against the one below:
   ``_cored_column``, which its ``reduction`` and ``coreduction`` apply, are
   compared on **every** closed pair (T, G) with the literal brute-force
   definitions, stated in bitmask arithmetic (``reduction_maximality``,
-  ``coreduction_uniqueness``); so is the public ``reduction``, and the
-  public ``coreduction`` on the sampled slice of the pairs;
+  ``coreduction_uniqueness``); so are the public ``reduction`` and
+  ``coreduction``;
 * layer 2 - the chain properties (minimality, canonicity, the local
   criteria, ...) quantify over every closed pair but iterate the
   layer-1-verified column rules (``grid._red_chain``,
@@ -368,7 +368,7 @@ def check_reduction_maximality(max_cells: int) -> PropertyReport:
 def check_coreduction_uniqueness(max_cells: int) -> PropertyReport:
     def gen():
         for gr in _grids(max_cells):
-            for index, (t_mask, g_mask, inside) in enumerate(_mask_pairs(gr), 1):
+            for t_mask, g_mask, inside in _mask_pairs(gr):
                 tx = inside | t_mask
                 allowed = tx | ((tx << 1) & gr.cells_mask) | gr.row1_mask
                 witnesses = inside[(g_mask & ~allowed) == 0]
@@ -380,9 +380,7 @@ def check_coreduction_uniqueness(max_cells: int) -> PropertyReport:
                     reason = "minimal witnesses disagree"
                 elif (t_mask | least) != gr.mask_of_heights(formula):
                     reason = "least witness disagrees with the height map"
-                elif _sampled(gr, index) and (
-                    coreduction(gr.to_set(g_mask), gr.to_set(t_mask), gr.g) != gr.to_set(least)
-                ):
+                elif coreduction(gr.to_set(g_mask), gr.to_set(t_mask), gr.g) != gr.to_set(least):
                     reason = "coreduction disagrees with brute force"
                 else:
                     reason = None

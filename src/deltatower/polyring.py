@@ -349,6 +349,17 @@ def exact_quotient(p: Poly, q: Poly, what: str) -> Poly:
     return res
 
 
+def cancel(p: Poly, q: Poly, what: str) -> tuple[Poly, Poly, Poly]:
+    """(g, p/g, q/g) for g = gcd(p, q): the one rule that reduces a fraction.
+    Both divisions are skipped when g is constant (1 for coprime inputs);
+    a division that the gcd makes exact but that leaves a remainder raises
+    the RuntimeError of ``exact_quotient``, naming ``what``."""
+    g = poly_gcd(p, q)
+    if g.is_const():
+        return g, p, q
+    return g, exact_quotient(p, g, what), exact_quotient(q, g, what)
+
+
 # --- gcd: content / primitive part over Z --------------------------------
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
 
 from .constants import qlinear_dot
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
@@ -42,10 +41,13 @@ class Verdict(Enum):
 
 
 def degree_vectors(m: int, d: int, *, include_zero: bool = True) -> list[ExponentVector]:
-    """All exponent vectors of length m with total degree <= d, sorted lex."""
-    return [
-        r for r in product(range(d + 1), repeat=m) if sum(r) <= d and (include_zero or any(r))
-    ]
+    """All exponent vectors of length m with total degree <= d, sorted lex:
+    each prefix is extended by every exponent its degree leaves room for,
+    so no vector past the bound is built.  The zero vector comes first."""
+    vectors: list[ExponentVector] = [()]
+    for _ in range(m):
+        vectors = [(*r, e) for r in vectors for e in range(d + 1 - sum(r))]
+    return vectors if include_zero else vectors[1:]
 
 
 @dataclass(frozen=True)

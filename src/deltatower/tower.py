@@ -28,8 +28,9 @@ from math import log10
 
 from .constants import ConstSymbol
 from .elements import Element, ONE_ELEMENT
-from .errors import BudgetExceeded, LevelOutOfRange, LogOfZero, DomainViolation, ParseError
-from .polyring import Poly, Var, exact_quotient, m_div, poly_gcd, var_b, var_name
+from .errors import BudgetExceeded, DomainViolation, LevelOutOfRange, LogOfZero, ParseError
+from .errors import NonInvertibleSeries
+from .polyring import Poly, Var, cancel, m_div, var_b, var_name
 
 TowerElement = Element
 
@@ -179,9 +180,7 @@ def derive(x: TowerElement, spec: TowerSpec) -> TowerElement:
     if x.den.is_const():
         return Element(dnum, x.den)
     dden = _derive_poly(x.den, spec)
-    g = poly_gcd(x.den, dden)
-    f = exact_quotient(x.den, g, "gcd(f, delta f)")
-    df = exact_quotient(dden, g, "gcd(f, delta f)")
+    _, f, df = cancel(x.den, dden, "gcd(f, delta f)")
     return Element(dnum * f - x.num * df, x.den * f)
 
 
@@ -342,11 +341,18 @@ def eval_series(x: TowerElement, ctx: SeriesContext, spec: TowerSpec) -> Series:
 
 
 def delta_consistency_residual(x: TowerElement, ctx: SeriesContext, spec: TowerSpec) -> float:
-    """Scaled disagreement between eval(derive(x)) and d/dt eval(x) over the
-    shared coefficients."""
-    symbolic = eval_series(derive(x, spec), ctx, spec)
-    numeric = eval_series(x, ctx, spec).deriv()
-    return _series().residual(symbolic, numeric)
+    """Scaled disagreement between derive(x) and d/dt of x as series, with no
+    division: for x = n/d and derive(x) = N/D it compares N d^2 with
+    D (n' d - n d') over the shared coefficients.  d(0) = 0 raises
+    NonInvertibleSeries, as evaluating x would."""
+    gens = generator_series(ctx, spec)
+    values = ctx.value_map()
+    dx = derive(x, spec)
+    polys = (x.num, x.den, dx.num, dx.den)
+    n, d, num, den = (_eval_poly(p, gens, values, ctx.order) for p in polys)
+    if d[0] == 0.0:
+        raise NonInvertibleSeries("denominator has zero constant term")
+    return _series().residual(num * d * d, den * (n.deriv() * d - n * d.deriv()))
 
 
 def random_element(
@@ -378,9 +384,8 @@ def random_element(
         num = Poly.const(1)
     den = Poly.const(1)
     if allow_denominator and rng.random() < 0.4:
-        # a level-1 generator power; the series oracle divides by it, and
-        # that division recurrence loses accuracy from order 32 on (the
-        # delta-consistency residual of 1/b[1][3]^2 there is 2e-08)
+        # a level-1 generator power: its series has constant term 1, so the
+        # element stays evaluable; the delta-consistency check never divides
         level_one = [v for v in variables if v[0] == "b" and v[1] == 1]
         v = rng.choice(level_one)
         den = Poly.variable(v) ** rng.randint(1, 2)

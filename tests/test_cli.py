@@ -204,6 +204,25 @@ class TestGridSeqred:
         assert code == 2
         assert "nonincreasing" in err
 
+    @pytest.mark.parametrize("mode", ["reductions", "coreductions"])
+    @pytest.mark.parametrize(
+        "s",
+        ["2001", "1," * 2000 + "1", ",".join(map(str, range(45, 0, -1))), "100000000"],
+        ids=["one-row", "one-column", "staircase", "huge"],
+    )
+    def test_past_the_cell_cap_is_refused(self, capsys, s, mode):
+        if mode == "coreductions":
+            s = ",".join(reversed(s.split(",")))
+        code, out, err = run_cli(capsys, "grid", "seqred", "--s", s, "--mode", mode)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error:") and "cap 2000" in err
+
+    @pytest.mark.parametrize("s", ["2000", "40,40"])
+    def test_grids_within_the_cap_pass(self, capsys, s):
+        for mode in ("reductions", "coreductions"):
+            code, out, _ = run_cli(capsys, "grid", "seqred", "--s", s, "--mode", mode)
+            assert code == 0 and out.strip().endswith("RESULT PASS")
+
     def test_wide_coreductions_finish(self):
         # 20 columns of depth 2: a search over the closed subsets below the
         # target would visit 3^20 of them

@@ -96,9 +96,7 @@ def _from_sympy(expr, syms, sympy):
     n, d = poly(num), poly(den)
     lc = d.terms[max(d.terms, key=MONOMIAL_KEY)]
     n, d = n.scale(1 / lc), d.scale(1 / lc)
-    if d.is_const():
-        return format_element(Element(n, Poly.const(1), _canonical=True))
-    return format_element(Element(n, d, _canonical=True))
+    return format_element(Element._coprime(n, d))
 
 
 def _sympy_delta(expr, syms, sympy):
@@ -135,6 +133,8 @@ def test_canonical_strings_match_sympy_cancel(seed):
         (x + w, sx + sw),
         (x * v, sx * sv),
         (v / x, sv / sx),
+        (x**3, sx**3),
+        (x**-2, sx**-2),
         (derive(x, SPEC), _sympy_delta(sx, syms, sympy)),
     ]
     for ours, theirs in cases:

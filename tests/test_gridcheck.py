@@ -88,6 +88,25 @@ def test_broken_public_function_fails_its_property(monkeypatch, attr, broken, pr
     assert report.line().startswith(f"{prop} instances={report.instances} FAIL grid ")
 
 
+def test_coreduction_is_compared_on_every_pair(monkeypatch):
+    # wrong only at T = rows 1-2, G = rows 1-7 of the 7x1 grid: its 31st
+    # closed pair, which a slice of every 16th pair above 6 cells skips
+    real = gridcheck.coreduction
+
+    def wrong(S, T, g):
+        if (g.depth, g.columns, len(S), len(T)) == (7, 1, 7, 2):
+            return closure(S, g)
+        return real(S, T, g)
+
+    monkeypatch.setattr(gridcheck, "coreduction", wrong)
+    report = gridcheck.check_coreduction_uniqueness(7)
+    assert not report.passed
+    assert report.counterexample == (
+        "grid 7x1: coreduction disagrees with brute force, T=[(1, 1), (2, 1)] "
+        f"G={sorted((i, 1) for i in range(1, 8))}"
+    )
+
+
 @pytest.mark.parametrize("column", [grid._red_column, grid._cored_column])
 def test_column_rule_steps_match_literal_filter(column):
     """The per-column stay/rise rule yields the same steps, in the same

@@ -4,7 +4,7 @@ a monkeypatch and checks that its guard fires."""
 
 import pytest
 
-from deltatower import elements, operators, polyring, relations, tower
+from deltatower import operators, polyring, relations, tower
 from deltatower.elements import Element, ZERO_ELEMENT
 from deltatower.polyring import Poly, var_b, var_c
 from deltatower.relations import MonomialRelation, ReductionTrace, Verdict
@@ -35,22 +35,37 @@ def test_primitive_part_guards_the_content_division(monkeypatch):
 
 
 def test_element_guards_the_gcd_division(monkeypatch):
-    monkeypatch.setattr(elements, "poly_gcd", _no_divisor)
+    monkeypatch.setattr(polyring, "poly_gcd", _no_divisor)
     with pytest.raises(RuntimeError, match="gcd of numerator and denominator"):
         Element(LEFT, RIGHT)
 
 
 def test_element_addition_guards_the_denominator_gcd(monkeypatch):
     x, y = Element(Poly.const(1), LEFT), Element(Poly.const(1), RIGHT)
-    monkeypatch.setattr(elements, "poly_gcd", _no_divisor)
+    monkeypatch.setattr(polyring, "poly_gcd", _no_divisor)
     with pytest.raises(RuntimeError, match="gcd of two denominators"):
         x + y
 
 
+def test_element_addition_guards_the_sum_gcd(monkeypatch):
+    x, y = Element(Poly.const(1), LEFT), Element(Poly.const(2), LEFT)
+    monkeypatch.setattr(polyring, "poly_gcd", _no_divisor)
+    with pytest.raises(RuntimeError, match="gcd of a sum and its denominator"):
+        x + y
+
+
+def test_element_product_guards_the_cross_gcds(monkeypatch):
+    x, y = Element(LEFT), Element(Poly.const(1), RIGHT)
+    monkeypatch.setattr(polyring, "poly_gcd", _no_divisor)
+    with pytest.raises(RuntimeError, match="gcd of a numerator and a denominator"):
+        x * y
+
+
 def test_derive_guards_the_quotient_rule_gcd(monkeypatch):
-    monkeypatch.setattr(tower, "poly_gcd", _no_divisor)
+    x = Element(Poly.const(1), B11 + B12)
+    monkeypatch.setattr(polyring, "poly_gcd", _no_divisor)
     with pytest.raises(RuntimeError, match=r"gcd\(f, delta f\)"):
-        tower.derive(Element(Poly.const(1), B11 + B12), SPEC)
+        tower.derive(x, SPEC)
 
 
 def test_decompose_guards_the_eigen_equations(monkeypatch):

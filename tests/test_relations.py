@@ -38,6 +38,17 @@ def relation(level, variables, coeffs):
     return MonomialRelation(level, tuple(variables), dict(coeffs))
 
 
+@pytest.mark.parametrize("include_zero", [True, False])
+def test_degree_vectors_match_the_filtered_product(include_zero):
+    from itertools import product
+
+    for m in range(7):
+        for d in range(7):
+            low = 0 if include_zero else 1
+            filtered = [r for r in product(range(d + 1), repeat=m) if low <= sum(r) <= d]
+            assert degree_vectors(m, d, include_zero=include_zero) == filtered, (m, d)
+
+
 class TestReduceStep:
     def test_linear_relation(self):
         # G = y1 - y2 with pivot (1,0): the y2 coefficient becomes

@@ -2,13 +2,16 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from deltatower import NonInvertibleSeries, Series, build_spec, derive, eval_series, logd
+from deltatower import NonInvertibleSeries, Series, build_spec, derive, eval_series, logd, tower
+from deltatower.elements import Element
 from deltatower.series import residual
-from deltatower.tower import SeriesContext, delta_consistency_residual, random_element
+from deltatower.textio import parse_element
+from deltatower.tower import SeriesContext, _derive_poly, delta_consistency_residual, random_element
 
 SPEC = build_spec((2, 1))
 
@@ -115,3 +118,49 @@ class TestEvalSeries:
         ctx = SeriesContext.default(spec, order=12)
         x = random_element(rng, spec)
         assert delta_consistency_residual(x, ctx, spec) < 1e-9
+
+
+class TestDeltaConsistency:
+    """The check compares N d^2 with D (n' d - n d') for x = n/d and
+    derive(x) = N/D, so it divides nowhere."""
+
+    HARD = ["1/b[1][3]^2", "1/(b[1][1]+b[1][2]+b[1][3])^2"]
+
+    @pytest.mark.parametrize("order", [32, 64])
+    @pytest.mark.parametrize("text", HARD)
+    def test_ill_conditioned_denominators_pass(self, text, order):
+        # series division loses digits on these (2.1e-08 and 9.9e-09 at order 32)
+        spec = build_spec((3,))
+        ctx = SeriesContext.default(spec, order=order)
+        assert delta_consistency_residual(parse_element(text), ctx, spec) < 1e-9
+
+    def test_zero_constant_term_is_not_invertible(self):
+        ctx = SeriesContext.default(SPEC, order=6)
+        x = 1 / (SPEC.generator(1, 1) - SPEC.generator(1, 2))
+        with pytest.raises(NonInvertibleSeries):
+            delta_consistency_residual(x, ctx, SPEC)
+
+    @staticmethod
+    def _scaled(x, spec):
+        return derive(x, spec) * Fraction(10**7 + 1, 10**7)
+
+    @staticmethod
+    def _quotient_term_dropped(x, spec):
+        return Element(_derive_poly(x.num, spec), x.den)
+
+    @pytest.mark.parametrize("mutant", ["_scaled", "_quotient_term_dropped"])
+    def test_a_wrong_derive_fails_wherever_it_differs(self, mutant, monkeypatch):
+        wrong = getattr(self, mutant)
+        cases = []
+        for utype in [(2, 2), (3,), (2, 1, 2)]:
+            spec = build_spec(utype)
+            rng = random.Random(f"wrong derive {utype}")
+            cases += [(random_element(rng, spec), spec) for _ in range(12)]
+        cases += [(parse_element(text), build_spec((3,))) for text in self.HARD]
+        differing = [(x, spec) for x, spec in cases if wrong(x, spec) != derive(x, spec)]
+        assert len(differing) >= 10
+        monkeypatch.setattr(tower, "derive", wrong)
+        for x, spec in differing:
+            for order in (12, 32, 64):
+                ctx = SeriesContext.default(spec, order=order)
+                assert delta_consistency_residual(x, ctx, spec) >= 1e-9, (str(x), order)

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -15,6 +16,7 @@ import deltatower
 
 PACKAGE = Path(deltatower.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # the numeric half: only these modules may import numpy when they load
 NUMERIC_MODULES = {"series.py", "gridcheck.py"}
@@ -151,3 +153,38 @@ def test_every_option_is_read_by_its_command():
         and f"args.{action.dest}" not in inspect.getsource(parser._defaults["fn"])
     ]
     assert len(commands) == 4 and unread == []
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether ``from module import name`` would succeed."""
+    loaded = importlib.import_module(module)
+    if hasattr(loaded, name):
+        return True
+    return hasattr(loaded, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None
+
+
+def test_the_benchmark_surface_resolves():
+    # the benchmark imports, wraps and unpacks these names; a rename or a
+    # deletion must fail here, not only when the benchmark runs
+    tree = ast.parse((PERFBENCH / "ops.py").read_text(encoding="utf-8"))
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "deltatower"
+        for alias in node.names
+    ]
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = [(f"deltatower.{module}", attr) for _, module, attr in tracing.FUNCTIONS]
+    missing = [f"{m}.{name}" for m, name in imported + wrapped if not _resolves(m, name)]
+    for _, module, cls, method in tracing.METHODS:
+        owner = getattr(importlib.import_module(f"deltatower.{module}"), cls, None)
+        if not hasattr(owner, method):
+            missing.append(f"deltatower.{module}.{cls}.{method}")
+    assert len(imported) >= 10 and missing == []
+
+    from deltatower.gridcheck import ALL_PROPERTIES
+
+    assert all(len(entry) == 3 for entry in ALL_PROPERTIES)
+    assert [name for name, _, _ in ALL_PROPERTIES] == tracing.GRID_PROPERTIES
