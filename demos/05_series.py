@@ -5,11 +5,13 @@ prolonged first-order system x_i' = x_i x_{i+1} reproduces the iterated
 logarithmic derivative order by order.
 """
 
+import math
 import random
 
 from deltatower import build_spec, derive, eval_series, logd_system, solve_prolonged
 from deltatower.operators import prolonged_residual
 from deltatower.series import residual
+from deltatower.textio import parse_element
 from deltatower.tower import SeriesContext, random_element
 
 spec = build_spec((2, 1))
@@ -26,6 +28,14 @@ lhs = eval_series(derive(x, spec), ctx, spec)
 rhs = eval_series(x, ctx, spec).deriv()
 print("element:", x)
 print("residual:", residual(lhs, rhs))
+
+print()
+print("## a monomial denominator is a product of reciprocal series (c13 -> 5)")
+wide = build_spec((3,))
+s = eval_series(parse_element("1/b[1][3]^2"), SeriesContext.default(wide, order=32), wide)
+exact = [(-10) ** k / math.factorial(k) for k in range(32)]
+print("1/b13^2 coefficient 31:", s.coeffs[31], " exact (-10)^31/31!:", exact[31])
+print("largest relative error:", max(abs(a - b) / abs(b) for a, b in zip(s.coeffs, exact)))
 
 print()
 print("## the prolonged log-derivative system")

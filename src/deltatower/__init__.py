@@ -26,7 +26,7 @@ _EXPORTS = {
     "elements": "Element ONE_ELEMENT ZERO_ELEMENT",
     "errors": "BudgetExceeded DeltaTowerError DivisionByZero DomainViolation LengthMismatch "
         "LevelOutOfRange LogOfZero NonInvertibleSeries NotLinear NotMonotone NotNormalForm "
-        "ParseError SupportTooSmall TruncationTooShort ZeroInitialValue",
+        "ParseError SupportTooSmall TruncationTooShort UnknownSymbol ZeroInitialValue",
     "grid": "Analysis CellSet GridModel analysis_by_coreductions analysis_by_reductions "
         "build_seqred_a build_seqred_b closure coreduction internal is_canonical "
         "is_incompressible is_minimal reduction urank",

@@ -49,6 +49,10 @@ class LevelOutOfRange(DeltaTowerError, IndexError):
     """Tower level outside 1..ell."""
 
 
+class UnknownSymbol(DeltaTowerError, LookupError):
+    """A symbol with no series or numeric value in the tower being evaluated."""
+
+
 class NotNormalForm(DeltaTowerError, ValueError):
     """Element is not a constant-linear combination of the expected
     generators."""

@@ -15,6 +15,10 @@ D_i(x)/x.
 A :class:`SeriesContext` interprets the same data numerically: delta
 becomes d/dt, level-1 generators become truncated exponentials and higher
 generators integrate the product of the lower e_k before exponentiating.
+The generator series and their reciprocals are built once per (spec,
+context).  A denominator that is one monomial is evaluated by multiplying
+with reciprocal series, with no division; any other denominator, such as
+a power of e_k, is divided by series division.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from math import log10
 from .constants import ConstSymbol
 from .elements import Element, ONE_ELEMENT
 from .errors import BudgetExceeded, DomainViolation, LevelOutOfRange, LogOfZero, ParseError
-from .errors import NonInvertibleSeries
+from .errors import NonInvertibleSeries, UnknownSymbol
 from .polyring import Poly, Var, cancel, m_div, var_b, var_name
 
 TowerElement = Element
@@ -243,7 +247,10 @@ class SeriesContext:
     @classmethod
     def default(cls, spec: TowerSpec, order: int = 16) -> "SeriesContext":
         """Primes 2, 3, 5, ... assigned to the symbols in index order, unless
-        the spec carries explicit assignments."""
+        the spec carries explicit assignments; one context per (spec, order)."""
+        key = ("default", order)
+        if key in spec._caches:
+            return spec._caches[key]
         explicit = dict(spec.assignments)
         values = []
         for k, sym in enumerate(spec.all_symbols()):
@@ -253,7 +260,8 @@ class SeriesContext:
             except (ValueError, ZeroDivisionError, OverflowError):
                 message = f"assignment {sym.name}={text!r} is not a decimal in float range"
                 raise ParseError(message) from None
-        return cls(order=order, values=tuple(values))
+        spec._caches[key] = cls(order=order, values=tuple(values))
+        return spec._caches[key]
 
     def value_map(self) -> dict[Var, float]:
         return dict(self.values)
@@ -271,13 +279,21 @@ def _series():
     return series
 
 
-def generator_series(ctx: SeriesContext, spec: TowerSpec) -> dict[Var, Series]:
+def generator_series(
+    ctx: SeriesContext, spec: TowerSpec
+) -> tuple[dict[Var, Series], dict[Var, Series | None]]:
     """Series for every generator: b[1][j] -> v*exp(c t) and, above level 1,
-    b[i][j] -> v*exp(c * integral of prod_{k<i} e_k)."""
+    b[i][j] -> v*exp(c * integral of prod_{k<i} e_k); and its reciprocal
+    exp(-c * phase)/v, None when v = 0.  Built once per (spec, ctx) and kept
+    in the spec's cache, so the coefficient arrays are read-only."""
+    key = ("series", ctx)
+    if key in spec._caches:
+        return spec._caches[key]
     Series = _series().Series
     values = ctx.value_map()
     initial = ctx.initial_map()
-    out: dict[Var, Series] = {}
+    gens: dict[Var, Series] = {}
+    recips: dict[Var, Series | None] = {}
     accumulated: Series | None = None  # prod_{k<i} e_k as a series
     for i in range(1, spec.ell + 1):
         if i == 1:
@@ -287,13 +303,25 @@ def generator_series(ctx: SeriesContext, spec: TowerSpec) -> dict[Var, Series]:
         level_sum = Series.zero(ctx.order)
         for j in range(1, spec.rank(i) + 1):
             v = spec.generator_var(i, j)
-            c_hat = values[("c", i, j)]
+            c_hat = _lookup(values, ("c", i, j))
             v0 = initial.get(v, 1.0)
             s = (phase * c_hat).exp() * v0
-            out[v] = s
+            gens[v], recips[v] = s, (phase * -c_hat).exp() / v0 if v0 else None
             level_sum = level_sum + s
         accumulated = level_sum if accumulated is None else accumulated * level_sum
-    return out
+    for s in [*gens.values(), *recips.values()]:
+        if s is not None:
+            s.coeffs.flags.writeable = False
+    spec._caches[key] = gens, recips
+    return gens, recips
+
+
+def _lookup(table: dict, v: Var):
+    """table[v], or the error that names the symbol the context cannot evaluate."""
+    try:
+        return table[v]
+    except KeyError:
+        raise UnknownSymbol(f"{var_name(v)} has no series or value in this tower") from None
 
 
 def to_float(q: Fraction) -> float:
@@ -307,37 +335,55 @@ def to_float(q: Fraction) -> float:
         raise BudgetExceeded(f"coefficient of about 10^{digits} is outside float range") from None
 
 
+def _power(values: dict[Var, float], v: Var, e: int) -> float:
+    try:
+        return _lookup(values, v) ** e
+    except OverflowError:
+        raise BudgetExceeded(f"{var_name(v)}^{e} is outside float range") from None
+
+
 def _eval_poly(p: Poly, gens: dict[Var, Series], values: dict[Var, float], order: int) -> Series:
     Series = _series().Series
     total = Series.zero(order)
+    powers: dict[tuple[Var, int], Series] = {}
     for m, coeff in p.terms.items():
         scalar = to_float(coeff)
         factor: Series | None = None
         for v, e in m:
             if v[0] == "b":
-                s = gens[v] ** e
+                if (v, e) not in powers:
+                    powers[v, e] = _lookup(gens, v) ** e
+                s = powers[v, e]
                 factor = s if factor is None else factor * s
             else:
-                if v not in values:
-                    raise KeyError(f"no numeric value assigned to {var_name(v)}")
-                try:
-                    scalar *= values[v] ** e
-                except OverflowError:
-                    raise BudgetExceeded(f"{var_name(v)}^{e} is outside float range") from None
+                scalar *= _power(values, v, e)
         term = Series.const(scalar, order) if factor is None else factor * scalar
         total = total + term
     return total
 
 
 def eval_series(x: TowerElement, ctx: SeriesContext, spec: TowerSpec) -> Series:
-    """Interpret an element as a truncated power series in t."""
-    gens = generator_series(ctx, spec)
+    """Interpret an element as a truncated power series in t.  A monomial
+    denominator (monic, so its coefficient is 1) multiplies the numerator by
+    reciprocal series; any other one is divided by series division."""
+    gens, recips = generator_series(ctx, spec)
     values = ctx.value_map()
     num = _eval_poly(x.num, gens, values, ctx.order)
-    if x.den.is_const():
-        return num / to_float(x.den.const_value())
-    den = _eval_poly(x.den, gens, values, ctx.order)
-    return num / den
+    if len(x.den.terms) > 1:
+        return num / _eval_poly(x.den, gens, values, ctx.order)
+    [monomial] = x.den.terms
+    scalar = 1.0
+    for v, e in monomial:
+        if v[0] == "b":
+            recip = _lookup(recips, v)
+            if recip is None:
+                raise NonInvertibleSeries(f"{var_name(v)} has initial value 0")
+            num = num * recip**e
+        else:
+            scalar *= _power(values, v, e)
+    if scalar == 0.0:
+        raise NonInvertibleSeries("denominator has zero constant term")
+    return num / scalar
 
 
 def delta_consistency_residual(x: TowerElement, ctx: SeriesContext, spec: TowerSpec) -> float:
@@ -345,7 +391,7 @@ def delta_consistency_residual(x: TowerElement, ctx: SeriesContext, spec: TowerS
     division: for x = n/d and derive(x) = N/D it compares N d^2 with
     D (n' d - n d') over the shared coefficients.  d(0) = 0 raises
     NonInvertibleSeries, as evaluating x would."""
-    gens = generator_series(ctx, spec)
+    gens, _ = generator_series(ctx, spec)
     values = ctx.value_map()
     dx = derive(x, spec)
     polys = (x.num, x.den, dx.num, dx.den)

@@ -336,6 +336,11 @@ class TestSeries:
         (["--element", "*".join(["(b[1][1]+b[1][2]+b[1][3]+c[1][1])^9"] * 3)], None, "cap"),
         (["--element", "2^20000", "--order", "8"], None, "float range"),
         (["--element", "3^8000000", "--order", "8"], None, "cap"),
+        (["--element", "b[1][3]", "--spec"], '{"ranks": [2]}', "b[1][3]"),
+        (["--element", "b[2][1]", "--spec"], '{"ranks": [2]}', "b[2][1]"),
+        (["--element", "c[1][3]", "--spec"], '{"ranks": [2]}', "c[1][3]"),
+        (["--element", "1/u[1][1]"], None, "u[1][1]"),
+        (["--logd-system", "2", "--h", "u[1][1]"], None, "u[1][1]"),
     ]
 
     @pytest.mark.parametrize(

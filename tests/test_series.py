@@ -7,7 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deltatower import NonInvertibleSeries, Series, build_spec, derive, eval_series, logd, tower
+from deltatower import (
+    NonInvertibleSeries,
+    Series,
+    TowerSpec,
+    build_spec,
+    derive,
+    eval_series,
+    logd,
+    tower,
+)
 from deltatower.elements import Element
 from deltatower.series import residual
 from deltatower.textio import parse_element
@@ -164,3 +173,152 @@ class TestDeltaConsistency:
             for order in (12, 32, 64):
                 ctx = SeriesContext.default(spec, order=order)
                 assert delta_consistency_residual(x, ctx, spec) >= 1e-9, (str(x), order)
+
+
+ORACLE_TOWERS = [(2, 2), (3,), (1, 1, 1), (2, 1, 2), (3, 3)]
+
+
+def _count_exp(monkeypatch):
+    """Wrap Series.exp; the returned list grows by one per call."""
+    calls = []
+    real = Series.exp
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(Series, "exp", counted)
+    return calls
+
+
+class TestGeneratorTable:
+    """The generator series are built once per (spec, context) and shared."""
+
+    @pytest.mark.parametrize("order", [12, 32, 64])
+    @pytest.mark.parametrize("utype", ORACLE_TOWERS)
+    def test_cached_table_equals_a_fresh_build(self, utype, order):
+        spec = build_spec(utype)
+        ctx = SeriesContext.default(spec, order=order)
+        rng = random.Random(f"table {utype}")
+        for _ in range(10):  # use the cached table before comparing it
+            x = random_element(rng, spec)
+            eval_series(x, ctx, spec)
+            delta_consistency_residual(x, ctx, spec)
+        cached = tower.generator_series(ctx, spec)
+        fresh = tower.generator_series(ctx, TowerSpec(spec.ranks))  # an empty cache
+        for got, want in zip(cached, fresh):
+            assert list(got) == list(want) and len(want) == sum(spec.ranks)
+            for v in want:
+                assert got[v].coeffs.tobytes() == want[v].coeffs.tobytes(), v
+
+    def test_equal_contexts_share_one_build(self, monkeypatch):
+        spec = build_spec((2, 1))
+        values = SeriesContext.default(spec).values
+        first, second = SeriesContext(16, values), SeriesContext(16, values)
+        assert first == second and first is not second
+        calls = _count_exp(monkeypatch)
+        eval_series(spec.generator(2, 1), first, spec)
+        assert len(calls) == 6  # a series and a reciprocal per generator
+        eval_series(1 / spec.generator(2, 1), second, spec)
+        delta_consistency_residual(spec.generator(1, 2), second, spec)
+        assert len(calls) == 6
+        assert tower.generator_series(first, spec) is tower.generator_series(second, spec)
+
+    def test_default_context_is_one_object_per_spec_and_order(self):
+        spec = build_spec((2, 1))
+        assert SeriesContext.default(spec, 16) is SeriesContext.default(spec, 16)
+        assert SeriesContext.default(spec, 16) is not SeriesContext.default(spec, 12)
+
+    def test_order_initial_and_assignments_get_their_own_entries(self, monkeypatch):
+        spec = build_spec((2,))
+        base = SeriesContext.default(spec, order=8)
+        longer = SeriesContext.default(spec, order=9)
+        scaled = SeriesContext(8, base.values, initial=((("b", 1, 1), 2.0),))
+        assigned = TowerSpec(ranks=(2,), assignments=(("c[1][1]", "7"),))
+        cases = [(base, spec), (longer, spec), (scaled, spec)]
+        cases.append((SeriesContext.default(assigned, order=8), assigned))
+        calls = _count_exp(monkeypatch)
+        tables = []
+        for ctx, s in cases:
+            before = len(calls)
+            tables.append(tower.generator_series(ctx, s))
+            assert len(calls) - before == 4
+        assert len({id(table) for table in tables}) == len(tables)
+        assert tables[1][0][("b", 1, 1)].order == 9
+        assert tables[2][0][("b", 1, 1)][0] == 2.0
+        assert tables[3][0][("b", 1, 1)][1] == 7.0
+
+    def test_cached_coefficients_are_read_only(self):
+        spec = build_spec((2, 1))
+        gens, recips = tower.generator_series(SeriesContext.default(spec), spec)
+        for table in (gens, recips):
+            for s in table.values():
+                with pytest.raises(ValueError):
+                    s.coeffs[0] = 0.0
+                with pytest.raises(ValueError):
+                    s.coeffs += 1.0
+
+
+def _exact_exp(h):
+    """exp of an exact series with h[0] = 0: (k+1) g_{k+1} = sum (i+1) h_{i+1} g_{k-i}."""
+    g = [Fraction(1)]
+    for k in range(len(h) - 1):
+        g.append(sum((i + 1) * h[i + 1] * g[k - i] for i in range(k + 1)) / (k + 1))
+    return g
+
+
+def _exact_reference(text, order):
+    """Exact Fraction coefficients of the default-context series of a few elements."""
+    if text == "1/b[1][3]^2":  # exp(-10 t), c[1][3] -> 5
+        return [Fraction((-10) ** k, math.factorial(k)) for k in range(order)]
+    if text == "1/b[2][1]":  # exp(-3 (exp(2 t) - 1) / 2) on (1, 1), c -> (2, 3)
+        phase = [Fraction(0)] + [Fraction(2 ** (k - 1), math.factorial(k)) for k in range(1, order)]
+        return _exact_exp([-3 * c for c in phase])
+    if text == "b[1][1]/c[1][1]":  # exp(2 t) / 2
+        return [Fraction(2**k, 2 * math.factorial(k)) for k in range(order)]
+    raise KeyError(text)
+
+
+class TestReciprocalDenominators:
+    """A monomial denominator multiplies by reciprocal series; checked
+    against exact rational series and against series division."""
+
+    @pytest.mark.parametrize("order", [32, 64])
+    @pytest.mark.parametrize(
+        "text, utype", [("1/b[1][3]^2", (3,)), ("1/b[2][1]", (1, 1)), ("b[1][1]/c[1][1]", (3,))]
+    )
+    def test_matches_the_exact_series(self, text, utype, order):
+        spec = build_spec(utype)
+        s = eval_series(parse_element(text), SeriesContext.default(spec, order=order), spec)
+        for k, (got, want) in enumerate(zip(s.coeffs, _exact_reference(text, order))):
+            assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * abs(want), (k, got, float(want))
+
+    @pytest.mark.parametrize("utype", ORACLE_TOWERS)
+    def test_agrees_with_series_division_at_low_order(self, utype):
+        spec = build_spec(utype)
+        ctx = SeriesContext.default(spec, order=12)
+        gens, _ = tower.generator_series(ctx, spec)
+        values = ctx.value_map()
+        rng = random.Random(f"reciprocal {utype}")
+        checked = 0
+        for _ in range(40):
+            x = random_element(rng, spec)
+            if x.den.is_const():
+                continue
+            num, den = (tower._eval_poly(p, gens, values, 12) for p in (x.num, x.den))
+            # division loses digits even here (6e-12 on (2*c[1][2] - b[1][2])/b[1][3]^2)
+            assert residual(eval_series(x, ctx, spec), num / den) < 1e-9, str(x)
+            checked += 1
+        assert checked >= 5
+
+    @pytest.mark.parametrize("text", ["1/b[1][1]", "b[1][2]/b[1][1]^2", "c[1][2]/(b[1][1]*c[1][1])"])
+    def test_zero_initial_value_is_not_invertible(self, text):
+        ctx = SeriesContext(6, SeriesContext.default(SPEC).values, initial=((("b", 1, 1), 0.0),))
+        with pytest.raises(NonInvertibleSeries):
+            eval_series(parse_element(text), ctx, SPEC)
+
+    @pytest.mark.parametrize("text", ["1/c[1][1]", "b[1][2]/c[1][1]^2", "1/(b[1][2]*c[1][1])"])
+    def test_zero_symbol_value_is_not_invertible(self, text):
+        spec = TowerSpec(ranks=(2,), assignments=(("c[1][1]", "0"),))
+        with pytest.raises(NonInvertibleSeries):
+            eval_series(parse_element(text), SeriesContext.default(spec, order=6), spec)
