@@ -58,9 +58,8 @@ DEFAULT_SEED = 20406
 MAX_LEVELS = 3
 MAX_RANK = 3
 MAX_SERIES_ORDER = 64
-# grid seqred: the analysis keeps one set of cells per level, so its work
-# grows as depth x cells; at this cap the slowest shape, one column of
-# 2,000 levels, takes about a second
+# grid seqred: the analysis is one chain of height vectors (depth x
+# columns) and the target: line prints every cell once
 MAX_SEQRED_CELLS = 2000
 
 

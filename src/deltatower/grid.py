@@ -14,11 +14,15 @@ Columns are independent, so a reduction or coreduction is one rule per
 column (``_red_column``, ``_cored_column``) and an analysis iterates it on
 height vectors (``_red_chain``, ``_cored_chain``); ``gridcheck`` ties
 these rules to the literal definitions on every closed pair.
+
+Cell sets are the interface of the set-valued rules (``closure``,
+``urank``, ``internal``, ``reduction``, ``coreduction``) and the input of
+the analysis constructors, which take their heights once.  An
+``Analysis`` and everything that decides on it hold only height vectors.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from operator import sub
@@ -28,8 +32,6 @@ from .errors import NotMonotone
 
 Cell = tuple[int, int]
 CellSet = frozenset[Cell]
-
-EMPTY: CellSet = frozenset()
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,13 @@ def _pair_heights(S: CellSet, T: CellSet, g: GridModel) -> tuple[tuple[int, ...]
 def internal(S: CellSet, T: CellSet, g: GridModel) -> bool:
     """One-step criterion: every new closed cell is in row 1 or directly
     above the closure of T."""
-    ht, hs = _pair_heights(S, T, g)
-    return all(hs[j] <= ht[j] + 1 for j in range(g.columns))
+    return _one_step(*_pair_heights(S, T, g))
+
+
+def _one_step(before, after):
+    """Whether the height vector after rises at most one row above before
+    in every column."""
+    return all(a <= b + 1 for b, a in zip(before, after))
 
 
 # --- the one-step rules, one row per column ----------------------------------
@@ -159,29 +166,32 @@ def coreduction(S: CellSet, T: CellSet, g: GridModel) -> CellSet:
 
 @dataclass(frozen=True)
 class Analysis:
-    """Stepwise decomposition of a target over a base.
+    """Stepwise decomposition of a target over a base, on height vectors.
 
-    Steps are closed sets containing cl(base); each is internal over its
-    predecessor, closures strictly increase, and the last step's closure
-    is cl(base | target).
+    base, target and each step are the heights of cl(base),
+    cl(base | target) and cl(step | base).  Each step is internal over
+    its predecessor, closures strictly increase, and the last step is
+    the target.
     """
 
     grid: GridModel
-    base: CellSet
-    target: CellSet
-    steps: tuple[CellSet, ...]
+    base: tuple[int, ...]
+    target: tuple[int, ...]
+    steps: tuple[tuple[int, ...], ...]
 
     def validate(self) -> None:
         g = self.grid
-        prev = closure(self.base, g)
-        for step in self.steps:
-            s = closure(frozenset(step) | self.base, g)
-            if not prev < s:
+        for h in (self.base, self.target, *self.steps):
+            if len(h) != g.columns or not all(v in range(g.depth + 1) for v in h):
+                raise ValueError(f"heights {h} do not fit the {g.depth}x{g.columns} grid")
+        prev = tuple(self.base)
+        for step in map(tuple, self.steps):
+            if step == prev or any(s < p for p, s in zip(prev, step)):
                 raise ValueError("closures must strictly increase")
-            if not internal(s, prev, g):
+            if not _one_step(prev, step):
                 raise ValueError("each step must be internal over the previous")
-            prev = s
-        if prev != closure(frozenset(self.target) | self.base, g):
+            prev = step
+        if prev != tuple(self.target):
             raise ValueError("the analysis must end at the target's closure")
 
     @property
@@ -189,17 +199,12 @@ class Analysis:
         return len(self.steps)
 
     def utype(self) -> tuple[int, ...]:
-        return _utype(self.step_heights(), heights(self.base, self.grid))
-
-    def step_heights(self) -> list[tuple[int, ...]]:
-        g = self.grid
-        return [heights(frozenset(step) | self.base, g) for step in self.steps]
+        return _utype(self.steps, self.base)
 
 
 def _analysis(chain, S: CellSet, T: CellSet, g: GridModel) -> Analysis:
     t_h, full_h = _pair_heights(S, T, g)
-    steps = tuple(from_heights(h, g) for h in chain(t_h, full_h))
-    return Analysis(g, from_heights(t_h, g), from_heights(full_h, g), steps)
+    return Analysis(g, t_h, full_h, tuple(chain(t_h, full_h)))
 
 
 def analysis_by_reductions(S: CellSet, T: CellSet, g: GridModel) -> Analysis:
@@ -215,12 +220,8 @@ def analysis_by_coreductions(S: CellSet, T: CellSet, g: GridModel) -> Analysis:
 def is_incompressible(a: Analysis) -> bool:
     """No two consecutive steps merge: step i+1 is never internal over the
     (i-1)-st closure."""
-    g = a.grid
-    for idx in range(1, len(a.steps)):
-        before = a.steps[idx - 2] if idx >= 2 else a.base
-        if internal(frozenset(a.steps[idx]) | a.base, frozenset(before) | a.base, g):
-            return False
-    return True
+    chain = (a.base, *a.steps)
+    return not any(_one_step(chain[i - 1], chain[i + 1]) for i in range(1, a.length))
 
 
 def height_chains(
@@ -264,33 +265,22 @@ def enumerate_analyses(
     number of steps, in the order of ``height_chains``."""
     base_h, target_h = _pair_heights(S, T, g)
     for seq in height_chains(base_h, target_h, max_length=max_length, exact_length=exact_length):
-        yield Analysis(
-            g,
-            from_heights(base_h, g),
-            from_heights(target_h, g),
-            tuple(from_heights(h, g) for h in seq),
-        )
+        yield Analysis(g, base_h, target_h, tuple(seq))
 
 
 def is_minimal(a: Analysis, g: GridModel) -> bool:
     """No strictly shorter valid analysis of the same pair exists."""
     if a.length == 0:
         return True
-    shorter = enumerate_analyses(a.target, a.base, g, max_length=a.length - 1)
-    return next(iter(shorter), None) is None
+    return next(height_chains(a.base, a.target, max_length=a.length - 1), None) is None
 
 
 def is_canonical(a: Analysis, g: GridModel) -> bool:
     """Minimal and stepwise interalgebraic with every other minimal analysis."""
     if not is_minimal(a, g):
         return False
-    own = a.step_heights()
-    for other in enumerate_analyses(
-        a.target, a.base, g, max_length=a.length, exact_length=a.length
-    ):
-        if other.step_heights() != own:
-            return False
-    return True
+    chains = height_chains(a.base, a.target, max_length=a.length, exact_length=a.length)
+    return all(tuple(other) == a.steps for other in chains)
 
 
 # --- prescribed-U-type constructions ---------------------------------------
@@ -325,26 +315,3 @@ def build_seqred_b(s: Sequence[int]) -> tuple[GridModel, CellSet]:
         first_fit[j] = next(k for k in range(1, n + 1) if j <= s[k - 1])
     target = frozenset((n + 1 - first_fit[j], j) for j in range(1, s[-1] + 1))
     return g, target
-
-
-# --- scenario files ---------------------------------------------------------
-
-
-def dump_scenario(g: GridModel, base: CellSet, target: CellSet) -> str:
-    doc = {
-        "depth": g.depth,
-        "columns": g.columns,
-        "base": sorted([i, j] for i, j in base),
-        "target": sorted([i, j] for i, j in target),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def load_scenario(text: str) -> tuple[GridModel, CellSet, CellSet]:
-    doc = json.loads(text)
-    g = GridModel(int(doc["depth"]), int(doc["columns"]))
-    base = frozenset((int(i), int(j)) for i, j in doc.get("base", []))
-    target = frozenset((int(i), int(j)) for i, j in doc.get("target", []))
-    g.check(base)
-    g.check(target)
-    return g, base, target

@@ -18,11 +18,12 @@ exhaustively against the one below:
 * layer 2 - the chain properties (minimality, canonicity, the local
   criteria, ...) quantify over every closed pair but iterate the
   layer-1-verified column rules (``grid._red_chain``,
-  ``grid._cored_chain``).  They search analyses with
-  ``grid.height_chains`` and with one prefix DFS, ``_sequences``, whose
-  step rule says which analyses it grows.  The public analysis functions
-  are cross-checked against those chains on a deterministic slice of the
-  pairs.
+  ``grid._cored_chain``).  An analysis is a chain of height vectors, one
+  per step.  They search analyses with ``grid.height_chains`` and with
+  one prefix DFS, ``_sequences``, whose step rule says which analyses it
+  grows.  On a deterministic slice of the pairs the public analysis
+  functions, given the pair as cell sets, must return exactly those
+  chains, and the public predicates must agree on them.
 
 ``_check`` is the only code that builds a ``PropertyReport``; the caller
 times it.  The chain properties are per-pair functions run by
@@ -408,7 +409,7 @@ def check_analyses_minimal(max_cells: int) -> PropertyReport:
             ac = analysis_by_coreductions(G, T, gr.g)
             ar.validate()
             ac.validate()
-            if ar.step_heights() != red_chain or ac.step_heights() != cored_chain:
+            if list(ar.steps) != red_chain or list(ac.steps) != cored_chain:
                 return "public analysis disagrees with the verified chain"
             if not (is_minimal(ar, gr.g) and is_minimal(ac, gr.g)):
                 return "public is_minimal disagrees"
@@ -446,12 +447,7 @@ def check_incompressible_ones_minimal(max_cells: int) -> PropertyReport:
                     f"but minimum is {shortest}"
                 )
             if sampled:
-                a = Analysis(
-                    gr.g,
-                    from_heights(t_h, gr.g),
-                    from_heights(g_h, gr.g),
-                    tuple(from_heights(h, gr.g) for h in seq),
-                )
+                a = Analysis(gr.g, t_h, g_h, tuple(seq))
                 a.validate()
                 if not (
                     all(u == 1 for u in a.utype())

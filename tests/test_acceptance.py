@@ -27,7 +27,6 @@ from deltatower import (
     build_E,
     build_spec,
     certify_independence,
-    closure,
     is_canonical,
     is_incompressible,
     is_minimal,
@@ -171,22 +170,12 @@ def test_criterion_6_worked_examples_in_grid():
     ac = analysis_by_coreductions(S, EMPTY, g)
     assert ar.utype() == (2, 1)
     assert ac.utype() == (1, 2)
-    assert ar.step_heights() != ac.step_heights()  # not interalgebraic
+    assert ar.steps != ac.steps  # not interalgebraic
     # no canonical analysis: every minimal analysis fails canonicity
     for a in enumerate_analyses(S, EMPTY, g, max_length=2, exact_length=2):
         assert not is_canonical(a, g)
     # the 3-step staircase is incompressible but not minimal
-    target = closure(frozenset({(2, 1), (2, 2)}), g)
-    staircase = Analysis(
-        g,
-        EMPTY,
-        target,
-        (
-            frozenset({(1, 1)}),
-            frozenset({(2, 1), (1, 2)}),
-            frozenset({(2, 1), (2, 2)}),
-        ),
-    )
+    staircase = Analysis(g, (0, 0), (2, 2), ((1, 0), (2, 1), (2, 2)))
     staircase.validate()
     assert is_incompressible(staircase)
     assert not is_minimal(staircase, g)

@@ -20,6 +20,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(args, timeout):
+    """Run a fresh interpreter on args, with this checkout's package importable."""
+    path = [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
 class TestTowerBuild:
     def test_build_with_checks_passes(self, capsys):
         code, out, _ = run_cli(capsys, "tower", "build", "--utype", "2,1", "--check")
@@ -226,18 +235,27 @@ class TestGridSeqred:
     def test_wide_coreductions_finish(self):
         # 20 columns of depth 2: a search over the closed subsets below the
         # target would visit 3^20 of them
-        path = [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         argv = ["grid", "seqred", "--s", "20,20", "--mode", "coreductions"]
-        done = subprocess.run(
-            [sys.executable, "-m", "deltatower.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=10,
-        )
+        done = run_python(["-m", "deltatower.cli", *argv], timeout=10)
         assert done.returncode == 0, done.stderr
         assert "utype: 20,20" in done.stdout
+
+    @pytest.mark.parametrize("mode", ["reductions", "coreductions"])
+    def test_one_column_at_the_cap_stays_small(self, mode):
+        # the slowest accepted shape, one column of 2,000 levels.  The child
+        # reads its own peak from VmHWM: its ru_maxrss would start at the
+        # resident size of the process that spawned it, here the test runner.
+        argv = ["grid", "seqred", "--s", "1," * 1999 + "1", "--mode", mode]
+        script = (
+            "from deltatower.cli import main\n"
+            f"code = main({argv!r})\n"
+            "peak = next(l for l in open('/proc/self/status') if l.startswith('VmHWM:'))\n"
+            "print(code, int(peak.split()[1]) // 1024)\n"
+        )
+        done = run_python(["-c", script], timeout=60)
+        assert done.returncode == 0, done.stderr
+        code, peak_mb = map(int, done.stdout.splitlines()[-1].split())
+        assert code == 0 and peak_mb < 64, (code, peak_mb)
 
 
 class TestSeries:

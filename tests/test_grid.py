@@ -24,12 +24,10 @@ from deltatower import (
 )
 from deltatower.grid import (
     _cored_chain,
-    dump_scenario,
     enumerate_analyses,
     from_heights,
     height_chains,
     heights,
-    load_scenario,
 )
 from deltatower.gridcheck import _shortest_chain_length
 
@@ -188,8 +186,8 @@ def test_column_rules_match_the_set_based_definitions():
                     (analysis_by_coreductions, _reference_analysis_by_coreductions),
                 ):
                     a = analysis(G, T, g)
-                    assert (a.base, a.target) == (T, G), where
-                    assert list(a.steps) == reference(G, T, g), where
+                    assert (a.base, a.target) == (t_h, g_h), where
+                    assert list(a.steps) == [heights(x, g) for x in reference(G, T, g)], where
 
 
 def test_coreduction_chain_refuses_a_step_that_does_not_shrink():
@@ -204,20 +202,20 @@ class TestAnalyses:
         a = analysis_by_reductions(S, EMPTY, G22)
         a.validate()
         assert a.utype() == (2, 1)
-        assert a.steps[0] == cells((1, 1), (1, 2))
+        assert a.steps[0] == (1, 1)
 
     def test_section_example_coreductions(self):
         S = cells((2, 1), (1, 2))
         a = analysis_by_coreductions(S, EMPTY, G22)
         a.validate()
         assert a.utype() == (1, 2)
-        assert a.steps[0] == cells((1, 1))
+        assert a.steps[0] == (1, 0)
 
     def test_example_analyses_not_interalgebraic_no_canonical(self):
         S = cells((2, 1), (1, 2))
         ar = analysis_by_reductions(S, EMPTY, G22)
         ac = analysis_by_coreductions(S, EMPTY, G22)
-        assert ar.step_heights() != ac.step_heights()
+        assert ar.steps != ac.steps
         assert is_minimal(ar, G22) and is_minimal(ac, G22)
         assert not is_canonical(ar, G22) and not is_canonical(ac, G22)
 
@@ -227,7 +225,7 @@ class TestAnalyses:
         ar = analysis_by_reductions(S, EMPTY, g)
         ac = analysis_by_coreductions(S, EMPTY, g)
         assert ar.utype() == ac.utype() == (1, 1, 1)
-        assert ar.step_heights() == ac.step_heights()
+        assert ar.steps == ac.steps
         assert is_canonical(ar, g)
         assert is_incompressible(ar)
 
@@ -243,13 +241,7 @@ class TestAnalyses:
         assert is_minimal(a, G22)
 
     def test_staircase_incompressible_but_not_minimal(self):
-        target = cells((2, 1), (2, 2))
-        steps = (
-            cells((1, 1)),
-            cells((2, 1), (1, 2)),
-            cells((2, 1), (2, 2)),
-        )
-        a = Analysis(G22, EMPTY, closure(target, G22), steps)
+        a = Analysis(G22, (0, 0), (2, 2), ((1, 0), (2, 1), (2, 2)))
         a.validate()
         assert a.utype() == (1, 2, 1)
         assert is_incompressible(a)
@@ -282,11 +274,10 @@ class TestAnalyses:
             g = GridModel(depth, columns)
             for g_h in product(range(depth + 1), repeat=columns):
                 for t_h in product(*[range(v + 1) for v in g_h]):
-                    T, G = from_heights(t_h, g), from_heights(g_h, g)
                     literal = set()
                     for seq in increasing(t_h, g_h):
                         try:
-                            Analysis(g, T, G, tuple(from_heights(h, g) for h in seq)).validate()
+                            Analysis(g, t_h, g_h, tuple(seq)).validate()
                         except ValueError:
                             continue
                         literal.add(tuple(seq))
@@ -299,11 +290,31 @@ class TestAnalyses:
                     shortest = min(len(c) for c in literal)
                     assert _shortest_chain_length(t_h, g_h) == shortest
 
-    def test_validate_rejects_non_internal_steps(self):
-        g = GridModel(2, 1)
-        bad = Analysis(g, EMPTY, cells((2, 1)), (cells((2, 1)),))
+    @pytest.mark.parametrize(
+        "columns, base, target, steps",
+        [
+            (1, (0,), (2,), ((2,),)),
+            (2, (0, 0), (1, 1), ((1, 0, 0), (1, 1))),
+            (1, (0,), (3,), ((1,), (2,), (3,))),
+            (1, (-1,), (1,), ((0,), (1,))),
+            (2, (0, 0), (1, 1), ((1, 0), (0, 1), (1, 1))),
+            (1, (0,), (1,), ((1,), (1,))),
+            (1, (0,), (2,), ((1,),)),
+        ],
+        ids=[
+            "non-internal",
+            "wrong-length",
+            "above-depth",
+            "below-zero",
+            "below-predecessor",
+            "repeated-step",
+            "not-at-target",
+        ],
+    )
+    def test_validate_rejects_non_internal_steps(self, columns, base, target, steps):
+        # heights on a grid of depth 2; each case breaks exactly one rule
         with pytest.raises(ValueError):
-            bad.validate()
+            Analysis(GridModel(2, columns), base, target, steps).validate()
 
     def test_closure_invariance_of_analyses(self):
         # analyses depend only on the closures of base and target
@@ -311,10 +322,10 @@ class TestAnalyses:
         S, T = cells((3, 1), (1, 2)), cells((1, 1))
         ar1 = analysis_by_reductions(S, T, g)
         ar2 = analysis_by_reductions(closure(S, g), closure(T, g), g)
-        assert ar1.step_heights() == ar2.step_heights()
+        assert ar1.steps == ar2.steps
         ac1 = analysis_by_coreductions(S, T, g)
         ac2 = analysis_by_coreductions(closure(S, g), closure(T, g), g)
-        assert ac1.step_heights() == ac2.step_heights()
+        assert ac1.steps == ac2.steps
 
 
 class TestSeqred:
@@ -360,18 +371,3 @@ class TestSeqred:
         g, target = build_seqred_b(s)
         assert analysis_by_coreductions(target, EMPTY, g).utype() == s
 
-
-class TestScenarioIO:
-    def test_roundtrip(self):
-        g = GridModel(2, 3)
-        base = cells((1, 1))
-        target = cells((2, 2), (1, 3))
-        text = dump_scenario(g, base, target)
-        g2, b2, t2 = load_scenario(text)
-        assert (g2.depth, g2.columns) == (2, 3)
-        assert b2 == base and t2 == target
-        assert dump_scenario(g2, b2, t2) == text
-
-    def test_rejects_out_of_bounds(self):
-        with pytest.raises(ValueError):
-            load_scenario('{"depth": 2, "columns": 2, "base": [], "target": [[3, 1]]}')
