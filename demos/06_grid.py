@@ -40,7 +40,7 @@ print("by reductions:   U-type", ar.utype(), "step heights", list(ar.steps))
 print("by coreductions: U-type", ac.utype(), "step heights", list(ac.steps))
 print("reduction of S over empty:", sorted(reduction(S, empty, g)))
 print("coreduction of S over empty:", sorted(coreduction(S, empty, g)))
-print("either canonical?", is_canonical(ar, g) or is_canonical(ac, g))
+print("either canonical?", is_canonical(ar) or is_canonical(ac))
 
 print()
 print("## incompressible does not imply minimal")
@@ -48,7 +48,7 @@ print("## incompressible does not imply minimal")
 staircase = Analysis(g, (0, 0), (2, 2), ((1, 0), (2, 1), (2, 2)))
 staircase.validate()
 print("3-step staircase: incompressible", is_incompressible(staircase), end=", ")
-print("minimal", is_minimal(staircase, g))
+print("minimal", is_minimal(staircase))
 
 print()
 print("## prescribing the U-type of an analysis")

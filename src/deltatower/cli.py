@@ -11,18 +11,21 @@ Subcommands::
 Reports are line oriented: one ``CHECK <name> <PASS|FAIL> <millis>
 [detail]`` line per check, printed as soon as that check finishes, and a
 final ``RESULT <PASS|FAIL>``.  The exit status is 0 exactly when every
-check passed.  Serialized reports omit timing so they are byte-identical
-across runs for fixed arguments and seed.  ``grid verify`` refuses more
-than ``gridcheck.MAX_VERIFY_CELLS`` (12) cells, ``grid seqred`` more than
-``MAX_SEQRED_CELLS`` (2,000), and element text refuses a power whose
-expansion may exceed ``textio.MAX_POWER_TERMS`` terms or
-``textio.MAX_POWER_BITS`` coefficient bits.
+check passed; a reader that closes the pipe early (``| head -1``) ends
+the run with status 1 and no traceback.  Serialized reports omit timing
+so they are byte-identical across runs for fixed arguments and seed.
+``grid verify`` refuses more than ``gridcheck.MAX_VERIFY_CELLS`` (12)
+cells, ``grid seqred`` more than ``MAX_SEQRED_CELLS`` (2,000), and
+element text refuses a power whose expansion may exceed
+``textio.MAX_POWER_TERMS`` terms or ``textio.MAX_POWER_BITS``
+coefficient bits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -371,6 +374,11 @@ def main(argv: list[str] | None = None) -> int:
     except DeltaTowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): send what is still
+        # buffered to devnull, so the exit flush raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -268,16 +268,16 @@ def enumerate_analyses(
         yield Analysis(g, base_h, target_h, tuple(seq))
 
 
-def is_minimal(a: Analysis, g: GridModel) -> bool:
+def is_minimal(a: Analysis) -> bool:
     """No strictly shorter valid analysis of the same pair exists."""
     if a.length == 0:
         return True
     return next(height_chains(a.base, a.target, max_length=a.length - 1), None) is None
 
 
-def is_canonical(a: Analysis, g: GridModel) -> bool:
+def is_canonical(a: Analysis) -> bool:
     """Minimal and stepwise interalgebraic with every other minimal analysis."""
-    if not is_minimal(a, g):
+    if not is_minimal(a):
         return False
     chains = height_chains(a.base, a.target, max_length=a.length, exact_length=a.length)
     return all(tuple(other) == a.steps for other in chains)

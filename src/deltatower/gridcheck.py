@@ -2,35 +2,41 @@
 
 Every property quantifies over all grids up to a cell budget and over
 closed sets as representatives (every notion involved is closure
-invariant).  The verification is layered so that each layer is checked
-exhaustively against the one below:
+invariant).  Columns are identical copies, so a column permutation is an
+automorphism and leaves every property invariant: a pair or triple
+property visits one representative per column orbit, a multiset of
+per-column states (``_orbits``; isomorph rejection, McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998), weighted by its orbit
+size, so ``instances=`` still counts pairs or triples.  The verification
+is layered so that each layer is checked exhaustively against the one
+below:
 
 * layer 0 - the public ``closure`` is compared with the bitmask closure
   table on **every** subset of every grid (``closure_axioms``), and rank
-  additivity holds on every closed triple of that table
-  (``urank_additivity``);
+  additivity holds on every closed triple of that table, one row per
+  orbit of (T, A) with every B at once (``urank_additivity``);
 * layer 1 - ``grid``'s one-step column rules ``_red_column`` and
   ``_cored_column``, which its ``reduction`` and ``coreduction`` apply, are
-  compared on **every** closed pair (T, G) with the literal brute-force
-  definitions, stated in bitmask arithmetic (``reduction_maximality``,
-  ``coreduction_uniqueness``); so are the public ``reduction`` and
-  ``coreduction``;
+  compared on every closed pair (T, G) up to column order with the
+  literal brute-force definitions, stated in bitmask arithmetic
+  (``reduction_maximality``, ``coreduction_uniqueness``); so are the
+  public ``reduction`` and ``coreduction``;
 * layer 2 - the chain properties (minimality, canonicity, the local
-  criteria, ...) quantify over every closed pair but iterate the
+  criteria, ...) quantify over the same pairs but iterate the
   layer-1-verified column rules (``grid._red_chain``,
   ``grid._cored_chain``).  An analysis is a chain of height vectors, one
   per step.  They search analyses with ``grid.height_chains`` and with
   one prefix DFS, ``_sequences``, whose step rule says which analyses it
-  grows.  On a deterministic slice of the pairs the public analysis
-  functions, given the pair as cell sets, must return exactly those
-  chains, and the public predicates must agree on them.
+  grows.  On every pair the public analysis functions, given the pair as
+  cell sets, must return exactly those chains, and the public predicates
+  must agree on them.
 
 ``_check`` is the only code that builds a ``PropertyReport``; the caller
 times it.  The chain properties are per-pair functions run by
-``_check_pairs`` over the closed height-vector pairs; it owns the sampled
-slice and the ``grid DxC: ..., T=... G=...`` counterexample.  ``properties``
-is the one budget-checked list of checks that ``run_grid_suite`` and the
-CLI run.
+``_check_pairs`` over ``_pairs_closed``; it owns the orbit weights and the
+``grid DxC: ..., T=... G=...`` counterexample, shown in its
+representative's column order.  ``properties`` is the one budget-checked
+list of checks that ``run_grid_suite`` and the CLI run.
 
 Cells are packed column-major: cell (i, j) is bit (j-1)*depth + (i-1).
 Closed sets are exactly the masks whose columns are downward intervals,
@@ -39,10 +45,12 @@ so unions of closed masks are closed and ranks are popcount differences.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import factorial
 
 import numpy as np
 
@@ -71,9 +79,6 @@ from .grid import (
 )
 
 MAX_VERIFY_CELLS = 12
-
-# every CROSS_CHECK_SLICE-th closed pair also exercises the public functions
-CROSS_CHECK_SLICE = 16
 
 
 @dataclass
@@ -111,8 +116,7 @@ class _Grid:
         for mask in range(size):
             self.closure_table[mask] = self._close(mask)
         self.popcount = np.array([bin(m).count("1") for m in range(size)], dtype=np.int64)
-        self.closed_masks = sorted({int(self.closure_table[m]) for m in range(size)})
-        self.closed_array = np.array(self.closed_masks, dtype=np.int64)
+        self.closed_array = np.unique(self.closure_table)
 
     def _close(self, mask: int) -> int:
         out = 0
@@ -148,24 +152,32 @@ def _grids(max_cells: int):
             yield _Grid(depth, columns)
 
 
+def _orbits(states, columns):
+    """(representative, orbit size) of every assignment of a state to each
+    column, up to column order: each multiset once, in the order of
+    ``states``, with the multinomial number of its column orders."""
+    for rep in combinations_with_replacement(states, columns):
+        weight = factorial(columns)
+        for count in Counter(rep).values():
+            weight //= factorial(count)
+        yield rep, weight
+
+
 def _pairs_closed(gr: _Grid):
-    """(T, G) height-vector pairs with cl(T) contained in G, both closed."""
-    for g_h in product(*[range(gr.depth + 1)] * gr.columns):
-        for t_h in product(*[range(v + 1) for v in g_h]):
-            yield t_h, g_h
+    """(T, G, weight): closed height-vector pairs with T inside G, one per
+    column orbit.  The column states (t, g) are ordered by g first."""
+    states = [(t, g) for g in range(gr.depth + 1) for t in range(g + 1)]
+    for rep, weight in _orbits(states, gr.columns):
+        t_h, g_h = zip(*rep)
+        yield t_h, g_h, weight
 
 
 def _mask_pairs(gr: _Grid):
-    """(T, G, closed masks inside G) for closed masks T inside G, G ascending."""
-    for g_mask in gr.closed_masks:
+    """(T, G, closed masks inside G, weight) for each pair of _pairs_closed."""
+    for t_h, g_h, weight in _pairs_closed(gr):
+        g_mask = gr.mask_of_heights(g_h)
         inside = gr.closed_array[(gr.closed_array & ~g_mask) == 0]
-        for t_mask in inside.tolist():
-            yield t_mask, g_mask, inside
-
-
-def _sampled(gr: _Grid, index: int) -> bool:
-    """Whether the index-th pair of a grid also cross-checks the public functions."""
-    return index % CROSS_CHECK_SLICE == 0 or gr.cells <= 6
+        yield gr.mask_of_heights(t_h), g_mask, inside, weight
 
 
 def _counterexample(gr: _Grid, reason: str, t, g) -> str:
@@ -191,14 +203,14 @@ def _check(name, gen):
 
 
 def _check_pairs(name, max_cells, per_pair):
-    """Run per_pair(gr, t_h, g_h, sampled), which returns None or a reason,
-    on every closed height pair of every grid."""
+    """Run per_pair(gr, t_h, g_h), which returns None or a reason, on the
+    closed height pairs of every grid; a pair that holds counts its orbit."""
 
     def gen():
         for gr in _grids(max_cells):
-            for index, (t_h, g_h) in enumerate(_pairs_closed(gr), 1):
-                reason = per_pair(gr, t_h, g_h, _sampled(gr, index))
-                yield None if reason is None else _counterexample(gr, reason, t_h, g_h)
+            for t_h, g_h, weight in _pairs_closed(gr):
+                reason = per_pair(gr, t_h, g_h)
+                yield weight if reason is None else _counterexample(gr, reason, t_h, g_h)
 
     return _check(name, gen())
 
@@ -310,30 +322,27 @@ def check_urank_additivity(max_cells: int) -> PropertyReport:
             pc = gr.popcount
             # closed masks are union-stable, so cl(X|Y) = X|Y there; closure
             # itself is tied to the table exhaustively by closure_axioms.
-            # Cross-check the public urank on a deterministic slice of pairs.
-            for x in gr.closed_masks[::CROSS_CHECK_SLICE]:
-                for y in gr.closed_masks[::CROSS_CHECK_SLICE]:
-                    if urank(gr.to_set(x), gr.to_set(y), gr.g) != int(pc[x | y] - pc[y]):
-                        yield f"grid {gr.depth}x{gr.columns}: urank disagrees with the mask table"
-                        return
-            # additivity over all closed triples, one vectorised row per T
-            for t in gr.closed_masks:
+            # One row per column orbit of (T, A), every closed B at once; the
+            # public urank of A over T is cross-checked on each.
+            states = list(product(range(gr.depth + 1), repeat=2))
+            for rep, weight in _orbits(states, gr.columns):
+                t_h, a_h = zip(*rep)
+                t, a = gr.mask_of_heights(t_h), gr.mask_of_heights(a_h)
+                if urank(gr.to_set(a), gr.to_set(t), gr.g) != int(pc[a | t] - pc[t]):
+                    yield f"grid {gr.depth}x{gr.columns}: urank disagrees with the mask table"
+                    return
                 tb = closed | t  # T|B for all B
-                lhs = pc[(closed[:, None] | closed[None, :]) | t] - pc[t]
-                rhs = (
-                    pc[closed[:, None] | tb[None, :]]
-                    - pc[tb][None, :]
-                    + (pc[tb] - pc[t])[None, :]
-                )
+                lhs = pc[(closed | a) | t] - pc[t]
+                rhs = pc[a | tb] - pc[tb] + (pc[tb] - pc[t])
                 if not np.array_equal(lhs, rhs):
-                    a_i, b_i = np.argwhere(lhs != rhs)[0]
+                    b_i = int(np.argmax(lhs != rhs))
                     yield (
                         f"grid {gr.depth}x{gr.columns}: additivity fails at "
-                        f"A={sorted(gr.to_set(int(closed[a_i])))} "
+                        f"A={sorted(gr.to_set(a))} "
                         f"B={sorted(gr.to_set(int(closed[b_i])))} T={sorted(gr.to_set(t))}"
                     )
                     return
-                yield lhs.size
+                yield weight * lhs.size
 
     return _check("urank_additivity", gen())
 
@@ -341,7 +350,7 @@ def check_urank_additivity(max_cells: int) -> PropertyReport:
 def check_reduction_maximality(max_cells: int) -> PropertyReport:
     def gen():
         for gr in _grids(max_cells):
-            for t_mask, g_mask, inside in _mask_pairs(gr):
+            for t_mask, g_mask, inside, weight in _mask_pairs(gr):
                 T, G = gr.to_set(t_mask), gr.to_set(g_mask)
                 red = reduction(G, T, gr.g)
                 red_mask = sum(1 << ((j - 1) * gr.depth + i - 1) for i, j in red)
@@ -361,7 +370,7 @@ def check_reduction_maximality(max_cells: int) -> PropertyReport:
                     reason = "reduction disagrees with the height map"
                 else:
                     reason = None
-                yield None if reason is None else _counterexample(gr, reason, sorted(T), sorted(G))
+                yield weight if reason is None else _counterexample(gr, reason, sorted(T), sorted(G))
 
     return _check("reduction_maximality", gen())
 
@@ -369,7 +378,7 @@ def check_reduction_maximality(max_cells: int) -> PropertyReport:
 def check_coreduction_uniqueness(max_cells: int) -> PropertyReport:
     def gen():
         for gr in _grids(max_cells):
-            for t_mask, g_mask, inside in _mask_pairs(gr):
+            for t_mask, g_mask, inside, weight in _mask_pairs(gr):
                 tx = inside | t_mask
                 allowed = tx | ((tx << 1) & gr.cells_mask) | gr.row1_mask
                 witnesses = inside[(g_mask & ~allowed) == 0]
@@ -385,7 +394,7 @@ def check_coreduction_uniqueness(max_cells: int) -> PropertyReport:
                     reason = "coreduction disagrees with brute force"
                 else:
                     reason = None
-                yield None if reason is None else _counterexample(
+                yield weight if reason is None else _counterexample(
                     gr, reason, sorted(gr.to_set(t_mask)), sorted(gr.to_set(g_mask))
                 )
 
@@ -393,7 +402,7 @@ def check_coreduction_uniqueness(max_cells: int) -> PropertyReport:
 
 
 def check_analyses_minimal(max_cells: int) -> PropertyReport:
-    def per_pair(gr, t_h, g_h, sampled):
+    def per_pair(gr, t_h, g_h):
         red_chain = _red_chain(t_h, g_h)
         cored_chain = _cored_chain(t_h, g_h)
         shortest = _shortest_chain_length(t_h, g_h)
@@ -402,24 +411,23 @@ def check_analyses_minimal(max_cells: int) -> PropertyReport:
                 return f"degenerate {label} step"
             if len(chain) != shortest:
                 return f"analysis by {label} not minimal"
-        if sampled:
-            T = from_heights(t_h, gr.g)
-            G = from_heights(g_h, gr.g)
-            ar = analysis_by_reductions(G, T, gr.g)
-            ac = analysis_by_coreductions(G, T, gr.g)
-            ar.validate()
-            ac.validate()
-            if list(ar.steps) != red_chain or list(ac.steps) != cored_chain:
-                return "public analysis disagrees with the verified chain"
-            if not (is_minimal(ar, gr.g) and is_minimal(ac, gr.g)):
-                return "public is_minimal disagrees"
+        T = from_heights(t_h, gr.g)
+        G = from_heights(g_h, gr.g)
+        ar = analysis_by_reductions(G, T, gr.g)
+        ac = analysis_by_coreductions(G, T, gr.g)
+        ar.validate()
+        ac.validate()
+        if list(ar.steps) != red_chain or list(ac.steps) != cored_chain:
+            return "public analysis disagrees with the verified chain"
+        if not (is_minimal(ar) and is_minimal(ac)):
+            return "public is_minimal disagrees"
         return None
 
     return _check_pairs("analyses_minimal", max_cells, per_pair)
 
 
 def check_equal_utype_canonical(max_cells: int) -> PropertyReport:
-    def per_pair(gr, t_h, g_h, sampled):
+    def per_pair(gr, t_h, g_h):
         red_chain = _red_chain(t_h, g_h)
         cored_chain = _cored_chain(t_h, g_h)
         if _utype(red_chain, t_h) != _utype(cored_chain, t_h):
@@ -436,7 +444,7 @@ def check_equal_utype_canonical(max_cells: int) -> PropertyReport:
 
 
 def check_incompressible_ones_minimal(max_cells: int) -> PropertyReport:
-    def per_pair(gr, t_h, g_h, sampled):
+    def per_pair(gr, t_h, g_h):
         if t_h == g_h:
             return None
         shortest = _shortest_chain_length(t_h, g_h)
@@ -446,15 +454,10 @@ def check_incompressible_ones_minimal(max_cells: int) -> PropertyReport:
                     f"incompressible (1,..,1) analysis of length {len(seq)} "
                     f"but minimum is {shortest}"
                 )
-            if sampled:
-                a = Analysis(gr.g, t_h, g_h, tuple(seq))
-                a.validate()
-                if not (
-                    all(u == 1 for u in a.utype())
-                    and is_incompressible(a)
-                    and is_minimal(a, gr.g)
-                ):
-                    return f"public predicates disagree on {seq}"
+            a = Analysis(gr.g, t_h, g_h, tuple(seq))
+            a.validate()
+            if not (all(u == 1 for u in a.utype()) and is_incompressible(a) and is_minimal(a)):
+                return f"public predicates disagree on {seq}"
         return None
 
     return _check_pairs("incompressible_ones_minimal", max_cells, per_pair)
@@ -473,23 +476,21 @@ def check_local_criterion(max_cells: int, direction: str) -> PropertyReport:
     }[direction]
     steps = partial(_column_rule_steps, column)
 
-    def per_pair(gr, t_h, g_h, sampled):
+    def per_pair(gr, t_h, g_h):
         official = official_chain(t_h, g_h)
         chain = [t_h] + official
         for i in range(1, len(chain) - 1):
             if _step(column, chain[i - 1], chain[i + 1]) != chain[i]:
                 return f"by-{direction} analysis fails the local criterion at step {i}"
-        if sampled:
-            for i in range(1, len(chain) - 1):
-                after = from_heights(chain[i + 1], gr.g)
-                before = from_heights(chain[i - 1], gr.g)
-                if direction == "reductions":
-                    got = heights(reduction(after, before, gr.g), gr.g)
-                else:
-                    cored = heights(coreduction(after, before, gr.g), gr.g)
-                    got = tuple(map(max, cored, chain[i - 1]))
-                if got != chain[i]:
-                    return f"public {direction[:-1]} disagrees at step {i}"
+            after = from_heights(chain[i + 1], gr.g)
+            before = from_heights(chain[i - 1], gr.g)
+            if direction == "reductions":
+                got = heights(reduction(after, before, gr.g), gr.g)
+            else:
+                cored = heights(coreduction(after, before, gr.g), gr.g)
+                got = tuple(map(max, cored, chain[i - 1]))
+            if got != chain[i]:
+                return f"public {direction[:-1]} disagrees at step {i}"
         found = list(_sequences(t_h, g_h, steps))
         if found != [official]:
             return f"the locally-by-{direction} analyses {found} are not exactly [{official}]"
@@ -507,7 +508,7 @@ def check_column_chain_length(max_cells: int) -> PropertyReport:
                 yield f"column of depth {depth}: minimal analysis length {shortest}"
                 return
             a = analysis_by_reductions(frozenset({(depth, 1)}), frozenset(), g)
-            if a.length != depth or not is_minimal(a, g):
+            if a.length != depth or not is_minimal(a):
                 yield f"column of depth {depth}: public analysis has length {a.length}"
                 return
             yield None
@@ -515,28 +516,24 @@ def check_column_chain_length(max_cells: int) -> PropertyReport:
     return _check("column_chain_length", gen())
 
 
-# (name, checker, cell cap): the closure axioms quantify over arbitrary
-# subsets and stay feasible up to 12 cells; the pair- and chain-quantified
-# properties are stated over grids with at most 9 cells.
-PAIR_PROPERTY_CELLS = 9
-
+# (name, checker, cell cap): every property runs to the full budget
 ALL_PROPERTIES = [
     ("closure_axioms", check_closure_axioms, MAX_VERIFY_CELLS),
-    ("urank_additivity", check_urank_additivity, PAIR_PROPERTY_CELLS),
-    ("reduction_maximality", check_reduction_maximality, PAIR_PROPERTY_CELLS),
-    ("coreduction_uniqueness", check_coreduction_uniqueness, PAIR_PROPERTY_CELLS),
-    ("analyses_minimal", check_analyses_minimal, PAIR_PROPERTY_CELLS),
-    ("equal_utype_canonical", check_equal_utype_canonical, PAIR_PROPERTY_CELLS),
-    ("incompressible_ones_minimal", check_incompressible_ones_minimal, PAIR_PROPERTY_CELLS),
+    ("urank_additivity", check_urank_additivity, MAX_VERIFY_CELLS),
+    ("reduction_maximality", check_reduction_maximality, MAX_VERIFY_CELLS),
+    ("coreduction_uniqueness", check_coreduction_uniqueness, MAX_VERIFY_CELLS),
+    ("analyses_minimal", check_analyses_minimal, MAX_VERIFY_CELLS),
+    ("equal_utype_canonical", check_equal_utype_canonical, MAX_VERIFY_CELLS),
+    ("incompressible_ones_minimal", check_incompressible_ones_minimal, MAX_VERIFY_CELLS),
     (
         "local_criterion_reductions",
         partial(check_local_criterion, direction="reductions"),
-        PAIR_PROPERTY_CELLS,
+        MAX_VERIFY_CELLS,
     ),
     (
         "local_criterion_coreductions",
         partial(check_local_criterion, direction="coreductions"),
-        PAIR_PROPERTY_CELLS,
+        MAX_VERIFY_CELLS,
     ),
     ("column_chain_length", check_column_chain_length, MAX_VERIFY_CELLS),
 ]
@@ -544,16 +541,16 @@ ALL_PROPERTIES = [
 
 def properties(max_cells: int) -> list[tuple[str, Callable[[], PropertyReport]]]:
     """(name, check) of every property on all grids with at most max_cells
-    cells, each capped at its own cell count; larger requests are refused
-    rather than sampled.  ALL_PROPERTIES is read at call time, so an entry
-    patched in place is the one that runs."""
+    cells; larger requests are refused rather than sampled.  ALL_PROPERTIES
+    is read at call time, so an entry patched in place is the one that
+    runs."""
     if max_cells > MAX_VERIFY_CELLS:
         raise BudgetExceeded(
             f"max_cells={max_cells} exceeds the exhaustive-verification budget {MAX_VERIFY_CELLS}"
         )
     if max_cells < 1:
         raise ValueError("max_cells must be positive")
-    return [(name, partial(fn, min(max_cells, cap))) for name, fn, cap in ALL_PROPERTIES]
+    return [(name, partial(fn, max_cells)) for name, fn, _ in ALL_PROPERTIES]
 
 
 def run_grid_suite(max_cells: int = 9) -> list[PropertyReport]:

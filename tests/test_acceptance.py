@@ -173,18 +173,18 @@ def test_criterion_6_worked_examples_in_grid():
     assert ar.steps != ac.steps  # not interalgebraic
     # no canonical analysis: every minimal analysis fails canonicity
     for a in enumerate_analyses(S, EMPTY, g, max_length=2, exact_length=2):
-        assert not is_canonical(a, g)
+        assert not is_canonical(a)
     # the 3-step staircase is incompressible but not minimal
     staircase = Analysis(g, (0, 0), (2, 2), ((1, 0), (2, 1), (2, 2)))
     staircase.validate()
     assert is_incompressible(staircase)
-    assert not is_minimal(staircase, g)
+    assert not is_minimal(staircase)
     # the depth-n column has minimal analysis length exactly n
     for n in range(1, 5):
         gn = GridModel(n, 1)
         column = frozenset({(n, 1)})
         a = analysis_by_reductions(column, EMPTY, gn)
-        assert a.length == n and is_minimal(a, gn)
+        assert a.length == n and is_minimal(a)
         assert next(
             iter(enumerate_analyses(column, EMPTY, gn, max_length=n - 1)), None
         ) is None

@@ -186,6 +186,59 @@ class TestGridVerify:
             [name, "PASS"] for name, _, _ in props[:3]
         ]
 
+    def test_twelve_cells_check_every_property_and_stay_small(self):
+        # all ten properties at the full budget, counted through orbit
+        # weights; the child reads its own peak as in the seqred cap test
+        script = (
+            "from deltatower.cli import main\n"
+            "code = main(['grid', 'verify', '--max-cells', '12'])\n"
+            "peak = next(l for l in open('/proc/self/status') if l.startswith('VmHWM:'))\n"
+            "print(code, int(peak.split()[1]) // 1024)\n"
+        )
+        done = run_python(["-c", script], timeout=300)
+        assert done.returncode == 0, done.stderr
+        *checks, result, last = done.stdout.splitlines()
+        code, peak_mb = map(int, last.split())
+        assert (code, result) == (0, "RESULT PASS") and peak_mb < 64, (code, result, peak_mb)
+        expected = {name: 869_516 for name, _, _ in gridcheck.ALL_PROPERTIES}
+        expected["closure_axioms"] = 3_908_501
+        expected["urank_additivity"] = 78_958_050_872
+        expected["column_chain_length"] = 12
+        fields = [line.split() for line in checks]
+        assert [f[:3:2] for f in fields] == [["CHECK", "PASS"]] * len(expected)
+        assert {f[1]: f[4] for f in fields} == {n: f"instances={v}" for n, v in expected.items()}
+
+    def test_closed_pipe_ends_without_a_traceback(self):
+        # the reader closes the pipe after the first CHECK line; the second
+        # property waits for that (end of stdin), so its line is the write
+        # that meets the closed pipe
+        script = (
+            "import sys\n"
+            "from deltatower import cli, gridcheck\n"
+            "name, fn, cap = gridcheck.ALL_PROPERTIES[1]\n"
+            "def after_the_reader_left(max_cells):\n"
+            "    sys.stdin.read()\n"
+            "    return fn(max_cells)\n"
+            "gridcheck.ALL_PROPERTIES[1] = (name, after_the_reader_left, cap)\n"
+            "sys.exit(cli.main(['grid', 'verify', '--max-cells', '3']))\n"
+        )
+        path = [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        child = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            first = child.stdout.readline()
+            child.stdout.close()
+            child.stdin.close()
+            err = child.stderr.read().decode()
+            code = child.wait(timeout=60)
+        finally:
+            child.kill()
+        assert first.startswith(b"CHECK closure_axioms PASS ")
+        assert (code, err) == (1, ""), err  # no traceback, no "Exception ignored"
+
     @pytest.mark.parametrize("max_cells", ["0", "-3"])
     def test_non_positive_max_cells_is_a_usage_error(self, capsys, max_cells):
         with pytest.raises(SystemExit) as info:
@@ -194,6 +247,12 @@ class TestGridVerify:
         assert info.value.code == 2
         assert "error:" in err
         assert "Traceback" not in err
+
+
+def test_python_m_runs_the_cli():
+    done = run_python(["-m", "deltatower", "grid", "verify", "--max-cells", "3"], timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "RESULT PASS"
 
 
 class TestGridSeqred:

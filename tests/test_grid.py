@@ -216,8 +216,8 @@ class TestAnalyses:
         ar = analysis_by_reductions(S, EMPTY, G22)
         ac = analysis_by_coreductions(S, EMPTY, G22)
         assert ar.steps != ac.steps
-        assert is_minimal(ar, G22) and is_minimal(ac, G22)
-        assert not is_canonical(ar, G22) and not is_canonical(ac, G22)
+        assert is_minimal(ar) and is_minimal(ac)
+        assert not is_canonical(ar) and not is_canonical(ac)
 
     def test_single_column_chain(self):
         g = GridModel(3, 1)
@@ -226,7 +226,7 @@ class TestAnalyses:
         ac = analysis_by_coreductions(S, EMPTY, g)
         assert ar.utype() == ac.utype() == (1, 1, 1)
         assert ar.steps == ac.steps
-        assert is_canonical(ar, g)
+        assert is_canonical(ar)
         assert is_incompressible(ar)
 
     def test_internal_target_single_step(self):
@@ -238,14 +238,14 @@ class TestAnalyses:
         a = analysis_by_reductions(EMPTY, cells((1, 1)), G22)
         assert a.length == 0
         a.validate()
-        assert is_minimal(a, G22)
+        assert is_minimal(a)
 
     def test_staircase_incompressible_but_not_minimal(self):
         a = Analysis(G22, (0, 0), (2, 2), ((1, 0), (2, 1), (2, 2)))
         a.validate()
         assert a.utype() == (1, 2, 1)
         assert is_incompressible(a)
-        assert not is_minimal(a, G22)
+        assert not is_minimal(a)
 
     def test_depth_n_column_minimal_length(self):
         for n in range(1, 5):

@@ -2,6 +2,7 @@
 acceptance suite)."""
 
 import re
+from itertools import permutations, product
 
 import pytest
 
@@ -44,6 +45,17 @@ def test_properties_read_the_list_at_call_time():
     assert checks[0][1]().passed and calls == [3]
 
 
+def test_every_property_runs_to_twelve_cells():
+    # the closed forms of test_instance_counts_match_closed_forms at 12 cells
+    expected = {name: 869_516 for name, _, _ in ALL_PROPERTIES}
+    expected["closure_axioms"] = 3_908_501
+    expected["urank_additivity"] = 78_958_050_872
+    expected["column_chain_length"] = 12
+    reports = run_grid_suite(max_cells=12)
+    assert {r.name: r.instances for r in reports} == expected
+    assert all(r.passed for r in reports), [r.line() for r in reports if not r.passed]
+
+
 def test_report_lines_carry_counts():
     reports = run_grid_suite(max_cells=4)
     for r in reports:
@@ -73,7 +85,7 @@ BROKEN = [
     ("reduction", lambda S, T, g: closure(T, g), "local_criterion_reductions"),
     ("coreduction", lambda S, T, g: closure(S | T, g), "coreduction_uniqueness"),
     ("coreduction", lambda S, T, g: closure(S | T, g), "local_criterion_coreductions"),
-    ("is_minimal", lambda a, g: False, "analyses_minimal"),
+    ("is_minimal", lambda a: False, "analyses_minimal"),
 ]
 
 
@@ -111,7 +123,6 @@ def test_coreduction_is_compared_on_every_pair(monkeypatch):
 def test_column_rule_steps_match_literal_filter(column):
     """The per-column stay/rise rule yields the same steps, in the same
     order, as filtering every candidate height through the column rule."""
-    from itertools import product
 
     def literal(before, last, target_h):
         options = []
@@ -162,3 +173,56 @@ def test_local_criterion_fails_when_the_official_chain_is_not_found(monkeypatch,
     report = {name: fn for name, fn, _ in ALL_PROPERTIES}[prop](6)
     assert not report.passed
     assert "are not exactly" in report.counterexample, report.counterexample
+
+
+# --- column orbits against every column order --------------------------------
+
+ORBIT_PROPERTIES = [
+    (name, fn)
+    for name, fn, _ in ALL_PROPERTIES
+    if name not in ("closure_axioms", "column_chain_length")
+]
+
+
+def _every_column_order(states, columns):
+    """The trivial group: every assignment of states to columns, weight 1."""
+    return ((rep, 1) for rep in product(states, repeat=columns))
+
+
+@pytest.mark.parametrize("n_states, columns", [(1, 5), (3, 1), (4, 3), (6, 4), (10, 2)])
+def test_orbits_partition_the_column_assignments(n_states, columns):
+    orbits = list(gridcheck._orbits(range(n_states), columns))
+    assert sum(weight for _, weight in orbits) == n_states**columns
+    assert len({tuple(sorted(rep)) for rep, _ in orbits}) == len(orbits)
+    for rep, weight in orbits:
+        assert weight == len(set(permutations(rep)))
+
+
+def test_orbit_reports_equal_the_literal_pair_set(monkeypatch):
+    """Reference run over every column order.  Seven cells cover grids of
+    up to seven columns in about 2 s; the literal run at 9 cells takes
+    about 30 s, the orbit run under 1 s."""
+    orbit = [fn(7) for _, fn in ORBIT_PROPERTIES]
+    monkeypatch.setattr(gridcheck, "_orbits", _every_column_order)
+    literal = [fn(7) for _, fn in ORBIT_PROPERTIES]
+    assert [r.name for r in literal] == [name for name, _ in ORBIT_PROPERTIES]
+    assert orbit == literal
+    assert all(r.passed for r in literal)
+
+
+def test_literal_reference_sees_a_column_asymmetric_bug(monkeypatch):
+    """A reduction that is wrong only when column 1 of cl(S|T) is higher
+    than column 2 slips past the orbit run, whose representatives have G
+    nondecreasing across columns; every column order catches it."""
+    real = gridcheck.reduction
+
+    def lopsided(S, T, g):
+        h = grid.heights(S | T, g)
+        return closure(T, g) if g.columns > 1 and h[0] > h[1] else real(S, T, g)
+
+    monkeypatch.setattr(gridcheck, "reduction", lopsided)
+    assert gridcheck.check_reduction_maximality(4).passed
+    monkeypatch.setattr(gridcheck, "_orbits", _every_column_order)
+    report = gridcheck.check_reduction_maximality(4)
+    assert not report.passed
+    assert report.counterexample.startswith("grid 1x2: an internal subset escapes the reduction")
