@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from .errors import DivisionByZero, LengthMismatch, NotLinear
-from .polyring import Var, var_c, var_name, var_u
+from .polyring import Var, m_pairs, var_c, var_name, var_u
 
 # Exact scalars are plain standard-library Fractions.
 Rational = Fraction
@@ -99,10 +99,11 @@ def linear_coefficients(x: ConstExpr) -> tuple[Fraction, dict[Var, Fraction]]:
     const = Fraction(0)
     coeffs: dict[Var, Fraction] = {}
     for m, c in x.num.terms.items():
-        if len(m) == 0:
+        pairs = m_pairs(m)
+        if len(pairs) == 0:
             const = c
-        elif len(m) == 1 and m[0][1] == 1:
-            coeffs[m[0][0]] = c
+        elif len(pairs) == 1 and pairs[0][1] == 1:
+            coeffs[pairs[0][0]] = c
         else:
             raise NotLinear(f"monomial of degree >= 2 in {x}")
     return const, coeffs

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero
-from .polyring import MONOMIAL_KEY, ONE, Poly, Var, cancel, var_name
+from .polyring import ONE, Poly, Var, cancel, m_pairs, var_name
 
 _COERCIBLE = (int, Fraction)
 
@@ -200,13 +200,13 @@ def _print_factor_key(pair) -> tuple:
     return (kind == "b", kind, level, index)
 
 
-def _format_term(m, c: Fraction, *, lead: bool) -> str:
-    """One monomial term; sign is emitted by the caller via `lead`."""
+def _format_term(pairs, c: Fraction, *, lead: bool) -> str:
+    """One term, its monomial decoded; sign is emitted by the caller via `lead`."""
     mag = abs(c)
     factors = []
-    if mag != 1 or not m:
+    if mag != 1 or not pairs:
         factors.append(str(mag))
-    for v, e in sorted(m, key=_print_factor_key):
+    for v, e in sorted(pairs, key=_print_factor_key):
         factors.append(var_name(v) if e == 1 else f"{var_name(v)}^{e}")
     body = "*".join(factors)
     if lead:
@@ -218,8 +218,8 @@ def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     out = []
-    for i, m in enumerate(sorted(p.terms, key=MONOMIAL_KEY, reverse=True)):
-        out.append(_format_term(m, p.terms[m], lead=(i == 0)))
+    for i, (pairs, c) in enumerate(p.descending_terms()):
+        out.append(_format_term(pairs, c, lead=(i == 0)))
     return "".join(out)
 
 
@@ -232,7 +232,7 @@ def format_element(x: Element) -> str:
     den_str = format_poly(x.den)
     # The denominator is monic: a single term with one variable reads as
     # one grammar factor, anything else needs parentheses.
-    single_factor = len(x.den.terms) == 1 and len(next(iter(x.den.terms))) == 1
+    single_factor = len(x.den.terms) == 1 and len(m_pairs(next(iter(x.den.terms)))) == 1
     if not single_factor:
         den_str = f"({den_str})"
     return f"{num_str}/{den_str}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from .errors import NotNormalForm, ZeroInitialValue
-from .polyring import Poly
+from .polyring import Poly, m_pairs, monomial
 from .textio import format_operator_factors, parse_element, parse_operator_factors
 from .tower import SeriesContext, TowerElement, TowerSpec, d_twist, eval_series, to_float
 
@@ -164,13 +164,14 @@ def decompose(f: TowerElement, i: int, spec: TowerSpec) -> EigenDecomposition:
     n = spec.rank(i)
     parts: dict[int, Element] = {}
     for m, coeff in f.num.terms.items():
-        gen_pairs = [(v, e) for v, e in m if v[0] == "b"]
+        pairs = m_pairs(m)
+        gen_pairs = [(v, e) for v, e in pairs if v[0] == "b"]
         if len(gen_pairs) != 1 or gen_pairs[0][1] != 1:
             raise NotNormalForm(f"monomial outside the level-{i} generator span in {f}")
         (kind, level, j), _ = gen_pairs[0]
         if level != i or not 1 <= j <= n:
             raise NotNormalForm(f"generator b[{level}][{j}] is not at level {i}")
-        rest = tuple((v, e) for v, e in m if v[0] != "b")
+        rest = monomial((v, e) for v, e in pairs if v[0] != "b")
         term = Element(Poly({rest: coeff}), f.den) * spec.generator(i, j)
         parts[j] = parts.get(j, ZERO_ELEMENT) + term
     components = tuple(parts.get(j, ZERO_ELEMENT) for j in range(1, n + 1))

@@ -2,10 +2,24 @@
 
 Variables are tuples ``(kind, level, index)`` with ``kind`` one of
 ``'b'`` (tower generators), ``'c'`` (eigenvalue constants) and ``'u'``
-(adjoined scale constants).  Monomials are compared in graded
-lexicographic order: total degree first, then exponents read off the
-variables from most significant down, where variables are ordered by
-their natural tuple order (so ``('c', i, j)`` beats every ``('b', ...)``).
+(adjoined scale constants).  A coefficient is an ``int`` when integral
+and a ``Fraction`` only where a denominator remains; the two compare,
+hash and print alike.
+
+A monomial is an ``int`` of packed exponents (Johnson 1974; Monagan and
+Pearce, CASC 2007): each variable owns a ``FIELD_BITS``-wide field, at the
+slot a process-wide registry gives it on first use, so multiplying adds
+ints.  Exponents stay at most ``MAX_EXPONENT`` (2^31 - 1): a sum of two
+never carries into the next field, and one that reaches 2^31 sets its
+field's top bit, which ``monomial``, products and division remainders test
+(an ``if``, so it holds under ``python -O``), raising ``BudgetExceeded``.
+Whatever depends on order decodes through ``m_pairs`` to ``(var,
+exponent)`` pairs sorted by var, so no result depends on the slot order.
+
+Monomials are compared in graded lexicographic order: total degree
+first, then exponents read off the variables from most significant down,
+where variables are ordered by their natural tuple order (so
+``('c', i, j)`` beats every ``('b', ...)``).
 
 The gcd first strips the factors whose shape is known in advance: the
 monomial content and the linear level sums ``sum_j b[k][j]`` (each
@@ -20,15 +34,28 @@ sequence in the top variable.  Every result is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
+from operator import or_
+from struct import unpack
 from typing import Iterable
 
-Var = tuple[str, int, int]
-# A monomial is a tuple of (var, exponent) pairs, sorted by var, exponents > 0.
-Monomial = tuple[tuple[Var, int], ...]
+from .errors import BudgetExceeded
 
-ONE_MONOMIAL: Monomial = ()
+Var = tuple[str, int, int]
+Monomial = int
+Pairs = tuple[tuple[Var, int], ...]
+
+ONE_MONOMIAL: Monomial = 0
+FIELD_BITS = 32  # one unsigned C int per field, so a monomial decodes in one unpack
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
+
+# the slot registry, and the top bit of every registered field
+_SLOTS: dict[Var, int] = {}
+_SLOT_VARS: list[Var] = []
+_HIGH = 0
 
 
 def var_b(level: int, index: int) -> Var:
@@ -48,84 +75,102 @@ def var_name(v: Var) -> str:
     return f"{kind}[{level}][{index}]"
 
 
+def _slot(v: Var) -> int:
+    global _HIGH
+    s = _SLOTS.get(v)
+    if s is None:
+        s = _SLOTS[v] = len(_SLOT_VARS)
+        _SLOT_VARS.append(v)
+        _HIGH |= 1 << (FIELD_BITS * s + FIELD_BITS - 1)
+    return s
+
+
+def _check(m: int) -> None:
+    """BudgetExceeded when a field of m, an OR of monomials, passed MAX_EXPONENT."""
+    if m & _HIGH:
+        v = m_pairs(m & _HIGH)[0][0]
+        raise BudgetExceeded(f"an exponent of {var_name(v)} passes {MAX_EXPONENT}, the limit")
+
+
 def monomial(pairs: Iterable[tuple[Var, int]]) -> Monomial:
     """Build a monomial, merging duplicates and dropping zero exponents."""
     acc: dict[Var, int] = {}
     for v, e in pairs:
         acc[v] = acc.get(v, 0) + e
+    m = 0
     for v, e in acc.items():
         if e < 0:
             raise ValueError(f"negative exponent on {var_name(v)}")
-    return tuple(sorted((v, e) for v, e in acc.items() if e != 0))
+        if e > MAX_EXPONENT:
+            raise BudgetExceeded(f"{var_name(v)}^{e} passes the exponent limit {MAX_EXPONENT}")
+        m += e << (FIELD_BITS * _slot(v))
+    return m
+
+
+def _fields(m: Monomial) -> tuple[int, ...]:
+    """The exponents of m by slot, up to its last nonzero one."""
+    n = (m.bit_length() + FIELD_BITS - 1) // FIELD_BITS
+    return unpack(f"<{n}I", m.to_bytes(4 * n, "little"))
+
+
+def m_pairs(m: Monomial) -> Pairs:
+    """The one decoder: m as (var, exponent) pairs sorted by var."""
+    return tuple(sorted((_SLOT_VARS[s], e) for s, e in enumerate(_fields(m)) if e))
 
 
 def m_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-# Every (var, exponent) pair that m_mul or m_div creates is shared through
-# this table, so the many monomials of a large polynomial hold references
-# to a few pair objects instead of their own copies.
-_PAIRS: dict[tuple[Var, int], tuple[Var, int]] = {}
-
-
-def _pair(v: Var, e: int) -> tuple[Var, int]:
-    p = (v, e)
-    return _PAIRS.setdefault(p, p)
-
-
-def m_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = {p[0]: p for p in m1}
-    for p in m2:
-        v = p[0]
-        old = acc.get(v)
-        acc[v] = p if old is None else _pair(v, old[1] + p[1])
-    return tuple(sorted(acc.values()))
+    return sum(_fields(m))
 
 
 def m_divides(m1: Monomial, m2: Monomial) -> bool:
-    """True when m1 | m2 componentwise."""
-    d2 = dict(m2)
-    return all(d2.get(v, 0) >= e for v, e in m1)
+    """m1 | m2: (m2_f + 2^31) - m1_f keeps field f's top bit iff m2_f >= m1_f."""
+    return ((m2 | _HIGH) - m1) & _HIGH == _HIGH
 
 
 def m_div(m1: Monomial, m2: Monomial) -> Monomial:
     """m1 / m2; requires m2 | m1."""
-    acc = {p[0]: p for p in m1}  # keeps the sorted order of m1
-    for v, e in m2:
-        old = acc.get(v)
-        n = (0 if old is None else old[1]) - e
-        if n < 0:
-            raise ValueError("monomial division is not exact")
-        if n:
-            acc[v] = _pair(v, n)
-        else:
-            del acc[v]
-    return tuple(acc.values())
+    if not m_divides(m2, m1):
+        raise ValueError("monomial division is not exact")
+    return m1 - m2
+
+
+def _m_min(a: Monomial, b: Monomial) -> Monomial:
+    """The componentwise minimum: take b's field wherever a_f >= b_f."""
+    ge = ((a | _HIGH) - b) & _HIGH
+    take_b = (ge >> (FIELD_BITS - 1)) * _FIELD
+    return (b & take_b) | (a & ~take_b)
+
+
+def _pairs_key(pairs: Pairs) -> tuple:
+    return (sum(e for _, e in pairs), pairs[::-1])
 
 
 def MONOMIAL_KEY(m: Monomial) -> tuple:
     """Sort key of the graded lex order: total degree first, then the
     (var, exponent) pairs read from the most significant variable down,
     where a monomial that runs out of variables first is the smaller."""
-    return (m_degree(m), m[::-1])
+    return _pairs_key(m_pairs(m))
 
 
 def _descending_key(m: Monomial) -> tuple:
     """A heap entry that orders monomials the opposite way to MONOMIAL_KEY,
-    so a min-heap pops the leading monomial first; the monomial itself
-    rides along last.  Within one degree no pair sequence is a proper
-    prefix of another, so negating every entry reverses the order exactly
-    (variable kinds are single letters, so ord() keeps their order)."""
-    return (-m_degree(m), [(-ord(k), -i, -j, -e) for (k, i, j), e in reversed(m)], m)
+    so a min-heap pops the leading monomial first; the monomial rides along
+    last.  Within one degree no pair sequence is a proper prefix of another,
+    so negating every entry (ord() of the one-letter kinds) reverses the order."""
+    degree, pairs = MONOMIAL_KEY(m)
+    return (-degree, [(-ord(k), -i, -j, -e) for (k, i, j), e in pairs], m)
+
+
+def _normal(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class Poly:
-    """Polynomial with Fraction coefficients, canonical sparse form."""
+    """Polynomial over Q in canonical sparse form: monomial -> coefficient."""
 
     __slots__ = ("terms",)
 
@@ -135,16 +180,16 @@ class Poly:
         elif _trusted:
             self.terms = terms
         else:
-            self.terms = {m: Fraction(c) for m, c in terms.items() if c != 0}
+            self.terms = {m: _normal(c) for m, c in terms.items() if c != 0}
 
     @classmethod
     def const(cls, c) -> "Poly":
-        c = Fraction(c)
+        c = _normal(c)
         return cls({ONE_MONOMIAL: c} if c else {}, _trusted=True)
 
     @classmethod
     def variable(cls, v: Var) -> "Poly":
-        return cls({((v, 1),): Fraction(1)}, _trusted=True)
+        return cls({1 << (FIELD_BITS * _slot(v)): 1}, _trusted=True)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -154,23 +199,24 @@ class Poly:
 
     def const_value(self) -> Fraction:
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_const():
             raise ValueError("not a constant polynomial")
         return self.terms[ONE_MONOMIAL]
 
     def variables(self) -> set[Var]:
-        out: set[Var] = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        return {v for v, _ in m_pairs(reduce(or_, self.terms, 0))}
 
     def lead(self) -> tuple[Monomial, Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=MONOMIAL_KEY)
+        m = max(self.terms, key=MONOMIAL_KEY) if len(self.terms) > 1 else next(iter(self.terms))
         return m, self.terms[m]
+
+    def descending_terms(self) -> list[tuple[Pairs, Fraction]]:
+        """(pairs, coefficient) per term, leading first; each monomial decoded once."""
+        terms = ((m_pairs(m), c) for m, c in self.terms.items())
+        return sorted(terms, key=lambda t: _pairs_key(t[0]), reverse=True)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -218,10 +264,12 @@ class Poly:
         if not self.terms or not other.terms:
             return Poly()
         res: dict[Monomial, Fraction] = {}
+        get = res.get
+        inner = list(other.terms.items())
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m_mul(m1, m2)
-                s = res.get(m)
+            for m2, c2 in inner:
+                m = m1 + m2
+                s = get(m)
                 if s is None:
                     res[m] = c1 * c2
                 else:
@@ -230,18 +278,21 @@ class Poly:
                         res[m] = s
                     else:
                         del res[m]
+        _check(reduce(or_, res, 0))
         return Poly(res, _trusted=True)
 
     def mul_term(self, m: Monomial, c: Fraction) -> "Poly":
         if not c:
             return Poly()
-        return Poly({m_mul(m0, m): c0 * c for m0, c0 in self.terms.items()}, _trusted=True)
+        res = {m0 + m: c0 * c for m0, c0 in self.terms.items()}
+        _check(reduce(or_, res, 0))
+        return Poly(res, _trusted=True)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _normal(c)
         if not c:
             return Poly()
-        return Poly({m: c0 * c for m, c0 in self.terms.items()}, _trusted=True)
+        return Poly({m: _normal(c0 * c) for m, c0 in self.terms.items()}, _trusted=True)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -258,34 +309,24 @@ class Poly:
     # --- structure with respect to one variable -------------------------
 
     def degree_in(self, v: Var) -> int:
-        d = 0
-        for m in self.terms:
-            for mv, e in m:
-                if mv == v and e > d:
-                    d = e
-        return d
+        shift = FIELD_BITS * _slot(v)
+        return max(((m >> shift) & _FIELD for m in self.terms), default=0)
 
     def coeffs_in(self, v: Var) -> dict[int, "Poly"]:
         """Split into x^e -> coefficient polynomial, x = v."""
+        shift = FIELD_BITS * _slot(v)
         out: dict[int, dict[Monomial, Fraction]] = {}
         for m, c in self.terms.items():
-            e = 0
-            rest = []
-            for mv, me in m:
-                if mv == v:
-                    e = me
-                else:
-                    rest.append((mv, me))
-            out.setdefault(e, {})[tuple(rest)] = c
+            e = (m >> shift) & _FIELD
+            out.setdefault(e, {})[m - (e << shift)] = c
         return {e: Poly(d, _trusted=True) for e, d in out.items()}
 
     def __repr__(self) -> str:
         if not self.terms:
             return "Poly(0)"
         bits = []
-        for m in sorted(self.terms, key=MONOMIAL_KEY, reverse=True):
-            c = self.terms[m]
-            mono = "*".join(f"{var_name(v)}^{e}" if e > 1 else var_name(v) for v, e in m)
+        for pairs, c in self.descending_terms():
+            mono = "*".join(f"{var_name(v)}^{e}" if e > 1 else var_name(v) for v, e in pairs)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "Poly(" + " + ".join(bits) + ")"
 
@@ -308,7 +349,7 @@ def exact_div(p: Poly, q: Poly) -> Poly | None:
     if p.is_zero():
         return ZERO
     if q.is_const():
-        return p.scale(Fraction(1) / q.const_value())
+        return p.scale(Fraction(1, q.const_value()))
     qm, qc = q.lead()
     q_tail = [(m, c) for m, c in q.terms.items() if m != qm]
     rest = dict(p.terms)
@@ -322,13 +363,14 @@ def exact_div(p: Poly, q: Poly) -> Poly | None:
             continue
         if not m_divides(qm, rm):
             return None
-        m = m_div(rm, qm)
-        c = rc / qc
+        m = rm - qm
+        c = _normal(rc if qc == 1 else Fraction(rc, qc))  # int / int is a float
         quotient[m] = c
         for tm, tc in q_tail:
-            nm = m_mul(tm, m)
+            nm = tm + m
             s = rest.get(nm)
             if s is None:
+                _check(nm)
                 rest[nm] = -c * tc
                 heappush(heap, _descending_key(nm))
             else:
@@ -398,25 +440,18 @@ def _prem(a: Poly, b: Poly, v: Var) -> Poly:
             break
         rc = r.coeffs_in(v)
         lr = rc[dr]
-        shift = ((v, dr - db),) if dr > db else ONE_MONOMIAL
-        r = r * lb - b * lr.mul_term(shift, Fraction(1))
+        r = r * lb - b * lr.mul_term((dr - db) << (FIELD_BITS * _slot(v)), 1)
     return r
 
 
 def _monomial_content(ms: Iterable[Monomial], bound: Monomial) -> Monomial:
     """The componentwise minimum exponent over bound and every monomial in ms."""
-    shared = dict(bound)
+    shared = bound
     for m in ms:
-        exps = dict(m)
-        for v in list(shared):
-            e = min(shared[v], exps.get(v, 0))
-            if e:
-                shared[v] = e
-            else:
-                del shared[v]
         if not shared:
             break
-    return tuple(sorted(shared.items()))
+        shared = _m_min(shared, m)
+    return shared
 
 
 def _level_sums(p: Poly) -> set[Monomial]:
@@ -451,15 +486,15 @@ def _may_divide(s_vars: tuple[Var, ...], p: Poly) -> bool:
     variables = p.variables()
     if not variables.issuperset(s_vars):
         return False
-    point = {v: _coordinate(v) for v in variables}
-    point[s_vars[0]] = -sum(point[v] for v in s_vars[1:]) % _PRIME
+    point = [_coordinate(v) for v in _SLOT_VARS]
+    point[_SLOTS[s_vars[0]]] = -sum(point[_SLOTS[v]] for v in s_vars[1:]) % _PRIME
     total = 0
     for m, c in p.terms.items():
         if c.denominator % _PRIME == 0:
             return True
         t = c.numerator if c.denominator == 1 else c.numerator * pow(c.denominator, -1, _PRIME)
-        for v, e in m:
-            t = t * pow(point[v], e, _PRIME) % _PRIME
+        for x, e in zip(point, _fields(m)):
+            t = t * pow(x, e, _PRIME) % _PRIME
         total += t
     return total % _PRIME == 0
 
@@ -481,13 +516,13 @@ def _strip_known_factors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     Every factor split off is irreducible, so gcd(p, q) = h * gcd(p', q')."""
     pm = _monomial_content(p.terms, next(iter(p.terms)))
     qm = _monomial_content(q.terms, next(iter(q.terms)))
-    h = Poly({_monomial_content([pm], qm): Fraction(1)}, _trusted=True)
-    p = Poly({m_div(m, pm): c for m, c in p.terms.items()}, _trusted=True)
-    q = Poly({m_div(m, qm): c for m, c in q.terms.items()}, _trusted=True)
+    h = Poly({_m_min(pm, qm): 1}, _trusted=True)
+    p = Poly({m - pm: c for m, c in p.terms.items()}, _trusted=True)
+    q = Poly({m - qm: c for m, c in q.terms.items()}, _trusted=True)
     for s_vars in sorted(_level_sums(p) | _level_sums(q)):
         if p.is_const() or q.is_const():
             break
-        s = Poly({((v, 1),): Fraction(1) for v in s_vars}, _trusted=True)
+        s = Poly({monomial(((v, 1),)): 1 for v in s_vars}, _trusted=True)
         a, p = _strip(p, s, s_vars)
         b, q = _strip(q, s, s_vars)
         if min(a, b):
@@ -547,5 +582,4 @@ def _primitive_wrt(p: Poly, v: Var) -> Poly:
 def _make_primitive(p: Poly) -> Poly:
     if p.is_zero():
         return p
-    content = _int_content(p)
-    return p.scale(Fraction(1) / content)
+    return p.scale(1 / _int_content(p))

@@ -110,7 +110,11 @@ def reduce_step(G: MonomialRelation, pivot: ExponentVector, spec: TowerSpec) -> 
         raise SupportTooSmall("relation already has a single term")
     if pivot not in G.coefficients:
         raise ValueError(f"pivot {pivot} not in the support")
-    phis = G.functionals(spec)
+    return _reduce(G, pivot, G.functionals(spec))
+
+
+def _reduce(G: MonomialRelation, pivot: ExponentVector, phis: dict) -> MonomialRelation:
+    """reduce_step with the functionals phis of G already computed."""
     phi_star = phis[pivot]
     new_coeffs: dict[ExponentVector, Element] = {}
     for r, s in G.coefficients.items():
@@ -145,15 +149,17 @@ class ReductionTrace:
     colliding_pair: tuple[ExponentVector, ExponentVector] | None = None
 
     def replay(self, spec: TowerSpec) -> bool:
-        """Re-execute every step literally, expanding the coefficients with
-        reduce_step, and compare the stored functionals and supports exactly."""
+        """Re-execute every step literally, expanding the coefficients as
+        reduce_step does, and compare the stored functionals and supports
+        exactly; each step's functionals are computed once."""
         current = self.initial
         for step in self.steps:
             if step.pivot not in current.coefficients:
                 return False
-            if current.functionals(spec) != step.functionals:
+            phis = current.functionals(spec)
+            if phis != step.functionals:
                 return False
-            current = reduce_step(current, step.pivot, spec)
+            current = _reduce(current, step.pivot, phis)
             if tuple(current.support) != step.remaining_support:
                 return False
         return True

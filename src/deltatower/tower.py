@@ -34,7 +34,7 @@ from .constants import ConstSymbol
 from .elements import Element, ONE_ELEMENT
 from .errors import BudgetExceeded, DomainViolation, LevelOutOfRange, LogOfZero, ParseError
 from .errors import NonInvertibleSeries, UnknownSymbol
-from .polyring import Poly, Var, cancel, m_div, var_b, var_name
+from .polyring import Poly, Var, cancel, m_div, m_pairs, monomial, var_b, var_name
 
 TowerElement = Element
 
@@ -164,13 +164,13 @@ def build_spec(utype: tuple[int, ...] | list[int]) -> TowerSpec:
 def _derive_poly(p: Poly, spec: TowerSpec) -> Poly:
     out = Poly()
     for m, coeff in p.terms.items():
-        for v, e in m:
+        for v, e in m_pairs(m):
             if v[0] != "b":
                 continue
             dv = spec._delta_var(v)
             if dv.is_zero():
                 continue
-            out = out + dv.mul_term(m_div(m, ((v, 1),)), coeff * e)
+            out = out + dv.mul_term(m_div(m, monomial(((v, 1),))), coeff * e)
     return out
 
 
@@ -349,7 +349,7 @@ def _eval_poly(p: Poly, gens: dict[Var, Series], values: dict[Var, float], order
     for m, coeff in p.terms.items():
         scalar = to_float(coeff)
         factor: Series | None = None
-        for v, e in m:
+        for v, e in m_pairs(m):
             if v[0] == "b":
                 if (v, e) not in powers:
                     powers[v, e] = _lookup(gens, v) ** e
@@ -371,9 +371,9 @@ def eval_series(x: TowerElement, ctx: SeriesContext, spec: TowerSpec) -> Series:
     num = _eval_poly(x.num, gens, values, ctx.order)
     if len(x.den.terms) > 1:
         return num / _eval_poly(x.den, gens, values, ctx.order)
-    [monomial] = x.den.terms
+    [den] = x.den.terms
     scalar = 1.0
-    for v, e in monomial:
+    for v, e in m_pairs(den):
         if v[0] == "b":
             recip = _lookup(recips, v)
             if recip is None:
@@ -422,10 +422,7 @@ def random_element(
         if coeff == 0:
             coeff = Fraction(1)
         pairs = [(rng.choice(variables), 1) for _ in range(rng.randint(0, max_factors))]
-        merged: dict[Var, int] = {}
-        for v, e in pairs:
-            merged[v] = merged.get(v, 0) + e
-        num = num + Poly({tuple(sorted(merged.items())): coeff})
+        num = num + Poly({monomial(pairs): coeff})
     if num.is_zero():
         num = Poly.const(1)
     den = Poly.const(1)

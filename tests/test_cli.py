@@ -418,6 +418,9 @@ class TestSeries:
         (["--element", "c[1][3]", "--spec"], '{"ranks": [2]}', "c[1][3]"),
         (["--element", "1/u[1][1]"], None, "u[1][1]"),
         (["--logd-system", "2", "--h", "u[1][1]"], None, "u[1][1]"),
+        # 2^32 + 1 would spill out of a 32-bit exponent field into its neighbour
+        (["--element", "c[1][1]^4294967297*c[1][2]", "--order", "4"], None, "2147483647"),
+        (["--element", "b[1][1]^4294967296", "--order", "4"], None, "2147483647"),
     ]
 
     @pytest.mark.parametrize(
@@ -458,6 +461,33 @@ class TestSeries:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
         assert word in lines[0]
+
+
+# Registers every variable of the budget in reversed order before anything
+# else touches a monomial, so the packed exponent slots differ from a fresh run.
+SLOT_ORDER_SCRIPT = '''
+import sys
+from deltatower import polyring
+if sys.argv[1] == "reversed":
+    names = sorted(((k, i, j) for k in "bcu" for i in (1, 2, 3) for j in (1, 2, 3)), reverse=True)
+    for v in names:
+        polyring.monomial([(v, 1)])
+    if polyring._SLOT_VARS != names:
+        raise SystemExit("the slots were not assigned in reversed order")
+from deltatower.cli import main
+main(["tower", "build", "--utype", "2,3", "--check"])
+main(["series", "--element", "(b[1][1]+b[1][2]+b[1][3])^-2"])
+'''
+
+
+def test_output_does_not_depend_on_the_slot_order():
+    outs = []
+    for order in ("fresh", "reversed"):
+        done = run_python(["-c", SLOT_ORDER_SCRIPT, order], timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(_strip_millis(done.stdout))
+    assert "RESULT FAIL" not in outs[0] and outs[0].count("RESULT PASS") == 2
+    assert outs[0] == outs[1]
 
 
 class TestDeterminism:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from deltatower.elements import Element, format_element
-from deltatower.polyring import MONOMIAL_KEY, Poly, monomial, var_b, var_c
+from deltatower.polyring import MONOMIAL_KEY, Poly, m_pairs, monomial, var_b, var_c
 from deltatower.tower import _derive_poly, build_spec, derive
 
 SPEC = build_spec((3, 2))
@@ -72,7 +72,7 @@ def _to_sympy(p, syms, sympy):
     total = sympy.Integer(0)
     for m, c in p.terms.items():
         term = sympy.Rational(c.numerator, c.denominator)
-        for v, e in m:
+        for v, e in m_pairs(m):
             term *= syms[v] ** e
         total += term
     return total

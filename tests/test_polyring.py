@@ -5,18 +5,26 @@ from fractions import Fraction
 
 import pytest
 
+from deltatower.elements import format_poly
+from deltatower.errors import BudgetExceeded
 from deltatower.polyring import (
+    MAX_EXPONENT,
     MONOMIAL_KEY,
     Poly,
     _make_primitive,
     _may_divide,
+    _monomial_content,
     _prs_gcd,
     exact_div,
     m_degree,
+    m_div,
+    m_divides,
+    m_pairs,
     monomial,
     poly_gcd,
     var_b,
     var_c,
+    var_name,
 )
 
 B11 = var_b(1, 1)
@@ -34,6 +42,7 @@ def m_cmp(m1, m2):
     d1, d2 = m_degree(m1), m_degree(m2)
     if d1 != d2:
         return -1 if d1 < d2 else 1
+    m1, m2 = m_pairs(m1), m_pairs(m2)
     i, j = len(m1) - 1, len(m2) - 1
     while i >= 0 and j >= 0:
         v1, e1 = m1[i]
@@ -179,7 +188,7 @@ def _to_sympy(p, sympy):
     total = sympy.Integer(0)
     for m, c in p.terms.items():
         term = sympy.Rational(c.numerator, c.denominator)
-        for v, e in m:
+        for v, e in m_pairs(m):
             term *= syms[v] ** e
         total += term
     return total, [syms[v] for v in ALL_VARS]
@@ -225,3 +234,105 @@ def test_exact_div_inverts_mul_and_agrees_with_sympy_div(seed):
             assert got is None
         else:
             assert got is not None and sympy.expand(_to_sympy(got, sympy)[0] - quotient) == 0
+
+
+# --- packed monomials: the field guard and the bit tricks ---------------
+
+
+def test_monomial_refuses_an_exponent_past_the_field():
+    assert m_pairs(monomial([(B11, MAX_EXPONENT)])) == ((B11, MAX_EXPONENT),)
+    for pairs in ([(B11, MAX_EXPONENT + 1)], [(B11, MAX_EXPONENT), (B11, 1)]):
+        with pytest.raises(BudgetExceeded):
+            monomial(pairs)
+
+
+def test_products_refuse_an_exponent_past_the_field():
+    top = Poly({monomial([(B11, MAX_EXPONENT)]): 1})
+    # at the limit nothing carries into the neighbouring fields
+    assert m_pairs(next(iter((top * P(B12)).terms))) == ((B11, MAX_EXPONENT), (B12, 1))
+    assert P(B11) ** MAX_EXPONENT == top
+    refused = [
+        lambda: (P(B12) + top) * (P(C11) + P(B11)),
+        lambda: P(B11) ** (MAX_EXPONENT + 1),
+        lambda: (P(B12) + top).mul_term(monomial([(B11, 1)]), 1),
+        # the remainder term b11 * b11^MAX of the first division step
+        lambda: exact_div(top * P(C11), P(C11) + P(B11)),
+    ]
+    for op in refused:
+        with pytest.raises(BudgetExceeded):
+            op()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_packed_divisibility_and_content_match_the_exponent_maps(seed):
+    rng = random.Random(seed)
+    exponents = (0, 1, 2, MAX_EXPONENT - 1, MAX_EXPONENT)
+
+    def exps():
+        return {v: rng.choice(exponents) for v in rng.sample(ALL_VARS, 4)}
+
+    for _ in range(200):
+        a, b = exps(), exps()
+        ma, mb = monomial(a.items()), monomial(b.items())
+        divides = all(b.get(v, 0) >= e for v, e in a.items())
+        assert m_divides(ma, mb) == divides
+        if divides:
+            assert m_div(mb, ma) == monomial((v, b.get(v, 0) - a.get(v, 0)) for v in ALL_VARS)
+        low = monomial((v, min(a.get(v, 0), b.get(v, 0))) for v in ALL_VARS)
+        assert _monomial_content([mb], ma) == low
+        assert m_degree(ma) == sum(a.values())
+
+
+def _mixed_poly(rng, max_terms=4):
+    """Integral coefficients as ints, the rest as Fractions."""
+    p = Poly()
+    for _ in range(rng.randint(1, max_terms)):
+        m = monomial((rng.choice(ALL_VARS), rng.randint(1, 2)) for _ in range(rng.randint(0, 3)))
+        c = rng.choice([rng.randint(-6, 6), Fraction(rng.randint(-6, 6), rng.randint(2, 4))])
+        p = p + Poly({m: c})
+    return p if p else Poly.const(3)
+
+
+def _grlex_terms(expr, sympy):
+    """sympy's terms of expr as (pairs, coefficient), in its own graded lex
+    order with the generators from the most significant variable down."""
+    order = sorted(ALL_VARS, reverse=True)
+    syms = [sympy.Symbol(f"{v[0]}_{v[1]}_{v[2]}") for v in order]
+    return [
+        (tuple((v, e) for v, e in zip(order, exps) if e), Fraction(int(c.p), int(c.q)))
+        for exps, c in sympy.Poly(expr, *syms).terms(order="grlex")
+    ]
+
+
+def _printed(terms):
+    """The print grammar of format_poly, restated: b-factors last."""
+    out = []
+    for i, (pairs, c) in enumerate(terms):
+        factors = [str(abs(c))] if abs(c) != 1 or not pairs else []
+        for v, e in sorted(pairs, key=lambda t: (t[0][0] == "b", t[0])):
+            factors.append(var_name(v) if e == 1 else f"{var_name(v)}^{e}")
+        sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
+        out.append(sign + "*".join(factors))
+    return "".join(out)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mixed_int_and_fraction_coefficients_agree_with_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    a, b, common = _mixed_poly(rng), _mixed_poly(rng), _mixed_poly(rng, max_terms=2)
+    sa, sb = _to_sympy(a, sympy)[0], _to_sympy(b, sympy)[0]
+    for got, want in ((a * b, sa * sb), (a + b, sa + sb), (a - b, sa - sb)):
+        assert sympy.expand(_to_sympy(got, sympy)[0] - want) == 0
+        if got:
+            terms = _grlex_terms(want, sympy)
+            assert got.lead() == (monomial(terms[0][0]), terms[0][1])
+            assert format_poly(got) == _printed(terms)
+    quotient = exact_div(a * b, b)
+    assert quotient == a
+    assert all(type(c) is int or c.denominator != 1 for c in quotient.terms.values())
+    g = poly_gcd(a * common, b * common)
+    ratio = sympy.cancel(_to_sympy(g, sympy)[0] / sympy.gcd(sa * _to_sympy(common, sympy)[0],
+                                                             sb * _to_sympy(common, sympy)[0]))
+    assert ratio.is_Rational and ratio != 0
+    assert all(type(c) is int for c in g.terms.values())

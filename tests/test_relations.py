@@ -239,9 +239,18 @@ class TestCertifyIndependence:
             assert len(trace.steps) == len(coeffs) - 1
             assert trace.replay(SPEC)
 
+    def test_degree_six_level_one_replays_literally(self):
+        # C(9, 3) - 1 = 83 terms; the replay expands every step's products
+        # of linear forms in c[1][.] (about 2 s on a 2-core machine)
+        spec = build_spec((3,))
+        trace = certify_independence(spec.generators(1), 6, spec)
+        assert len(trace.steps) == 82
+        assert trace.replay(spec)
+
     def test_degree_seven_level_one(self):
         # C(10, 3) - 1 = 119 terms, one eliminated per step; the literal
-        # replay of this trace takes minutes and is not run here
+        # replay of this trace takes about 7 s on a 2-core machine and is
+        # not run here
         spec = build_spec((3,))
         trace = certify_independence(spec.generators(1), 7, spec)
         assert trace.verdict is Verdict.NO_NONTRIVIAL_RELATION

@@ -73,11 +73,11 @@ def test_only_the_numeric_modules_import_numpy_at_load():
     assert _numeric_imports(ast.parse("def f():\n    import numpy")) == []
 
 
-def _run(script: str) -> str:
+def _run(script: str, *options: str) -> str:
     path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *options, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
@@ -89,6 +89,19 @@ def test_import_loads_no_submodule():
         "print(sorted(m for m in sys.modules if m.startswith('deltatower.') or m == 'numpy'))"
     )
     assert _run(script) == "[]"
+
+
+def test_the_exponent_guard_holds_under_python_O():
+    script = (
+        "from deltatower.errors import BudgetExceeded\n"
+        "from deltatower.polyring import Poly, var_b\n"
+        "x = Poly.variable(var_b(1, 1)) ** (2**31 - 1)\n"
+        "try:\n"
+        "    x * x\n"
+        "except BudgetExceeded:\n"
+        "    print(__debug__, 'refused')\n"
+    )
+    assert _run(script, "-O") == "False refused"
 
 
 @pytest.mark.parametrize(
