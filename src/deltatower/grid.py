@@ -224,20 +224,31 @@ def is_incompressible(a: Analysis) -> bool:
     return not any(_one_step(chain[i - 1], chain[i + 1]) for i in range(1, a.length))
 
 
+def _one_row_steps(before, last, target_h):
+    """Every step after last that raises each column by at most one row,
+    and some column by one."""
+    options = [(v,) if v >= t else (v, v + 1) for v, t in zip(last, target_h)]
+    return [nxt for nxt in product(*options) if nxt != last]
+
+
 def height_chains(
     base_h: Sequence[int],
     target_h: Sequence[int],
     *,
     max_length: int,
     exact_length: int | None = None,
+    steps=_one_row_steps,
 ) -> Iterator[list[tuple[int, ...]]]:
     """All analyses of target_h over base_h (target_h >= base_h columnwise)
     as lists of step height vectors, with at most (or exactly) the given
-    number of steps.  A step raises every column by at most one and at
-    least one column in all.  DFS with the remaining-distance prune."""
+    number of steps.  steps(before, last, target_h) yields the steps
+    admitted after last, where before is the step before last (None while
+    last is the base); each must raise some column and pass no column of
+    target_h.  DFS with the remaining-distance prune, which never prunes
+    at max_length = the total rank."""
     base_h, target_h = tuple(base_h), tuple(target_h)
 
-    def rec(h: tuple[int, ...], prefix: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
+    def rec(before, h, prefix: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
         if h == target_h:
             # Steps past the target cannot strictly increase, so stop here.
             if exact_length is None or len(prefix) == exact_length:
@@ -245,12 +256,10 @@ def height_chains(
             return
         if len(prefix) + max(map(sub, target_h, h)) > max_length:
             return
-        options = [(v,) if v >= t else (v, v + 1) for v, t in zip(h, target_h)]
-        for nxt in product(*options):
-            if nxt != h:
-                yield from rec(nxt, prefix + [nxt])
+        for nxt in steps(before, h, target_h):
+            yield from rec(h, nxt, prefix + [nxt])
 
-    yield from rec(base_h, [])
+    yield from rec(None, base_h, [])
 
 
 def enumerate_analyses(

@@ -25,11 +25,10 @@ below:
   criteria, ...) quantify over the same pairs but iterate the
   layer-1-verified column rules (``grid._red_chain``,
   ``grid._cored_chain``).  An analysis is a chain of height vectors, one
-  per step.  They search analyses with ``grid.height_chains`` and with
-  one prefix DFS, ``_sequences``, whose step rule says which analyses it
-  grows.  On every pair the public analysis functions, given the pair as
-  cell sets, must return exactly those chains, and the public predicates
-  must agree on them.
+  per step.  They search analyses with ``grid.height_chains``, whose
+  step rule says which analyses it grows.  On every pair the public
+  analysis functions, given the pair as cell sets, must return exactly
+  those chains, and the public predicates must agree on them.
 
 ``_check`` is the only code that builds a ``PropertyReport``; the caller
 times it.  The chain properties are per-pair functions run by
@@ -223,23 +222,6 @@ def _shortest_chain_length(t_h, g_h) -> int:
         if next(height_chains(t_h, g_h, max_length=k), None) is not None:
             return k
     raise RuntimeError("no analysis found, though one of length <= total rank exists")
-
-
-def _sequences(base_h, target_h, steps):
-    """Analyses of target_h over base_h grown by prefix DFS: steps(before,
-    last, target_h) yields the admissible steps after ``last``, where
-    ``before`` is the step before it (None at the first step)."""
-
-    def rec(prefix):
-        last = prefix[-1]
-        if last == target_h:
-            yield prefix[1:]
-            return
-        before = prefix[-2] if len(prefix) >= 2 else None
-        for nxt in steps(before, last, target_h):
-            yield from rec(prefix + [nxt])
-
-    yield from rec([base_h])
 
 
 def _column_rule_steps(column, before, last, target_h):
@@ -448,7 +430,8 @@ def check_incompressible_ones_minimal(max_cells: int) -> PropertyReport:
         if t_h == g_h:
             return None
         shortest = _shortest_chain_length(t_h, g_h)
-        for seq in _sequences(t_h, g_h, _single_cell_steps):
+        rank = sum(g_h) - sum(t_h)
+        for seq in height_chains(t_h, g_h, max_length=rank, steps=_single_cell_steps):
             if len(seq) != shortest:
                 return (
                     f"incompressible (1,..,1) analysis of length {len(seq)} "
@@ -468,8 +451,8 @@ def check_local_criterion(max_cells: int, direction: str) -> PropertyReport:
     "reductions") or by coreductions ("coreductions"): each step is the
     reduction of the next step over the step before (or the coreduction
     of the next step over the step before, joined with that step).
-    Forward, that analysis meets the criterion; reverse, the prefix DFS
-    finds it and no other analysis meeting it."""
+    Forward, that analysis meets the criterion; reverse, ``height_chains``
+    with the criterion as its step rule finds it and no other analysis."""
     column, official_chain = {
         "reductions": (_red_column, _red_chain),
         "coreductions": (_cored_column, _cored_chain),
@@ -491,7 +474,7 @@ def check_local_criterion(max_cells: int, direction: str) -> PropertyReport:
                 got = tuple(map(max, cored, chain[i - 1]))
             if got != chain[i]:
                 return f"public {direction[:-1]} disagrees at step {i}"
-        found = list(_sequences(t_h, g_h, steps))
+        found = list(height_chains(t_h, g_h, max_length=sum(g_h) - sum(t_h), steps=steps))
         if found != [official]:
             return f"the locally-by-{direction} analyses {found} are not exactly [{official}]"
         return None

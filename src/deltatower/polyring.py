@@ -13,22 +13,27 @@ ints.  Exponents stay at most ``MAX_EXPONENT`` (2^31 - 1): a sum of two
 never carries into the next field, and one that reaches 2^31 sets its
 field's top bit, which ``monomial``, products and division remainders test
 (an ``if``, so it holds under ``python -O``), raising ``BudgetExceeded``.
-Whatever depends on order decodes through ``m_pairs`` to ``(var,
-exponent)`` pairs sorted by var, so no result depends on the slot order.
 
 Monomials are compared in graded lexicographic order: total degree
 first, then exponents read off the variables from most significant down,
 where variables are ordered by their natural tuple order (so
-``('c', i, j)`` beats every ``('b', ...)``).
+``('c', i, j)`` beats every ``('b', ...)``).  ``MONOMIAL_KEY`` alone
+states it, as ``(degree, sum of e_v << shift(v))`` with the shifts
+``FIELD_BITS * rank`` of the variables in sorted order that the registry
+keeps per slot: one int compare decides, whatever the slot order.  A
+registration can move shifts, so keys are compared only inside one
+``max``, sort or ``exact_div`` call; none registers a variable, as
+products and quotients only add fields that exist.
 
 The gcd first strips the factors whose shape is known in advance: the
 monomial content and the linear level sums ``sum_j b[k][j]`` (each
 ``e_k`` is one), which are irreducible, so each can be split off on its
 own.  A division by a level sum is tried only when the polynomial
-vanishes, modulo a prime, at a point where the sum does.  Only a
-cofactor built from other factors reaches the general algorithm, the
-recursive content/primitive-part gcd over Z with a pseudo-remainder
-sequence in the top variable.  Every result is exact.
+vanishes, modulo a prime, at a point where the sum does; the registry
+keeps each variable's coordinate of that point.  Only a cofactor built
+from other factors reaches the general algorithm, the recursive
+content/primitive-part gcd over Z with a pseudo-remainder sequence in
+the top variable.  Every result is exact.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
-from operator import or_
+from operator import lshift, or_
 from struct import unpack
 from typing import Iterable
 
@@ -52,10 +57,13 @@ FIELD_BITS = 32  # one unsigned C int per field, so a monomial decodes in one un
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD = (1 << FIELD_BITS) - 1
 
-# the slot registry, and the top bit of every registered field
+# the slot registry (per slot: variable, key shift, _may_divide coordinate; all top bits)
 _SLOTS: dict[Var, int] = {}
 _SLOT_VARS: list[Var] = []
+_SHIFTS: list[int] = []
+_COORDS: list[int] = []
 _HIGH = 0
+_PRIME = (1 << 61) - 1
 
 
 def var_b(level: int, index: int) -> Var:
@@ -75,12 +83,25 @@ def var_name(v: Var) -> str:
     return f"{kind}[{level}][{index}]"
 
 
+def _coordinate(v: Var) -> int:
+    """A fixed pseudo-random residue modulo _PRIME for each variable (the
+    splitmix64 finaliser of its packed indices)."""
+    kind, level, index = v
+    x = (ord(kind) << 40) ^ (level << 20) ^ index
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 % (1 << 64)
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB % (1 << 64)
+    return (x ^ (x >> 31)) % _PRIME
+
+
 def _slot(v: Var) -> int:
     global _HIGH
     s = _SLOTS.get(v)
     if s is None:
         s = _SLOTS[v] = len(_SLOT_VARS)
         _SLOT_VARS.append(v)
+        _COORDS.append(_coordinate(v))
+        rank = {u: r for r, u in enumerate(sorted(_SLOT_VARS))}
+        _SHIFTS[:] = [FIELD_BITS * rank[u] for u in _SLOT_VARS]
         _HIGH |= 1 << (FIELD_BITS * s + FIELD_BITS - 1)
     return s
 
@@ -141,24 +162,11 @@ def _m_min(a: Monomial, b: Monomial) -> Monomial:
     return (b & take_b) | (a & ~take_b)
 
 
-def _pairs_key(pairs: Pairs) -> tuple:
-    return (sum(e for _, e in pairs), pairs[::-1])
-
-
-def MONOMIAL_KEY(m: Monomial) -> tuple:
-    """Sort key of the graded lex order: total degree first, then the
-    (var, exponent) pairs read from the most significant variable down,
-    where a monomial that runs out of variables first is the smaller."""
-    return _pairs_key(m_pairs(m))
-
-
-def _descending_key(m: Monomial) -> tuple:
-    """A heap entry that orders monomials the opposite way to MONOMIAL_KEY,
-    so a min-heap pops the leading monomial first; the monomial rides along
-    last.  Within one degree no pair sequence is a proper prefix of another,
-    so negating every entry (ord() of the one-letter kinds) reverses the order."""
-    degree, pairs = MONOMIAL_KEY(m)
-    return (-degree, [(-ord(k), -i, -j, -e) for (k, i, j), e in pairs], m)
+def MONOMIAL_KEY(m: Monomial) -> tuple[int, int]:
+    """Sort key of the graded lex order: (total degree, the fields repacked
+    in variable order), valid within one registry state."""
+    fields = _fields(m)
+    return sum(fields), sum(map(lshift, fields, _SHIFTS))
 
 
 def _normal(c):
@@ -214,9 +222,9 @@ class Poly:
         return m, self.terms[m]
 
     def descending_terms(self) -> list[tuple[Pairs, Fraction]]:
-        """(pairs, coefficient) per term, leading first; each monomial decoded once."""
-        terms = ((m_pairs(m), c) for m, c in self.terms.items())
-        return sorted(terms, key=lambda t: _pairs_key(t[0]), reverse=True)
+        """(pairs, coefficient) per term, leading first."""
+        ms = sorted(self.terms, key=MONOMIAL_KEY, reverse=True)
+        return [(m_pairs(m), self.terms[m]) for m in ms]
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -353,7 +361,12 @@ def exact_div(p: Poly, q: Poly) -> Poly | None:
     qm, qc = q.lead()
     q_tail = [(m, c) for m, c in q.terms.items() if m != qm]
     rest = dict(p.terms)
-    heap = [_descending_key(m) for m in rest]
+
+    def entry(m: Monomial) -> tuple[int, int, Monomial]:  # the leading term pops first
+        d, k = MONOMIAL_KEY(m)
+        return -d, -k, m
+
+    heap = [entry(m) for m in rest]
     heapify(heap)
     quotient: dict[Monomial, Fraction] = {}
     while heap:
@@ -372,7 +385,7 @@ def exact_div(p: Poly, q: Poly) -> Poly | None:
             if s is None:
                 _check(nm)
                 rest[nm] = -c * tc
-                heappush(heap, _descending_key(nm))
+                heappush(heap, entry(nm))
             else:
                 s = s - c * tc
                 if s:
@@ -465,28 +478,14 @@ def _level_sums(p: Poly) -> set[Monomial]:
     return {tuple(sorted(vs)) for vs in by_level.values() if len(vs) > 1}
 
 
-_PRIME = (1 << 61) - 1
-
-
-def _coordinate(v: Var) -> int:
-    """A fixed pseudo-random residue modulo _PRIME for each variable (the
-    splitmix64 finaliser of its packed indices)."""
-    kind, level, index = v
-    x = (ord(kind) << 40) ^ (level << 20) ^ index
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 % (1 << 64)
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB % (1 << 64)
-    return (x ^ (x >> 31)) % _PRIME
-
-
 def _may_divide(s_vars: tuple[Var, ...], p: Poly) -> bool:
     """False only when s = sum(s_vars) cannot divide p: s | p forces p to
     vanish wherever s does, and p is nonzero modulo _PRIME at one such
     point.  A division that is going to fail runs to the last term, so
     this test saves most of its cost."""
-    variables = p.variables()
-    if not variables.issuperset(s_vars):
+    if not p.variables().issuperset(s_vars):
         return False
-    point = [_coordinate(v) for v in _SLOT_VARS]
+    point = _COORDS.copy()
     point[_SLOTS[s_vars[0]]] = -sum(point[_SLOTS[v]] for v in s_vars[1:]) % _PRIME
     total = 0
     for m, c in p.terms.items():

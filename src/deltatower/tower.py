@@ -51,9 +51,10 @@ class TowerSpec:
     _caches: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
-        if not self.ranks or any(n < 1 for n in self.ranks):
+        # only ints: int() would read True as 1 and truncate 1.7 to 1
+        if not self.ranks or any(type(n) is not int or n < 1 for n in self.ranks):
             raise ValueError("ranks must be a nonempty sequence of positive integers")
-        object.__setattr__(self, "ranks", tuple(int(n) for n in self.ranks))
+        object.__setattr__(self, "ranks", tuple(self.ranks))
 
     @property
     def ell(self) -> int:
@@ -143,10 +144,12 @@ class TowerSpec:
             raise ParseError(f"tower spec is not JSON: {exc}") from None
         if not isinstance(doc, dict) or "ranks" not in doc:
             raise ParseError("tower spec has no ranks field")
+        if type(doc.get("ell", 0)) is not int:
+            raise ParseError("malformed tower spec: ell must be a JSON integer")
         try:
             pairs = sorted((str(k), str(v)) for k, v in doc.get("assignments", {}).items())
-            spec = cls(ranks=tuple(int(n) for n in doc["ranks"]), assignments=tuple(pairs))
-            if int(doc.get("ell", spec.ell)) != spec.ell:
+            spec = cls(ranks=tuple(doc["ranks"]), assignments=tuple(pairs))
+            if doc.get("ell", spec.ell) != spec.ell:
                 raise ParseError("ell does not match the number of ranks")
         except (TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"malformed tower spec: {exc}") from None

@@ -82,6 +82,15 @@ class TestTowerBuild:
         )
         assert _strip_millis(out1) == _strip_millis(out2)
 
+    @pytest.mark.parametrize("name", ["no-such-dir/spec.json", "."])
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, name):
+        # a missing directory, and a directory in place of a file
+        argv = ["tower", "build", "--utype", "1", "--out", str(tmp_path / name)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write --out"), err
+
 
 # sha256 prefixes of the stripped stdout and of RunReport.to_json of
 # `tower build --utype U --check` at the default seed, as printed by the
@@ -379,6 +388,11 @@ class TestSeries:
         )
         assert code == 0
 
+    def test_logd_system_at_the_cap_passes(self, capsys):
+        argv = ["--logd-system", str(cli.MAX_LOGD_SYSTEM), "--order", "2"]
+        code, out, _ = run_cli(capsys, "series", *argv)
+        assert code == 0 and out.endswith("RESULT PASS\n")
+
     def test_order_cap(self, capsys):
         code, _, err = run_cli(capsys, "series", "--logd-system", "2", "--order", "100")
         assert code == 2
@@ -421,6 +435,11 @@ class TestSeries:
         # 2^32 + 1 would spill out of a 32-bit exponent field into its neighbour
         (["--element", "c[1][1]^4294967297*c[1][2]", "--order", "4"], None, "2147483647"),
         (["--element", "b[1][1]^4294967296", "--order", "4"], None, "2147483647"),
+        # int() would read these as ranks (1, 2), (1,) and ell 1
+        (["--element", "b[1][1]", "--spec"], '{"ranks": [1.7, 2]}', "integers"),
+        (["--element", "b[1][1]", "--spec"], '{"ranks": [true]}', "integers"),
+        (["--element", "b[1][1]", "--spec"], '{"ranks": [2], "ell": 1.5}', "integer"),
+        (["--logd-system", str(cli.MAX_LOGD_SYSTEM + 1), "--order", "2"], None, "cap"),
     ]
 
     @pytest.mark.parametrize(

@@ -1,7 +1,13 @@
 """Engine-level tests: monomial order, exact division, gcd."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 
@@ -336,3 +342,65 @@ def test_mixed_int_and_fraction_coefficients_agree_with_sympy(seed):
                                                              sb * _to_sympy(common, sympy)[0]))
     assert ratio.is_Rational and ratio != 0
     assert all(type(c) is int for c in g.terms.values())
+
+
+# --- a variable registered in the middle of a run -------------------------
+
+# Builds polynomials in b[2][.] and c[2][.], then registers b[1][1], which
+# sorts before all of them and so moves every field's key shift ("mid");
+# "fresh" registers b[1][1] first.  Prints, as JSON, the monomials of every
+# polynomial in MONOMIAL_KEY order, each polynomial's terms and lead, the
+# exact divisions of all products and the printed forms.
+MID_RUN_SCRIPT = """
+import json, sys
+from deltatower import polyring
+from deltatower.elements import Element
+from deltatower.polyring import MONOMIAL_KEY, Poly, exact_div, m_pairs
+
+def P(kind, level, index):
+    return Poly.variable((kind, level, index))
+
+if sys.argv[1] == "fresh":
+    P("b", 1, 1)
+b21, b22, c21, c22 = P("b", 2, 1), P("b", 2, 2), P("c", 2, 1), P("c", 2, 2)
+p = (b21 + c21 * b22 + Poly.const(2)) ** 2
+q = c22 * b22 - b21 * b21.scale(3) + c21
+early = [p, q, p * q]
+if sys.argv[1] == "mid" and ("b", 1, 1) in polyring._SLOTS:
+    raise SystemExit("b[1][1] was registered early")
+b11 = P("b", 1, 1)
+if min(polyring._SLOT_VARS) != ("b", 1, 1):
+    raise SystemExit("b[1][1] does not sort first")
+polys = early + [b11 * p + q, (b11 + c22) ** 2 * q - b11]
+monomials = {m for x in polys for m in x.terms}
+print(json.dumps({
+    "order": [m_pairs(m) for m in sorted(monomials, key=MONOMIAL_KEY)],
+    "leads": [(m_pairs(x.lead()[0]), [m_pairs(m) for m in x.terms]) for x in polys],
+    "divides": [exact_div(x * y, y) == x for x in polys for y in polys],
+    "printed": [str(x) for x in polys] + [str(Element(x, y)) for x in polys for y in polys],
+}))
+"""
+
+
+def _decode(pairs):
+    return monomial((tuple(v), e) for v, e in pairs)
+
+
+def test_keys_after_a_registration_in_the_middle_of_a_run():
+    path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    runs = {}
+    for mode in ("mid", "fresh"):
+        done = subprocess.run(
+            [sys.executable, "-c", MID_RUN_SCRIPT, mode],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        runs[mode] = json.loads(done.stdout)
+    for run in runs.values():
+        order = [_decode(pairs) for pairs in run["order"]]
+        assert all(m_cmp(a, b) < 0 for a, b in zip(order, order[1:]))
+        for lead, terms in run["leads"]:
+            assert _decode(lead) == max(map(_decode, terms), key=cmp_to_key(m_cmp))
+        assert all(run["divides"])
+    assert runs["mid"] == runs["fresh"]

@@ -171,6 +171,9 @@ class TestTowerSpec:
             build_spec((0, 1))
         with pytest.raises(ValueError):
             build_spec(())
+        for ranks in ((1.7, 2), (True,)):  # not truncated to (1, 2) and (1,)
+            with pytest.raises(ValueError):
+                build_spec(ranks)
 
     def test_index_bounds(self):
         with pytest.raises(LevelOutOfRange):
