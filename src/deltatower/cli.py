@@ -20,7 +20,9 @@ cells, ``grid seqred`` more than ``MAX_SEQRED_CELLS`` (2,000),
 and element text refuses a power whose expansion may exceed
 ``textio.MAX_POWER_TERMS`` terms or ``textio.MAX_POWER_BITS``
 coefficient bits.  A ``tower build --out`` file that cannot be written
-is refused the same way (exit 2, one ``error:`` line).
+is refused the same way (exit 2, one ``error:`` line), and so is a
+``series`` option that its mode ignores: ``--h`` or ``--initial`` with
+``--element``, ``--spec`` with ``--logd-system``.
 """
 
 from __future__ import annotations
@@ -277,6 +279,11 @@ def _small(residual: float, label: str) -> tuple[bool, str]:
 def cmd_series(args, argv) -> int:
     from .series import Series
 
+    by_element = args.element is not None
+    mode, unused = ("--element", ("h", "initial")) if by_element else ("--logd-system", ("spec",))
+    for name in unused:
+        if getattr(args, name) is not None:
+            raise DeltaTowerError(f"--{name} does not apply to {mode}")
     if args.order > MAX_SERIES_ORDER:
         raise BudgetExceeded(f"order {args.order} exceeds the cap {MAX_SERIES_ORDER}")
     if args.order < 2:
@@ -288,7 +295,7 @@ def cmd_series(args, argv) -> int:
             raise DeltaTowerError(f"--logd-system {n} is not a positive dimension")
         if n > MAX_LOGD_SYSTEM:
             raise BudgetExceeded(f"--logd-system {n} exceeds the cap {MAX_LOGD_SYSTEM}")
-        h = parse_element(args.h)
+        h = parse_element("0" if args.h is None else args.h)
         system = logd_system(n, h)
         initial = args.initial if args.initial is not None else [1.0] * n
         if len(initial) != n:
@@ -367,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--logd-system", type=int, metavar="N")
     which.add_argument("--element", metavar="EXPR")
     series.add_argument("--order", type=int, default=12)
-    series.add_argument("--h", default="0", help="right-hand side element")
+    series.add_argument("--h", help="right-hand side element (default 0)")
     series.add_argument("--initial", type=_parse_floats, help="comma-separated initial values")
     series.add_argument("--spec", help="TowerSpec JSON file")
     series.set_defaults(fn=cmd_series)

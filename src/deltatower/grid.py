@@ -244,9 +244,10 @@ def height_chains(
     number of steps.  steps(before, last, target_h) yields the steps
     admitted after last, where before is the step before last (None while
     last is the base); each must raise some column and pass no column of
-    target_h.  DFS with the remaining-distance prune, which never prunes
-    at max_length = the total rank."""
+    target_h.  DFS; the remaining-distance prune runs only when max_length
+    is below the total rank, since each step adds a cell."""
     base_h, target_h = tuple(base_h), tuple(target_h)
+    prune = max_length < sum(target_h) - sum(base_h)
 
     def rec(before, h, prefix: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
         if h == target_h:
@@ -254,7 +255,7 @@ def height_chains(
             if exact_length is None or len(prefix) == exact_length:
                 yield prefix
             return
-        if len(prefix) + max(map(sub, target_h, h)) > max_length:
+        if prune and len(prefix) + max(map(sub, target_h, h)) > max_length:
             return
         for nxt in steps(before, h, target_h):
             yield from rec(h, nxt, prefix + [nxt])

@@ -59,6 +59,7 @@ from .grid import (
     GridModel,
     _cored_chain,
     _cored_column,
+    _one_row_steps,
     _red_chain,
     _red_column,
     _step,
@@ -232,20 +233,17 @@ def _column_rule_steps(column, before, last, target_h):
     built column by column, so a dead branch costs O(columns): a column may
     stay iff column(b, l) == l and rise iff column(b, l + 1) == l."""
     if before is None:
-        options = [(lv, lv + 1) if lv < tv else (lv,) for lv, tv in zip(last, target_h)]
-    else:
-        options = []
-        for bv, lv, tv in zip(before, last, target_h):
-            stay = column(bv, lv) == lv
-            if lv < tv and column(bv, lv + 1) == lv:
-                options.append((lv, lv + 1) if stay else (lv + 1,))
-            elif stay:
-                options.append((lv,))
-            else:
-                return
-    for nxt in product(*options):
-        if nxt != last:
-            yield nxt
+        return _one_row_steps(before, last, target_h)
+    options = []
+    for bv, lv, tv in zip(before, last, target_h):
+        stay = column(bv, lv) == lv
+        if lv < tv and column(bv, lv + 1) == lv:
+            options.append((lv, lv + 1) if stay else (lv + 1,))
+        elif stay:
+            options.append((lv,))
+        else:
+            return []
+    return [nxt for nxt in product(*options) if nxt != last]
 
 
 def _single_cell_steps(before, last, target_h):
@@ -278,21 +276,18 @@ def check_closure_axioms(max_cells: int) -> PropertyReport:
                     yield f"{where} not idempotent on {sorted(S)}"
                 else:
                     yield None
-            # monotonicity over all nested pairs via submask enumeration
-            for big in range(size):
-                cl_big = int(gr.closure_table[big])
-                sub = big
-                while True:
-                    if int(gr.closure_table[sub]) & ~cl_big:
-                        yield (
-                            f"{where} not monotone "
-                            f"on {sorted(gr.to_set(sub))} <= {sorted(gr.to_set(big))}"
-                        )
-                        return
-                    yield None
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & big
+            # monotonicity on covering pairs A <= A | {x}: a nested pair
+            # A <= B is a chain of single additions from A up to B, and
+            # inclusion is transitive, so this covers all 3^cells pairs
+            table = gr.closure_table
+            for x in range(gr.cells):
+                bad = np.flatnonzero(table & ~table[np.arange(size) | 1 << x])
+                if bad.size:
+                    a = int(bad[0])
+                    pair = f"{sorted(gr.to_set(a))} <= {sorted(gr.to_set(a | 1 << x))}"
+                    yield f"{where} not monotone on {pair}"
+                    return
+            yield 3**gr.cells
 
     return _check("closure_axioms", gen())
 

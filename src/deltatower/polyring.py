@@ -493,7 +493,8 @@ def _may_divide(s_vars: tuple[Var, ...], p: Poly) -> bool:
             return True
         t = c.numerator if c.denominator == 1 else c.numerator * pow(c.denominator, -1, _PRIME)
         for x, e in zip(point, _fields(m)):
-            t = t * pow(x, e, _PRIME) % _PRIME
+            if e:
+                t = t * pow(x, e, _PRIME) % _PRIME
         total += t
     return total % _PRIME == 0
 

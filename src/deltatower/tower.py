@@ -7,10 +7,12 @@ derivation acts by
     delta b[i][j] = c[i][j] * b[i][j] * prod_{k<i} e_k,    e_k = sum_j b[k][j],
 
 extended to the whole rational-function field by linearity, Leibniz and
-the quotient rule.  The twisted derivation D_i divides delta by
-prod_{k<i} e_k, so the level-i generators are D_i-eigenvectors with
-eigenvalue c[i][j].  The logarithmic derivative with respect to D_i is
-D_i(x)/x.
+the quotient rule.  On polynomials that is delta = sum_i P_i * E_i, where
+P_i = prod_{k<i} e_k and E_i = sum_{v at level i} c_v x_v d/dx_v is the
+Euler operator of level i, which maps term by term.  The twisted
+derivation D_i divides delta by P_i, so the level-i generators are
+D_i-eigenvectors with eigenvalue c[i][j].  The logarithmic derivative
+with respect to D_i is D_i(x)/x.
 
 A :class:`SeriesContext` interprets the same data numerically: delta
 becomes d/dt, level-1 generators become truncated exponentials and higher
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -34,7 +37,7 @@ from .constants import ConstSymbol
 from .elements import Element, ONE_ELEMENT
 from .errors import BudgetExceeded, DomainViolation, LevelOutOfRange, LogOfZero, ParseError
 from .errors import NonInvertibleSeries, UnknownSymbol
-from .polyring import Poly, Var, cancel, m_div, m_pairs, monomial, var_b, var_name
+from .polyring import Poly, Var, cancel, m_pairs, monomial, var_b, var_name
 
 TowerElement = Element
 
@@ -116,18 +119,6 @@ class TowerSpec:
             self._caches[key] = out
         return self._caches[key]
 
-    def _delta_var(self, v: Var) -> Poly:
-        key = ("delta", v)
-        if key not in self._caches:
-            kind, i, j = v
-            if kind != "b":
-                self._caches[key] = Poly()
-            else:
-                p = Poly.variable(("c", i, j)) * Poly.variable(v)
-                p = p * self.prod_e_below(i).num  # prod of e_k is a polynomial
-                self._caches[key] = p
-        return self._caches[key]
-
     # --- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
@@ -165,15 +156,19 @@ def build_spec(utype: tuple[int, ...] | list[int]) -> TowerSpec:
 
 
 def _derive_poly(p: Poly, spec: TowerSpec) -> Poly:
-    out = Poly()
+    """delta(p) = sum_i P_i * E_i(p), P_i = prod_{k<i} e_k, with the Euler
+    operator E_i = sum_{v at level i} c_v x_v d/dx_v mapping coeff*m to
+    e_v*coeff on m*c_v for each level-i generator v of exponent e_v in m.
+    Two (m, v) can land on one monomial (b1*b2*c2 from v = b1, b1*b2*c1
+    from v = b2): coefficients add up, and Poly drops a zero sum."""
+    euler: dict[int, Counter] = defaultdict(Counter)  # i -> E_i(p), monomial -> coefficient
     for m, coeff in p.terms.items():
-        for v, e in m_pairs(m):
-            if v[0] != "b":
-                continue
-            dv = spec._delta_var(v)
-            if dv.is_zero():
-                continue
-            out = out + dv.mul_term(m_div(m, monomial(((v, 1),))), coeff * e)
+        for (kind, i, j), e in m_pairs(m):
+            if kind == "b":
+                euler[i][m + monomial(((("c", i, j), 1),))] += e * coeff
+    out = Poly()
+    for i in sorted(euler):
+        out = out + Poly(euler[i]) * spec.prod_e_below(i).num
     return out
 
 

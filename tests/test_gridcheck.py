@@ -119,6 +119,32 @@ def test_coreduction_is_compared_on_every_pair(monkeypatch):
     )
 
 
+def test_closure_axioms_fail_a_non_monotone_table(monkeypatch):
+    # on the 1x3 grid (cells a, b, c in one row) cl({a}) = {a, b} while
+    # {a, c} stays closed: extensive and idempotent, the public closure
+    # agrees, but monotonicity fails on the one nested pair {a} <= {a, c}
+    a, b = (1, 1), (1, 2)
+    real_init, real_closure = gridcheck._Grid.__init__, gridcheck.closure
+
+    def init(self, depth, columns):
+        real_init(self, depth, columns)
+        if (depth, columns) == (1, 3):
+            self.closure_table[0b001] = 0b011
+
+    def patched(S, g):
+        if (g.depth, g.columns) == (1, 3) and S == {a}:
+            return frozenset({a, b})
+        return real_closure(S, g)
+
+    monkeypatch.setattr(gridcheck._Grid, "__init__", init)
+    monkeypatch.setattr(gridcheck, "closure", patched)
+    report = gridcheck.check_closure_axioms(3)
+    assert not report.passed
+    assert report.counterexample == (
+        "grid 1x3: closure not monotone on [(1, 1)] <= [(1, 1), (1, 3)]"
+    )
+
+
 @pytest.mark.parametrize("column", [grid._red_column, grid._cored_column])
 def test_column_rule_steps_match_literal_filter(column):
     """The per-column stay/rise rule yields the same steps, in the same

@@ -1,6 +1,8 @@
 """Derivations on the tower: eigen-equations, Leibniz, logd, iterates."""
 
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,7 +19,8 @@ from deltatower import (
 )
 from deltatower.constants import scale_symbol
 from deltatower.elements import ZERO_ELEMENT
-from deltatower.tower import random_element
+from deltatower.polyring import Poly, m_div, m_pairs, monomial
+from deltatower.tower import _derive_poly, random_element
 
 SPEC = build_spec((2, 2, 1))
 B11 = SPEC.generator(1, 1)
@@ -61,6 +64,68 @@ class TestDerive:
         rng = random.Random(3)
         x, y = random_element(rng, SPEC), random_element(rng, SPEC)
         assert derive(x + y, SPEC) == derive(x, SPEC) + derive(y, SPEC)
+
+
+def _derive_poly_literal(p, spec):
+    """delta read off its definition: delta(b[i][j]) = c[i][j] b[i][j] P_i
+    times the partial derivative, one Poly sum per (term, generator)."""
+    out = Poly()
+    for m, coeff in p.terms.items():
+        for v, e in m_pairs(m):
+            kind, i, j = v
+            if kind != "b":
+                continue
+            dv = Poly.variable(("c", i, j)) * Poly.variable(v) * spec.prod_e_below(i).num
+            out = out + dv.mul_term(m_div(m, monomial(((v, 1),))), coeff * e)
+    return out
+
+
+BUDGET_UTYPES = [u for n in (1, 2, 3) for u in product((1, 2, 3), repeat=n)]
+
+
+def _random_poly(rng, spec):
+    """Up to eight terms in the tower's b, c and u variables, exponents up
+    to 3, int and Fraction coefficients; then, at every level of rank >= 2,
+    k*b1*b2*c2 - k*b1*b2*c1, whose images under E_i meet on b1*b2*c1*c2 and
+    cancel there."""
+    variables = [
+        (kind, i, j) for i, n in enumerate(spec.ranks, 1) for j in range(1, n + 1) for kind in "bcu"
+    ]
+    terms = []
+    for _ in range(rng.randint(0, 8)):
+        pairs = [(rng.choice(variables), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+        coeff = Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+        terms.append((monomial(pairs), coeff))
+    for i, n in enumerate(spec.ranks, 1):
+        if n >= 2:
+            k = rng.randint(1, 4)
+            b1b2 = [(("b", i, 1), 1), (("b", i, 2), 1)]
+            terms.append((monomial(b1b2 + [(("c", i, 2), 1)]), k))
+            terms.append((monomial(b1b2 + [(("c", i, 1), 1)]), -k))
+    p = Poly()
+    for m, coeff in terms:
+        p = p + Poly({m: coeff})
+    return p
+
+
+@pytest.mark.parametrize("utype", BUDGET_UTYPES, ids=lambda u: ",".join(map(str, u)))
+def test_derive_poly_is_the_literal_derivation(utype):
+    spec = build_spec(utype)
+    rng = random.Random(",".join(map(str, utype)))
+    for _ in range(12):
+        p = _random_poly(rng, spec)
+        got = _derive_poly(p, spec)
+        assert got == _derive_poly_literal(p, spec), p
+        assert 0 not in got.terms.values()
+
+
+def test_euler_images_that_meet_cancel():
+    # b1*b2*(c2 - c1) at level 2: both images land on b1*b2*c1*c2 and cancel
+    b1, b2 = Poly.variable(("b", 2, 1)), Poly.variable(("b", 2, 2))
+    c1, c2 = Poly.variable(("c", 2, 1)), Poly.variable(("c", 2, 2))
+    p = b1 * b2 * (c2 - c1)
+    expected = b1 * b2 * (c2 * c2 - c1 * c1) * SPEC.prod_e_below(2).num
+    assert _derive_poly(p, SPEC) == expected == _derive_poly_literal(p, SPEC)
 
 
 class TestDTwist:
