@@ -66,9 +66,6 @@ class Element:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.den == ONE and self.num.is_const() and self.num.const_value() == 1
-
     def is_rational(self) -> bool:
         return self.num.is_const() and self.den.is_const()
 

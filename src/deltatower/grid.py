@@ -49,9 +49,6 @@ class GridModel:
     def cells(self) -> int:
         return self.depth * self.columns
 
-    def all_cells(self) -> list[Cell]:
-        return [(i, j) for i in range(1, self.depth + 1) for j in range(1, self.columns + 1)]
-
     def check(self, S: CellSet) -> None:
         for i, j in S:
             if not (1 <= i <= self.depth and 1 <= j <= self.columns):

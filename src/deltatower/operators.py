@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from .errors import NotNormalForm, ZeroInitialValue
 from .polyring import Poly, m_pairs, monomial
-from .textio import format_operator_factors, parse_element, parse_operator_factors
+from .textio import format_operator_factors, parse_element
 from .tower import SeriesContext, TowerElement, TowerSpec, d_twist, eval_series, to_float
 
 
@@ -62,12 +62,6 @@ class FactoredOperator:
 
     def to_text(self) -> str:
         return format_operator_factors([(f.level, f.eigenvalue) for f in self.factors])
-
-    @classmethod
-    def from_text(cls, text: str) -> "FactoredOperator":
-        pairs = parse_operator_factors(text)
-        level = pairs[0][0]
-        return cls(level, tuple(LinearFactor(lv, ev) for lv, ev in pairs))
 
     def __str__(self) -> str:
         return self.to_text()

@@ -139,10 +139,6 @@ def m_pairs(m: Monomial) -> Pairs:
     return tuple(sorted((_SLOT_VARS[s], e) for s, e in enumerate(_fields(m)) if e))
 
 
-def m_degree(m: Monomial) -> int:
-    return sum(_fields(m))
-
-
 def m_divides(m1: Monomial, m2: Monomial) -> bool:
     """m1 | m2: (m2_f + 2^31) - m1_f keeps field f's top bit iff m2_f >= m1_f."""
     return ((m2 | _HIGH) - m1) & _HIGH == _HIGH

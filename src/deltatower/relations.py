@@ -13,7 +13,10 @@ sharing its functional disappears with it, and G*(y) = 0 whenever
 G(y) = 0.  When the functionals are pairwise distinct, iterating shrinks
 any support to a single term whose coefficient must vanish; when two
 support vectors share a functional, their quotient monomial y^(r2-r1) is
-an invariant direction and is surfaced instead.
+an invariant direction and is surfaced instead.  Neither the eigenvalues
+nor the weights r . lambda depend on the step, so a reduction and its
+replay each compute them once and a step adds only logD_i(s_r) of the
+non-constant coefficients.
 
 The series rank check is the independent numerical oracle: rows are the
 truncated series of all monomials y^r up to the degree bound, and full
@@ -80,13 +83,18 @@ class MonomialRelation:
                 raise ValueError(f"{v} is not an eigen-element at level {self.level}")
         return lams
 
-    def functionals(self, spec: TowerSpec) -> dict[ExponentVector, Element]:
-        """phi(r) = logD_i(s_r) + r . lambda for every support vector."""
+    def weights(self, spec: TowerSpec) -> dict[ExponentVector, Element]:
+        """r . lambda for every support vector: the functionals of constant
+        coefficients, the same for every relation a reduction of G reaches."""
         lams = self.eigenvalues(spec)
-        return {
-            r: _logd_coefficient(s, self.level, spec) + qlinear_dot(r, lams)
-            for r, s in self.coefficients.items()
-        }
+        return {r: qlinear_dot(r, lams) for r in self.coefficients}
+
+    def functionals(self, spec: TowerSpec, weights=None) -> dict[ExponentVector, Element]:
+        """phi(r) = logD_i(s_r) + r . lambda for every support vector, with
+        r . lambda read from ``weights`` (computed here when not given)."""
+        if weights is None:
+            weights = self.weights(spec)
+        return {r: _plus_logd(weights[r], s, self.level, spec) for r, s in self.coefficients.items()}
 
     def evaluate(self) -> Element:
         """G at its own variables (the relation candidate's value)."""
@@ -100,8 +108,9 @@ class MonomialRelation:
         return total
 
 
-def _logd_coefficient(s: Element, level: int, spec: TowerSpec) -> Element:
-    return ZERO_ELEMENT if s.is_constant() else logd(s, level, spec)
+def _plus_logd(phi: Element, s: Element, level: int, spec: TowerSpec) -> Element:
+    """phi + logD_i(s); phi itself when s is constant, since then logD_i(s) = 0."""
+    return phi if s.is_constant() else phi + logd(s, level, spec)
 
 
 def reduce_step(G: MonomialRelation, pivot: ExponentVector, spec: TowerSpec) -> MonomialRelation:
@@ -151,12 +160,14 @@ class ReductionTrace:
     def replay(self, spec: TowerSpec) -> bool:
         """Re-execute every step literally, expanding the coefficients as
         reduce_step does, and compare the stored functionals and supports
-        exactly; each step's functionals are computed once."""
+        exactly.  The weights r . lambda are computed once, here, from the
+        initial relation; each step adds logD_i of its expanded coefficients."""
         current = self.initial
+        weights = current.weights(spec)
         for step in self.steps:
             if step.pivot not in current.coefficients:
                 return False
-            phis = current.functionals(spec)
+            phis = current.functionals(spec, weights)
             if phis != step.functionals:
                 return False
             current = _reduce(current, step.pivot, phis)
@@ -165,6 +176,7 @@ class ReductionTrace:
         return True
 
     def to_json(self) -> str:
+        text: dict[Element, str] = {}  # each distinct functional is formatted once
         doc = {
             "verdict": self.verdict.value,
             "initial_support": [list(r) for r in self.initial.support],
@@ -174,7 +186,8 @@ class ReductionTrace:
                 {
                     "pivot": list(s.pivot),
                     "functionals": {
-                        ",".join(map(str, r)): str(phi) for r, phi in sorted(s.functionals.items())
+                        ",".join(map(str, r)): text.get(phi) or text.setdefault(phi, str(phi))
+                        for r, phi in sorted(s.functionals.items())
                     },
                     "eliminated_term": list(s.pivot),
                     "remaining_support": [list(r) for r in s.remaining_support],
@@ -193,8 +206,9 @@ class ReductionTrace:
 def run_reduction(G: MonomialRelation, spec: TowerSpec) -> ReductionTrace:
     """Reduce with the lex-least pivot until a verdict, carrying only the
     functionals: a step multiplies s_r by the nonzero phi* - phi(r), and
-    logD_i is additive over products, so phi(r) gains logD_i(phi* - phi(r)),
-    which is zero when the difference is constant."""
+    logD_i is additive over products, so phi(r) gains logD_i(phi* - phi(r)).
+    That is zero when the difference is constant, and phi(r) is kept as it
+    is; the weights r . lambda are computed once, by the first functionals."""
     steps: list[ReductionStep] = []
     phis = G.functionals(spec) if len(G.coefficients) > 1 else {}
     while phis:
@@ -217,7 +231,7 @@ def run_reduction(G: MonomialRelation, spec: TowerSpec) -> ReductionTrace:
             # take the general gcd far longer than the whole run
             break
         phis = {
-            r: phis[r] + _logd_coefficient(phis[pivot] - phis[r], G.level, spec)
+            r: _plus_logd(phis[r], phis[pivot] - phis[r], G.level, spec)
             for r in rest
         }
     return ReductionTrace(G, tuple(steps), Verdict.NO_NONTRIVIAL_RELATION)

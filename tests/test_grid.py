@@ -52,7 +52,7 @@ class TestClosure:
 
     def test_axioms_exhaustively_small(self):
         g = GridModel(2, 2)
-        all_cells = g.all_cells()
+        all_cells = [(i, j) for i in range(1, g.depth + 1) for j in range(1, g.columns + 1)]
         subsets = []
         for mask in range(1 << len(all_cells)):
             subsets.append(frozenset(c for k, c in enumerate(all_cells) if mask >> k & 1))

@@ -27,7 +27,7 @@ from deltatower.constants import scale_symbol
 from deltatower.elements import ZERO_ELEMENT
 from deltatower.operators import prolonged_residual
 from deltatower.series import residual
-from deltatower.textio import parse_element
+from deltatower.textio import parse_element, parse_operator_factors
 from deltatower.tower import SeriesContext, eval_series, random_element
 
 SPEC = build_spec((2, 1))
@@ -60,7 +60,8 @@ class TestBuildE:
 
     def test_text_roundtrip(self):
         op = build_E(SPEC, 1)
-        assert FactoredOperator.from_text(op.to_text()) == op
+        pairs = [(f.level, f.eigenvalue) for f in op.factors]
+        assert parse_operator_factors(op.to_text()) == pairs
 
 
 class TestApply:

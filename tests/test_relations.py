@@ -21,8 +21,8 @@ from deltatower import (
     series_rank_check,
 )
 from deltatower import relations
-from deltatower.constants import scale_symbol
-from deltatower.elements import Element, ONE_ELEMENT
+from deltatower.constants import qlinear_dot, scale_symbol
+from deltatower.elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from deltatower.relations import ReductionStep, agreement, degree_vectors
 from deltatower.tower import SeriesContext, logd
 
@@ -249,7 +249,7 @@ class TestCertifyIndependence:
 
     def test_degree_seven_level_one(self):
         # C(10, 3) - 1 = 119 terms, one eliminated per step; the literal
-        # replay of this trace takes about 7 s on a 2-core machine and is
+        # replay of this trace takes about 9 s on a 2-core machine and is
         # not run here
         spec = build_spec((3,))
         trace = certify_independence(spec.generators(1), 7, spec)
@@ -348,6 +348,83 @@ def test_random_supports_collapse(seed):
     assert trace.verdict is Verdict.NO_NONTRIVIAL_RELATION
     assert len(trace.steps) == len(support) - 1
     assert trace.replay(SPEC)
+
+
+def _functionals_literal(G, spec):
+    """The functionals with the eigenvalues and every r . lambda recomputed
+    on each call: the reference for the weights shared across steps."""
+    lams = tuple(logd(v, G.level, spec) for v in G.variables)
+    return {
+        r: (ZERO_ELEMENT if s.is_constant() else logd(s, G.level, spec)) + qlinear_dot(r, lams)
+        for r, s in G.coefficients.items()
+    }
+
+
+def _seeded_relations(m, count):
+    rng = random.Random(f"literal m={m}")
+    pool = degree_vectors(m, 3, include_zero=False)
+    variables = (B11, B12, B13)[:m]
+    for k in range(count):
+        support = rng.sample(pool, 2 + k % 5)
+        yield relation(1, variables, {r: Element.from_rational(rng.randint(1, 5)) for r in support})
+
+
+LITERAL_CASES = {
+    **{f"seeded m={m} #{k}": G for m in (2, 3) for k, G in enumerate(_seeded_relations(m, 10))},
+    "level 2 two terms": relation(2, tuple(SPEC.generators(2)), {(1, 0): B11, (0, 1): B11 * B12}),
+    "level 2 three terms": relation(
+        2, tuple(SPEC.generators(2)), {(1, 0): B11, (0, 1): B11 * B12, (1, 1): B13}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LITERAL_CASES))
+def test_replay_functionals_match_the_literal_ones(name, monkeypatch):
+    trace = run_reduction(LITERAL_CASES[name], SPEC)
+    seen = []
+    real = MonomialRelation.functionals
+
+    def spy(self, *args):
+        phis = real(self, *args)
+        seen.append((self, phis))
+        return phis
+
+    monkeypatch.setattr(MonomialRelation, "functionals", spy)
+    assert trace.replay(SPEC)
+    assert len(seen) == len(trace.steps) == len(LITERAL_CASES[name].coefficients) - 1
+    for G, phis in seen:
+        assert phis == _functionals_literal(G, SPEC)
+
+
+def test_replay_computes_the_weights_itself(monkeypatch):
+    # every weight off by one: the differences phi* - phi(r), hence the
+    # expanded coefficients and supports, are unchanged; only the replay's
+    # own comparison of the functionals can fail
+    trace = certify_independence([B11, B12, B13], 2, SPEC)
+    real = relations.qlinear_dot
+    monkeypatch.setattr(relations, "qlinear_dot", lambda r, lams: real(r, lams) + ONE_ELEMENT)
+    assert not trace.replay(SPEC)
+
+
+def test_weights_are_computed_once_per_run_and_per_replay(monkeypatch):
+    calls = []
+    real = relations.qlinear_dot
+    monkeypatch.setattr(relations, "qlinear_dot", lambda r, lams: calls.append(r) or real(r, lams))
+    spec = build_spec((3,))
+    trace = certify_independence(spec.generators(1), 5, spec)
+    assert trace.replay(spec)
+    # 55 support vectors, weighed once by the degeneracy check, once by the
+    # run and once by the replay (1,649 calls when every replay step
+    # recomputed them)
+    assert len(calls) == 3 * 55
+
+
+def test_run_keeps_unchanged_functionals():
+    # constant coefficients: phi* - phi(r) is constant, its logD is zero,
+    # and every step carries the first step's functional objects
+    trace = certify_independence([B11, B12, B13], 3, SPEC)
+    first = trace.steps[0].functionals
+    assert all(phi is first[r] for step in trace.steps for r, phi in step.functionals.items())
 
 
 # sha256 prefixes of to_json for traces whose bytes must never change: the
