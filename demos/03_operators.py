@@ -37,7 +37,7 @@ print()
 print("## expansion is symmetric in the factors")
 expanded = expand(E1)
 print("coefficients a_0..a_2:", [str(a) for a in expanded.coefficients])
-for perm in permutations(E1.factors):
+for perm in permutations(E1.eigenvalues):
     assert expand(FactoredOperator(1, perm)).coefficients == expanded.coefficients
 print("all factor orders give the same expansion: True")
 

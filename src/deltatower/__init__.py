@@ -30,9 +30,9 @@ _EXPORTS = {
     "grid": "Analysis CellSet GridModel analysis_by_coreductions analysis_by_reductions "
         "build_seqred_a build_seqred_b closure coreduction internal is_canonical "
         "is_incompressible is_minimal reduction urank",
-    "operators": "EigenDecomposition ExpandedOperator FactoredOperator LinearFactor "
-        "ProlongedSystem apply_operator build_E decompose expand is_generic logd_system "
-        "solve_prolonged wronskian",
+    "operators": "EigenDecomposition ExpandedOperator FactoredOperator ProlongedSystem "
+        "apply_operator build_E decompose expand is_generic logd_system solve_prolonged "
+        "wronskian",
     "relations": "MonomialRelation RankReport ReductionTrace Verdict certify_independence "
         "invariant_monomial reduce_step run_reduction series_rank_check",
     "series": "Series",

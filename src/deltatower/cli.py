@@ -58,7 +58,6 @@ from .tower import (
     delta_consistency_residual,
     eval_series,
     random_element,
-    to_float,
 )
 
 DEFAULT_SEED = 20406
@@ -184,11 +183,11 @@ def cmd_tower_build(args, argv) -> int:
 
         def check_symmetry(op=op, i=i):
             base = expand(op)
-            for perm in permutations(op.factors):
+            for perm in permutations(op.eigenvalues):
                 other = expand(FactoredOperator(i, perm))
                 if other.coefficients != base.coefficients:
                     return False, "expansion depends on the factor order"
-            return True, f"{len(op.factors)} factors, all orders agree"
+            return True, f"{len(op.eigenvalues)} factors, all orders agree"
 
         report.run(f"expand_symmetry_E{i}", check_symmetry)
 
@@ -277,8 +276,6 @@ def _small(residual: float, label: str) -> tuple[bool, str]:
 
 
 def cmd_series(args, argv) -> int:
-    from .series import Series
-
     by_element = args.element is not None
     mode, unused = ("--element", ("h", "initial")) if by_element else ("--logd-system", ("spec",))
     for name in unused:
@@ -301,14 +298,15 @@ def cmd_series(args, argv) -> int:
         if len(initial) != n:
             raise DeltaTowerError(f"expected {n} initial values, got {len(initial)}")
         if h.is_rational():
-            spec = ctx = None
-            h_series = Series.const(to_float(h.as_rational()), args.order)
+            spec = ctx = h_series = None
         else:
             spec = _infer_spec([h])
             ctx = SeriesContext.default(spec, order=args.order)
             h_series = eval_series(h, ctx, spec)
-        print(str(system))
+        # solved before anything is printed, so an h past the float range
+        # is refused with stdout still empty
         solution = solve_prolonged(system, initial, args.order, ctx, spec)
+        print(str(system))
         for i, s in enumerate(solution, start=1):
             print(f"x_{i}: {_format_series(s)}")
         residual = partial(prolonged_residual, system, solution, h_series)

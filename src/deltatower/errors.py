@@ -75,7 +75,7 @@ class BudgetExceeded(DeltaTowerError, ValueError):
 
 
 class ParseError(DeltaTowerError, ValueError):
-    """Malformed element or operator text."""
+    """Malformed element text."""
 
     def __init__(self, message: str, position: int | None = None):
         self.position = position

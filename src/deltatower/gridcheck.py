@@ -32,7 +32,9 @@ below:
 
 ``_check`` is the only code that builds a ``PropertyReport``; the caller
 times it.  The chain properties are per-pair functions run by
-``_check_pairs`` over ``_pairs_closed``; it owns the orbit weights and the
+``_check_pairs`` over ``_pairs_closed`` of each bare ``GridModel``: they
+read height vectors only, so only layers 0 and 1 build the bitmask tables
+of ``_Grid``.  ``_check_pairs`` owns the orbit weights and the
 ``grid DxC: ..., T=... G=...`` counterexample, shown in its
 representative's column order.  ``properties`` is the one budget-checked
 list of checks that ``run_grid_suite`` and the CLI run.
@@ -146,10 +148,17 @@ class _Grid:
         return out
 
 
-def _grids(max_cells: int):
+def _models(max_cells: int):
+    """Every grid with at most max_cells cells, as a bare GridModel."""
     for depth in range(1, max_cells + 1):
         for columns in range(1, max_cells // depth + 1):
-            yield _Grid(depth, columns)
+            yield GridModel(depth, columns)
+
+
+def _grids(max_cells: int):
+    """Every grid with at most max_cells cells, with its bitmask tables."""
+    for g in _models(max_cells):
+        yield _Grid(g.depth, g.columns)
 
 
 def _orbits(states, columns):
@@ -163,7 +172,7 @@ def _orbits(states, columns):
         yield rep, weight
 
 
-def _pairs_closed(gr: _Grid):
+def _pairs_closed(gr: GridModel | _Grid):
     """(T, G, weight): closed height-vector pairs with T inside G, one per
     column orbit.  The column states (t, g) are ordered by g first."""
     states = [(t, g) for g in range(gr.depth + 1) for t in range(g + 1)]
@@ -180,7 +189,7 @@ def _mask_pairs(gr: _Grid):
         yield gr.mask_of_heights(t_h), g_mask, inside, weight
 
 
-def _counterexample(gr: _Grid, reason: str, t, g) -> str:
+def _counterexample(gr: GridModel | _Grid, reason: str, t, g) -> str:
     return f"grid {gr.depth}x{gr.columns}: {reason}, T={t} G={g}"
 
 
@@ -203,14 +212,14 @@ def _check(name, gen):
 
 
 def _check_pairs(name, max_cells, per_pair):
-    """Run per_pair(gr, t_h, g_h), which returns None or a reason, on the
-    closed height pairs of every grid; a pair that holds counts its orbit."""
+    """Run per_pair(g, t_h, g_h), which returns None or a reason, on the
+    closed height pairs of every grid g; a pair that holds counts its orbit."""
 
     def gen():
-        for gr in _grids(max_cells):
-            for t_h, g_h, weight in _pairs_closed(gr):
-                reason = per_pair(gr, t_h, g_h)
-                yield weight if reason is None else _counterexample(gr, reason, t_h, g_h)
+        for g in _models(max_cells):
+            for t_h, g_h, weight in _pairs_closed(g):
+                reason = per_pair(g, t_h, g_h)
+                yield weight if reason is None else _counterexample(g, reason, t_h, g_h)
 
     return _check(name, gen())
 
@@ -379,7 +388,7 @@ def check_coreduction_uniqueness(max_cells: int) -> PropertyReport:
 
 
 def check_analyses_minimal(max_cells: int) -> PropertyReport:
-    def per_pair(gr, t_h, g_h):
+    def per_pair(g, t_h, g_h):
         red_chain = _red_chain(t_h, g_h)
         cored_chain = _cored_chain(t_h, g_h)
         shortest = _shortest_chain_length(t_h, g_h)
@@ -388,10 +397,10 @@ def check_analyses_minimal(max_cells: int) -> PropertyReport:
                 return f"degenerate {label} step"
             if len(chain) != shortest:
                 return f"analysis by {label} not minimal"
-        T = from_heights(t_h, gr.g)
-        G = from_heights(g_h, gr.g)
-        ar = analysis_by_reductions(G, T, gr.g)
-        ac = analysis_by_coreductions(G, T, gr.g)
+        T = from_heights(t_h, g)
+        G = from_heights(g_h, g)
+        ar = analysis_by_reductions(G, T, g)
+        ac = analysis_by_coreductions(G, T, g)
         ar.validate()
         ac.validate()
         if list(ar.steps) != red_chain or list(ac.steps) != cored_chain:
@@ -404,7 +413,7 @@ def check_analyses_minimal(max_cells: int) -> PropertyReport:
 
 
 def check_equal_utype_canonical(max_cells: int) -> PropertyReport:
-    def per_pair(gr, t_h, g_h):
+    def per_pair(g, t_h, g_h):
         red_chain = _red_chain(t_h, g_h)
         cored_chain = _cored_chain(t_h, g_h)
         if _utype(red_chain, t_h) != _utype(cored_chain, t_h):
@@ -421,7 +430,7 @@ def check_equal_utype_canonical(max_cells: int) -> PropertyReport:
 
 
 def check_incompressible_ones_minimal(max_cells: int) -> PropertyReport:
-    def per_pair(gr, t_h, g_h):
+    def per_pair(g, t_h, g_h):
         if t_h == g_h:
             return None
         shortest = _shortest_chain_length(t_h, g_h)
@@ -432,7 +441,7 @@ def check_incompressible_ones_minimal(max_cells: int) -> PropertyReport:
                     f"incompressible (1,..,1) analysis of length {len(seq)} "
                     f"but minimum is {shortest}"
                 )
-            a = Analysis(gr.g, t_h, g_h, tuple(seq))
+            a = Analysis(g, t_h, g_h, tuple(seq))
             a.validate()
             if not (all(u == 1 for u in a.utype()) and is_incompressible(a) and is_minimal(a)):
                 return f"public predicates disagree on {seq}"
@@ -454,18 +463,18 @@ def check_local_criterion(max_cells: int, direction: str) -> PropertyReport:
     }[direction]
     steps = partial(_column_rule_steps, column)
 
-    def per_pair(gr, t_h, g_h):
+    def per_pair(g, t_h, g_h):
         official = official_chain(t_h, g_h)
         chain = [t_h] + official
         for i in range(1, len(chain) - 1):
             if _step(column, chain[i - 1], chain[i + 1]) != chain[i]:
                 return f"by-{direction} analysis fails the local criterion at step {i}"
-            after = from_heights(chain[i + 1], gr.g)
-            before = from_heights(chain[i - 1], gr.g)
+            after = from_heights(chain[i + 1], g)
+            before = from_heights(chain[i - 1], g)
             if direction == "reductions":
-                got = heights(reduction(after, before, gr.g), gr.g)
+                got = heights(reduction(after, before, g), g)
             else:
-                cored = heights(coreduction(after, before, gr.g), gr.g)
+                cored = heights(coreduction(after, before, g), g)
                 got = tuple(map(max, cored, chain[i - 1]))
             if got != chain[i]:
                 return f"public {direction[:-1]} disagrees at step {i}"

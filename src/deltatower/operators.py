@@ -1,9 +1,11 @@
 """Linear differential operators over the tower.
 
-Operators at level i are built from factors (D_i - c) with constant
-eigenvalue c.  Because the derivations kill constants, the factors
-commute and the expanded form has the elementary-symmetric-function
-coefficients; both forms act on elements through `apply`.
+A factored operator at level i is (D_i - c_1) ... (D_i - c_m), held as
+its level and its tuple of constant eigenvalues.  Because the derivations
+kill constants, the factors commute and the expanded form has the
+elementary-symmetric-function coefficients; both forms act on elements
+through `apply_operator`.  Operator text ``(D[i] - c) * ...`` is only
+printed (`FactoredOperator.to_text`); nothing parses it.
 
 Also here: the eigen-decomposition of normal-form solutions, Wronskian
 determinants as independence certificates, and the prolonged first-order
@@ -13,55 +15,39 @@ with a truncated-series solver.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from .errors import NotNormalForm, ZeroInitialValue
 from .polyring import Poly, m_pairs, monomial
-from .textio import format_operator_factors, parse_element
 from .tower import SeriesContext, TowerElement, TowerSpec, d_twist, eval_series, to_float
 
 
 @dataclass(frozen=True)
-class LinearFactor:
-    """The operator y -> D_i y - c*y with constant eigenvalue c."""
+class FactoredOperator:
+    """(D_i - c_1) ... (D_i - c_m) at level i, with constant eigenvalues c_k."""
 
     level: int
-    eigenvalue: Element
+    eigenvalues: tuple[Element, ...]
 
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("level must be >= 1")
-        if not self.eigenvalue.is_constant():
-            raise ValueError("eigenvalue must be free of generator symbols")
-
-    def __str__(self) -> str:
-        return format_operator_factors([(self.level, self.eigenvalue)])
-
-
-@dataclass(frozen=True)
-class FactoredOperator:
-    """Ordered product of linear factors, all at one level."""
-
-    level: int
-    factors: tuple[LinearFactor, ...]
-
-    def __post_init__(self):
-        if not self.factors:
+        if not self.eigenvalues:
             raise ValueError("a factored operator needs at least one factor")
-        if any(f.level != self.level for f in self.factors):
-            raise ValueError("all factors must share the operator level")
-
-    @property
-    def order(self) -> int:
-        return len(self.factors)
-
-    def eigenvalues(self) -> list[Element]:
-        return [f.eigenvalue for f in self.factors]
+        if any(not c.is_constant() for c in self.eigenvalues):
+            raise ValueError("eigenvalues must be free of generator symbols")
 
     def to_text(self) -> str:
-        return format_operator_factors([(f.level, f.eigenvalue) for f in self.factors])
+        """Operator text ``(D[i] - c_1) * ...``; a sum or quotient eigenvalue
+        is parenthesised."""
+        parts = []
+        for c in self.eigenvalues:
+            text = str(c)
+            if len(c.num.terms) > 1 or not c.den.is_const():
+                text = f"({text})"
+            parts.append(f"(D[{self.level}] - {text})")
+        return " * ".join(parts)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -82,32 +68,22 @@ class ExpandedOperator:
         if any(not a.is_constant() for a in self.coefficients):
             raise ValueError("coefficients must be constant")
 
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
 
 def build_E(spec: TowerSpec, i: int) -> FactoredOperator:
     """The level-i defining operator (D_i - c[i][1]) ... (D_i - c[i][n_i])."""
     spec.check_level(i)
-    factors = tuple(
-        LinearFactor(i, spec.symbol(i, j).expr()) for j in range(1, spec.rank(i) + 1)
-    )
-    return FactoredOperator(i, factors)
+    eigenvalues = tuple(spec.symbol(i, j).expr() for j in range(1, spec.rank(i) + 1))
+    return FactoredOperator(i, eigenvalues)
 
 
 def apply_operator(
-    op: FactoredOperator | ExpandedOperator | LinearFactor,
-    x: TowerElement,
-    spec: TowerSpec,
+    op: FactoredOperator | ExpandedOperator, x: TowerElement, spec: TowerSpec
 ) -> TowerElement:
     """Apply an operator; factored products act rightmost factor first."""
-    if isinstance(op, LinearFactor):
-        return d_twist(x, op.level, spec) - op.eigenvalue * x
     if isinstance(op, FactoredOperator):
         out = x
-        for factor in reversed(op.factors):
-            out = d_twist(out, op.level, spec) - factor.eigenvalue * out
+        for c in reversed(op.eigenvalues):
+            out = d_twist(out, op.level, spec) - c * out
         return out
     total = ZERO_ELEMENT
     power = x
@@ -122,8 +98,7 @@ def expand(op: FactoredOperator) -> ExpandedOperator:
     """Multiply the factors out; with constant eigenvalues this is the
     symmetric-function expansion and is independent of the factor order."""
     coeffs = [ONE_ELEMENT]  # polynomial prod (X - c_j), lowest degree first
-    for factor in op.factors:
-        c = factor.eigenvalue
+    for c in op.eigenvalues:
         nxt = [ZERO_ELEMENT] * (len(coeffs) + 1)
         for k, a in enumerate(coeffs):
             nxt[k + 1] = nxt[k + 1] + a
@@ -229,19 +204,6 @@ class ProlongedSystem:
 
     def __str__(self) -> str:
         return "{" + "; ".join(self.equations()) + "}"
-
-    def to_json(self, initial_values: list[float] | None = None) -> str:
-        doc = {"n": self.n, "h": str(self.h)}
-        if initial_values is not None:
-            doc["initial_values"] = list(initial_values)
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> tuple["ProlongedSystem", list[float] | None]:
-        doc = json.loads(text)
-        system = cls(int(doc["n"]), parse_element(str(doc["h"])))
-        initial = doc.get("initial_values")
-        return system, None if initial is None else [float(v) for v in initial]
 
 
 def logd_system(n: int, h: TowerElement | int) -> ProlongedSystem:

@@ -515,6 +515,10 @@ def _strip_known_factors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     h = Poly({_m_min(pm, qm): 1}, _trusted=True)
     p = Poly({m - pm: c for m, c in p.terms.items()}, _trusted=True)
     q = Poly({m - qm: c for m, c in q.terms.items()}, _trusted=True)
+    # a sum found in one argument only adds nothing to h, but splitting it
+    # off shrinks that cofactor, often to a constant, so the PRS below runs
+    # on small inputs or not at all: gcd((b11+b12)^299, (b11+b13)^299)
+    # would otherwise hand degree-299 cofactors to the PRS
     for s_vars in sorted(_level_sums(p) | _level_sums(q)):
         if p.is_const() or q.is_const():
             break

@@ -307,6 +307,11 @@ def invariant_monomial(
     return h
 
 
+# singular values of the unit-normalised monomial rows above this count
+# towards the numerical rank
+RANK_THRESHOLD = 1e-6
+
+
 @dataclass(frozen=True)
 class RankReport:
     """Outcome of the numerical rank oracle."""
@@ -315,7 +320,6 @@ class RankReport:
     order: int
     smallest_singular_value: float
     rank: int
-    threshold: float = 1e-6
 
     @property
     def full_rank(self) -> bool:
@@ -332,7 +336,7 @@ def series_rank_check(
 
     Rows are unit-normalized truncated series of the monomials (constant
     monomial included); the report carries the smallest singular value and
-    the rank at the 1e-6 threshold.
+    the rank at RANK_THRESHOLD.
 
     The rank is that of the numeric specialisation at ``ctx.values``, not of
     the monomials over Q(c).  It mirrors the prover's verdict only when the
@@ -366,14 +370,11 @@ def series_rank_check(
     norms[norms == 0.0] = 1.0
     matrix = matrix / norms[:, None]
     singular = np.linalg.svd(matrix, compute_uv=False)
-    threshold = 1e-6
-    rank = int(np.sum(singular > threshold))
     return RankReport(
         rows=len(vectors),
         order=ctx.order,
         smallest_singular_value=float(singular[-1]),
-        rank=rank,
-        threshold=threshold,
+        rank=int(np.sum(singular > RANK_THRESHOLD)),
     )
 
 

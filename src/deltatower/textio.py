@@ -1,4 +1,4 @@
-"""Parsing for the element grammar and operator text form.
+"""The element grammar: parsing element text into canonical form.
 
 Grammar (whitespace insignificant)::
 
@@ -32,7 +32,7 @@ MAX_POWER_BITS = 1 << 16
 _OPS = {"+": add, "-": sub, "*": mul, "/": truediv}
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[bcuD])|(?P<op>[-+*/^()\[\]]))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[bcu])|(?P<op>[-+*/^()\[\]]))"
 )
 
 
@@ -74,9 +74,6 @@ class _Tokens:
             return True
         return False
 
-    def done(self) -> bool:
-        return self.i >= len(self.items)
-
 
 def _parse_int(tokens: _Tokens) -> int:
     neg = tokens.accept("-")
@@ -103,8 +100,6 @@ def _parse_base(tokens: _Tokens) -> Element:
     if kind == "int":
         return Element.from_rational(int(value))
     if kind == "name":
-        if value == "D":
-            raise ParseError("'D' is only valid in operator text", pos)
         return _parse_indexed(tokens, value, pos)
     if value == "(":
         e = _parse_expr(tokens)
@@ -173,36 +168,3 @@ def parse_element(text: str) -> Element:
     if tok is not None:
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
     return e
-
-
-def parse_operator_factors(text: str) -> list[tuple[int, Element]]:
-    """Parse operator text ``(D[i] - <expr>) * ...`` into (level, eigenvalue) pairs."""
-    tokens = _Tokens(text)
-    factors: list[tuple[int, Element]] = []
-    while True:
-        tokens.expect("(")
-        kind, value, pos = tokens.next()
-        if kind != "name" or value != "D":
-            raise ParseError(f"expected 'D', found {value!r}", pos)
-        tokens.expect("[")
-        level = _parse_int(tokens)
-        tokens.expect("]")
-        if level < 1:
-            raise ParseError(f"operator level must be >= 1: D[{level}]", pos)
-        tokens.expect("-")
-        eigenvalue = _parse_expr(tokens)
-        tokens.expect(")")
-        factors.append((level, eigenvalue))
-        if tokens.done():
-            return factors
-        tokens.expect("*")
-
-
-def format_operator_factors(factors: list[tuple[int, Element]]) -> str:
-    parts = []
-    for level, eigenvalue in factors:
-        ev = str(eigenvalue)
-        if len(eigenvalue.num.terms) > 1 or not eigenvalue.den.is_const():
-            ev = f"({ev})"
-        parts.append(f"(D[{level}] - {ev})")
-    return " * ".join(parts)

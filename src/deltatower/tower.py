@@ -400,26 +400,22 @@ def delta_consistency_residual(x: TowerElement, ctx: SeriesContext, spec: TowerS
 
 
 def random_element(
-    rng: random.Random,
-    spec: TowerSpec,
-    *,
-    max_terms: int = 3,
-    max_factors: int = 2,
-    allow_denominator: bool = True,
+    rng: random.Random, spec: TowerSpec, *, allow_denominator: bool = True
 ) -> TowerElement:
-    """Random small element; denominators are generator monomials, so series
-    evaluation stays invertible."""
+    """Random small element: one to three terms, each a coefficient k/q
+    times at most two generator or constant symbols; denominators are
+    generator monomials, so series evaluation stays invertible."""
     variables: list[Var] = []
     for i in range(1, spec.ell + 1):
         for j in range(1, spec.rank(i) + 1):
             variables.append(("b", i, j))
             variables.append(("c", i, j))
     num = Poly()
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         if coeff == 0:
             coeff = Fraction(1)
-        pairs = [(rng.choice(variables), 1) for _ in range(rng.randint(0, max_factors))]
+        pairs = [(rng.choice(variables), 1) for _ in range(rng.randint(0, 2))]
         num = num + Poly({monomial(pairs): coeff})
     if num.is_zero():
         num = Poly.const(1)

@@ -40,7 +40,7 @@ from deltatower.elements import Element
 from deltatower.errors import TruncationTooShort
 from deltatower.grid import Analysis, GridModel, build_seqred_a, build_seqred_b, enumerate_analyses
 from deltatower.gridcheck import run_grid_suite
-from deltatower.operators import FactoredOperator, LinearFactor, decompose, expand, is_generic, prolonged_residual
+from deltatower.operators import FactoredOperator, decompose, expand, is_generic, prolonged_residual
 from deltatower.relations import degree_vectors
 from deltatower.tower import SeriesContext, delta_consistency_residual, eval_series, random_element
 
@@ -83,9 +83,9 @@ def test_criterion_2_operator_algebra():
     probes.append(spec.generator(1, 1) / spec.generator(1, 2))  # non-normal-form
     for size in range(1, 5):
         for values in combinations_with_replacement(symbols, size):
-            op = FactoredOperator(1, tuple(LinearFactor(1, c) for c in values))
+            op = FactoredOperator(1, values)
             expanded = expand(op)
-            for perm in set(permutations(op.factors)):
+            for perm in set(permutations(op.eigenvalues)):
                 assert expand(FactoredOperator(1, perm)).coefficients == expanded.coefficients
             for x in probes:
                 assert apply_operator(expanded, x, spec) == apply_operator(op, x, spec)

@@ -455,6 +455,8 @@ class TestSeries:
         (["--element", "b[1][1]", "--initial", "nan"], None, "--initial"),
         (["--element", "b[1][1]", "--h", "0"], None, "--h"),
         (["--logd-system", "2", "--spec"], '{"ranks": [2]}', "--spec"),
+        # operator text is output only: D is no token of element text
+        (["--element", "D[1]"], None, "'D'"),
     ]
 
     @pytest.mark.parametrize(

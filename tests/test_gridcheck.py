@@ -145,6 +145,29 @@ def test_closure_axioms_fail_a_non_monotone_table(monkeypatch):
     )
 
 
+CHAIN_PROPERTIES = [
+    "analyses_minimal",
+    "equal_utype_canonical",
+    "incompressible_ones_minimal",
+    "local_criterion_reductions",
+    "local_criterion_coreductions",
+]
+
+
+def test_chain_properties_build_no_bitmask_tables(monkeypatch):
+    """The chain properties read height vectors only: none of them builds
+    the 2^cells closure and popcount tables of a _Grid."""
+
+    def refuse(self, depth, columns):
+        raise AssertionError(f"bitmask tables built for {depth}x{columns}")
+
+    by_name = {name: fn for name, fn, _ in ALL_PROPERTIES}
+    expected = [by_name[name](6) for name in CHAIN_PROPERTIES]
+    monkeypatch.setattr(gridcheck._Grid, "__init__", refuse)
+    assert [by_name[name](6) for name in CHAIN_PROPERTIES] == expected
+    assert all(r.passed for r in expected)
+
+
 @pytest.mark.parametrize("column", [grid._red_column, grid._cored_column])
 def test_column_rule_steps_match_literal_filter(column):
     """The per-column stay/rise rule yields the same steps, in the same

@@ -10,7 +10,6 @@ import pytest
 from deltatower import (
     FactoredOperator,
     LevelOutOfRange,
-    LinearFactor,
     NotNormalForm,
     ZeroInitialValue,
     apply_operator,
@@ -27,7 +26,7 @@ from deltatower.constants import scale_symbol
 from deltatower.elements import ZERO_ELEMENT
 from deltatower.operators import prolonged_residual
 from deltatower.series import residual
-from deltatower.textio import parse_element, parse_operator_factors
+from deltatower.textio import parse_element
 from deltatower.tower import SeriesContext, eval_series, random_element
 
 SPEC = build_spec((2, 1))
@@ -58,10 +57,19 @@ class TestBuildE:
         with pytest.raises(LevelOutOfRange):
             build_E(SPEC, 3)
 
-    def test_text_roundtrip(self):
-        op = build_E(SPEC, 1)
-        pairs = [(f.level, f.eigenvalue) for f in op.factors]
-        assert parse_operator_factors(op.to_text()) == pairs
+    def test_to_text_parenthesises_a_sum_eigenvalue(self):
+        op = FactoredOperator(1, (C11, C11 + C12))
+        assert op.to_text() == "(D[1] - c[1][1]) * (D[1] - (c[1][2] + c[1][1]))"
+        assert str(op) == op.to_text()
+
+    @pytest.mark.parametrize(
+        "level, eigenvalues",
+        [(0, (C11,)), (1, ()), (1, (C11, B11))],
+        ids=["level 0", "no eigenvalue", "b[1][1] as an eigenvalue"],
+    )
+    def test_factored_operator_rejects(self, level, eigenvalues):
+        with pytest.raises(ValueError):
+            FactoredOperator(level, eigenvalues)
 
 
 class TestApply:
@@ -69,8 +77,7 @@ class TestApply:
         assert apply_operator(build_E(SPEC, 1), SPEC.e(1), SPEC).is_zero()
 
     def test_generator_is_an_eigenvector(self):
-        factor = LinearFactor(1, C11)
-        assert apply_operator(factor, B11, SPEC).is_zero()
+        assert apply_operator(FactoredOperator(1, (C11,)), B11, SPEC).is_zero()
 
     def test_e2_solves_E2(self):
         assert apply_operator(build_E(SPEC, 2), SPEC.e(2), SPEC).is_zero()
@@ -95,9 +102,9 @@ class TestExpand:
         assert op.coefficients == (-SPEC.symbol(2, 1).expr(), parse_element("1"))
 
     def test_permutation_invariance(self):
-        factors = tuple(LinearFactor(1, c) for c in (C11, C12, C11 + C12))
-        base = expand(FactoredOperator(1, factors))
-        for perm in permutations(factors):
+        eigenvalues = (C11, C12, C11 + C12)
+        base = expand(FactoredOperator(1, eigenvalues))
+        for perm in permutations(eigenvalues):
             assert expand(FactoredOperator(1, perm)).coefficients == base.coefficients
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
@@ -108,7 +115,7 @@ class TestExpand:
 
         spec = build_spec((2, 2))
         values = [s.expr() for s in spec.all_symbols()][:size]
-        op = FactoredOperator(1, tuple(LinearFactor(1, c) for c in values))
+        op = FactoredOperator(1, tuple(values))
         expanded = expand(op)
         m = len(values)
         for k in range(m + 1):
@@ -125,7 +132,7 @@ class TestExpand:
         symbols = [s.expr() for s in spec.all_symbols()]
         rng = random.Random(size)
         for values in combinations_with_replacement(symbols, size):
-            op = FactoredOperator(1, tuple(LinearFactor(1, c) for c in values))
+            op = FactoredOperator(1, tuple(values))
             expanded = expand(op)
             for _ in range(2):
                 x = random_element(rng, spec)
@@ -231,13 +238,6 @@ class TestProlongedSystem:
         for _ in range(3):
             current = current.deriv() / current.truncate(current.order - 1)
         assert current.max_abs() < 1e-9
-
-    def test_json_roundtrip(self):
-        system = logd_system(2, parse_element("c[1][1]"))
-        text = system.to_json([1.0, 2.0])
-        again, initial = type(system).from_json(text)
-        assert again == system
-        assert initial == [1.0, 2.0]
 
     def test_nonconstant_h_through_context(self):
         spec = build_spec((1,))

@@ -6,7 +6,7 @@ import pytest
 
 from deltatower import DivisionByZero, ParseError, parse_element
 from deltatower.elements import Element
-from deltatower.textio import MAX_POWER_TERMS, format_operator_factors, parse_operator_factors
+from deltatower.textio import MAX_POWER_TERMS
 from deltatower.tower import build_spec, random_element
 
 
@@ -36,7 +36,7 @@ def test_negative_exponent_and_unary_minus():
 
 
 def test_parse_errors():
-    for bad in ("", "b[0][1]", "b[1]", "1 +", "(1", "x", "1 ** 2", "c[1][1]c[1][2]"):
+    for bad in ("", "b[0][1]", "b[1]", "1 +", "(1", "x", "1 ** 2", "c[1][1]c[1][2]", "D[1]"):
         with pytest.raises(ParseError):
             parse_element(bad)
 
@@ -110,16 +110,3 @@ def test_random_roundtrip_bit_exact(seed):
     assert reparsed == y
     assert str(reparsed) == printed  # printing is canonical, hence bit-exact
 
-
-def test_operator_text_roundtrip():
-    pairs = [(1, parse_element("c[1][1]")), (1, parse_element("c[1][1] + c[1][2]"))]
-    text = format_operator_factors(pairs)
-    assert text == "(D[1] - c[1][1]) * (D[1] - (c[1][2] + c[1][1]))"
-    assert parse_operator_factors(text) == pairs
-
-
-def test_operator_text_errors():
-    with pytest.raises(ParseError):
-        parse_operator_factors("(E[1] - c[1][1])")
-    with pytest.raises(ParseError):
-        parse_operator_factors("D[1] - c[1][1]")
