@@ -5,16 +5,15 @@ computation below is exact: no floats, no tolerances, and equality means
 identical canonical forms.
 """
 
-from deltatower import ConstSymbol, arith, parse_element, qlinear_dot, qlinear_independent
+from deltatower import parse_element, qlinear_dot, qlinear_independent
 
-c11 = ConstSymbol(1, 1).expr()
-c12 = ConstSymbol(1, 2).expr()
+c11, c12 = parse_element("c[1][1]"), parse_element("c[1][2]")
 
 print("## field arithmetic in canonical form")
-print("(c11 + c12) - c12      =", arith(arith(c11, c12, "add"), c12, "sub"))
-print("c11 / c11              =", arith(c11, c11, "div"))
+print("(c11 + c12) - c12      =", (c11 + c12) - c12)
+print("c11 / c11              =", c11 / c11)
 
-quotient = arith(c11 * c11 - c12 * c12, c11 - c12, "div")
+quotient = (c11 * c11 - c12 * c12) / (c11 - c12)
 print("(c11^2 - c12^2)/(c11 - c12) =", quotient)
 print("re-multiplied check:", quotient * (c11 - c12) == c11 * c11 - c12 * c12)
 
@@ -26,8 +25,7 @@ print("round-trip equal:", parse_element(str(x)) == x)
 
 print()
 print("## Q-linear independence is decided exactly")
-symbols = [ConstSymbol(1, 1), ConstSymbol(1, 2)]
-print("dot((1,2), (c11,c12)) =", qlinear_dot((1, 2), symbols))
+print("dot((1,2), (c11,c12)) =", qlinear_dot((1, 2), [c11, c12]))
 print("[c11, c12] independent:", qlinear_independent([c11, c12]))
 print("[c11, 2*c11] independent:", qlinear_independent([c11, 2 * c11]))
 print(

@@ -15,9 +15,9 @@ from deltatower import (
     decompose,
     expand,
     is_generic,
+    parse_element,
     wronskian,
 )
-from deltatower.constants import scale_symbol
 from deltatower.operators import FactoredOperator
 
 spec = build_spec((2, 1))
@@ -30,7 +30,8 @@ print("E2 =", E2)
 print()
 print("## e_i solves its equation, and so does any constant combination")
 print("E1(e_1) =", apply_operator(E1, spec.e(1), spec))
-combo = scale_symbol(1, 1) * spec.generator(1, 1) + scale_symbol(1, 2) * spec.generator(1, 2)
+u1, u2 = parse_element("u[1][1]"), parse_element("u[1][2]")
+combo = u1 * spec.generator(1, 1) + u2 * spec.generator(1, 2)
 print("E1(u1*b11 + u2*b12) =", apply_operator(E1, combo, spec))
 
 print()
@@ -47,7 +48,7 @@ deco = decompose(spec.e(1), 1, spec)
 print("components of e_1:", [str(f) for f in deco.components])
 print("generic (all components nonzero):", is_generic(deco))
 
-partial = decompose(scale_symbol(1, 1) * spec.generator(1, 1), 1, spec)
+partial = decompose(u1 * spec.generator(1, 1), 1, spec)
 print("components of u*b11:", [str(f) for f in partial.components])
 print("generic:", is_generic(partial))
 

@@ -2,9 +2,10 @@
 
 The package has two halves that check each other:
 
-* an exact symbolic side: the constant field Q(c[i][j]), tower elements
-  with the eigen-derivation, factored linear operators, Wronskians and a
-  term-minimization independence prover;
+* an exact symbolic side: tower elements over the constant field
+  Q(c[i][j]) with the eigen-derivation, factored linear operators,
+  Wronskians, and a term-minimization independence prover with the
+  Q-linear algebra of its eigenvalues;
 * a numerical side: truncated power series interpreting the derivation
   as d/dt, used as an independent oracle for the symbolic identities;
 
@@ -21,8 +22,6 @@ from importlib import import_module
 
 # module -> the names it exports here, separated by spaces
 _EXPORTS = {
-    "constants": "ConstExpr ConstSymbol Rational arith qlinear_dot qlinear_independent "
-        "scale_symbol",
     "elements": "Element ONE_ELEMENT ZERO_ELEMENT",
     "errors": "BudgetExceeded DeltaTowerError DivisionByZero DomainViolation LengthMismatch "
         "LevelOutOfRange LogOfZero NonInvertibleSeries NotLinear NotMonotone NotNormalForm "
@@ -34,11 +33,11 @@ _EXPORTS = {
         "apply_operator build_E decompose expand is_generic logd_system solve_prolonged "
         "wronskian",
     "relations": "MonomialRelation RankReport ReductionTrace Verdict certify_independence "
-        "invariant_monomial reduce_step run_reduction series_rank_check",
+        "invariant_monomial qlinear_dot qlinear_independent reduce_step run_reduction "
+        "series_rank_check",
     "series": "Series",
     "textio": "parse_element",
-    "tower": "SeriesContext TowerElement TowerSpec build_spec d_twist derive eval_series "
-        "logd logd_iter",
+    "tower": "SeriesContext TowerSpec build_spec d_twist derive eval_series logd logd_iter",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

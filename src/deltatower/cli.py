@@ -297,15 +297,13 @@ def cmd_series(args, argv) -> int:
         initial = args.initial if args.initial is not None else [1.0] * n
         if len(initial) != n:
             raise DeltaTowerError(f"expected {n} initial values, got {len(initial)}")
-        if h.is_rational():
-            spec = ctx = h_series = None
-        else:
+        h_series = None
+        if not h.is_rational():
             spec = _infer_spec([h])
-            ctx = SeriesContext.default(spec, order=args.order)
-            h_series = eval_series(h, ctx, spec)
+            h_series = eval_series(h, SeriesContext.default(spec, order=args.order), spec)
         # solved before anything is printed, so an h past the float range
         # is refused with stdout still empty
-        solution = solve_prolonged(system, initial, args.order, ctx, spec)
+        solution = solve_prolonged(system, initial, args.order, h_series)
         print(str(system))
         for i, s in enumerate(solution, start=1):
             print(f"x_{i}: {_format_series(s)}")

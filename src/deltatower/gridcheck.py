@@ -62,6 +62,7 @@ from .grid import (
     _cored_chain,
     _cored_column,
     _one_row_steps,
+    _one_step,
     _red_chain,
     _red_column,
     _step,
@@ -262,7 +263,7 @@ def _single_cell_steps(before, last, target_h):
     for j, (lv, tv) in enumerate(zip(last, target_h)):
         if lv < tv:
             nxt = last[:j] + (lv + 1,) + last[j + 1 :]
-            if before is None or not all(a <= b + 1 for a, b in zip(nxt, before)):
+            if before is None or not _one_step(before, nxt):
                 yield nxt
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from .errors import NotNormalForm, ZeroInitialValue
 from .polyring import Poly, m_pairs, monomial
-from .tower import SeriesContext, TowerElement, TowerSpec, d_twist, eval_series, to_float
+from .tower import TowerSpec, d_twist, to_float
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,13 @@ class ExpandedOperator:
 def build_E(spec: TowerSpec, i: int) -> FactoredOperator:
     """The level-i defining operator (D_i - c[i][1]) ... (D_i - c[i][n_i])."""
     spec.check_level(i)
-    eigenvalues = tuple(spec.symbol(i, j).expr() for j in range(1, spec.rank(i) + 1))
+    eigenvalues = tuple(spec.symbol(i, j) for j in range(1, spec.rank(i) + 1))
     return FactoredOperator(i, eigenvalues)
 
 
 def apply_operator(
-    op: FactoredOperator | ExpandedOperator, x: TowerElement, spec: TowerSpec
-) -> TowerElement:
+    op: FactoredOperator | ExpandedOperator, x: Element, spec: TowerSpec
+) -> Element:
     """Apply an operator; factored products act rightmost factor first."""
     if isinstance(op, FactoredOperator):
         out = x
@@ -112,16 +112,16 @@ class EigenDecomposition:
     """Components f_j with (D_i - c[i][j]) f_j = 0 and sum f_j = f."""
 
     level: int
-    components: tuple[TowerElement, ...]
+    components: tuple[Element, ...]
 
-    def total(self) -> TowerElement:
+    def total(self) -> Element:
         out = ZERO_ELEMENT
         for f in self.components:
             out = out + f
         return out
 
 
-def decompose(f: TowerElement, i: int, spec: TowerSpec) -> EigenDecomposition:
+def decompose(f: Element, i: int, spec: TowerSpec) -> EigenDecomposition:
     """Split a normal-form element sum_j u_j b[i][j] into its eigencomponents.
 
     Raises NotNormalForm when f is not a constant-linear combination of the
@@ -146,7 +146,7 @@ def decompose(f: TowerElement, i: int, spec: TowerSpec) -> EigenDecomposition:
     components = tuple(parts.get(j, ZERO_ELEMENT) for j in range(1, n + 1))
     # Internal consistency: eigen-equations and the sum must come back exact.
     for j, comp in enumerate(components, start=1):
-        check = d_twist(comp, i, spec) - spec.symbol(i, j).expr() * comp
+        check = d_twist(comp, i, spec) - spec.symbol(i, j) * comp
         if not check.is_zero():
             raise RuntimeError(f"component {j} fails its eigen-equation")
     if EigenDecomposition(i, components).total() != f:
@@ -159,7 +159,7 @@ def is_generic(d: EigenDecomposition) -> bool:
     return all(not comp.is_zero() for comp in d.components)
 
 
-def wronskian(xs: list[TowerElement], i: int, spec: TowerSpec) -> TowerElement:
+def wronskian(xs: list[Element], i: int, spec: TowerSpec) -> Element:
     """det [D_i^k(x_j)]; nonzero certifies independence over the constants."""
     if not xs:
         raise ValueError("wronskian of an empty list")
@@ -190,7 +190,7 @@ class ProlongedSystem:
     """x_i' = x_i x_{i+1} for i < n and x_n' = h x_n."""
 
     n: int
-    h: TowerElement
+    h: Element
 
     def __post_init__(self):
         if self.n < 1:
@@ -206,24 +206,35 @@ class ProlongedSystem:
         return "{" + "; ".join(self.equations()) + "}"
 
 
-def logd_system(n: int, h: TowerElement | int) -> ProlongedSystem:
+def logd_system(n: int, h: Element | int) -> ProlongedSystem:
     """Prolonged system of the n-fold logarithmic derivative with right side h."""
     if isinstance(h, int):
         h = Element.from_rational(h)
     return ProlongedSystem(n, h)
 
 
+def _h_series(system: ProlongedSystem, order: int, h_series: Series | None) -> Series:
+    """h as a series of the given order: ``h_series`` truncated, or, when
+    none is given, the constant series of a rational h (ValueError else)."""
+    from .series import Series
+
+    if h_series is None:
+        return Series.const(to_float(system.h.as_rational()), order)
+    if h_series.order < order:
+        raise ValueError("the series of h is shorter than the requested order")
+    return h_series.truncate(order)
+
+
 def solve_prolonged(
     system: ProlongedSystem,
     initial_values: list[float],
     order: int,
-    ctx: SeriesContext | None = None,
-    spec: TowerSpec | None = None,
+    h_series: Series | None = None,
 ) -> list[Series]:
     """Truncated series solution with the given values at t=0.
 
-    h is evaluated through ``ctx``/``spec`` when it involves tower data;
-    rational h needs no context.
+    A non-rational h comes as its series ``h_series``, which the caller
+    can hand to `prolonged_residual` too; a rational h needs none.
     """
     import numpy as np
 
@@ -233,15 +244,7 @@ def solve_prolonged(
         raise ValueError(f"expected {system.n} initial values")
     if any(v == 0 for v in initial_values):
         raise ZeroInitialValue("initial values must be nonzero")
-    if system.h.is_rational():
-        h_series = Series.const(to_float(system.h.as_rational()), order)
-    else:
-        if ctx is None or spec is None:
-            raise ValueError("a SeriesContext and TowerSpec are needed for a non-rational h")
-        h_series = eval_series(system.h, ctx, spec)
-        if h_series.order < order:
-            raise ValueError("context order is smaller than the requested order")
-        h_series = h_series.truncate(order)
+    h_series = _h_series(system, order, h_series)
     n = system.n
     xs = np.zeros((n, order))
     xs[:, 0] = initial_values
@@ -259,13 +262,13 @@ def solve_prolonged(
 def prolonged_residual(
     system: ProlongedSystem, solution: list[Series], h_series: Series | None = None
 ) -> float:
-    """Scaled residual of delta x_i - x_i x_{i+1} (and the h row)."""
-    from .series import Series, residual as series_residual
+    """Scaled residual of delta x_i - x_i x_{i+1} (and the h row), with
+    ``h_series`` as in `solve_prolonged`."""
+    from .series import residual as series_residual
 
     worst = 0.0
     n = system.n
-    if h_series is None:
-        h_series = Series.const(to_float(system.h.as_rational()), solution[-1].order)
+    h_series = _h_series(system, solution[-1].order, h_series)
     for i in range(n):
         lhs = solution[i].deriv()
         rhs = solution[i] * (solution[i + 1] if i < n - 1 else h_series)

@@ -74,10 +74,6 @@ def var_c(level: int, index: int) -> Var:
     return ("c", level, index)
 
 
-def var_u(level: int, index: int) -> Var:
-    return ("u", level, index)
-
-
 def var_name(v: Var) -> str:
     kind, level, index = v
     return f"{kind}[{level}][{index}]"
@@ -142,13 +138,6 @@ def m_pairs(m: Monomial) -> Pairs:
 def m_divides(m1: Monomial, m2: Monomial) -> bool:
     """m1 | m2: (m2_f + 2^31) - m1_f keeps field f's top bit iff m2_f >= m1_f."""
     return ((m2 | _HIGH) - m1) & _HIGH == _HIGH
-
-
-def m_div(m1: Monomial, m2: Monomial) -> Monomial:
-    """m1 / m2; requires m2 | m1."""
-    if not m_divides(m2, m1):
-        raise ValueError("monomial division is not exact")
-    return m1 - m2
 
 
 def _m_min(a: Monomial, b: Monomial) -> Monomial:

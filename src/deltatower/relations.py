@@ -18,6 +18,10 @@ nor the weights r . lambda depend on the step, so a reduction and its
 replay each compute them once and a step adds only logD_i(s_r) of the
 non-constant coefficients.
 
+The weights r . lambda are pairwise distinct for all r exactly when the
+eigenvalues are Q-linearly independent (`qlinear_independent`): the
+eigenvector argument behind the step rank n_i.
+
 The series rank check is the independent numerical oracle: rows are the
 truncated series of all monomials y^r up to the degree bound, and full
 row rank means no relation is detected numerically.
@@ -28,13 +32,97 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
+from typing import Iterable, Sequence
 
-from .constants import qlinear_dot
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
-from .errors import SupportTooSmall, TruncationTooShort
-from .tower import SeriesContext, TowerElement, TowerSpec, eval_series, logd
+from .errors import LengthMismatch, NotLinear, SupportTooSmall, TruncationTooShort
+from .polyring import Var, m_pairs
+from .tower import SeriesContext, TowerSpec, eval_series, logd
 
 ExponentVector = tuple[int, ...]
+
+
+# --- Q-linear algebra over the constants ------------------------------------
+
+
+def qlinear_dot(r: Sequence[int], values: Sequence[Element]) -> Element:
+    """The Q-linear functional sum(r_j * values_j)."""
+    if len(r) != len(values):
+        raise LengthMismatch(f"{len(r)} coefficients for {len(values)} values")
+    out = ZERO_ELEMENT
+    for coeff, value in zip(r, values):
+        out = out + value * Fraction(coeff)
+    return out
+
+
+def linear_coefficients(x: Element) -> tuple[Fraction, dict[Var, Fraction]]:
+    """Split a degree-<=1 expression into constant term and symbol coefficients.
+
+    Raises NotLinear on any monomial of total degree >= 2 or a non-trivial
+    denominator.
+    """
+    if not x.den.is_const():
+        raise NotLinear(f"not a Q-linear combination: {x}")
+    const = Fraction(0)
+    coeffs: dict[Var, Fraction] = {}
+    for m, c in x.num.terms.items():
+        pairs = m_pairs(m)
+        if len(pairs) == 0:
+            const = c
+        elif len(pairs) == 1 and pairs[0][1] == 1:
+            coeffs[pairs[0][0]] = c
+        else:
+            raise NotLinear(f"monomial of degree >= 2 in {x}")
+    return const, coeffs
+
+
+def qlinear_independent(exprs: Iterable[Element]) -> bool:
+    """Exact full-row-rank test for Q-linear expressions in the symbols.
+
+    Constant terms take part through an extra coordinate, so e.g.
+    ``[1, c[1][1]]`` is independent while ``[c[1][1], 2*c[1][1]]`` is not.
+    """
+    rows = []
+    columns: list[Var | None] = [None]  # None marks the constant coordinate
+    for x in exprs:
+        const, coeffs = linear_coefficients(x)
+        for v in coeffs:
+            if v not in columns:
+                columns.append(v)
+        rows.append((const, coeffs))
+    matrix = [
+        [const] + [coeffs.get(v, Fraction(0)) for v in columns[1:]]
+        for const, coeffs in rows
+    ]
+    return _row_rank(matrix) == len(matrix)
+
+
+def _row_rank(matrix: list[list[Fraction]]) -> int:
+    """Exact Gaussian elimination over Q."""
+    if not matrix:
+        return 0
+    rows = [row[:] for row in matrix]
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = Fraction(1) / rows[rank][col]
+        rows[rank] = [c * inv for c in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+# --- the term-minimization prover -------------------------------------------
 
 
 class Verdict(Enum):
@@ -58,7 +146,7 @@ class MonomialRelation:
     """G(y) = sum over the support of coefficient * y^exponent."""
 
     level: int
-    variables: tuple[TowerElement, ...]
+    variables: tuple[Element, ...]
     coefficients: dict[ExponentVector, Element] = field(compare=False)
 
     def __post_init__(self):
@@ -209,9 +297,13 @@ def run_reduction(G: MonomialRelation, spec: TowerSpec) -> ReductionTrace:
     logD_i is additive over products, so phi(r) gains logD_i(phi* - phi(r)).
     That is zero when the difference is constant, and phi(r) is kept as it
     is; the weights r . lambda are computed once, by the first functionals."""
+    return _run_reduction(G, G.functionals(spec) if len(G.coefficients) > 1 else {}, spec)
+
+
+def _run_reduction(G: MonomialRelation, phis: dict, spec: TowerSpec) -> ReductionTrace:
+    """run_reduction with the functionals phis of G already computed."""
     steps: list[ReductionStep] = []
-    phis = G.functionals(spec) if len(G.coefficients) > 1 else {}
-    while phis:
+    while len(phis) > 1:
         collision = _find_collision(phis)
         if collision is not None:
             r1, r2 = collision
@@ -250,7 +342,7 @@ def _find_collision(
 
 
 def certify_independence(
-    variables: list[TowerElement],
+    variables: list[Element],
     degree_bound: int,
     spec: TowerSpec,
     *,
@@ -273,18 +365,19 @@ def certify_independence(
         r: ONE_ELEMENT for r in degree_vectors(m, degree_bound, include_zero=False)
     }
     generic = MonomialRelation(level, tuple(variables), full)
-    collision = _find_collision({(0,) * m: ZERO_ELEMENT, **generic.functionals(spec)})
+    phis = generic.functionals(spec)
+    collision = _find_collision({(0,) * m: ZERO_ELEMENT, **phis})
     if collision is not None:
         return ReductionTrace(
             generic, (), Verdict.DEGENERATE, colliding_pair=collision
         )
-    trace = run_reduction(generic, spec)
+    trace = _run_reduction(generic, phis, spec)
     if trace.verdict is not Verdict.NO_NONTRIVIAL_RELATION:
         raise RuntimeError("distinct functionals but the reduction found a relation")
     return trace
 
 
-def _infer_level(variables: list[TowerElement]) -> int:
+def _infer_level(variables: list[Element]) -> int:
     levels = {v[1] for x in variables for v in x.variables() if v[0] == "b"}
     if not levels:
         return 1
@@ -293,7 +386,7 @@ def _infer_level(variables: list[TowerElement]) -> int:
 
 def invariant_monomial(
     G: MonomialRelation, r1: ExponentVector, r2: ExponentVector, spec: TowerSpec
-) -> TowerElement:
+) -> Element:
     """The direction y^(r2-r1) whose logarithmic derivative is (r2-r1).lambda."""
     if r1 == r2:
         raise ValueError("r1 and r2 must differ")
@@ -327,7 +420,7 @@ class RankReport:
 
 
 def series_rank_check(
-    variables: list[TowerElement],
+    variables: list[Element],
     degree_bound: int,
     ctx: SeriesContext,
     spec: TowerSpec,
@@ -379,7 +472,7 @@ def series_rank_check(
 
 
 def agreement(
-    variables: list[TowerElement],
+    variables: list[Element],
     degree_bound: int,
     ctx: SeriesContext,
     spec: TowerSpec,
@@ -402,6 +495,9 @@ __all__ = [
     "certify_independence",
     "degree_vectors",
     "invariant_monomial",
+    "linear_coefficients",
+    "qlinear_dot",
+    "qlinear_independent",
     "reduce_step",
     "run_reduction",
     "series_rank_check",

@@ -1,7 +1,10 @@
 """Differential field towers with eigen-generators.
 
 A :class:`TowerSpec` fixes levels 1..l with ranks (n_1, ..., n_l).  Level i
-has generators b[i][1..n_i] and eigenvalue symbols c[i][1..n_i]; the
+has generators b[i][1..n_i] and eigenvalues c[i][1..n_i].  The eigenvalues
+are formal indeterminates, algebraically and hence Q-linearly independent,
+so the constants form the field Q(c[1][1], ..., c[l][n_l]), with any
+adjoined u[i][j]; a constant is an Element with no generator in it.  The
 derivation acts by
 
     delta b[i][j] = c[i][j] * b[i][j] * prod_{k<i} e_k,    e_k = sum_j b[k][j],
@@ -33,13 +36,10 @@ from fractions import Fraction
 from functools import cache
 from math import log10
 
-from .constants import ConstSymbol
 from .elements import Element, ONE_ELEMENT
 from .errors import BudgetExceeded, DomainViolation, LevelOutOfRange, LogOfZero, ParseError
 from .errors import NonInvertibleSeries, UnknownSymbol
-from .polyring import Poly, Var, cancel, m_pairs, monomial, var_b, var_name
-
-TowerElement = Element
+from .polyring import Poly, Var, cancel, m_pairs, monomial, var_b, var_c, var_name
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
@@ -71,33 +71,27 @@ class TowerSpec:
         self.check_level(i)
         return self.ranks[i - 1]
 
-    def symbol(self, i: int, j: int) -> ConstSymbol:
-        self.check_level(i)
-        if not 1 <= j <= self.ranks[i - 1]:
+    def _check_index(self, i: int, j: int) -> None:
+        if not 1 <= j <= self.rank(i):
             raise LevelOutOfRange(f"index {j} outside 1..{self.ranks[i - 1]} at level {i}")
-        return ConstSymbol(i, j)
 
-    def symbols(self, i: int) -> list[ConstSymbol]:
-        self.check_level(i)
-        return [ConstSymbol(i, j) for j in range(1, self.ranks[i - 1] + 1)]
-
-    def all_symbols(self) -> list[ConstSymbol]:
-        return [s for i in range(1, self.ell + 1) for s in self.symbols(i)]
+    def symbol(self, i: int, j: int) -> Element:
+        """The eigenvalue c[i][j] of b[i][j], an element of the constant field."""
+        self._check_index(i, j)
+        return Element.from_var(var_c(i, j))
 
     def generator_var(self, i: int, j: int) -> Var:
-        self.check_level(i)
-        if not 1 <= j <= self.ranks[i - 1]:
-            raise LevelOutOfRange(f"index {j} outside 1..{self.ranks[i - 1]} at level {i}")
+        self._check_index(i, j)
         return var_b(i, j)
 
-    def generator(self, i: int, j: int) -> TowerElement:
+    def generator(self, i: int, j: int) -> Element:
         return Element.from_var(self.generator_var(i, j))
 
-    def generators(self, i: int) -> list[TowerElement]:
+    def generators(self, i: int) -> list[Element]:
         self.check_level(i)
         return [self.generator(i, j) for j in range(1, self.ranks[i - 1] + 1)]
 
-    def e(self, i: int) -> TowerElement:
+    def e(self, i: int) -> Element:
         """The level-i solution e_i = sum_j b[i][j]."""
         self.check_level(i)
         key = ("e", i)
@@ -108,7 +102,7 @@ class TowerSpec:
             self._caches[key] = Element(total)
         return self._caches[key]
 
-    def prod_e_below(self, i: int) -> TowerElement:
+    def prod_e_below(self, i: int) -> Element:
         """prod_{k<i} e_k (the twist divisor of D_i); 1 for i = 1."""
         self.check_level(i)
         key = ("prod_e", i)
@@ -172,7 +166,7 @@ def _derive_poly(p: Poly, spec: TowerSpec) -> Poly:
     return out
 
 
-def derive(x: TowerElement, spec: TowerSpec) -> TowerElement:
+def derive(x: Element, spec: TowerSpec) -> Element:
     """delta(x), extended from the generators as a derivation.
 
     The quotient rule runs over g = gcd(f, delta f) for the denominator f:
@@ -186,20 +180,20 @@ def derive(x: TowerElement, spec: TowerSpec) -> TowerElement:
     return Element(dnum * f - x.num * df, x.den * f)
 
 
-def d_twist(x: TowerElement, i: int, spec: TowerSpec) -> TowerElement:
+def d_twist(x: Element, i: int, spec: TowerSpec) -> Element:
     """The twisted derivation D_i = delta / prod_{k<i} e_k."""
     spec.check_level(i)
     return derive(x, spec) / spec.prod_e_below(i)
 
 
-def logd(x: TowerElement, i: int, spec: TowerSpec) -> TowerElement:
+def logd(x: Element, i: int, spec: TowerSpec) -> Element:
     """Logarithmic derivative D_i(x)/x; undefined at zero."""
     if x.is_zero():
         raise LogOfZero("logarithmic derivative of zero")
     return d_twist(x, i, spec) / x
 
 
-def logd_iter(x: TowerElement, m: int, spec: TowerSpec) -> TowerElement:
+def logd_iter(x: Element, m: int, spec: TowerSpec) -> Element:
     """m-fold iterate of logd at level 1.
 
     Defined only while every earlier iterate is nonzero; DomainViolation
@@ -220,16 +214,14 @@ def logd_iter(x: TowerElement, m: int, spec: TowerSpec) -> TowerElement:
 
 @dataclass(frozen=True)
 class SeriesContext:
-    """Numeric interpretation: truncation order, symbol values, initial values.
+    """Numeric interpretation: truncation order and symbol values.
 
     ``values`` assigns reals to constant symbols; within each level the
-    assigned values must be pairwise distinct.  ``initial`` optionally
-    overrides the value at t=0 of individual generators (default 1).
+    assigned values must be pairwise distinct.  Every generator is 1 at t=0.
     """
 
     order: int
     values: tuple[tuple[Var, float], ...]
-    initial: tuple[tuple[Var, float], ...] = ()
 
     def __post_init__(self):
         if self.order < 2:
@@ -251,21 +243,20 @@ class SeriesContext:
             return spec._caches[key]
         explicit = dict(spec.assignments)
         values = []
-        for k, sym in enumerate(spec.all_symbols()):
-            text = explicit.get(sym.name, str(_PRIMES[k % len(_PRIMES)]))
+        symbols = [var_c(i, j) for i, n in enumerate(spec.ranks, 1) for j in range(1, n + 1)]
+        for k, v in enumerate(symbols):
+            name = var_name(v)
+            text = explicit.get(name, str(_PRIMES[k % len(_PRIMES)]))
             try:
-                values.append((sym.var, float(Fraction(text))))
+                values.append((v, float(Fraction(text))))
             except (ValueError, ZeroDivisionError, OverflowError):
-                message = f"assignment {sym.name}={text!r} is not a decimal in float range"
+                message = f"assignment {name}={text!r} is not a decimal in float range"
                 raise ParseError(message) from None
         spec._caches[key] = cls(order=order, values=tuple(values))
         return spec._caches[key]
 
     def value_map(self) -> dict[Var, float]:
         return dict(self.values)
-
-    def initial_map(self) -> dict[Var, float]:
-        return dict(self.initial)
 
 
 @cache
@@ -279,19 +270,18 @@ def _series():
 
 def generator_series(
     ctx: SeriesContext, spec: TowerSpec
-) -> tuple[dict[Var, Series], dict[Var, Series | None]]:
-    """Series for every generator: b[1][j] -> v*exp(c t) and, above level 1,
-    b[i][j] -> v*exp(c * integral of prod_{k<i} e_k); and its reciprocal
-    exp(-c * phase)/v, None when v = 0.  Built once per (spec, ctx) and kept
-    in the spec's cache, so the coefficient arrays are read-only."""
+) -> tuple[dict[Var, Series], dict[Var, Series]]:
+    """Series for every generator: b[1][j] -> exp(c t) and, above level 1,
+    b[i][j] -> exp(c * integral of prod_{k<i} e_k); and its reciprocal
+    exp(-c * phase).  Built once per (spec, ctx) and kept in the spec's
+    cache, so the coefficient arrays are read-only."""
     key = ("series", ctx)
     if key in spec._caches:
         return spec._caches[key]
     Series = _series().Series
     values = ctx.value_map()
-    initial = ctx.initial_map()
     gens: dict[Var, Series] = {}
-    recips: dict[Var, Series | None] = {}
+    recips: dict[Var, Series] = {}
     accumulated: Series | None = None  # prod_{k<i} e_k as a series
     for i in range(1, spec.ell + 1):
         if i == 1:
@@ -302,14 +292,12 @@ def generator_series(
         for j in range(1, spec.rank(i) + 1):
             v = spec.generator_var(i, j)
             c_hat = _lookup(values, ("c", i, j))
-            v0 = initial.get(v, 1.0)
-            s = (phase * c_hat).exp() * v0
-            gens[v], recips[v] = s, (phase * -c_hat).exp() / v0 if v0 else None
+            s = (phase * c_hat).exp()
+            gens[v], recips[v] = s, (phase * -c_hat).exp()
             level_sum = level_sum + s
         accumulated = level_sum if accumulated is None else accumulated * level_sum
     for s in [*gens.values(), *recips.values()]:
-        if s is not None:
-            s.coeffs.flags.writeable = False
+        s.coeffs.flags.writeable = False
     spec._caches[key] = gens, recips
     return gens, recips
 
@@ -360,7 +348,7 @@ def _eval_poly(p: Poly, gens: dict[Var, Series], values: dict[Var, float], order
     return total
 
 
-def eval_series(x: TowerElement, ctx: SeriesContext, spec: TowerSpec) -> Series:
+def eval_series(x: Element, ctx: SeriesContext, spec: TowerSpec) -> Series:
     """Interpret an element as a truncated power series in t.  A monomial
     denominator (monic, so its coefficient is 1) multiplies the numerator by
     reciprocal series; any other one is divided by series division."""
@@ -373,10 +361,7 @@ def eval_series(x: TowerElement, ctx: SeriesContext, spec: TowerSpec) -> Series:
     scalar = 1.0
     for v, e in m_pairs(den):
         if v[0] == "b":
-            recip = _lookup(recips, v)
-            if recip is None:
-                raise NonInvertibleSeries(f"{var_name(v)} has initial value 0")
-            num = num * recip**e
+            num = num * _lookup(recips, v) ** e
         else:
             scalar *= _power(values, v, e)
     if scalar == 0.0:
@@ -384,7 +369,7 @@ def eval_series(x: TowerElement, ctx: SeriesContext, spec: TowerSpec) -> Series:
     return num / scalar
 
 
-def delta_consistency_residual(x: TowerElement, ctx: SeriesContext, spec: TowerSpec) -> float:
+def delta_consistency_residual(x: Element, ctx: SeriesContext, spec: TowerSpec) -> float:
     """Scaled disagreement between derive(x) and d/dt of x as series, with no
     division: for x = n/d and derive(x) = N/D it compares N d^2 with
     D (n' d - n d') over the shared coefficients.  d(0) = 0 raises
@@ -401,7 +386,7 @@ def delta_consistency_residual(x: TowerElement, ctx: SeriesContext, spec: TowerS
 
 def random_element(
     rng: random.Random, spec: TowerSpec, *, allow_denominator: bool = True
-) -> TowerElement:
+) -> Element:
     """Random small element: one to three terms, each a coefficient k/q
     times at most two generator or constant symbols; denominators are
     generator monomials, so series evaluation stays invertible."""

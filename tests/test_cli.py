@@ -377,6 +377,25 @@ class TestSeries:
         assert code == 2
         assert "initial" in err
 
+    def test_logd_system_evaluates_h_once(self, capsys, monkeypatch):
+        # one series of h serves both the solver and the residual
+        from deltatower import tower
+
+        calls = []
+        real = tower.eval_series
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("deltatower") and getattr(module, "eval_series", None) is real:
+                monkeypatch.setattr(module, "eval_series", counted)
+        argv = ["--logd-system", "3", "--order", "12", "--h", "b[1][1]"]
+        code, out, _ = run_cli(capsys, "series", *argv)
+        assert code == 0 and out.endswith("RESULT PASS\n")
+        assert len(calls) == 1
+
     def test_element_consistency(self, capsys):
         code, out, _ = run_cli(
             capsys, "series", "--element", "b[1][1]*b[1][2]", "--order", "8"

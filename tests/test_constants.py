@@ -1,4 +1,4 @@
-"""Exact constant-field arithmetic and Q-linear algebra."""
+"""Exact constant-field arithmetic and the Q-linear algebra of the prover."""
 
 import random
 from fractions import Fraction
@@ -7,49 +7,41 @@ from itertools import product
 import pytest
 
 from deltatower import (
-    ConstSymbol,
     DivisionByZero,
     LengthMismatch,
     NotLinear,
-    arith,
+    parse_element,
     qlinear_dot,
     qlinear_independent,
 )
-from deltatower.constants import scale_symbol
 from deltatower.elements import Element
 
-C11 = ConstSymbol(1, 1).expr()
-C12 = ConstSymbol(1, 2).expr()
-C21 = ConstSymbol(2, 1).expr()
+C11, C12, C13, C21 = (parse_element(t) for t in ("c[1][1]", "c[1][2]", "c[1][3]", "c[2][1]"))
 
 
 class TestArith:
     def test_add_then_subtract_cancels(self):
-        assert arith(arith(C11, C12, "add"), C12, "sub") == C11
+        assert (C11 + C12) - C12 == C11
 
     def test_self_division_is_one(self):
-        assert arith(C11, C11, "div") == Element.from_rational(1)
+        assert C11 / C11 == Element.from_rational(1)
 
     def test_polynomial_division_oracle(self):
         # (c11^2 - c12^2) / (c11 - c12) = c11 + c12; re-multiplied to confirm
         num = C11 * C11 - C12 * C12
         den = C11 - C12
-        quotient = arith(num, den, "div")
+        quotient = num / den
         assert quotient == C11 + C12
         assert quotient * den == num
 
     def test_divide_by_zero(self):
         with pytest.raises(DivisionByZero):
-            arith(C11, C11 - C11, "div")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            arith(C11, C12, "pow")
+            C11 / (C11 - C11)
 
 
 class TestFieldLaws:
     def _random_expr(self, rng):
-        gens = [C11, C12, C21, scale_symbol(1, 1)]
+        gens = [C11, C12, C21, parse_element("u[1][1]")]
         out = Element.from_rational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
         for _ in range(rng.randint(1, 3)):
             pick = rng.choice(gens)
@@ -76,26 +68,24 @@ class TestFieldLaws:
 
 class TestQLinearDot:
     def test_definition(self):
-        syms = [ConstSymbol(1, 1), ConstSymbol(1, 2)]
-        assert qlinear_dot((1, 2), syms) == C11 + 2 * C12
+        assert qlinear_dot((1, 2), [C11, C12]) == C11 + 2 * C12
 
     def test_zero_vector(self):
-        assert qlinear_dot((0, 0), [ConstSymbol(1, 1), ConstSymbol(1, 2)]).is_zero()
+        assert qlinear_dot((0, 0), [C11, C12]).is_zero()
 
     def test_difference_is_nonzero(self):
-        value = qlinear_dot((1, -1), [ConstSymbol(1, 1), ConstSymbol(1, 2)])
+        value = qlinear_dot((1, -1), [C11, C12])
         assert value == C11 - C12
         assert not value.is_zero()
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            qlinear_dot((1,), [ConstSymbol(1, 1), ConstSymbol(1, 2)])
+            qlinear_dot((1,), [C11, C12])
 
     def test_distinct_vectors_give_distinct_values(self):
         # exactness guarantee used by the relation prover
-        syms = [ConstSymbol(1, 1), ConstSymbol(1, 2), ConstSymbol(1, 3)]
         vectors = [r for r in product(range(3), repeat=3)]
-        values = {qlinear_dot(r, syms) for r in vectors}
+        values = {qlinear_dot(r, [C11, C12, C13]) for r in vectors}
         assert len(values) == len(vectors)
 
 
@@ -124,7 +114,7 @@ class TestQLinearIndependent:
         """Brute-force oracle: search integer relations with coefficients
         in [-5, 5]."""
         rng = random.Random(seed)
-        syms = [ConstSymbol(1, 1), ConstSymbol(1, 2)]
+        syms = [C11, C12]
         # entries in {-1,0,1} keep any kernel vector within the search range
         vectors = []
         for _ in range(rng.randint(1, 3)):

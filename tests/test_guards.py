@@ -91,9 +91,9 @@ def test_invariant_monomial_guards_its_identity(monkeypatch):
 
 
 def test_certify_independence_guards_the_verdict(monkeypatch):
-    def found(generic, spec):
+    def found(generic, phis, spec):
         return ReductionTrace(generic, (), Verdict.INVARIANT_MONOMIAL_FOUND)
 
-    monkeypatch.setattr(relations, "run_reduction", found)
+    monkeypatch.setattr(relations, "_run_reduction", found)
     with pytest.raises(RuntimeError, match="found a relation"):
         relations.certify_independence(SPEC.generators(1), 2, SPEC, level=1)

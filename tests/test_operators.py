@@ -22,7 +22,6 @@ from deltatower import (
     solve_prolonged,
     wronskian,
 )
-from deltatower.constants import scale_symbol
 from deltatower.elements import ZERO_ELEMENT
 from deltatower.operators import prolonged_residual
 from deltatower.series import residual
@@ -33,8 +32,8 @@ SPEC = build_spec((2, 1))
 B11 = SPEC.generator(1, 1)
 B12 = SPEC.generator(1, 2)
 B21 = SPEC.generator(2, 1)
-C11 = SPEC.symbol(1, 1).expr()
-C12 = SPEC.symbol(1, 2).expr()
+C11 = SPEC.symbol(1, 1)
+C12 = SPEC.symbol(1, 2)
 
 
 def _product(values):
@@ -84,7 +83,7 @@ class TestApply:
 
     def test_scaled_combinations_stay_in_the_kernel(self):
         # linearity over fresh constants
-        f = scale_symbol(1, 1) * B11 + scale_symbol(1, 2) * B12
+        f = parse_element("u[1][1]") * B11 + parse_element("u[1][2]") * B12
         assert apply_operator(build_E(SPEC, 1), f, SPEC).is_zero()
 
     def test_nonsolution_is_not_killed(self):
@@ -99,7 +98,7 @@ class TestExpand:
 
     def test_single_factor(self):
         op = expand(build_E(SPEC, 2))
-        assert op.coefficients == (-SPEC.symbol(2, 1).expr(), parse_element("1"))
+        assert op.coefficients == (-SPEC.symbol(2, 1), parse_element("1"))
 
     def test_permutation_invariance(self):
         eigenvalues = (C11, C12, C11 + C12)
@@ -114,7 +113,7 @@ class TestExpand:
         from itertools import combinations
 
         spec = build_spec((2, 2))
-        values = [s.expr() for s in spec.all_symbols()][:size]
+        values = [spec.symbol(i, j) for i in (1, 2) for j in (1, 2)][:size]
         op = FactoredOperator(1, tuple(values))
         expanded = expand(op)
         m = len(values)
@@ -129,7 +128,7 @@ class TestExpand:
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_expand_apply_agreement(self, size):
         spec = build_spec((2, 2))
-        symbols = [s.expr() for s in spec.all_symbols()]
+        symbols = [spec.symbol(i, j) for i in (1, 2) for j in (1, 2)]
         rng = random.Random(size)
         for values in combinations_with_replacement(symbols, size):
             op = FactoredOperator(1, tuple(values))
@@ -146,7 +145,7 @@ class TestDecompose:
         assert is_generic(deco)
 
     def test_missing_component_is_zero(self):
-        u = scale_symbol(1, 1)
+        u = parse_element("u[1][1]")
         deco = decompose(u * B11, 1, SPEC)
         assert deco.components == (u * B11, ZERO_ELEMENT)
         assert not is_generic(deco)
@@ -183,7 +182,7 @@ class TestWronskian:
     def test_three_generators_vandermonde(self):
         spec = build_spec((3,))
         gens = spec.generators(1)
-        c = [spec.symbol(1, j).expr() for j in (1, 2, 3)]
+        c = [spec.symbol(1, j) for j in (1, 2, 3)]
         w = wronskian(gens, 1, spec)
         vandermonde = (c[1] - c[0]) * (c[2] - c[0]) * (c[2] - c[1])
         assert w == vandermonde * gens[0] * gens[1] * gens[2]
@@ -244,9 +243,13 @@ class TestProlongedSystem:
         ctx = SeriesContext.default(spec, order=8)
         h = spec.generator(1, 1)  # h = b11 = exp(2t)
         system = logd_system(1, h)
-        xs = solve_prolonged(system, [1.0], 8, ctx, spec)
         h_series = eval_series(h, ctx, spec)
+        xs = solve_prolonged(system, [1.0], 8, h_series)
         assert prolonged_residual(system, xs, h_series) < 1e-12
+        with pytest.raises(ValueError, match="not a rational number"):
+            solve_prolonged(system, [1.0], 8)
+        with pytest.raises(ValueError, match="shorter"):
+            solve_prolonged(system, [1.0], 9, h_series)
         # x' = h x with x(0)=1 is exp of the integral of h
         expected = h_series.integ().exp()
         assert residual(xs[0], expected) < 1e-12

@@ -21,17 +21,17 @@ from deltatower import (
     series_rank_check,
 )
 from deltatower import relations
-from deltatower.constants import qlinear_dot, scale_symbol
 from deltatower.elements import Element, ONE_ELEMENT, ZERO_ELEMENT
-from deltatower.relations import ReductionStep, agreement, degree_vectors
+from deltatower.relations import ReductionStep, agreement, degree_vectors, qlinear_dot
+from deltatower.textio import parse_element
 from deltatower.tower import SeriesContext, logd
 
 SPEC = build_spec((3, 2))
 B11 = SPEC.generator(1, 1)
 B12 = SPEC.generator(1, 2)
 B13 = SPEC.generator(1, 3)
-C11 = SPEC.symbol(1, 1).expr()
-C12 = SPEC.symbol(1, 2).expr()
+C11 = SPEC.symbol(1, 1)
+C12 = SPEC.symbol(1, 2)
 
 
 def relation(level, variables, coeffs):
@@ -88,7 +88,7 @@ class TestReduceStep:
 
     def test_soundness_reduction_preserves_vanishing(self):
         # G vanishes at the variables: y1*y2 - y2*y1 form via u-scaled copies
-        u = scale_symbol(1, 1)
+        u = parse_element("u[1][1]")
         G = relation(
             1,
             (u * B11, B11),
@@ -114,7 +114,7 @@ class TestReduceStep:
         # two vanishing eigen-groups: (y2 - u y1) + (y4 - u' y3) = 0;
         # reducing with the lex-least pivot drops the second group entirely
         # and the result still evaluates to zero
-        u, u2 = scale_symbol(1, 1), scale_symbol(1, 2)
+        u, u2 = parse_element("u[1][1]"), parse_element("u[1][2]")
         variables = (B11, u * B11, B12, u2 * B12)
         G = relation(
             1,
@@ -273,7 +273,7 @@ class TestInvariantMonomial:
         G = relation(2, (SPEC.generator(2, 1),), {(0,): ONE_ELEMENT, (1,): ONE_ELEMENT})
         h = invariant_monomial(G, (0,), (1,), SPEC)
         assert h == SPEC.generator(2, 1)
-        assert logd(h, 2, SPEC) == SPEC.symbol(2, 1).expr()
+        assert logd(h, 2, SPEC) == SPEC.symbol(2, 1)
 
 
 class TestSeriesRankCheck:
@@ -413,10 +413,10 @@ def test_weights_are_computed_once_per_run_and_per_replay(monkeypatch):
     spec = build_spec((3,))
     trace = certify_independence(spec.generators(1), 5, spec)
     assert trace.replay(spec)
-    # 55 support vectors, weighed once by the degeneracy check, once by the
-    # run and once by the replay (1,649 calls when every replay step
-    # recomputed them)
-    assert len(calls) == 3 * 55
+    # 55 support vectors, weighed once by the degeneracy check, whose
+    # functionals the run reuses, and once by the replay (1,649 calls when
+    # every replay step recomputed them)
+    assert len(calls) == 2 * 55
 
 
 def test_run_keeps_unchanged_functionals():

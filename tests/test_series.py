@@ -97,15 +97,6 @@ class TestEvalSeries:
         s = eval_series(spec.generator(1, 1), ctx, spec)
         assert np.allclose(s.coeffs, [1.0, 3.0, 4.5, 4.5])  # exp(3t)
 
-    def test_initial_values_scale_generators(self):
-        ctx = SeriesContext(
-            order=4,
-            values=SeriesContext.default(SPEC).values,
-            initial=((("b", 1, 1), 3.0),),
-        )
-        s = eval_series(SPEC.generator(1, 1), ctx, SPEC)
-        assert np.allclose(s.coeffs, [3.0, 6.0, 6.0, 4.0])
-
     def test_non_invertible_denominator(self):
         ctx = SeriesContext.default(SPEC, order=6)
         x = 1 / (SPEC.generator(1, 1) - SPEC.generator(1, 2))
@@ -233,9 +224,8 @@ class TestGeneratorTable:
         spec = build_spec((2,))
         base = SeriesContext.default(spec, order=8)
         longer = SeriesContext.default(spec, order=9)
-        scaled = SeriesContext(8, base.values, initial=((("b", 1, 1), 2.0),))
         assigned = TowerSpec(ranks=(2,), assignments=(("c[1][1]", "7"),))
-        cases = [(base, spec), (longer, spec), (scaled, spec)]
+        cases = [(base, spec), (longer, spec)]
         cases.append((SeriesContext.default(assigned, order=8), assigned))
         calls = _count_exp(monkeypatch)
         tables = []
@@ -245,8 +235,7 @@ class TestGeneratorTable:
             assert len(calls) - before == 4
         assert len({id(table) for table in tables}) == len(tables)
         assert tables[1][0][("b", 1, 1)].order == 9
-        assert tables[2][0][("b", 1, 1)][0] == 2.0
-        assert tables[3][0][("b", 1, 1)][1] == 7.0
+        assert tables[2][0][("b", 1, 1)][1] == 7.0
 
     def test_cached_coefficients_are_read_only(self):
         spec = build_spec((2, 1))
@@ -310,12 +299,6 @@ class TestReciprocalDenominators:
             assert residual(eval_series(x, ctx, spec), num / den) < 1e-9, str(x)
             checked += 1
         assert checked >= 5
-
-    @pytest.mark.parametrize("text", ["1/b[1][1]", "b[1][2]/b[1][1]^2", "c[1][2]/(b[1][1]*c[1][1])"])
-    def test_zero_initial_value_is_not_invertible(self, text):
-        ctx = SeriesContext(6, SeriesContext.default(SPEC).values, initial=((("b", 1, 1), 0.0),))
-        with pytest.raises(NonInvertibleSeries):
-            eval_series(parse_element(text), ctx, SPEC)
 
     @pytest.mark.parametrize("text", ["1/c[1][1]", "b[1][2]/c[1][1]^2", "1/(b[1][2]*c[1][1])"])
     def test_zero_symbol_value_is_not_invertible(self, text):
