@@ -14,8 +14,11 @@ internality, analyses, reductions and coreductions are all computed by
 exhaustive search.
 
 Exports are lazy (PEP 562): ``import deltatower`` loads no submodule, and
-each name in ``__all__`` imports its module on first use, so a command
-loads only the modules it runs; numpy comes only with the numeric half.
+each name in ``__all__`` imports its module on first use.  A CLI command
+loads only what it runs (``tower build`` the exact side, the grid commands
+``grid``/``gridcheck``, ``series`` ``textio``, ``tower`` and numpy), and no
+module imports ``dataclasses``, whose ``inspect`` costs a start more than
+a small tower's checks.
 """
 
 from importlib import import_module

@@ -23,6 +23,11 @@ coefficient bits.  A ``tower build --out`` file that cannot be written
 is refused the same way (exit 2, one ``error:`` line), and so is a
 ``series`` option that its mode ignores: ``--h`` or ``--initial`` with
 ``--element``, ``--spec`` with ``--logd-system``.
+
+This module loads only ``errors``, and no module imports ``dataclasses``
+(with ``inspect``, a larger cost than a small tower's checks): each
+``cmd_*`` imports what it runs, so ``tower build`` compiles no ``textio``
+or grid module, and the grid commands no exact-side module.
 """
 
 from __future__ import annotations
@@ -30,35 +35,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import partial
-from itertools import permutations
 
-from .errors import BudgetExceeded, DeltaTowerError, TruncationTooShort
-from .operators import (
-    FactoredOperator,
-    apply_operator,
-    build_E,
-    decompose,
-    expand,
-    is_generic,
-    logd_system,
-    prolonged_residual,
-    solve_prolonged,
-)
-from .relations import Verdict, certify_independence
-from .textio import parse_element
-from .tower import (
-    SeriesContext,
-    TowerSpec,
-    build_spec,
-    delta_consistency_residual,
-    eval_series,
-    random_element,
-)
+from .errors import BudgetExceeded, DeltaTowerError, Record, TruncationTooShort
 
 DEFAULT_SEED = 20406
 MAX_LEVELS = 3
@@ -72,14 +53,16 @@ MAX_LOGD_SYSTEM = 1000
 MAX_SEQRED_CELLS = 2000
 
 
-@dataclass
-class RunReport:
+class RunReport(Record):
     """PASS/FAIL report of one command; each CHECK line is printed as soon
     as its check finishes, so a slow or killed run shows what it got to."""
 
-    command: str
-    arguments: tuple[str, ...]
-    checks: list[tuple[str, str, str | None]] = field(default_factory=list)  # name, status, detail
+    __slots__ = _compared = ("command", "arguments", "checks")
+    # mutable, so unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, command: str, arguments: tuple[str, ...], checks: list | None = None):
+        super().__init__(command, arguments, [] if checks is None else checks)
 
     @property
     def status(self) -> str:
@@ -141,6 +124,13 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def cmd_tower_build(args, argv) -> int:
+    import random
+    from itertools import permutations
+
+    from .operators import FactoredOperator, apply_operator, build_E, decompose, expand, is_generic
+    from .relations import Verdict, certify_independence
+    from .tower import build_spec, random_element
+
     utype = args.utype
     if not args.force and (len(utype) > MAX_LEVELS or any(n > MAX_RANK for n in utype)):
         raise BudgetExceeded(
@@ -255,16 +245,15 @@ def cmd_grid_seqred(args, argv) -> int:
 # --- series ------------------------------------------------------------------
 
 
-def _infer_spec(elements) -> TowerSpec:
-    """Smallest tower covering the generator/constant symbols mentioned."""
+def _covering_ranks(x) -> tuple[int, ...]:
+    """Ranks of the smallest tower covering the generator/constant symbols of x."""
     max_level = 1
     ranks: dict[int, int] = {}
-    for x in elements:
-        for kind, level, index in x.variables():
-            if kind in ("b", "c"):
-                max_level = max(max_level, level)
-                ranks[level] = max(ranks.get(level, 1), index)
-    return TowerSpec(ranks=tuple(ranks.get(i, 1) for i in range(1, max_level + 1)))
+    for kind, level, index in x.variables():
+        if kind in ("b", "c"):
+            max_level = max(max_level, level)
+            ranks[level] = max(ranks.get(level, 1), index)
+    return tuple(ranks.get(i, 1) for i in range(1, max_level + 1))
 
 
 def _format_series(s: Series) -> str:
@@ -276,6 +265,9 @@ def _small(residual: float, label: str) -> tuple[bool, str]:
 
 
 def cmd_series(args, argv) -> int:
+    from .textio import parse_element
+    from .tower import SeriesContext, TowerSpec, delta_consistency_residual, eval_series
+
     by_element = args.element is not None
     mode, unused = ("--element", ("h", "initial")) if by_element else ("--logd-system", ("spec",))
     for name in unused:
@@ -287,6 +279,8 @@ def cmd_series(args, argv) -> int:
         raise TruncationTooShort(f"--order {args.order} is below 2, the shortest truncation")
     report = RunReport("series", tuple(argv))
     if args.logd_system is not None:
+        from .operators import logd_system, prolonged_residual, solve_prolonged
+
         n = args.logd_system
         if n < 1:
             raise DeltaTowerError(f"--logd-system {n} is not a positive dimension")
@@ -299,7 +293,7 @@ def cmd_series(args, argv) -> int:
             raise DeltaTowerError(f"expected {n} initial values, got {len(initial)}")
         h_series = None
         if not h.is_rational():
-            spec = _infer_spec([h])
+            spec = TowerSpec(_covering_ranks(h))
             h_series = eval_series(h, SeriesContext.default(spec, order=args.order), spec)
         # solved before anything is printed, so an h past the float range
         # is refused with stdout still empty
@@ -319,7 +313,7 @@ def cmd_series(args, argv) -> int:
                 raise DeltaTowerError(f"cannot read --spec {args.spec}: {exc.strerror}") from None
             spec = TowerSpec.from_json(text)
         else:
-            spec = _infer_spec([x])
+            spec = TowerSpec(_covering_ranks(x))
         ctx = SeriesContext.default(spec, order=args.order)
         s = eval_series(x, ctx, spec)
         print(f"element: {x}")

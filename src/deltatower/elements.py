@@ -76,7 +76,7 @@ class Element:
 
     def is_constant(self) -> bool:
         """True when no generator symbol occurs (the derivation kills it)."""
-        return all(v[0] != "b" for v in self.num.variables() | self.den.variables())
+        return not (self.num.has_generator() or self.den.has_generator())
 
     def variables(self) -> set[Var]:
         return self.num.variables() | self.den.variables()

@@ -82,3 +82,37 @@ class ParseError(DeltaTowerError, ValueError):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
+
+
+class Record:
+    """Base of the package's records (plain classes, so no module imports
+    ``dataclasses``): the fields are the ``__slots__``, set in order by
+    ``__init__``; records of one class are equal, and hash alike, when their
+    ``_compared`` fields are; assigning or deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):  # copy and pickle: state is (None, {field: value})
+        Record.__init__(self, *[state[1][name] for name in self.__slots__])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__name__}({shown})"

@@ -23,27 +23,25 @@ the analysis constructors, which take their heights once.  An
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import sub
 from typing import Iterator, Sequence
 
-from .errors import NotMonotone
+from .errors import NotMonotone, Record
 
 Cell = tuple[int, int]
 CellSet = frozenset[Cell]
 
 
-@dataclass(frozen=True)
-class GridModel:
+class GridModel(Record):
     """depth rows by columns independent copies."""
 
-    depth: int
-    columns: int
+    __slots__ = _compared = ("depth", "columns")
 
-    def __post_init__(self):
-        if self.depth < 1 or self.columns < 1:
+    def __init__(self, depth: int, columns: int):
+        if depth < 1 or columns < 1:
             raise ValueError("grid dimensions must be positive")
+        super().__init__(depth, columns)
 
     @property
     def cells(self) -> int:
@@ -161,8 +159,7 @@ def coreduction(S: CellSet, T: CellSet, g: GridModel) -> CellSet:
     return from_heights([0 if full <= t + 1 else full - 1 for full, t in zip(full_h, ht)], g)
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(Record):
     """Stepwise decomposition of a target over a base, on height vectors.
 
     base, target and each step are the heights of cl(base),
@@ -171,10 +168,10 @@ class Analysis:
     the target.
     """
 
-    grid: GridModel
-    base: tuple[int, ...]
-    target: tuple[int, ...]
-    steps: tuple[tuple[int, ...], ...]
+    __slots__ = _compared = ("grid", "base", "target", "steps")
+
+    def __init__(self, grid: GridModel, base: tuple, target: tuple, steps: tuple):
+        super().__init__(grid, base, target, steps)
 
     def validate(self) -> None:
         g = self.grid

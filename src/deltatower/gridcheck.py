@@ -48,14 +48,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement, product
 from math import factorial
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, Record
 from .grid import (
     Analysis,
     GridModel,
@@ -84,12 +83,13 @@ from .grid import (
 MAX_VERIFY_CELLS = 12
 
 
-@dataclass
-class PropertyReport:
-    name: str
-    instances: int
-    passed: bool
-    counterexample: str | None = None
+class PropertyReport(Record):
+    __slots__ = _compared = ("name", "instances", "passed", "counterexample")
+    # mutable, so unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, name: str, instances: int, passed: bool, counterexample: str | None = None):
+        super().__init__(name, instances, passed, counterexample)
 
     def verdict(self) -> tuple[bool, str]:
         """(passed, detail) of the property's CHECK line."""

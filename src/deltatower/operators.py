@@ -15,28 +15,25 @@ with a truncated-series solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
-from .errors import NotNormalForm, ZeroInitialValue
+from .errors import NotNormalForm, Record, ZeroInitialValue
 from .polyring import Poly, m_pairs, monomial
 from .tower import TowerSpec, d_twist, to_float
 
 
-@dataclass(frozen=True)
-class FactoredOperator:
+class FactoredOperator(Record):
     """(D_i - c_1) ... (D_i - c_m) at level i, with constant eigenvalues c_k."""
 
-    level: int
-    eigenvalues: tuple[Element, ...]
+    __slots__ = _compared = ("level", "eigenvalues")
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __init__(self, level: int, eigenvalues: tuple[Element, ...]):
+        if level < 1:
             raise ValueError("level must be >= 1")
-        if not self.eigenvalues:
+        if not eigenvalues:
             raise ValueError("a factored operator needs at least one factor")
-        if any(not c.is_constant() for c in self.eigenvalues):
+        if any(not c.is_constant() for c in eigenvalues):
             raise ValueError("eigenvalues must be free of generator symbols")
+        super().__init__(level, eigenvalues)
 
     def to_text(self) -> str:
         """Operator text ``(D[i] - c_1) * ...``; a sum or quotient eigenvalue
@@ -53,20 +50,19 @@ class FactoredOperator:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class ExpandedOperator:
-    """sum_k a_k D_i^k with a_m = 1, coefficients constant."""
+class ExpandedOperator(Record):
+    """sum_k a_k D_i^k with a_m = 1, coefficients (a_0, ..., a_m) constant."""
 
-    level: int
-    coefficients: tuple[Element, ...]  # a_0 .. a_m
+    __slots__ = _compared = ("level", "coefficients")
 
-    def __post_init__(self):
-        if len(self.coefficients) < 2:
+    def __init__(self, level: int, coefficients: tuple[Element, ...]):
+        if len(coefficients) < 2:
             raise ValueError("an expanded operator has order >= 1")
-        if self.coefficients[-1] != ONE_ELEMENT:
+        if coefficients[-1] != ONE_ELEMENT:
             raise ValueError("expanded operators are monic")
-        if any(not a.is_constant() for a in self.coefficients):
+        if any(not a.is_constant() for a in coefficients):
             raise ValueError("coefficients must be constant")
+        super().__init__(level, coefficients)
 
 
 def build_E(spec: TowerSpec, i: int) -> FactoredOperator:
@@ -107,12 +103,13 @@ def expand(op: FactoredOperator) -> ExpandedOperator:
     return ExpandedOperator(op.level, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(Record):
     """Components f_j with (D_i - c[i][j]) f_j = 0 and sum f_j = f."""
 
-    level: int
-    components: tuple[Element, ...]
+    __slots__ = _compared = ("level", "components")
+
+    def __init__(self, level: int, components: tuple[Element, ...]):
+        super().__init__(level, components)
 
     def total(self) -> Element:
         out = ZERO_ELEMENT
@@ -185,16 +182,15 @@ def _det(rows: list[list[Element]]) -> Element:
     return total
 
 
-@dataclass(frozen=True)
-class ProlongedSystem:
+class ProlongedSystem(Record):
     """x_i' = x_i x_{i+1} for i < n and x_n' = h x_n."""
 
-    n: int
-    h: Element
+    __slots__ = _compared = ("n", "h")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, h: Element):
+        if n < 1:
             raise ValueError("dimension must be >= 1")
+        super().__init__(n, h)
 
     def equations(self) -> list[str]:
         eqs = [f"delta x_{i} = x_{i}*x_{i + 1}" for i in range(1, self.n)]

@@ -57,12 +57,13 @@ FIELD_BITS = 32  # one unsigned C int per field, so a monomial decodes in one un
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD = (1 << FIELD_BITS) - 1
 
-# the slot registry (per slot: variable, key shift, _may_divide coordinate; all top bits)
+# the slot registry (per slot: variable, key shift, _may_divide coordinate) and its masks
 _SLOTS: dict[Var, int] = {}
 _SLOT_VARS: list[Var] = []
 _SHIFTS: list[int] = []
 _COORDS: list[int] = []
-_HIGH = 0
+_HIGH = 0  # the top bit of every field
+_GENERATORS = 0  # every field of a generator b[i][j]
 _PRIME = (1 << 61) - 1
 
 
@@ -90,7 +91,7 @@ def _coordinate(v: Var) -> int:
 
 
 def _slot(v: Var) -> int:
-    global _HIGH
+    global _HIGH, _GENERATORS
     s = _SLOTS.get(v)
     if s is None:
         s = _SLOTS[v] = len(_SLOT_VARS)
@@ -99,6 +100,8 @@ def _slot(v: Var) -> int:
         rank = {u: r for r, u in enumerate(sorted(_SLOT_VARS))}
         _SHIFTS[:] = [FIELD_BITS * rank[u] for u in _SLOT_VARS]
         _HIGH |= 1 << (FIELD_BITS * s + FIELD_BITS - 1)
+        if v[0] == "b":
+            _GENERATORS |= _FIELD << (FIELD_BITS * s)
     return s
 
 
@@ -199,6 +202,10 @@ class Poly:
 
     def variables(self) -> set[Var]:
         return {v for v, _ in m_pairs(reduce(or_, self.terms, 0))}
+
+    def has_generator(self) -> bool:
+        """Whether some b[i][j] occurs: one mask test of the OR of the monomials."""
+        return reduce(or_, self.terms, 0) & _GENERATORS != 0
 
     def lead(self) -> tuple[Monomial, Fraction]:
         if not self.terms:

@@ -30,13 +30,12 @@ row rank means no relation is detected numerically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
-from .errors import LengthMismatch, NotLinear, SupportTooSmall, TruncationTooShort
+from .errors import LengthMismatch, NotLinear, Record, SupportTooSmall, TruncationTooShort
 from .polyring import Var, m_pairs
 from .tower import SeriesContext, TowerSpec, eval_series, logd
 
@@ -141,24 +140,23 @@ def degree_vectors(m: int, d: int, *, include_zero: bool = True) -> list[Exponen
     return vectors if include_zero else vectors[1:]
 
 
-@dataclass(frozen=True)
-class MonomialRelation:
+class MonomialRelation(Record):
     """G(y) = sum over the support of coefficient * y^exponent."""
 
-    level: int
-    variables: tuple[Element, ...]
-    coefficients: dict[ExponentVector, Element] = field(compare=False)
+    __slots__ = ("level", "variables", "coefficients")
+    _compared = ("level", "variables")
 
-    def __post_init__(self):
-        if not self.coefficients:
+    def __init__(self, level: int, variables: tuple[Element, ...], coefficients: dict):
+        if not coefficients:
             raise ValueError("support must be nonempty")
-        for r, s in self.coefficients.items():
-            if len(r) != len(self.variables):
+        for r, s in coefficients.items():
+            if len(r) != len(variables):
                 raise ValueError("exponent vector length does not match the variables")
             if any(e < 0 for e in r):
                 raise ValueError("exponents must be nonnegative")
             if s.is_zero():
                 raise ValueError("coefficients must be nonzero")
+        super().__init__(level, variables, coefficients)
 
     @property
     def support(self) -> list[ExponentVector]:
@@ -227,23 +225,28 @@ def _reduce(G: MonomialRelation, pivot: ExponentVector, phis: dict) -> MonomialR
     return MonomialRelation(G.level, G.variables, new_coeffs)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    pivot: ExponentVector
-    functionals: dict[ExponentVector, Element] = field(compare=False)
-    remaining_support: tuple[ExponentVector, ...] = ()
+class ReductionStep(Record):
+    __slots__ = ("pivot", "functionals", "remaining_support")
+    _compared = ("pivot", "remaining_support")
+
+    def __init__(self, pivot: ExponentVector, functionals: dict, remaining_support: tuple = ()):
+        super().__init__(pivot, functionals, remaining_support)
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(Record):
     """Certified log of a reduction run, replayable step by step."""
 
-    initial: MonomialRelation
-    steps: tuple[ReductionStep, ...]
-    verdict: Verdict
-    invariant_exponent: ExponentVector | None = None
-    invariant_element: Element | None = None
-    colliding_pair: tuple[ExponentVector, ExponentVector] | None = None
+    __slots__ = _compared = (
+        "initial", "steps", "verdict", "invariant_exponent", "invariant_element", "colliding_pair"
+    )
+
+    def __init__(
+        self, initial: MonomialRelation, steps: tuple, verdict: Verdict,
+        invariant_exponent=None, invariant_element=None, colliding_pair=None,
+    ):
+        super().__init__(
+            initial, steps, verdict, invariant_exponent, invariant_element, colliding_pair
+        )
 
     def replay(self, spec: TowerSpec) -> bool:
         """Re-execute every step literally, expanding the coefficients as
@@ -405,14 +408,13 @@ def invariant_monomial(
 RANK_THRESHOLD = 1e-6
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(Record):
     """Outcome of the numerical rank oracle."""
 
-    rows: int
-    order: int
-    smallest_singular_value: float
-    rank: int
+    __slots__ = _compared = ("rows", "order", "smallest_singular_value", "rank")
+
+    def __init__(self, rows: int, order: int, smallest_singular_value: float, rank: int):
+        super().__init__(rows, order, smallest_singular_value, rank)
 
     @property
     def full_rank(self) -> bool:

@@ -31,33 +31,30 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import log10
 
 from .elements import Element, ONE_ELEMENT
 from .errors import BudgetExceeded, DomainViolation, LevelOutOfRange, LogOfZero, ParseError
-from .errors import NonInvertibleSeries, UnknownSymbol
+from .errors import NonInvertibleSeries, Record, UnknownSymbol
 from .polyring import Poly, Var, cancel, m_pairs, monomial, var_b, var_c, var_name
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
-@dataclass(frozen=True)
-class TowerSpec:
+class TowerSpec(Record):
     """Index data of a tower: ranks (n_1, ..., n_l), plus optional numeric
     assignments for the eigenvalue symbols (decimal strings keyed by name)."""
 
-    ranks: tuple[int, ...]
-    assignments: tuple[tuple[str, str], ...] = ()
-    _caches: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    __slots__ = ("ranks", "assignments", "_caches")
+    _compared = ("ranks", "assignments")
 
-    def __post_init__(self):
+    def __init__(self, ranks: tuple[int, ...], assignments: tuple[tuple[str, str], ...] = ()):
         # only ints: int() would read True as 1 and truncate 1.7 to 1
-        if not self.ranks or any(type(n) is not int or n < 1 for n in self.ranks):
+        if not ranks or any(type(n) is not int or n < 1 for n in ranks):
             raise ValueError("ranks must be a nonempty sequence of positive integers")
-        object.__setattr__(self, "ranks", tuple(self.ranks))
+        super().__init__(tuple(ranks), assignments, {})
 
     @property
     def ell(self) -> int:
@@ -212,27 +209,26 @@ def logd_iter(x: Element, m: int, spec: TowerSpec) -> Element:
 # --- numerical interpretation ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesContext:
+class SeriesContext(Record):
     """Numeric interpretation: truncation order and symbol values.
 
     ``values`` assigns reals to constant symbols; within each level the
     assigned values must be pairwise distinct.  Every generator is 1 at t=0.
     """
 
-    order: int
-    values: tuple[tuple[Var, float], ...]
+    __slots__ = _compared = ("order", "values")
 
-    def __post_init__(self):
-        if self.order < 2:
+    def __init__(self, order: int, values: tuple[tuple[Var, float], ...]):
+        if order < 2:
             raise ValueError("truncation order must be >= 2")
         by_level: dict[int, list[float]] = {}
-        for (kind, level, _), val in self.values:
+        for (kind, level, _), val in values:
             if kind == "c":
                 by_level.setdefault(level, []).append(val)
         for level, vals in by_level.items():
             if len(set(vals)) != len(vals):
                 raise ParseError(f"assigned values at level {level} are not pairwise distinct")
+        super().__init__(order, values)
 
     @classmethod
     def default(cls, spec: TowerSpec, order: int = 16) -> "SeriesContext":

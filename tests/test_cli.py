@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from deltatower import cli, gridcheck
+from deltatower import cli, gridcheck, operators, tower
 from deltatower.cli import main
 
 
@@ -50,14 +50,16 @@ class TestTowerBuild:
 
     def test_check_lines_stream(self, capsys, monkeypatch):
         # the first level-2 check raises: the five level-1 lines are out already
-        real = cli.apply_operator
+        # each command imports what it runs when it runs, so the patch of
+        # the defining module is what it sees
+        real = operators.apply_operator
 
         def apply_operator(op, x, spec):
             if op.level == 2:
                 raise RuntimeError("interrupted")
             return real(op, x, spec)
 
-        monkeypatch.setattr(cli, "apply_operator", apply_operator)
+        monkeypatch.setattr(operators, "apply_operator", apply_operator)
         with pytest.raises(RuntimeError, match="interrupted"):
             main(["tower", "build", "--utype", "2,1", "--check"])
         checks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("CHECK ")]
@@ -486,13 +488,14 @@ class TestSeries:
         ],
     )
     def test_check_time_includes_the_residual(self, capsys, monkeypatch, argv, slow):
-        real = getattr(cli, slow)
+        module = operators if slow == "prolonged_residual" else tower
+        real = getattr(module, slow)
 
         def slow_residual(*args):
             time.sleep(0.2)
             return real(*args)
 
-        monkeypatch.setattr(cli, slow, slow_residual)
+        monkeypatch.setattr(module, slow, slow_residual)
         code, out, _ = run_cli(capsys, "series", *argv)
         assert code == 0
         check = next(line for line in out.splitlines() if line.startswith("CHECK "))

@@ -4,12 +4,13 @@ canonical strings against sympy.cancel (test-only)."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from deltatower.elements import Element, format_element
+from deltatower.elements import ONE_ELEMENT, ZERO_ELEMENT, Element, format_element
 from deltatower.polyring import MONOMIAL_KEY, Poly, m_pairs, monomial, var_b, var_c
-from deltatower.tower import _derive_poly, build_spec, derive
+from deltatower.tower import _derive_poly, build_spec, derive, random_element
 
 SPEC = build_spec((3, 2))
 GENS = [var_b(1, j) for j in (1, 2, 3)] + [var_b(2, j) for j in (1, 2)]
@@ -53,6 +54,26 @@ def test_gcd_quotient_rule_matches_the_literal_one(seed):
     dnum, dden = _derive_poly(x.num, SPEC), _derive_poly(x.den, SPEC)
     literal = Element(dnum * x.den - x.num * dden, x.den * x.den)
     assert derive(x, SPEC) == literal
+
+
+BUDGET_UTYPES = [u for n in (1, 2, 3) for u in product((1, 2, 3), repeat=n)]
+
+
+@pytest.mark.parametrize("utype", BUDGET_UTYPES, ids=lambda u: ",".join(map(str, u)))
+def test_is_constant_matches_the_variable_scan(utype):
+    # the one-mask test against the literal scan of every symbol
+    spec = build_spec(utype)
+    rng = random.Random(f"constant:{utype}")
+    symbols = [spec.symbol(i, j) for i, n in enumerate(utype, 1) for j in range(1, n + 1)]
+    gens = [g for i in range(1, len(utype) + 1) for g in spec.generators(i)]
+    xs = [ZERO_ELEMENT, ONE_ELEMENT, Element.from_rational(Fraction(-3, 7)), spec.e(len(utype))]
+    for _ in range(20):
+        xs.append(random_element(rng, spec, allow_denominator=rng.random() < 0.5))
+        c = rng.choice(symbols) * rng.randint(-3, 3) + rng.choice(symbols) / rng.choice(symbols)
+        xs += [c, c * rng.choice(symbols) - 1, c / rng.choice(gens), rng.choice(gens) / (c + 1)]
+    verdicts = [x.is_constant() for x in xs]
+    assert verdicts == [all(v[0] != "b" for v in x.variables()) for x in xs]
+    assert True in verdicts and False in verdicts
 
 
 def test_quotient_rule_denominator_of_a_power():

@@ -220,7 +220,7 @@ class TestGeneratorTable:
         assert SeriesContext.default(spec, 16) is SeriesContext.default(spec, 16)
         assert SeriesContext.default(spec, 16) is not SeriesContext.default(spec, 12)
 
-    def test_order_initial_and_assignments_get_their_own_entries(self, monkeypatch):
+    def test_order_and_assignments_get_their_own_entries(self, monkeypatch):
         spec = build_spec((2,))
         base = SeriesContext.default(spec, order=8)
         longer = SeriesContext.default(spec, order=9)

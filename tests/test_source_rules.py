@@ -73,6 +73,39 @@ def test_only_the_numeric_modules_import_numpy_at_load():
     assert _numeric_imports(ast.parse("def f():\n    import numpy")) == []
 
 
+def _dataclass_imports(tree) -> list[int]:
+    """Lines of every import of ``dataclasses``, at load time or not: a CLI
+    start that imports it also loads ``inspect``, which costs more than the
+    exact checks of a small tower."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n.split(".")[0] == "dataclasses" for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_imports_dataclasses():
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _dataclass_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+    # the rule sees every spelling it forbids
+    for text in ("import dataclasses", "import dataclasses as dc", "import os, dataclasses",
+                 "from dataclasses import dataclass", "from dataclasses import field as f",
+                 "def f():\n    from dataclasses import replace",
+                 "class A:\n    import dataclasses"):
+        assert _dataclass_imports(ast.parse(text)) != [], text
+    assert _dataclass_imports(ast.parse("import dataclasses_json")) == []
+
+
 def _run(script: str, *options: str) -> str:
     path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -104,20 +137,35 @@ def test_the_exponent_guard_holds_under_python_O():
     assert _run(script, "-O") == "False refused"
 
 
+NUMERIC_SIDE = ["numpy", "deltatower.series", "deltatower.gridcheck"]
+EXACT_SIDE = [
+    f"deltatower.{m}" for m in ("polyring", "elements", "tower", "operators", "relations", "textio")
+]
+# what each command leaves unloaded: tower build parses no element text,
+# and no grid command touches the exact side
+UNLOADED = {
+    "tower": [*NUMERIC_SIDE, "dataclasses", "inspect", "deltatower.textio", "deltatower.grid"],
+    "seqred": [*NUMERIC_SIDE, *EXACT_SIDE],
+    "verify": EXACT_SIDE,
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["tower", "build", "--utype", "2,3,3", "--check"],
         ["grid", "seqred", "--s", "3,2,1", "--mode", "reductions"],
+        ["grid", "verify", "--max-cells", "1"],
     ],
 )
 def test_exact_commands_load_no_numeric_module(argv):
+    # and every command loads only the modules it runs
+    unloaded = UNLOADED[argv[0] if argv[0] == "tower" else argv[1]]
     script = (
         "import sys\n"
         "from deltatower.cli import main\n"
         f"code = main({argv!r})\n"
-        "numeric = ('numpy', 'deltatower.series', 'deltatower.gridcheck')\n"
-        "print(code, [m for m in numeric if m in sys.modules])"
+        f"print(code, [m for m in {unloaded!r} if m in sys.modules])"
     )
     assert _run(script) == "0 []"
 
