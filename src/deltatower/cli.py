@@ -39,6 +39,7 @@ import sys
 import time
 from functools import partial
 
+import deltatower  # annotations name deltatower.Series, which loads series only when resolved
 from .errors import BudgetExceeded, DeltaTowerError, Record, TruncationTooShort
 
 DEFAULT_SEED = 20406
@@ -256,7 +257,7 @@ def _covering_ranks(x) -> tuple[int, ...]:
     return tuple(ranks.get(i, 1) for i in range(1, max_level + 1))
 
 
-def _format_series(s: Series) -> str:
+def _format_series(s: deltatower.Series) -> str:
     return "[" + ", ".join(repr(float(c)) for c in s.coeffs) + "]"
 
 

@@ -4,7 +4,9 @@ An :class:`Element` is a reduced fraction of two :class:`~deltatower.polyring.Po
 values: numerator and denominator coprime, denominator monic in graded lex
 order, zero canonically ``0/1``.  Equality, hashing and printing all go
 through this canonical form, so two elements are equal exactly when their
-printed forms coincide.
+printed forms coincide.  A constant denominator is always the shared
+``polyring.ONE``: sums and products over it, and rational multiples, run
+no gcd; every other fraction is reduced through ``polyring.cancel``.
 
 Elements double as both roles in the public API: expressions in the
 constant symbols only (``c[i][j]``, ``u[i][j]``) and full tower elements
@@ -39,7 +41,7 @@ class Element:
         if num.is_zero():
             self.num, self.den = Poly(), ONE
             return
-        lc = den.lead()[1]
+        lc = 1 if den is ONE else den.lead()[1]
         if lc != 1:
             inv = Fraction(1) / lc
             num, den = num.scale(inv), den.scale(inv)
@@ -95,6 +97,8 @@ class Element:
         """self + o or self - o by Henrici's addition (Knuth, TAOCP vol. 2,
         4.5.1): with g = gcd(d1, d2), the sum t = n1 d2/g +- n2 d1/g over
         the lcm g (d1/g) (d2/g) can share a factor only with g."""
+        if self.den is o.den is ONE:
+            return Element._coprime(self.num - o.num if negate else self.num + o.num, ONE)
         if self.den == o.den:
             g, rest = self.den, ONE
             t = self.num - o.num if negate else self.num + o.num
@@ -111,6 +115,8 @@ class Element:
         """(n1 n2) / (d1 d2) for coprime n1, d1 and coprime n2, d2 by
         Henrici's multiplication: only n1 with d2 and n2 with d1 can share
         factors, so those two gcds replace one of the whole products."""
+        if d1 is d2 is ONE:
+            return Element._coprime(n1 * n2, ONE)
         _, n1, d2 = cancel(n1, d2, "the gcd of a numerator and a denominator")
         _, n2, d1 = cancel(n2, d1, "the gcd of a numerator and a denominator")
         return Element._coprime(n1 * n2, d1 * d2)
@@ -139,6 +145,9 @@ class Element:
         return Element._coprime(-self.num, self.den)
 
     def __mul__(self, other) -> "Element":
+        if type(other) in _COERCIBLE:
+            # a nonzero rational is a unit: num stays coprime to the monic den
+            return Element._coprime(self.num.scale(other), self.den) if other else ZERO_ELEMENT
         o = self._coerce(other)
         if o is None:
             return NotImplemented

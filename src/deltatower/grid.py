@@ -257,21 +257,6 @@ def height_chains(
     yield from rec(None, base_h, [])
 
 
-def enumerate_analyses(
-    S: CellSet,
-    T: CellSet,
-    g: GridModel,
-    *,
-    max_length: int,
-    exact_length: int | None = None,
-) -> Iterator[Analysis]:
-    """All valid analyses of (S over T) with at most (or exactly) the given
-    number of steps, in the order of ``height_chains``."""
-    base_h, target_h = _pair_heights(S, T, g)
-    for seq in height_chains(base_h, target_h, max_length=max_length, exact_length=exact_length):
-        yield Analysis(g, base_h, target_h, tuple(seq))
-
-
 def is_minimal(a: Analysis) -> bool:
     """No strictly shorter valid analysis of the same pair exists."""
     if a.length == 0:

@@ -15,6 +15,7 @@ with a truncated-series solver.
 
 from __future__ import annotations
 
+import deltatower  # annotations name deltatower.Series, which loads series only when resolved
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from .errors import NotNormalForm, Record, ZeroInitialValue
 from .polyring import Poly, m_pairs, monomial
@@ -209,7 +210,9 @@ def logd_system(n: int, h: Element | int) -> ProlongedSystem:
     return ProlongedSystem(n, h)
 
 
-def _h_series(system: ProlongedSystem, order: int, h_series: Series | None) -> Series:
+def _h_series(
+    system: ProlongedSystem, order: int, h_series: deltatower.Series | None
+) -> deltatower.Series:
     """h as a series of the given order: ``h_series`` truncated, or, when
     none is given, the constant series of a rational h (ValueError else)."""
     from .series import Series
@@ -225,8 +228,8 @@ def solve_prolonged(
     system: ProlongedSystem,
     initial_values: list[float],
     order: int,
-    h_series: Series | None = None,
-) -> list[Series]:
+    h_series: deltatower.Series | None = None,
+) -> list[deltatower.Series]:
     """Truncated series solution with the given values at t=0.
 
     A non-rational h comes as its series ``h_series``, which the caller
@@ -256,7 +259,9 @@ def solve_prolonged(
 
 
 def prolonged_residual(
-    system: ProlongedSystem, solution: list[Series], h_series: Series | None = None
+    system: ProlongedSystem,
+    solution: list[deltatower.Series],
+    h_series: deltatower.Series | None = None,
 ) -> float:
     """Scaled residual of delta x_i - x_i x_{i+1} (and the h row), with
     ``h_series`` as in `solve_prolonged`."""

@@ -14,9 +14,10 @@ G(y) = 0.  When the functionals are pairwise distinct, iterating shrinks
 any support to a single term whose coefficient must vanish; when two
 support vectors share a functional, their quotient monomial y^(r2-r1) is
 an invariant direction and is surfaced instead.  Neither the eigenvalues
-nor the weights r . lambda depend on the step, so a reduction and its
-replay each compute them once and a step adds only logD_i(s_r) of the
-non-constant coefficients.
+nor the weights r . lambda depend on the step: the spec caches the
+eigenvalues, a reduction and its replay each compute the weights once
+(with no gcd when the eigenvalues have denominator 1), and a step adds
+only logD_i(s_r) of the non-constant coefficients.
 
 The weights r . lambda are pairwise distinct for all r exactly when the
 eigenvalues are Q-linearly independent (`qlinear_independent`): the
@@ -163,10 +164,16 @@ class MonomialRelation(Record):
         return sorted(self.coefficients)
 
     def eigenvalues(self, spec: TowerSpec) -> tuple[Element, ...]:
-        lams = tuple(logd(v, self.level, spec) for v in self.variables)
-        for v, lam in zip(self.variables, lams):
-            if not lam.is_constant():
-                raise ValueError(f"{v} is not an eigen-element at level {self.level}")
+        """logD_i of each variable, cached per (spec, level, variables) once
+        all are constant: a non-eigen variable raises ValueError every call."""
+        key = ("eigenvalues", self.level, self.variables)
+        lams = spec._caches.get(key)
+        if lams is None:
+            lams = tuple(logd(v, self.level, spec) for v in self.variables)
+            for v, lam in zip(self.variables, lams):
+                if not lam.is_constant():
+                    raise ValueError(f"{v} is not an eigen-element at level {self.level}")
+            spec._caches[key] = lams
         return lams
 
     def weights(self, spec: TowerSpec) -> dict[ExponentVector, Element]:
@@ -473,19 +480,6 @@ def series_rank_check(
     )
 
 
-def agreement(
-    variables: list[Element],
-    degree_bound: int,
-    ctx: SeriesContext,
-    spec: TowerSpec,
-) -> tuple[ReductionTrace, RankReport, bool]:
-    """Run both routes and report whether their verdicts agree."""
-    trace = certify_independence(variables, degree_bound, spec)
-    report = series_rank_check(variables, degree_bound, ctx, spec)
-    symbolic_independent = trace.verdict is Verdict.NO_NONTRIVIAL_RELATION
-    return trace, report, symbolic_independent == report.full_rank
-
-
 __all__ = [
     "ExponentVector",
     "MonomialRelation",
@@ -493,7 +487,6 @@ __all__ = [
     "ReductionStep",
     "ReductionTrace",
     "Verdict",
-    "agreement",
     "certify_independence",
     "degree_vectors",
     "invariant_monomial",

@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import cache
 from math import log10
 
+import deltatower  # annotations name deltatower.Series, which loads series only when resolved
 from .elements import Element, ONE_ELEMENT
 from .errors import BudgetExceeded, DomainViolation, LevelOutOfRange, LogOfZero, ParseError
 from .errors import NonInvertibleSeries, Record, UnknownSymbol
@@ -266,7 +267,7 @@ def _series():
 
 def generator_series(
     ctx: SeriesContext, spec: TowerSpec
-) -> tuple[dict[Var, Series], dict[Var, Series]]:
+) -> tuple[dict[Var, deltatower.Series], dict[Var, deltatower.Series]]:
     """Series for every generator: b[1][j] -> exp(c t) and, above level 1,
     b[i][j] -> exp(c * integral of prod_{k<i} e_k); and its reciprocal
     exp(-c * phase).  Built once per (spec, ctx) and kept in the spec's
@@ -324,7 +325,9 @@ def _power(values: dict[Var, float], v: Var, e: int) -> float:
         raise BudgetExceeded(f"{var_name(v)}^{e} is outside float range") from None
 
 
-def _eval_poly(p: Poly, gens: dict[Var, Series], values: dict[Var, float], order: int) -> Series:
+def _eval_poly(
+    p: Poly, gens: dict[Var, deltatower.Series], values: dict[Var, float], order: int
+) -> deltatower.Series:
     Series = _series().Series
     total = Series.zero(order)
     powers: dict[tuple[Var, int], Series] = {}
@@ -344,7 +347,7 @@ def _eval_poly(p: Poly, gens: dict[Var, Series], values: dict[Var, float], order
     return total
 
 
-def eval_series(x: Element, ctx: SeriesContext, spec: TowerSpec) -> Series:
+def eval_series(x: Element, ctx: SeriesContext, spec: TowerSpec) -> deltatower.Series:
     """Interpret an element as a truncated power series in t.  A monomial
     denominator (monic, so its coefficient is 1) multiplies the numerator by
     reciprocal series; any other one is divided by series division."""

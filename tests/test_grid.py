@@ -24,7 +24,6 @@ from deltatower import (
 )
 from deltatower.grid import (
     _cored_chain,
-    enumerate_analyses,
     from_heights,
     height_chains,
     heights,
@@ -250,10 +249,10 @@ class TestAnalyses:
     def test_depth_n_column_minimal_length(self):
         for n in range(1, 5):
             g = GridModel(n, 1)
-            S = cells((n, 1))
+            a = analysis_by_reductions(cells((n, 1)), EMPTY, g)
             found = {
-                a.length
-                for a in enumerate_analyses(S, EMPTY, g, max_length=n)
+                Analysis(g, a.base, a.target, tuple(chain)).length
+                for chain in height_chains(a.base, a.target, max_length=n)
             }
             assert min(found) == n  # nothing shorter exists
 

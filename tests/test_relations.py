@@ -24,7 +24,6 @@ from deltatower.elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from deltatower.relations import (
     ReductionStep,
     ReductionTrace,
-    agreement,
     degree_vectors,
     qlinear_dot,
 )
@@ -318,8 +317,8 @@ class TestSeriesRankCheck:
                 vars_ = spec.generators(1)[:m]
                 if len(degree_vectors(m, d)) > ctx.order:
                     continue
-                trace, report, agree = agreement(vars_, d, ctx, spec)
-                if report.full_rank:
+                trace = certify_independence(vars_, d, spec)
+                if series_rank_check(vars_, d, ctx, spec).full_rank:
                     assert trace.verdict is Verdict.NO_NONTRIVIAL_RELATION
 
     def test_agreement_under_q_linearly_independent_values(self):
@@ -330,18 +329,18 @@ class TestSeriesRankCheck:
         ctx = SeriesContext(order=16, values=values)
         for m in (2, 3):
             vars_ = spec.generators(1)[:m]
-            trace, report, agree = agreement(vars_, 2, ctx, spec)
-            assert agree and report.full_rank
+            trace = certify_independence(vars_, 2, spec)
+            assert trace.verdict is Verdict.NO_NONTRIVIAL_RELATION
+            assert series_rank_check(vars_, 2, ctx, spec).full_rank
 
     def test_known_collision_at_small_primes(self):
         # 2 + 3 = 5 makes b11*b12 and b13 the same exponential: the numeric
         # matrix is genuinely rank-deficient while the symbols stay independent
         spec = build_spec((3,))
         ctx = SeriesContext.default(spec, order=16)  # (2, 3, 5)
-        trace, report, agree = agreement(spec.generators(1), 2, ctx, spec)
+        trace = certify_independence(spec.generators(1), 2, spec)
         assert trace.verdict is Verdict.NO_NONTRIVIAL_RELATION
-        assert not report.full_rank
-        assert not agree
+        assert not series_rank_check(spec.generators(1), 2, ctx, spec).full_rank
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -427,6 +426,52 @@ def test_weights_are_computed_once_per_run_and_per_replay(monkeypatch):
     # functionals the run reuses, and once by the replay (1,649 calls when
     # every replay step recomputed them)
     assert len(calls) == 2 * 55
+
+
+def test_eigenvalues_are_cached_per_spec_and_equal_a_fresh_logd():
+    spec = build_spec((3, 2))
+    for level, variables in ((1, (B11, B12 * B13**2)), (2, tuple(spec.generators(2)))):
+        G = relation(level, variables, {(1,) * len(variables): ONE_ELEMENT})
+        first = G.eigenvalues(spec)
+        assert G.eigenvalues(spec) is first
+        fresh = build_spec((3, 2))
+        assert first == tuple(logd(v, level, fresh) for v in variables)
+
+
+def test_a_non_eigen_variable_raises_on_every_call():
+    spec = build_spec((3,))
+    G = relation(1, (B11, B11 + B12), {(1, 0): ONE_ELEMENT})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not an eigen-element"):
+            G.eigenvalues(spec)
+    assert not any(key[0] == "eigenvalues" for key in spec._caches)
+
+
+def test_weights_over_the_constants_run_no_gcd(monkeypatch):
+    from deltatower import polyring
+
+    spec = build_spec((3,))
+    G = relation(1, tuple(spec.generators(1)), dict.fromkeys(degree_vectors(3, 5), ONE_ELEMENT))
+    G.eigenvalues(spec)
+    calls = []
+    real = polyring.poly_gcd
+    monkeypatch.setattr(polyring, "poly_gcd", lambda p, q: calls.append(p) or real(p, q))
+    weights = G.weights(spec)
+    assert len(weights) == 56 and calls == []
+
+
+def test_logd_of_the_variables_runs_once_per_spec_level_and_variables(monkeypatch):
+    calls = []
+    real = relations.logd
+    monkeypatch.setattr(relations, "logd", lambda x, i, spec: calls.append((x, i)) or real(x, i, spec))
+    # three specs, each with its own cache, two runs and replays on each
+    for utype, level in (((3,), 1), ((3,), 1), ((1, 1, 3), 3)):
+        spec = build_spec(utype)
+        for _ in range(2):
+            trace = certify_independence(spec.generators(level), 3, spec, level=level)
+            assert trace.replay(spec)
+    # constant coefficients take no logD, so every call is a variable's
+    assert len(calls) == 3 * 3
 
 
 def test_run_keeps_unchanged_functionals():

@@ -8,6 +8,8 @@ import inspect
 import os
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -249,3 +251,53 @@ def test_the_benchmark_surface_resolves():
 
     assert all(len(entry) == 3 for entry in ALL_PROPERTIES)
     assert [name for name, _, _ in ALL_PROPERTIES] == tracing.GRID_PROPERTIES
+
+
+def _unresolved_hints(module) -> list[str]:
+    """Every function and method defined in module (static and class methods
+    and property getters included) whose annotations typing cannot resolve."""
+
+    def defined(namespace, top):
+        for obj in vars(namespace).values():
+            if isinstance(obj, (staticmethod, classmethod)):
+                obj = obj.__func__
+            elif isinstance(obj, property):
+                obj = obj.fget
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                yield obj
+            elif top and inspect.isclass(obj) and obj.__module__ == module.__name__:
+                yield from defined(obj, False)
+
+    unresolved = []
+    for fn in defined(module, True):
+        try:
+            typing.get_type_hints(fn)
+        except Exception as exc:  # noqa: BLE001 - any failure to resolve is the finding
+            unresolved.append(f"{module.__name__}.{fn.__qualname__}: {exc!r}")
+    return unresolved
+
+
+def test_every_annotation_resolves():
+    # __main__ runs the CLI when imported; every other module is checked
+    modules = [
+        importlib.import_module("deltatower" if p.stem == "__init__" else f"deltatower.{p.stem}")
+        for p in SOURCES
+        if p.stem != "__main__"
+    ]
+    assert len(modules) == len(SOURCES) - 1
+    assert [bad for m in modules for bad in _unresolved_hints(m)] == []
+    # the rule sees a name the module never binds, on every kind of callable
+    probe = types.ModuleType("probe")
+    exec(
+        "from __future__ import annotations\n"
+        "def f(s: Series) -> None: ...\n"
+        "class A:\n"
+        "    @staticmethod\n"
+        "    def g() -> Series: ...\n"
+        "    @property\n"
+        "    def p(self) -> Series: ...\n",
+        probe.__dict__,
+    )
+    assert [line.split(":")[0] for line in _unresolved_hints(probe)] == [
+        "probe.f", "probe.A.g", "probe.A.p"
+    ]
