@@ -5,8 +5,9 @@ values: numerator and denominator coprime, denominator monic in graded lex
 order, zero canonically ``0/1``.  Equality, hashing and printing all go
 through this canonical form, so two elements are equal exactly when their
 printed forms coincide.  A constant denominator is always the shared
-``polyring.ONE``: sums and products over it, and rational multiples, run
-no gcd; every other fraction is reduced through ``polyring.cancel``.
+``polyring.ONE``: sums and products over it, and rational multiples and
+quotients, run no gcd; every other fraction is reduced through
+``polyring.cancel``.
 
 Elements double as both roles in the public API: expressions in the
 constant symbols only (``c[i][j]``, ``u[i][j]``) and full tower elements
@@ -26,7 +27,7 @@ _COERCIBLE = (int, Fraction)
 class Element:
     """Canonical fraction num/den of multivariate polynomials over Q."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: Poly, den: Poly = ONE):
         if den.is_zero():
@@ -161,6 +162,9 @@ class Element:
             return NotImplemented
         if o.is_zero():
             raise DivisionByZero("division by zero element")
+        if o.den is ONE and o.num.is_const():
+            # a nonzero rational: multiply by its reciprocal, as __mul__ does
+            return Element._coprime(self.num.scale(Fraction(1) / o.num.const_value()), self.den)
         return Element._times(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other) -> "Element":
@@ -186,7 +190,12 @@ class Element:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        """hash((num, den)), computed on the first call: elements are immutable."""
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.num, self.den))
+            return self._hash
 
     # --- printing ---------------------------------------------------------
 

@@ -119,7 +119,9 @@ class _Grid:
         for mask in range(size):
             self.closure_table[mask] = self._close(mask)
         self.popcount = np.array([bin(m).count("1") for m in range(size)], dtype=np.int64)
-        self.closed_array = np.unique(self.closure_table)
+        # the closed masks are the fixed points of the closure (np.unique
+        # would give the same array, but loads numpy.ma)
+        self.closed_array = np.flatnonzero(self.closure_table == np.arange(size))
 
     def _close(self, mask: int) -> int:
         out = 0

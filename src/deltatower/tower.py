@@ -21,9 +21,12 @@ A :class:`SeriesContext` interprets the same data numerically: delta
 becomes d/dt, level-1 generators become truncated exponentials and higher
 generators integrate the product of the lower e_k before exponentiating.
 The generator series and their reciprocals are built once per (spec,
-context).  A denominator that is one monomial is evaluated by multiplying
-with reciprocal series, with no division; any other denominator, such as
-a power of e_k, is divided by series division.
+context), and so is each monomial's product of generator powers
+(``_Terms``): a polynomial is evaluated by adding one scaled, cached array
+per term in term order, which gives the same bits as multiplying every
+term out afresh.  A denominator that is one monomial is evaluated by
+multiplying with reciprocal series, with no division; any other
+denominator, such as a power of e_k, is divided by series division.
 """
 
 from __future__ import annotations
@@ -325,25 +328,75 @@ def _power(values: dict[Var, float], v: Var, e: int) -> float:
         raise BudgetExceeded(f"{var_name(v)}^{e} is outside float range") from None
 
 
-def _eval_poly(
-    p: Poly, gens: dict[Var, deltatower.Series], values: dict[Var, float], order: int
-) -> deltatower.Series:
-    Series = _series().Series
-    total = Series.zero(order)
-    powers: dict[tuple[Var, int], Series] = {}
-    for m, coeff in p.terms.items():
-        scalar = to_float(coeff)
-        factor: Series | None = None
+class _Terms:
+    """The series of each monomial in one (spec, ctx), built once and kept
+    in the spec's cache next to the generator table: a monomial maps to its
+    generator product (the powers b^e multiplied in m_pairs order, or None)
+    and to its constant powers; the powers b^-e that a monomial denominator
+    multiplies by are kept too.  Every cached array is read-only.  A
+    monomial whose symbol has no value, or whose power leaves float range,
+    raises and stores no entry."""
+
+    __slots__ = ("order", "values", "gens", "recips", "products", "powers", "recip_powers")
+
+    def __init__(self, ctx: SeriesContext, spec: TowerSpec):
+        self.order = ctx.order
+        self.values = ctx.value_map()
+        self.gens, self.recips = generator_series(ctx, spec)
+        self.products: dict[int, tuple] = {}  # monomial -> (product array or None, constant powers)
+        self.powers: dict[tuple[Var, int], deltatower.Series] = {}  # b^e
+        self.recip_powers: dict[tuple[Var, int], deltatower.Series] = {}  # b^-e
+
+    def product(self, m: int) -> tuple:
+        if m in self.products:
+            return self.products[m]
+        factor = None
+        constants = []
         for v, e in m_pairs(m):
             if v[0] == "b":
-                if (v, e) not in powers:
-                    powers[v, e] = _lookup(gens, v) ** e
-                s = powers[v, e]
+                s = _cached_power(self.powers, self.gens, v, e)
                 factor = s if factor is None else factor * s
             else:
-                scalar *= _power(values, v, e)
-        term = Series.const(scalar, order) if factor is None else factor * scalar
-        total = total + term
+                constants.append(_power(self.values, v, e))
+        if factor is not None:
+            factor.coeffs.flags.writeable = False
+            factor = factor.coeffs
+        self.products[m] = factor, tuple(constants)
+        return self.products[m]
+
+
+def _terms(ctx: SeriesContext, spec: TowerSpec) -> _Terms:
+    """The monomial table of (spec, ctx); equal contexts share one."""
+    key = ("terms", ctx)
+    if key not in spec._caches:
+        spec._caches[key] = _Terms(ctx, spec)
+    return spec._caches[key]
+
+
+def _cached_power(powers: dict, series: dict, v: Var, e: int) -> deltatower.Series:
+    if (v, e) not in powers:
+        s = _lookup(series, v) ** e
+        s.coeffs.flags.writeable = False
+        powers[v, e] = s
+    return powers[v, e]
+
+
+def _eval_poly(p: Poly, terms: _Terms) -> deltatower.Series:
+    """Sum of coefficient * constant powers * generator product over the
+    terms of p, added into one array in term order."""
+    total = _series().Series.zero(terms.order)
+    out = total.coeffs
+    for m, coeff in p.terms.items():
+        scalar = to_float(coeff)
+        factor, constants = terms.product(m)
+        for c in constants:
+            scalar *= c
+        if factor is None:
+            # the other coefficients would add 0.0: a running sum that
+            # starts at +0.0 is never -0.0, so that changes no bit
+            out[0] += scalar
+        else:
+            out += factor * scalar
     return total
 
 
@@ -351,18 +404,17 @@ def eval_series(x: Element, ctx: SeriesContext, spec: TowerSpec) -> deltatower.S
     """Interpret an element as a truncated power series in t.  A monomial
     denominator (monic, so its coefficient is 1) multiplies the numerator by
     reciprocal series; any other one is divided by series division."""
-    gens, recips = generator_series(ctx, spec)
-    values = ctx.value_map()
-    num = _eval_poly(x.num, gens, values, ctx.order)
+    terms = _terms(ctx, spec)
+    num = _eval_poly(x.num, terms)
     if len(x.den.terms) > 1:
-        return num / _eval_poly(x.den, gens, values, ctx.order)
+        return num / _eval_poly(x.den, terms)
     [den] = x.den.terms
     scalar = 1.0
     for v, e in m_pairs(den):
         if v[0] == "b":
-            num = num * _lookup(recips, v) ** e
+            num = num * _cached_power(terms.recip_powers, terms.recips, v, e)
         else:
-            scalar *= _power(values, v, e)
+            scalar *= _power(terms.values, v, e)
     if scalar == 0.0:
         raise NonInvertibleSeries("denominator has zero constant term")
     return num / scalar
@@ -373,11 +425,9 @@ def delta_consistency_residual(x: Element, ctx: SeriesContext, spec: TowerSpec) 
     division: for x = n/d and derive(x) = N/D it compares N d^2 with
     D (n' d - n d') over the shared coefficients.  d(0) = 0 raises
     NonInvertibleSeries, as evaluating x would."""
-    gens, _ = generator_series(ctx, spec)
-    values = ctx.value_map()
+    terms = _terms(ctx, spec)
     dx = derive(x, spec)
-    polys = (x.num, x.den, dx.num, dx.den)
-    n, d, num, den = (_eval_poly(p, gens, values, ctx.order) for p in polys)
+    n, d, num, den = (_eval_poly(p, terms) for p in (x.num, x.den, dx.num, dx.den))
     if d[0] == 0.0:
         raise NonInvertibleSeries("denominator has zero constant term")
     return _series().residual(num * d * d, den * (n.deriv() * d - n * d.deriv()))

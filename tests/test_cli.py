@@ -180,6 +180,37 @@ def _strip_millis(text):
     return "\n".join(lines)
 
 
+# sha256 prefixes of the stripped stdout of `series ARGS --order N` at
+# orders 8, 16, 32 and 64, as printed before the monomial series were kept
+# per (spec, context).  Every coefficient prints as repr(float), so a
+# change in any product or summation order shows here.
+SERIES_ORDERS = (8, 16, 32, 64)
+SERIES_DIGESTS = {
+    ("--element", "1/b[1][3]^2"):
+        ("5140db23a9b73552", "1c5f2da76a89de85", "64df037417eef305", "649aaebb86d4c719"),
+    ("--element", "(b[1][1] + c[1][2])/(b[1][1] + b[1][2])^2"):
+        ("c3eb4d2ea7cd6591", "269b1bc6a64fb4a7", "328d5c867b56e904", "0d2962188d9c02eb"),
+    ("--element", "c[2][1]*b[2][1]^2 - b[1][2]*b[2][2]/b[2][1]"):
+        ("a283f956a4fb81a6", "58384c739faf0e4d", "dee86c3191862a2b", "d67038acc70cbf2a"),
+    ("--element", "3/2 + c[1][1]^2*b[1][1] - b[1][2]^3"):
+        ("146d1e48819a50a5", "1a9b243ffb245cdf", "bf4c81393d2cc93c", "0dc844eb340ff474"),
+    ("--element", "(b[1][1]^2 + c[1][1])/(c[1][2]*b[1][2]^3)"):
+        ("df4bfb0cfe4b5a6e", "c39dcb2f0d7729dd", "155406b284e1fcbb", "a5b2bca622c9f126"),
+    ("--logd-system", "3", "--h", "b[1][1]"):
+        ("4ab225ed48aba951", "b67b81a98fbced92", "f837309f27d17fd6", "b9f553955d140428"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(SERIES_DIGESTS))
+def test_series_output_unchanged(capsys, args):
+    digests = []
+    for order in SERIES_ORDERS:
+        code, out, _ = run_cli(capsys, "series", *args, "--order", str(order))
+        assert code == 0, out
+        digests.append(_digest(_strip_millis(out)))
+    assert tuple(digests) == SERIES_DIGESTS[args]
+
+
 class TestGridVerify:
     def test_small_budget_passes(self, capsys):
         code, out, _ = run_cli(capsys, "grid", "verify", "--max-cells", "4")

@@ -117,3 +117,21 @@ def test_bool_takes_the_coercing_path():
     x = Element(Poly.variable(var_c(1, 1)))
     assert x * True == x and x * False == ZERO_ELEMENT
     assert x * Fraction(0) is ZERO_ELEMENT
+
+
+@examples
+@given(x=den_one | den_any, q=rationals.filter(bool))
+def test_division_by_a_nonzero_rational_runs_no_cancel(x, q):
+    ref = _reference(x.num, x.den * Poly.const(q))
+    for divisor in (q, Element.from_rational(q)):
+        with _counting_cancel() as calls:
+            out = x / divisor
+        assert calls == []
+        _same(out, ref)
+
+
+def test_division_by_a_symbol_keeps_the_general_path():
+    x = Element(Poly.variable(var_b(1, 1)) * Poly.variable(var_c(1, 1)))
+    with _counting_cancel() as calls:
+        out = x / Element(Poly.variable(var_c(1, 1)))
+    assert calls != [] and out == Element(Poly.variable(var_b(1, 1)))

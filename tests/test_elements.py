@@ -160,3 +160,23 @@ def test_canonical_strings_match_sympy_cancel(seed):
     ]
     for ours, theirs in cases:
         assert str(ours) == _from_sympy(theirs, syms, sympy)
+
+
+def test_hash_is_the_pair_hash_computed_once(monkeypatch):
+    import copy
+    import pickle
+
+    rng = random.Random("hash")
+    for _ in range(20):
+        x = _random_element(rng)
+        twin = Element(x.num * E1, x.den * E1)  # equal, built another way
+        assert twin == x and hash(twin) == hash(x) == hash((x.num, x.den))
+        for other in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert other == x and hash(other) == hash(x) and str(other) == str(x)
+    calls = []
+    real = Poly.__hash__
+    monkeypatch.setattr(Poly, "__hash__", lambda p: calls.append(p) or real(p))
+    y = _random_element(rng)
+    first = hash(y)
+    assert len(calls) == 2
+    assert hash(y) == first and {y: 1}[y] == 1 and len(calls) == 2

@@ -275,3 +275,15 @@ def test_literal_reference_sees_a_column_asymmetric_bug(monkeypatch):
     report = gridcheck.check_reduction_maximality(4)
     assert not report.passed
     assert report.counterexample.startswith("grid 1x2: an internal subset escapes the reduction")
+
+
+def test_closed_masks_are_the_fixed_points_of_the_closure():
+    # the fixed points read without np.unique, which loads numpy.ma
+    import numpy as np
+
+    grids = list(gridcheck._grids(gridcheck.MAX_VERIFY_CELLS))
+    assert len(grids) == 35
+    for gr in grids:
+        want = np.unique(gr.closure_table)
+        assert gr.closed_array.dtype == want.dtype
+        assert gr.closed_array.tobytes() == want.tobytes(), (gr.depth, gr.columns)

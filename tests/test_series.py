@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from deltatower import (
+    BudgetExceeded,
     NonInvertibleSeries,
     Series,
     TowerSpec,
@@ -18,6 +19,8 @@ from deltatower import (
     tower,
 )
 from deltatower.elements import Element
+from deltatower.errors import UnknownSymbol
+from deltatower.polyring import Poly, m_pairs, monomial, var_b, var_c
 from deltatower.series import residual
 from deltatower.textio import parse_element
 from deltatower.tower import SeriesContext, _derive_poly, delta_consistency_residual, random_element
@@ -286,15 +289,14 @@ class TestReciprocalDenominators:
     def test_agrees_with_series_division_at_low_order(self, utype):
         spec = build_spec(utype)
         ctx = SeriesContext.default(spec, order=12)
-        gens, _ = tower.generator_series(ctx, spec)
-        values = ctx.value_map()
+        terms = tower._terms(ctx, spec)
         rng = random.Random(f"reciprocal {utype}")
         checked = 0
         for _ in range(40):
             x = random_element(rng, spec)
             if x.den.is_const():
                 continue
-            num, den = (tower._eval_poly(p, gens, values, 12) for p in (x.num, x.den))
+            num, den = (tower._eval_poly(p, terms) for p in (x.num, x.den))
             # division loses digits even here (6e-12 on (2*c[1][2] - b[1][2])/b[1][3]^2)
             assert residual(eval_series(x, ctx, spec), num / den) < 1e-9, str(x)
             checked += 1
@@ -305,3 +307,171 @@ class TestReciprocalDenominators:
         spec = TowerSpec(ranks=(2,), assignments=(("c[1][1]", "0"),))
         with pytest.raises(NonInvertibleSeries):
             eval_series(parse_element(text), SeriesContext.default(spec, order=6), spec)
+
+
+def _per_term_poly(p, gens, values, order):
+    """The evaluation before the monomial table, kept literally: every call
+    rebuilds each term's generator product and adds one Series per term."""
+    total = Series.zero(order)
+    powers = {}
+    for m, coeff in p.terms.items():
+        scalar = float(coeff)
+        factor = None
+        for v, e in m_pairs(m):
+            if v[0] == "b":
+                if (v, e) not in powers:
+                    powers[v, e] = gens[v] ** e
+                s = powers[v, e]
+                factor = s if factor is None else factor * s
+            else:
+                scalar *= values[v] ** e
+        term = Series.const(scalar, order) if factor is None else factor * scalar
+        total = total + term
+    return total
+
+
+def _per_term_series(x, ctx, spec):
+    gens, recips = tower.generator_series(ctx, spec)
+    values = ctx.value_map()
+    num = _per_term_poly(x.num, gens, values, ctx.order)
+    if len(x.den.terms) > 1:
+        return num / _per_term_poly(x.den, gens, values, ctx.order)
+    [den] = x.den.terms
+    scalar = 1.0
+    for v, e in m_pairs(den):
+        if v[0] == "b":
+            num = num * recips[v] ** e
+        else:
+            scalar *= values[v] ** e
+    return num / scalar
+
+
+def _per_term_residual(x, ctx, spec):
+    gens, _ = tower.generator_series(ctx, spec)
+    values = ctx.value_map()
+    dx = derive(x, spec)
+    polys = (x.num, x.den, dx.num, dx.den)
+    n, d, num, den = (_per_term_poly(p, gens, values, ctx.order) for p in polys)
+    return residual(num * d * d, den * (n.deriv() * d - n * d.deriv()))
+
+
+TABLE_TOWERS = [(2, 2), (3,), (1, 1, 1), (2, 1, 2), (3, 3), (1, 2, 3)]
+
+
+def _decimal_spec(utype):
+    """utype with the symbols at 0.3, 1.0, 1.7, ...: inexact values, so a
+    product taken in another order rounds differently."""
+    names = [f"c[{i}][{j}]" for i, n in enumerate(utype, 1) for j in range(1, n + 1)]
+    return TowerSpec(utype, tuple((name, f"{0.3 + 0.7 * k:.1f}") for k, name in enumerate(names)))
+
+
+# shared across examples, so the tables fill up as the examples run
+TABLE_SPECS = [build_spec(utype) for utype in TABLE_TOWERS] + list(map(_decimal_spec, TABLE_TOWERS))
+
+
+class TestMonomialTable:
+    """Each monomial's series is built once per (spec, context); the sums
+    keep the per-term evaluation's bytes."""
+
+    def test_matches_the_per_term_evaluation(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @st.composite
+        def cases(draw):
+            spec = draw(st.sampled_from(TABLE_SPECS))
+            utype = spec.ranks
+            symbols = [
+                (kind, i, j) for i, n in enumerate(utype, 1) for j in range(1, n + 1) for kind in "bc"
+            ]
+            monomials = st.lists(
+                st.tuples(st.sampled_from(symbols), st.integers(1, 2)), max_size=3
+            ).map(monomial)
+            coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+            num = Poly(draw(st.dictionaries(monomials, coeffs, min_size=1, max_size=5)))
+            # positive coefficients keep d(0) > 0: every generator is 1 at t = 0
+            shape = draw(st.sampled_from(["one", "monomial", "sum"]))
+            if shape == "one":
+                den = Poly.const(1)
+            elif shape == "monomial":
+                den = Poly({draw(monomials): 1})
+            else:  # tower-shaped: a monomial times a power of e_k
+                k = draw(st.integers(1, len(utype)))
+                e_k = spec.e(k).num
+                den = Poly({draw(monomials): 1}) * e_k ** draw(st.integers(1, 2))
+            return spec, Element(num, den), draw(st.integers(2, 64))
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(case=cases())
+        def check(case):
+            spec, x, order = case
+            ctx = SeriesContext.default(spec, order=order)
+            got = eval_series(x, ctx, spec).coeffs
+            assert got.tobytes() == _per_term_series(x, ctx, spec).coeffs.tobytes(), str(x)
+            want = repr(_per_term_residual(x, ctx, spec))
+            assert repr(delta_consistency_residual(x, ctx, spec)) == want, str(x)
+
+        check()
+
+    def test_cached_arrays_are_read_only(self):
+        spec = build_spec((2, 1))
+        ctx = SeriesContext.default(spec, order=12)
+        x = parse_element("(b[1][1]^2*b[2][1] + c[1][2]*b[1][2] - 3)/(b[1][2]*b[2][1]^2)")
+        eval_series(x, ctx, spec)
+        terms = tower._terms(ctx, spec)
+        arrays = [factor for factor, _ in terms.products.values() if factor is not None]
+        arrays += [s.coeffs for table in (terms.powers, terms.recip_powers) for s in table.values()]
+        assert len(arrays) >= 6 and terms.recip_powers
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+            with pytest.raises(ValueError):
+                a += 1.0
+
+    def test_results_are_fresh_arrays(self):
+        spec = build_spec((2,))
+        ctx = SeriesContext.default(spec, order=8)
+        for text in ["b[1][1]", "b[1][1]*b[1][2]", "c[1][1]", "b[1][2]^2/b[1][1]"]:
+            s = eval_series(parse_element(text), ctx, spec)
+            s.coeffs[0] = 7.0  # a caller may write to what it gets
+        assert eval_series(parse_element("b[1][1]"), ctx, spec)[0] == 1.0
+
+    def test_equal_contexts_share_one_table(self):
+        spec = build_spec((2, 1))
+        values = SeriesContext.default(spec).values
+        first, second = SeriesContext(16, values), SeriesContext(16, values)
+        assert first is not second
+        assert tower._terms(first, spec) is tower._terms(second, spec)
+        assert tower._terms(SeriesContext(12, values), spec) is not tower._terms(first, spec)
+        x = parse_element("b[1][1]*b[2][1]")
+        eval_series(x, first, spec)
+        [m] = x.num.terms
+        assert m in tower._terms(second, spec).products
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("b[1][1] + u[1][1]", UnknownSymbol), ("1/u[1][1]", UnknownSymbol), ("c[1][2]", UnknownSymbol)],
+    )
+    def test_a_symbol_without_value_raises_every_time(self, text, error):
+        spec = build_spec((1,))
+        ctx = SeriesContext.default(spec, order=8)
+        self._raises_every_time(parse_element(text), ctx, spec, error)
+
+    def test_a_power_past_float_range_raises_every_time(self):
+        spec = build_spec((2,))
+        ctx = SeriesContext.default(spec, order=8)  # c[1][2] -> 3
+        power = Poly({monomial([(var_c(1, 2), 700)]): 1})  # 3^700 > 1.8e308
+        b11 = Poly.variable(var_b(1, 1))
+        for x in (Element(b11 + power), Element(b11, power)):
+            self._raises_every_time(x, ctx, spec, BudgetExceeded)
+
+    @staticmethod
+    def _raises_every_time(x, ctx, spec, error):
+        terms = tower._terms(ctx, spec)
+        for _ in range(2):
+            with pytest.raises(error):
+                eval_series(x, ctx, spec)
+            with pytest.raises(error):
+                delta_consistency_residual(x, ctx, spec)
+        failing = [m for p in (x.num, x.den) for m in p.terms if any(v[0] != "b" for v, _ in m_pairs(m))]
+        assert failing and not any(m in terms.products for m in failing)
