@@ -17,6 +17,7 @@ so they are byte-identical across runs for fixed arguments and seed.
 ``grid verify`` refuses more than ``gridcheck.MAX_VERIFY_CELLS`` (12)
 cells, ``grid seqred`` more than ``MAX_SEQRED_CELLS`` (2,000),
 ``series --logd-system`` a dimension above ``MAX_LOGD_SYSTEM`` (1,000),
+``series`` a tower of more than ``MAX_SERIES_SYMBOLS`` (1,000) symbols,
 and element text refuses a power whose expansion may exceed
 ``textio.MAX_POWER_TERMS`` terms or ``textio.MAX_POWER_BITS``
 coefficient bits.  A ``tower build --out`` file that cannot be written
@@ -49,6 +50,10 @@ MAX_SERIES_ORDER = 64
 # series --logd-system: memory grows as N x order floats; at order 64,
 # N = 1,000 takes 0.6 s and N = 100,000 23 s on a 2-core machine
 MAX_LOGD_SYSTEM = 1000
+# series: a tower of N symbols (the sum of its ranks) evaluates N generator
+# series; at order 64 the slowest shape, one symbol per level, takes about
+# 1 s at N = 1,000 on a 2-core machine, and 7.5 s at 20,000
+MAX_SERIES_SYMBOLS = 1000
 # grid seqred: the analysis is one chain of height vectors (depth x
 # columns) and the target: line prints every cell once
 MAX_SEQRED_CELLS = 2000
@@ -247,14 +252,21 @@ def cmd_grid_seqred(args, argv) -> int:
 
 
 def _covering_ranks(x) -> tuple[int, ...]:
-    """Ranks of the smallest tower covering the generator/constant symbols of x."""
+    """Ranks of the smallest tower covering the generator/constant symbols
+    of x, refused past the symbol cap before they are built."""
     max_level = 1
     ranks: dict[int, int] = {}
     for kind, level, index in x.variables():
         if kind in ("b", "c"):
             max_level = max(max_level, level)
             ranks[level] = max(ranks.get(level, 1), index)
+    _check_symbols(max_level - len(ranks) + sum(ranks.values()))
     return tuple(ranks.get(i, 1) for i in range(1, max_level + 1))
+
+
+def _check_symbols(symbols: int) -> None:
+    if symbols > MAX_SERIES_SYMBOLS:
+        raise BudgetExceeded(f"a tower of {symbols} symbols exceeds the cap {MAX_SERIES_SYMBOLS}")
 
 
 def _format_series(s: deltatower.Series) -> str:
@@ -313,6 +325,7 @@ def cmd_series(args, argv) -> int:
             except OSError as exc:
                 raise DeltaTowerError(f"cannot read --spec {args.spec}: {exc.strerror}") from None
             spec = TowerSpec.from_json(text)
+            _check_symbols(sum(spec.ranks))
         else:
             spec = TowerSpec(_covering_ranks(x))
         ctx = SeriesContext.default(spec, order=args.order)

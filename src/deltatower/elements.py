@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero
-from .polyring import ONE, Poly, Var, cancel, m_pairs, var_name
+from .polyring import ONE, Poly, Var, cancel, printed_terms
 
 _COERCIBLE = (int, Fraction)
 
@@ -210,31 +210,18 @@ ZERO_ELEMENT = Element.from_rational(0)
 ONE_ELEMENT = Element.from_rational(1)
 
 
-def _print_factor_key(pair) -> tuple:
-    (kind, level, index), _ = pair
-    return (kind == "b", kind, level, index)
-
-
-def _format_term(pairs, c: Fraction, *, lead: bool) -> str:
-    """One term, its monomial decoded; sign is emitted by the caller via `lead`."""
-    mag = abs(c)
-    factors = []
-    if mag != 1 or not pairs:
-        factors.append(str(mag))
-    for v, e in sorted(pairs, key=_print_factor_key):
-        factors.append(var_name(v) if e == 1 else f"{var_name(v)}^{e}")
-    body = "*".join(factors)
-    if lead:
-        return body if c >= 0 else f"-{body}"
-    return f" + {body}" if c >= 0 else f" - {body}"
-
-
 def format_poly(p: Poly) -> str:
+    """Terms leading first, each after its sign: a coefficient of magnitude 1
+    prints only for the monomial 1, and constants precede generators."""
     if p.is_zero():
         return "0"
     out = []
-    for i, (pairs, c) in enumerate(p.descending_terms()):
-        out.append(_format_term(pairs, c, lead=(i == 0)))
+    for mono, c in printed_terms(p, constants_first=True):
+        mag = abs(c)
+        body = f"{mag}*{mono}" if mono and mag != 1 else mono or str(mag)
+        out.append(f" - {body}" if c < 0 else f" + {body}")
+    lead = out[0]  # " + x" prints as "x", " - x" as "-x"
+    out[0] = lead[3:] if lead[1] == "+" else f"-{lead[3:]}"
     return "".join(out)
 
 
@@ -245,9 +232,9 @@ def format_element(x: Element) -> str:
     if len(x.num.terms) > 1:
         num_str = f"({num_str})"
     den_str = format_poly(x.den)
-    # The denominator is monic: a single term with one variable reads as
-    # one grammar factor, anything else needs parentheses.
-    single_factor = len(x.den.terms) == 1 and len(m_pairs(next(iter(x.den.terms)))) == 1
-    if not single_factor:
+    # The denominator is monic: a single term with one variable, which
+    # prints with no '*', reads as one grammar factor; anything else needs
+    # parentheses.
+    if len(x.den.terms) > 1 or "*" in den_str:
         den_str = f"({den_str})"
     return f"{num_str}/{den_str}"

@@ -9,10 +9,12 @@ hash and print alike.
 A monomial is an ``int`` of packed exponents (Johnson 1974; Monagan and
 Pearce, CASC 2007): each variable owns a ``FIELD_BITS``-wide field, at the
 slot a process-wide registry gives it on first use, so multiplying adds
-ints.  Exponents stay at most ``MAX_EXPONENT`` (2^31 - 1): a sum of two
-never carries into the next field, and one that reaches 2^31 sets its
-field's top bit, which ``monomial``, products and division remainders test
-(an ``if``, so it holds under ``python -O``), raising ``BudgetExceeded``.
+ints; the registry also keeps each slot's printed name and place in the
+print order, so printing decodes a monomial once.  Exponents stay at most
+``MAX_EXPONENT`` (2^31 - 1): a sum of two never carries into the next
+field, and one that reaches 2^31 sets its field's top bit, which
+``monomial``, products and division remainders test (an ``if``, so it
+holds under ``python -O``), raising ``BudgetExceeded``.
 
 Monomials are compared in graded lexicographic order: total degree
 first, then exponents read off the variables from most significant down,
@@ -57,11 +59,14 @@ FIELD_BITS = 32  # one unsigned C int per field, so a monomial decodes in one un
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD = (1 << FIELD_BITS) - 1
 
-# the slot registry (per slot: variable, key shift, _may_divide coordinate) and its masks
+# the slot registry (per slot: variable, key shift, _may_divide coordinate,
+# printed name, place in the print order) and its masks
 _SLOTS: dict[Var, int] = {}
 _SLOT_VARS: list[Var] = []
 _SHIFTS: list[int] = []
 _COORDS: list[int] = []
+_NAMES: list[str] = []
+_PRINT_RANKS: list[int] = []  # constants before generators, each kind by index
 _HIGH = 0  # the top bit of every field
 _GENERATORS = 0  # every field of a generator b[i][j]
 _PRIME = (1 << 61) - 1
@@ -97,8 +102,11 @@ def _slot(v: Var) -> int:
         s = _SLOTS[v] = len(_SLOT_VARS)
         _SLOT_VARS.append(v)
         _COORDS.append(_coordinate(v))
+        _NAMES.append(var_name(v))
         rank = {u: r for r, u in enumerate(sorted(_SLOT_VARS))}
         _SHIFTS[:] = [FIELD_BITS * rank[u] for u in _SLOT_VARS]
+        rank = {u: r for r, u in enumerate(sorted(_SLOT_VARS, key=lambda u: (u[0] == "b", u)))}
+        _PRINT_RANKS[:] = [rank[u] for u in _SLOT_VARS]
         _HIGH |= 1 << (FIELD_BITS * s + FIELD_BITS - 1)
         if v[0] == "b":
             _GENERATORS |= _FIELD << (FIELD_BITS * s)
@@ -136,6 +144,23 @@ def _fields(m: Monomial) -> tuple[int, ...]:
 def m_pairs(m: Monomial) -> Pairs:
     """The one decoder: m as (var, exponent) pairs sorted by var."""
     return tuple(sorted((_SLOT_VARS[s], e) for s, e in enumerate(_fields(m)) if e))
+
+
+def printed_terms(p: "Poly", *, constants_first: bool) -> list[tuple[str, Fraction]]:
+    """(monomial text, coefficient) per term of p, leading first.  One decode
+    of each monomial gives both its MONOMIAL_KEY and its factors, name or
+    name^e joined by '*', in variable order or with the constants first."""
+    ranks = _PRINT_RANKS if constants_first else _SHIFTS
+    rows = []
+    for m, c in p.terms.items():
+        fields = _fields(m)
+        slots = [s for s, e in enumerate(fields) if e]
+        if len(slots) > 1:
+            slots.sort(key=ranks.__getitem__)
+        text = "*".join([f"{_NAMES[s]}^{fields[s]}" if fields[s] > 1 else _NAMES[s] for s in slots])
+        rows.append((sum(fields), sum(map(lshift, fields, _SHIFTS)), text, c))
+    rows.sort(reverse=True)
+    return [(text, c) for _, _, text, c in rows]
 
 
 def m_divides(m1: Monomial, m2: Monomial) -> bool:
@@ -212,11 +237,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=MONOMIAL_KEY) if len(self.terms) > 1 else next(iter(self.terms))
         return m, self.terms[m]
-
-    def descending_terms(self) -> list[tuple[Pairs, Fraction]]:
-        """(pairs, coefficient) per term, leading first."""
-        ms = sorted(self.terms, key=MONOMIAL_KEY, reverse=True)
-        return [(m_pairs(m), self.terms[m]) for m in ms]
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -324,11 +344,8 @@ class Poly:
     def __repr__(self) -> str:
         if not self.terms:
             return "Poly(0)"
-        bits = []
-        for pairs, c in self.descending_terms():
-            mono = "*".join(f"{var_name(v)}^{e}" if e > 1 else var_name(v) for v, e in pairs)
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return "Poly(" + " + ".join(bits) + ")"
+        terms = printed_terms(self, constants_first=False)
+        return "Poly(" + " + ".join(f"{c}*{mono}" if mono else f"{c}" for mono, c in terms) + ")"
 
 
 ZERO = Poly()

@@ -15,9 +15,11 @@ any support to a single term whose coefficient must vanish; when two
 support vectors share a functional, their quotient monomial y^(r2-r1) is
 an invariant direction and is surfaced instead.  Neither the eigenvalues
 nor the weights r . lambda depend on the step: the spec caches the
-eigenvalues, a reduction and its replay each compute the weights once
-(with no gcd when the eigenvalues have denominator 1), and a step adds
-only logD_i(s_r) of the non-constant coefficients.
+eigenvalues, a reduction and its replay each compute the weights once,
+and a step adds only logD_i(s_r) of the non-constant coefficients.  A
+weight is one linear combination: over eigenvalues with denominator 1,
+the usual case, `qlinear_dot` adds r_j times each numerator term into
+one dictionary, not a run of Element sums.
 
 The weights r . lambda are pairwise distinct for all r exactly when the
 eigenvalues are Q-linearly independent (`qlinear_independent`): the
@@ -37,7 +39,7 @@ from typing import Iterable, Sequence
 
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from .errors import LengthMismatch, NotLinear, Record, SupportTooSmall, TruncationTooShort
-from .polyring import Var, m_pairs
+from .polyring import ONE, Poly, Var, m_pairs
 from .tower import SeriesContext, TowerSpec, eval_series, logd
 
 ExponentVector = tuple[int, ...]
@@ -47,13 +49,19 @@ ExponentVector = tuple[int, ...]
 
 
 def qlinear_dot(r: Sequence[int], values: Sequence[Element]) -> Element:
-    """The Q-linear functional sum(r_j * values_j)."""
+    """The Q-linear functional sum(r_j * values_j).  Over the shared
+    denominator 1 it is one accumulation of the numerators' terms, each
+    scaled by r_j; other denominators take the Element sums."""
     if len(r) != len(values):
         raise LengthMismatch(f"{len(r)} coefficients for {len(values)} values")
-    out = ZERO_ELEMENT
+    if any(value.den is not ONE for value in values):
+        return sum((value * Fraction(coeff) for coeff, value in zip(r, values)), ZERO_ELEMENT)
+    acc: dict = {}
     for coeff, value in zip(r, values):
-        out = out + value * Fraction(coeff)
-    return out
+        if coeff:
+            for m, c in value.num.terms.items():
+                acc[m] = acc.get(m, 0) + coeff * c
+    return Element._coprime(Poly(acc), ONE)
 
 
 def linear_coefficients(x: Element) -> tuple[Fraction, dict[Var, Fraction]]:
@@ -479,21 +487,3 @@ def series_rank_check(
         rank=int(np.sum(singular > RANK_THRESHOLD)),
     )
 
-
-__all__ = [
-    "ExponentVector",
-    "MonomialRelation",
-    "RankReport",
-    "ReductionStep",
-    "ReductionTrace",
-    "Verdict",
-    "certify_independence",
-    "degree_vectors",
-    "invariant_monomial",
-    "linear_coefficients",
-    "qlinear_dot",
-    "qlinear_independent",
-    "reduce_step",
-    "run_reduction",
-    "series_rank_check",
-]

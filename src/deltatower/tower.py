@@ -36,6 +36,7 @@ import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
+from itertools import takewhile
 from math import log10
 
 import deltatower  # annotations name deltatower.Series, which loads series only when resolved
@@ -45,6 +46,17 @@ from .errors import NonInvertibleSeries, Record, UnknownSymbol
 from .polyring import Poly, Var, cancel, m_pairs, monomial, var_b, var_c, var_name
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def _primes(n: int) -> list[int]:
+    """The first n primes, by trial division by the smaller ones up to the root."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in takewhile(lambda p: p * p <= k, primes)):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 class TowerSpec(Record):
@@ -236,17 +248,21 @@ class SeriesContext(Record):
 
     @classmethod
     def default(cls, spec: TowerSpec, order: int = 16) -> "SeriesContext":
-        """Primes 2, 3, 5, ... assigned to the symbols in index order, unless
-        the spec carries explicit assignments; one context per (spec, order)."""
+        """The primes 2, 3, ..., 61 assigned cyclically to the symbols in index
+        order, except that the 19th symbol of a level and beyond take the 19th
+        prime and beyond, so a level's values stay distinct; explicit
+        assignments of the spec come first.  One context per (spec, order)."""
         key = ("default", order)
         if key in spec._caches:
             return spec._caches[key]
         explicit = dict(spec.assignments)
         values = []
         symbols = [var_c(i, j) for i, n in enumerate(spec.ranks, 1) for j in range(1, n + 1)]
+        wide = _primes(max(spec.ranks))
         for k, v in enumerate(symbols):
-            name = var_name(v)
-            text = explicit.get(name, str(_PRIMES[k % len(_PRIMES)]))
+            name, j = var_name(v), v[2]
+            prime = _PRIMES[k % len(_PRIMES)] if j <= len(_PRIMES) else wide[j - 1]
+            text = explicit.get(name, str(prime))
             try:
                 values.append((v, float(Fraction(text))))
             except (ValueError, ZeroDivisionError, OverflowError):

@@ -403,6 +403,12 @@ class TestSeries:
         assert "defining-equation residual inf" in out
         assert out.strip().endswith("RESULT FAIL")
 
+    def test_a_level_of_more_than_18_symbols_takes_further_primes(self, capsys):
+        argv = ["--element", "c[1][19] + b[1][19]", "--order", "3"]
+        code, out, err = run_cli(capsys, "series", *argv)
+        assert (code, err) == (0, "")
+        assert "series: [68.0, 67.0, 2244.5]" in out and out.endswith("RESULT PASS\n")
+
     def test_zero_initial_value(self, capsys):
         code, _, err = run_cli(
             capsys, "series", "--logd-system", "2", "--order", "5", "--initial", "1,0"
@@ -509,6 +515,13 @@ class TestSeries:
         (["--logd-system", "2", "--spec"], '{"ranks": [2]}', "--spec"),
         # operator text is output only: D is no token of element text
         (["--element", "D[1]"], None, "'D'"),
+        # towers past the series symbol cap, by element, by --spec and by --h
+        (["--element", f"b[{cli.MAX_SERIES_SYMBOLS + 1}][1]", "--order", "64"], None, "cap"),
+        (["--element", f"c[1][{cli.MAX_SERIES_SYMBOLS + 1}]"], None, "cap"),
+        (["--element", "b[1][1]", "--spec"], f'{{"ranks": [{cli.MAX_SERIES_SYMBOLS}, 1]}}', "cap"),
+        (["--logd-system", "2", "--h", f"b[{cli.MAX_SERIES_SYMBOLS + 1}][1]"], None, "cap"),
+        # refused before a rank is built for each of its 10^7 levels
+        (["--element", "b[10000000][1] + c[1][2]"], None, "10000001 symbols"),
     ]
 
     @pytest.mark.parametrize(

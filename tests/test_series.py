@@ -100,6 +100,21 @@ class TestEvalSeries:
         s = eval_series(spec.generator(1, 1), ctx, spec)
         assert np.allclose(s.coeffs, [1.0, 3.0, 4.5, 4.5])  # exp(3t)
 
+    def test_default_values_cycle_but_stay_distinct_within_a_level(self):
+        from deltatower import TowerSpec
+
+        first = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+        wide = SeriesContext.default(TowerSpec((20,)), order=4).value_map()
+        assert [wide[("c", 1, j)] for j in range(1, 21)] == first + [67, 71]
+        # across levels the cycle of 18 goes on: seven levels of 3 reuse 2, 3, 5
+        deep = SeriesContext.default(TowerSpec((3,) * 7), order=4).value_map()
+        assert [deep[("c", i, j)] for i in range(1, 8) for j in (1, 2, 3)] == first + [2, 3, 5]
+        # a level of 40 after 10 symbols: its first 18 take the cycle from 10 on
+        mixed = SeriesContext.default(TowerSpec((10, 40)), order=4).value_map()
+        level2 = [mixed[("c", 2, j)] for j in range(1, 41)]
+        assert level2[:18] == first[10:] + first[:10]
+        assert level2[18:20] == [67, 71] and len(set(level2)) == 40
+
     def test_non_invertible_denominator(self):
         ctx = SeriesContext.default(SPEC, order=6)
         x = 1 / (SPEC.generator(1, 1) - SPEC.generator(1, 2))
