@@ -230,24 +230,22 @@ def height_chains(
     target_h: Sequence[int],
     *,
     max_length: int,
-    exact_length: int | None = None,
     steps=_one_row_steps,
 ) -> Iterator[list[tuple[int, ...]]]:
     """All analyses of target_h over base_h (target_h >= base_h columnwise)
-    as lists of step height vectors, with at most (or exactly) the given
-    number of steps.  steps(before, last, target_h) yields the steps
-    admitted after last, where before is the step before last (None while
-    last is the base); each must raise some column and pass no column of
-    target_h.  DFS; the remaining-distance prune runs only when max_length
-    is below the total rank, since each step adds a cell."""
+    as lists of step height vectors, with at most max_length steps (at the
+    minimal length, the minimal analyses).  steps(before, last, target_h)
+    yields the steps admitted after last, where before is the step before
+    last (None while last is the base); each must raise some column and
+    pass no column of target_h.  DFS; the remaining-distance prune runs
+    only when max_length is below the total rank, as each step adds a cell."""
     base_h, target_h = tuple(base_h), tuple(target_h)
     prune = max_length < sum(target_h) - sum(base_h)
 
     def rec(before, h, prefix: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
         if h == target_h:
             # Steps past the target cannot strictly increase, so stop here.
-            if exact_length is None or len(prefix) == exact_length:
-                yield prefix
+            yield prefix
             return
         if prune and len(prefix) + max(map(sub, target_h, h)) > max_length:
             return
@@ -266,10 +264,8 @@ def is_minimal(a: Analysis) -> bool:
 
 def is_canonical(a: Analysis) -> bool:
     """Minimal and stepwise interalgebraic with every other minimal analysis."""
-    if not is_minimal(a):
-        return False
-    chains = height_chains(a.base, a.target, max_length=a.length, exact_length=a.length)
-    return all(tuple(other) == a.steps for other in chains)
+    chains = height_chains(a.base, a.target, max_length=a.length)
+    return is_minimal(a) and all(tuple(other) == a.steps for other in chains)
 
 
 # --- prescribed-U-type constructions ---------------------------------------

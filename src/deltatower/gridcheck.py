@@ -11,10 +11,12 @@ size, so ``instances=`` still counts pairs or triples.  The verification
 is layered so that each layer is checked exhaustively against the one
 below:
 
-* layer 0 - the public ``closure`` is compared with the bitmask closure
-  table on **every** subset of every grid (``closure_axioms``), and rank
-  additivity holds on every closed triple of that table, one row per
-  orbit of (T, A) with every B at once (``urank_additivity``);
+* layer 0 - the public ``closure`` is compared, once, with the bitmask
+  closure table on **every** subset of every grid, and the axioms are
+  laws of that table (``closure_axioms``); its unions A|B|T of closed
+  sets are closed, so ranks are popcount differences and additive, one
+  row per orbit of (T, A) with every B at once, where the public
+  ``urank`` must agree (``urank_additivity``);
 * layer 1 - ``grid``'s one-step column rules ``_red_column`` and
   ``_cored_column``, which its ``reduction`` and ``coreduction`` apply, are
   compared on every closed pair (T, G) up to column order with the
@@ -33,15 +35,14 @@ below:
 ``_check`` is the only code that builds a ``PropertyReport``; the caller
 times it.  The chain properties are per-pair functions run by
 ``_check_pairs`` over ``_pairs_closed`` of each bare ``GridModel``: they
-read height vectors only, so only layers 0 and 1 build the bitmask tables
-of ``_Grid``.  ``_check_pairs`` owns the orbit weights and the
+read height vectors only, so only layers 0 and 1 build the closure table
+of a ``_Grid``.  ``_check_pairs`` owns the orbit weights and the
 ``grid DxC: ..., T=... G=...`` counterexample, shown in its
 representative's column order.  ``properties`` is the one budget-checked
 list of checks that ``run_grid_suite`` and the CLI run.
 
 Cells are packed column-major: cell (i, j) is bit (j-1)*depth + (i-1).
-Closed sets are exactly the masks whose columns are downward intervals,
-so unions of closed masks are closed and ranks are popcount differences.
+Closed sets are exactly the masks whose columns are downward intervals.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class PropertyReport(Record):
 
 
 class _Grid:
-    """Bitmask tables for one grid."""
+    """The closure of every mask of one grid, and its fixed points."""
 
     def __init__(self, depth: int, columns: int):
         self.depth = depth
@@ -118,7 +119,6 @@ class _Grid:
         self.closure_table = np.zeros(size, dtype=np.int64)
         for mask in range(size):
             self.closure_table[mask] = self._close(mask)
-        self.popcount = np.array([bin(m).count("1") for m in range(size)], dtype=np.int64)
         # the closed masks are the fixed points of the closure (np.unique
         # would give the same array, but loads numpy.ma)
         self.closed_array = np.flatnonzero(self.closure_table == np.arange(size))
@@ -136,12 +136,6 @@ class _Grid:
             for j in range(self.columns)
             for i in range(self.depth)
             if mask >> (j * self.depth + i) & 1
-        )
-
-    def heights_of(self, mask: int) -> tuple[int, ...]:
-        return tuple(
-            ((mask >> (j * self.depth)) & ((1 << self.depth) - 1)).bit_length()
-            for j in range(self.columns)
         )
 
     def mask_of_heights(self, h) -> int:
@@ -185,11 +179,11 @@ def _pairs_closed(gr: GridModel | _Grid):
 
 
 def _mask_pairs(gr: _Grid):
-    """(T, G, closed masks inside G, weight) for each pair of _pairs_closed."""
+    """(T, G, their masks, closed masks inside G, weight) per _pairs_closed pair."""
     for t_h, g_h, weight in _pairs_closed(gr):
         g_mask = gr.mask_of_heights(g_h)
         inside = gr.closed_array[(gr.closed_array & ~g_mask) == 0]
-        yield gr.mask_of_heights(t_h), g_mask, inside, weight
+        yield t_h, g_h, gr.mask_of_heights(t_h), g_mask, inside, weight
 
 
 def _counterexample(gr: GridModel | _Grid, reason: str, t, g) -> str:
@@ -275,25 +269,23 @@ def _single_cell_steps(before, last, target_h):
 def check_closure_axioms(max_cells: int) -> PropertyReport:
     def gen():
         for gr in _grids(max_cells):
-            size = 1 << gr.cells
             where = f"grid {gr.depth}x{gr.columns}: closure"
-            for mask in range(size):
-                S = gr.to_set(mask)
-                cl = closure(S, gr.g)
-                if cl != gr.to_set(int(gr.closure_table[mask])):
-                    yield f"{where} mismatch on {sorted(S)}"
-                elif not S <= cl:
-                    yield f"{where} not extensive on {sorted(S)}"
-                elif closure(cl, gr.g) != cl:
-                    yield f"{where} not idempotent on {sorted(S)}"
-                else:
-                    yield None
-            # monotonicity on covering pairs A <= A | {x}: a nested pair
-            # A <= B is a chain of single additions from A up to B, and
-            # inclusion is transitive, so this covers all 3^cells pairs
             table = gr.closure_table
+            masks = np.arange(table.size)
+            for mask in range(table.size):
+                S = gr.to_set(mask)
+                same = closure(S, gr.g) == gr.to_set(int(table[mask]))
+                yield None if same else f"{where} mismatch on {sorted(S)}"
+            # the public closure is the table, so the axioms are its laws;
+            # monotone on covering pairs A <= A | {x} is monotone on all
+            # 3^cells nested pairs, as inclusion is transitive
+            laws = (("extensive", (masks & ~table) == 0), ("idempotent", table[table] == table))
+            for law, holds in laws:
+                if not holds.all():
+                    yield f"{where} not {law} on {sorted(gr.to_set(int(np.argmin(holds))))}"
+                    return
             for x in range(gr.cells):
-                bad = np.flatnonzero(table & ~table[np.arange(size) | 1 << x])
+                bad = np.flatnonzero(table & ~table[masks | 1 << x])
                 if bad.size:
                     a = int(bad[0])
                     pair = f"{sorted(gr.to_set(a))} <= {sorted(gr.to_set(a | 1 << x))}"
@@ -307,31 +299,28 @@ def check_closure_axioms(max_cells: int) -> PropertyReport:
 def check_urank_additivity(max_cells: int) -> PropertyReport:
     def gen():
         for gr in _grids(max_cells):
-            closed = gr.closed_array
-            pc = gr.popcount
-            # closed masks are union-stable, so cl(X|Y) = X|Y there; closure
-            # itself is tied to the table exhaustively by closure_axioms.
-            # One row per column orbit of (T, A), every closed B at once; the
-            # public urank of A over T is cross-checked on each.
+            closed, table = gr.closed_array, gr.closure_table
+            # One row per column orbit of (T, A), every closed B at once: with
+            # A|B|T closed, ranks are popcount differences, so additive.  The
+            # public urank of A over T is cross-checked on each row.
             states = list(product(range(gr.depth + 1), repeat=2))
             for rep, weight in _orbits(states, gr.columns):
                 t_h, a_h = zip(*rep)
                 t, a = gr.mask_of_heights(t_h), gr.mask_of_heights(a_h)
-                if urank(gr.to_set(a), gr.to_set(t), gr.g) != int(pc[a | t] - pc[t]):
+                if urank(gr.to_set(a), gr.to_set(t), gr.g) != (a | t).bit_count() - t.bit_count():
                     yield f"grid {gr.depth}x{gr.columns}: urank disagrees with the mask table"
                     return
-                tb = closed | t  # T|B for all B
-                lhs = pc[(closed | a) | t] - pc[t]
-                rhs = pc[a | tb] - pc[tb] + (pc[tb] - pc[t])
-                if not np.array_equal(lhs, rhs):
-                    b_i = int(np.argmax(lhs != rhs))
+                unions = closed | a | t
+                not_closed = table[unions] != unions
+                if not_closed.any():
+                    b = int(closed[np.argmax(not_closed)])
                     yield (
-                        f"grid {gr.depth}x{gr.columns}: additivity fails at "
+                        f"grid {gr.depth}x{gr.columns}: A|B|T is not closed at "
                         f"A={sorted(gr.to_set(a))} "
-                        f"B={sorted(gr.to_set(int(closed[b_i])))} T={sorted(gr.to_set(t))}"
+                        f"B={sorted(gr.to_set(b))} T={sorted(gr.to_set(t))}"
                     )
                     return
-                yield weight * lhs.size
+                yield weight * closed.size
 
     return _check("urank_additivity", gen())
 
@@ -339,7 +328,7 @@ def check_urank_additivity(max_cells: int) -> PropertyReport:
 def check_reduction_maximality(max_cells: int) -> PropertyReport:
     def gen():
         for gr in _grids(max_cells):
-            for t_mask, g_mask, inside, weight in _mask_pairs(gr):
+            for t_h, g_h, t_mask, g_mask, inside, weight in _mask_pairs(gr):
                 T, G = gr.to_set(t_mask), gr.to_set(g_mask)
                 red = reduction(G, T, gr.g)
                 red_mask = sum(1 << ((j - 1) * gr.depth + i - 1) for i, j in red)
@@ -348,7 +337,7 @@ def check_reduction_maximality(max_cells: int) -> PropertyReport:
                 candidates = inside[((inside | t_mask) & ~allowed) == 0]
                 # ties the one-step-up column rule used by the chain
                 # properties to the public reduction, on every pair
-                formula = _step(_red_column, gr.heights_of(t_mask), gr.heights_of(g_mask))
+                formula = _step(_red_column, t_h, g_h)
                 if not internal(red, T, gr.g):
                     reason = "reduction not internal"
                 elif np.any(candidates & ~red_mask):
@@ -367,14 +356,14 @@ def check_reduction_maximality(max_cells: int) -> PropertyReport:
 def check_coreduction_uniqueness(max_cells: int) -> PropertyReport:
     def gen():
         for gr in _grids(max_cells):
-            for t_mask, g_mask, inside, weight in _mask_pairs(gr):
+            for t_h, g_h, t_mask, g_mask, inside, weight in _mask_pairs(gr):
                 tx = inside | t_mask
                 allowed = tx | ((tx << 1) & gr.cells_mask) | gr.row1_mask
                 witnesses = inside[(g_mask & ~allowed) == 0]
                 least = int(np.bitwise_and.reduce(witnesses))
                 # ties the one-step-down column rule used by the chain
                 # properties to the least witness, on every pair
-                formula = _step(_cored_column, gr.heights_of(t_mask), gr.heights_of(g_mask))
+                formula = _step(_cored_column, t_h, g_h)
                 if least not in witnesses:
                     reason = "minimal witnesses disagree"
                 elif (t_mask | least) != gr.mask_of_heights(formula):
@@ -421,8 +410,8 @@ def check_equal_utype_canonical(max_cells: int) -> PropertyReport:
         cored_chain = _cored_chain(t_h, g_h)
         if _utype(red_chain, t_h) != _utype(cored_chain, t_h):
             return None
-        length = len(red_chain)
-        for other in height_chains(t_h, g_h, max_length=length, exact_length=length):
+        # the red chain is minimal (analyses_minimal), so no shorter chain exists
+        for other in height_chains(t_h, g_h, max_length=len(red_chain)):
             if other != red_chain:
                 return f"equal U-types but the minimal analysis {other} deviates"
         if cored_chain != red_chain:

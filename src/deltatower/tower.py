@@ -34,9 +34,10 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter, defaultdict
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
-from itertools import takewhile
+from itertools import count, islice, takewhile
 from math import log10
 
 import deltatower  # annotations name deltatower.Series, which loads series only when resolved
@@ -48,15 +49,13 @@ from .polyring import Poly, Var, cancel, m_pairs, monomial, var_b, var_c, var_na
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
-def _primes(n: int) -> list[int]:
-    """The first n primes, by trial division by the smaller ones up to the root."""
+def _primes() -> Iterator[int]:
+    """2, 3, 5, ...: each by trial division by the smaller primes up to its root."""
     primes: list[int] = []
-    k = 2
-    while len(primes) < n:
+    for k in count(2):
         if all(k % p for p in takewhile(lambda p: p * p <= k, primes)):
             primes.append(k)
-        k += 1
-    return primes
+            yield k
 
 
 class TowerSpec(Record):
@@ -250,15 +249,17 @@ class SeriesContext(Record):
     def default(cls, spec: TowerSpec, order: int = 16) -> "SeriesContext":
         """The primes 2, 3, ..., 61 assigned cyclically to the symbols in index
         order, except that the 19th symbol of a level and beyond take the 19th
-        prime and beyond, so a level's values stay distinct; explicit
-        assignments of the spec come first.  One context per (spec, order)."""
+        prime and beyond, so a level's defaults stay distinct.  Explicit
+        assignments of the spec come first; a default equal to an explicit
+        value of its level moves to the smallest larger prime that no symbol
+        of the level takes.  One context per (spec, order)."""
         key = ("default", order)
         if key in spec._caches:
             return spec._caches[key]
         explicit = dict(spec.assignments)
         values = []
         symbols = [var_c(i, j) for i, n in enumerate(spec.ranks, 1) for j in range(1, n + 1)]
-        wide = _primes(max(spec.ranks))
+        wide = list(islice(_primes(), max(spec.ranks)))
         for k, v in enumerate(symbols):
             name, j = var_name(v), v[2]
             prime = _PRIMES[k % len(_PRIMES)] if j <= len(_PRIMES) else wide[j - 1]
@@ -268,6 +269,13 @@ class SeriesContext(Record):
             except (ValueError, ZeroDivisionError, OverflowError):
                 message = f"assignment {name}={text!r} is not a decimal in float range"
                 raise ParseError(message) from None
+        given = {(v[1], x) for v, x in values if var_name(v) in explicit}
+        taken = {(v[1], x) for v, x in values}
+        for k, (v, x) in enumerate(values):
+            if (v[1], x) in given and var_name(v) not in explicit:
+                x = next(p for p in _primes() if p > x and (v[1], p) not in taken)
+                taken.add((v[1], x))
+                values[k] = (v, float(x))
         spec._caches[key] = cls(order=order, values=tuple(values))
         return spec._caches[key]
 

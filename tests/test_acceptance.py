@@ -172,7 +172,7 @@ def test_criterion_6_worked_examples_in_grid():
     assert ac.utype() == (1, 2)
     assert ar.steps != ac.steps  # not interalgebraic
     # no canonical analysis: every minimal analysis fails canonicity
-    for chain in height_chains(ar.base, ar.target, max_length=2, exact_length=2):
+    for chain in height_chains(ar.base, ar.target, max_length=2):
         assert not is_canonical(Analysis(g, ar.base, ar.target, tuple(chain)))
     # the 3-step staircase is incompressible but not minimal
     staircase = Analysis(g, (0, 0), (2, 2), ((1, 0), (2, 1), (2, 2)))

@@ -403,6 +403,25 @@ class TestSeries:
         assert "defining-equation residual inf" in out
         assert out.strip().endswith("RESULT FAIL")
 
+    def test_overflowing_element_series_fails_quietly(self, capsys, recwarn, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"ranks": [1], "assignments": {"c[1][1]": "10000000"}}')
+        argv = ["--element", "b[1][1]", "--order", "64", "--spec", str(spec)]
+        code, out, err = run_cli(capsys, "series", *argv)
+        assert code == 1
+        assert err == "" and not recwarn.list
+        assert "CHECK delta_consistency FAIL" in out
+        assert "derivation/series residual inf" in out
+        assert out.strip().endswith("RESULT FAIL")
+
+    def test_a_spec_value_equal_to_a_default_is_accepted(self, capsys, tmp_path):
+        # c[1][2] would default to 3, which c[1][1] takes; it moves to 5
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"ranks": [2], "assignments": {"c[1][1]": "3"}}')
+        code, out, err = run_cli(capsys, "series", "--element", "b[1][1]", "--spec", str(spec))
+        assert (code, err) == (0, "")
+        assert "series: [1.0, 3.0, 4.5, 4.5," in out and out.endswith("RESULT PASS\n")
+
     def test_a_level_of_more_than_18_symbols_takes_further_primes(self, capsys):
         argv = ["--element", "c[1][19] + b[1][19]", "--order", "3"]
         code, out, err = run_cli(capsys, "series", *argv)

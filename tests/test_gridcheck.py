@@ -2,8 +2,10 @@
 acceptance suite)."""
 
 import re
+from collections import Counter
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from deltatower import BudgetExceeded, closure, urank
@@ -119,30 +121,86 @@ def test_coreduction_is_compared_on_every_pair(monkeypatch):
     )
 
 
-def test_closure_axioms_fail_a_non_monotone_table(monkeypatch):
-    # on the 1x3 grid (cells a, b, c in one row) cl({a}) = {a, b} while
-    # {a, c} stays closed: extensive and idempotent, the public closure
-    # agrees, but monotonicity fails on the one nested pair {a} <= {a, c}
-    a, b = (1, 1), (1, 2)
+def _patch_1x3_closure(monkeypatch, images):
+    """Change the closure of the 1x3 grid (cells a, b, c, bits 0-2) on the
+    masks in images, in the _Grid table (and its closed masks, the fixed
+    points) and in the public closure alike."""
     real_init, real_closure = gridcheck._Grid.__init__, gridcheck.closure
+    g13 = grid.GridModel(1, 3)
+    cells = [(1, 1), (1, 2), (1, 3)]
+
+    def to_set(mask):
+        return frozenset(c for k, c in enumerate(cells) if mask >> k & 1)
+
+    by_set = {to_set(m): to_set(image) for m, image in images.items()}
 
     def init(self, depth, columns):
         real_init(self, depth, columns)
         if (depth, columns) == (1, 3):
-            self.closure_table[0b001] = 0b011
+            for m, image in images.items():
+                self.closure_table[m] = image
+            self.closed_array = np.flatnonzero(self.closure_table == np.arange(8))
 
     def patched(S, g):
-        if (g.depth, g.columns) == (1, 3) and S == {a}:
-            return frozenset({a, b})
+        if g == g13 and S in by_set:
+            return by_set[S]
         return real_closure(S, g)
 
     monkeypatch.setattr(gridcheck._Grid, "__init__", init)
     monkeypatch.setattr(gridcheck, "closure", patched)
+
+
+def test_closure_axioms_fail_a_non_monotone_table(monkeypatch):
+    # cl({a}) = {a, b} while {a, c} stays closed: extensive and idempotent,
+    # the public closure agrees, but monotonicity fails on the one nested
+    # pair {a} <= {a, c}
+    _patch_1x3_closure(monkeypatch, {0b001: 0b011})
     report = gridcheck.check_closure_axioms(3)
     assert not report.passed
     assert report.counterexample == (
         "grid 1x3: closure not monotone on [(1, 1)] <= [(1, 1), (1, 3)]"
     )
+
+
+@pytest.mark.parametrize(
+    "images, law",
+    [
+        # cl({a}) = {}: not extensive
+        ({0b001: 0b000}, "extensive"),
+        # cl({a}) = {a, b}, cl({a, b}) = {a, b, c}: not idempotent
+        ({0b001: 0b011, 0b011: 0b111}, "idempotent"),
+    ],
+)
+def test_closure_axioms_fail_a_table_that_breaks_a_law(monkeypatch, images, law):
+    _patch_1x3_closure(monkeypatch, images)
+    report = gridcheck.check_closure_axioms(3)
+    assert not report.passed
+    assert report.counterexample == f"grid 1x3: closure not {law} on [(1, 1)]"
+
+
+def test_closure_axioms_call_the_public_closure_once_per_subset(monkeypatch):
+    real = gridcheck.closure
+    calls = Counter()
+
+    def counted(S, g):
+        calls[S, g.depth, g.columns] += 1
+        return real(S, g)
+
+    monkeypatch.setattr(gridcheck, "closure", counted)
+    assert gridcheck.check_closure_axioms(4).passed
+    subsets = sum(2 ** (d * c) for d in range(1, 5) for c in range(1, 4 // d + 1))
+    assert len(calls) == subsets == sum(calls.values())
+
+
+def test_urank_additivity_fails_a_closure_whose_unions_are_open(monkeypatch):
+    """On the 1x3 grid any two cells close to all three: extensive,
+    idempotent and monotone, but the union {a, c} of the closed {a} and
+    {c} is not closed, so popcounts do not stand for ranks."""
+    _patch_1x3_closure(monkeypatch, {0b011: 0b111, 0b101: 0b111, 0b110: 0b111})
+    assert gridcheck.check_closure_axioms(3).passed  # the axioms hold
+    report = gridcheck.check_urank_additivity(3)
+    assert not report.passed
+    assert report.counterexample == "grid 1x3: A|B|T is not closed at A=[(1, 3)] B=[(1, 1)] T=[]"
 
 
 CHAIN_PROPERTIES = [
@@ -156,7 +214,7 @@ CHAIN_PROPERTIES = [
 
 def test_chain_properties_build_no_bitmask_tables(monkeypatch):
     """The chain properties read height vectors only: none of them builds
-    the 2^cells closure and popcount tables of a _Grid."""
+    the 2^cells closure table of a _Grid."""
 
     def refuse(self, depth, columns):
         raise AssertionError(f"bitmask tables built for {depth}x{columns}")

@@ -115,6 +115,51 @@ class TestEvalSeries:
         assert level2[:18] == first[10:] + first[:10]
         assert level2[18:20] == [67, 71] and len(set(level2)) == 40
 
+    FIRST = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+
+    @pytest.mark.parametrize(
+        "ranks, assignments, want",
+        [
+            # the towers of the oracle benchmark
+            ((2, 2), (), FIRST[:4]),
+            ((3,), (), FIRST[:3]),
+            ((1, 1, 1), (), FIRST[:3]),
+            ((2, 1, 2), (), FIRST[:5]),
+            ((3, 3), (), FIRST[:6]),
+            # a level of 25 symbols after one of 10
+            ((10, 25), (), FIRST + FIRST[:10] + [67, 71, 73, 79, 83, 89, 97]),
+            # explicit values that collide with no default
+            ((3, 2), (("c[1][2]", "4.5"), ("c[2][1]", "13")), [2, 4.5, 5, 13, 11]),
+        ],
+    )
+    def test_defaults_without_a_collision_stay_put(self, ranks, assignments, want):
+        ctx = SeriesContext.default(TowerSpec(ranks, assignments), order=4)
+        assert [x for _, x in ctx.values] == want
+
+    @pytest.mark.parametrize(
+        "ranks, assignments, want",
+        [
+            # c[1][2] defaults to 3; 5 and 7 are taken at level 1, so it moves to 11
+            ((4,), (("c[1][1]", "3"),), [3, 11, 5, 7]),
+            ((2,), (("c[1][1]", "3"),), [3, 5]),
+            # two moves at one level, each to the smallest free prime above it
+            ((4,), (("c[1][1]", "3"), ("c[1][3]", "7")), [3, 5, 7, 11]),
+            ((2,), (("c[1][2]", "2.0"),), [3, 2]),
+            # a collision at level 2 leaves level 1 alone
+            ((2, 2), (("c[2][1]", "7"),), [2, 3, 7, 11]),
+        ],
+    )
+    def test_a_default_equal_to_an_explicit_value_moves_up(self, ranks, assignments, want):
+        ctx = SeriesContext.default(TowerSpec(ranks, assignments), order=4)
+        assert [x for _, x in ctx.values] == want
+
+    def test_equal_explicit_values_at_one_level_are_refused(self):
+        from deltatower.errors import ParseError
+
+        spec = TowerSpec((3,), (("c[1][1]", "2"), ("c[1][3]", "2")))
+        with pytest.raises(ParseError, match="not pairwise distinct"):
+            SeriesContext.default(spec, order=4)
+
     def test_non_invertible_denominator(self):
         ctx = SeriesContext.default(SPEC, order=6)
         x = 1 / (SPEC.generator(1, 1) - SPEC.generator(1, 2))
