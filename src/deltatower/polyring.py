@@ -490,8 +490,9 @@ def _level_sums(p: Poly) -> set[Monomial]:
 def _may_divide(s_vars: tuple[Var, ...], p: Poly) -> bool:
     """False only when s = sum(s_vars) cannot divide p: s | p forces p to
     vanish wherever s does, and p is nonzero modulo _PRIME at one such
-    point.  A division that is going to fail runs to the last term, so
-    this test saves most of its cost."""
+    point.  A failing exact_div stops at the first remainder term that the
+    divisor's leading monomial does not divide, so on small inputs this
+    test costs about what it saves; it pays on the heavy forced towers."""
     if not p.variables().issuperset(s_vars):
         return False
     point = _COORDS.copy()

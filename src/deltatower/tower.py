@@ -20,11 +20,11 @@ with respect to D_i is D_i(x)/x.
 A :class:`SeriesContext` interprets the same data numerically: delta
 becomes d/dt, level-1 generators become truncated exponentials and higher
 generators integrate the product of the lower e_k before exponentiating.
-The generator series and their reciprocals are built once per (spec,
-context), and so is each monomial's product of generator powers
-(``_Terms``): a polynomial is evaluated by adding one scaled, cached array
-per term in term order, which gives the same bits as multiplying every
-term out afresh.  A denominator that is one monomial is evaluated by
+One table per (spec, context), ``_Terms``, holds the generator series,
+their reciprocals, their powers and each monomial's product of generator
+powers: a polynomial is evaluated by adding one scaled, cached array per
+term in term order, which gives the same bits as multiplying every term
+out afresh.  A denominator that is one monomial is evaluated by
 multiplying with reciprocal series, with no division; any other
 denominator, such as a power of e_k, is divided by series division.
 """
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import Counter, defaultdict
 from collections.abc import Iterator
 from fractions import Fraction
@@ -45,8 +46,6 @@ from .elements import Element, ONE_ELEMENT
 from .errors import BudgetExceeded, DomainViolation, LevelOutOfRange, LogOfZero, ParseError
 from .errors import NonInvertibleSeries, Record, UnknownSymbol
 from .polyring import Poly, Var, cancel, m_pairs, monomial, var_b, var_c, var_name
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
 def _primes() -> Iterator[int]:
@@ -69,6 +68,13 @@ class TowerSpec(Record):
         # only ints: int() would read True as 1 and truncate 1.7 to 1
         if not ranks or any(type(n) is not int or n < 1 for n in ranks):
             raise ValueError("ranks must be a nonempty sequence of positive integers")
+        for name, _ in assignments:
+            # a name that is no c[i][j] of the tower would be ignored, not evaluated;
+            # no tower that can be evaluated has an index of 19 digits
+            found = re.fullmatch(r"c\[([1-9][0-9]{0,17})\]\[([1-9][0-9]{0,17})\]", name)
+            i, j = map(int, found.groups()) if found else (0, 0)
+            if not 1 <= i <= len(ranks) or j > ranks[i - 1]:
+                raise ValueError(f"assignment key {name!r} is no eigenvalue symbol of this tower")
         super().__init__(tuple(ranks), assignments, {})
 
     @property
@@ -259,10 +265,10 @@ class SeriesContext(Record):
         explicit = dict(spec.assignments)
         values = []
         symbols = [var_c(i, j) for i, n in enumerate(spec.ranks, 1) for j in range(1, n + 1)]
-        wide = list(islice(_primes(), max(spec.ranks)))
+        primes = list(islice(_primes(), max(18, max(spec.ranks))))
         for k, v in enumerate(symbols):
             name, j = var_name(v), v[2]
-            prime = _PRIMES[k % len(_PRIMES)] if j <= len(_PRIMES) else wide[j - 1]
+            prime = primes[k % 18] if j <= 18 else primes[j - 1]
             text = explicit.get(name, str(prime))
             try:
                 values.append((v, float(Fraction(text))))
@@ -292,40 +298,6 @@ def _series():
     return series
 
 
-def generator_series(
-    ctx: SeriesContext, spec: TowerSpec
-) -> tuple[dict[Var, deltatower.Series], dict[Var, deltatower.Series]]:
-    """Series for every generator: b[1][j] -> exp(c t) and, above level 1,
-    b[i][j] -> exp(c * integral of prod_{k<i} e_k); and its reciprocal
-    exp(-c * phase).  Built once per (spec, ctx) and kept in the spec's
-    cache, so the coefficient arrays are read-only."""
-    key = ("series", ctx)
-    if key in spec._caches:
-        return spec._caches[key]
-    Series = _series().Series
-    values = ctx.value_map()
-    gens: dict[Var, Series] = {}
-    recips: dict[Var, Series] = {}
-    accumulated: Series | None = None  # prod_{k<i} e_k as a series
-    for i in range(1, spec.ell + 1):
-        if i == 1:
-            phase = Series.t(ctx.order)
-        else:
-            phase = accumulated.integ()  # type: ignore[union-attr]
-        level_sum = Series.zero(ctx.order)
-        for j in range(1, spec.rank(i) + 1):
-            v = spec.generator_var(i, j)
-            c_hat = _lookup(values, ("c", i, j))
-            s = (phase * c_hat).exp()
-            gens[v], recips[v] = s, (phase * -c_hat).exp()
-            level_sum = level_sum + s
-        accumulated = level_sum if accumulated is None else accumulated * level_sum
-    for s in [*gens.values(), *recips.values()]:
-        s.coeffs.flags.writeable = False
-    spec._caches[key] = gens, recips
-    return gens, recips
-
-
 def _lookup(table: dict, v: Var):
     """table[v], or the error that names the symbol the context cannot evaluate."""
     try:
@@ -353,23 +325,48 @@ def _power(values: dict[Var, float], v: Var, e: int) -> float:
 
 
 class _Terms:
-    """The series of each monomial in one (spec, ctx), built once and kept
-    in the spec's cache next to the generator table: a monomial maps to its
-    generator product (the powers b^e multiplied in m_pairs order, or None)
-    and to its constant powers; the powers b^-e that a monomial denominator
-    multiplies by are kept too.  Every cached array is read-only.  A
-    monomial whose symbol has no value, or whose power leaves float range,
-    raises and stores no entry."""
+    """The numeric table of one (spec, ctx), kept in the spec's cache: the
+    generator series b[1][j] -> exp(c t) and, above level 1, b[i][j] ->
+    exp(c * integral of prod_{k<i} e_k), their reciprocals exp(-c * phase),
+    the powers b^e and b^-e, keyed (v, e) and (v, -e), and each monomial's
+    generator product (its powers b^e multiplied in m_pairs order, or None)
+    and constant powers.  Every cached array is read-only.  A monomial whose
+    symbol has no value, or whose power leaves float range, raises and
+    stores no entry."""
 
-    __slots__ = ("order", "values", "gens", "recips", "products", "powers", "recip_powers")
+    __slots__ = ("order", "values", "gens", "recips", "products", "powers")
 
     def __init__(self, ctx: SeriesContext, spec: TowerSpec):
+        Series = _series().Series
         self.order = ctx.order
         self.values = ctx.value_map()
-        self.gens, self.recips = generator_series(ctx, spec)
+        self.gens: dict[Var, Series] = {}
+        self.recips: dict[Var, Series] = {}
         self.products: dict[int, tuple] = {}  # monomial -> (product array or None, constant powers)
-        self.powers: dict[tuple[Var, int], deltatower.Series] = {}  # b^e
-        self.recip_powers: dict[tuple[Var, int], deltatower.Series] = {}  # b^-e
+        self.powers: dict[tuple[Var, int], Series] = {}  # (v, e) -> b^e, (v, -e) -> b^-e
+        phase = Series.t(ctx.order)
+        accumulated: Series | None = None  # prod_{k<i} e_k as a series
+        for i in range(1, spec.ell + 1):
+            if accumulated is not None:
+                phase = accumulated.integ()
+            level_sum = Series.zero(ctx.order)
+            for j in range(1, spec.rank(i) + 1):
+                v = spec.generator_var(i, j)
+                c_hat = _lookup(self.values, ("c", i, j))
+                s = (phase * c_hat).exp()
+                self.gens[v], self.recips[v] = s, (phase * -c_hat).exp()
+                level_sum = level_sum + s
+            accumulated = level_sum if accumulated is None else accumulated * level_sum
+        for s in [*self.gens.values(), *self.recips.values()]:
+            s.coeffs.flags.writeable = False
+
+    def power(self, v: Var, e: int) -> deltatower.Series:
+        """b^e, from the reciprocal series when e < 0; cached and read-only."""
+        if (v, e) not in self.powers:
+            s = _lookup(self.gens if e > 0 else self.recips, v) ** abs(e)
+            s.coeffs.flags.writeable = False
+            self.powers[v, e] = s
+        return self.powers[v, e]
 
     def product(self, m: int) -> tuple:
         if m in self.products:
@@ -378,7 +375,7 @@ class _Terms:
         constants = []
         for v, e in m_pairs(m):
             if v[0] == "b":
-                s = _cached_power(self.powers, self.gens, v, e)
+                s = self.power(v, e)
                 factor = s if factor is None else factor * s
             else:
                 constants.append(_power(self.values, v, e))
@@ -390,19 +387,11 @@ class _Terms:
 
 
 def _terms(ctx: SeriesContext, spec: TowerSpec) -> _Terms:
-    """The monomial table of (spec, ctx); equal contexts share one."""
+    """The numeric table of (spec, ctx); equal contexts share one."""
     key = ("terms", ctx)
     if key not in spec._caches:
         spec._caches[key] = _Terms(ctx, spec)
     return spec._caches[key]
-
-
-def _cached_power(powers: dict, series: dict, v: Var, e: int) -> deltatower.Series:
-    if (v, e) not in powers:
-        s = _lookup(series, v) ** e
-        s.coeffs.flags.writeable = False
-        powers[v, e] = s
-    return powers[v, e]
 
 
 def _eval_poly(p: Poly, terms: _Terms) -> deltatower.Series:
@@ -436,7 +425,7 @@ def eval_series(x: Element, ctx: SeriesContext, spec: TowerSpec) -> deltatower.S
     scalar = 1.0
     for v, e in m_pairs(den):
         if v[0] == "b":
-            num = num * _cached_power(terms.recip_powers, terms.recips, v, e)
+            num = num * terms.power(v, -e)
         else:
             scalar *= _power(terms.values, v, e)
     if scalar == 0.0:

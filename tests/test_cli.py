@@ -541,6 +541,10 @@ class TestSeries:
         (["--logd-system", "2", "--h", f"b[{cli.MAX_SERIES_SYMBOLS + 1}][1]"], None, "cap"),
         # refused before a rank is built for each of its 10^7 levels
         (["--element", "b[10000000][1] + c[1][2]"], None, "10000001 symbols"),
+        # assignments the tower would ignore: no symbol of ranks [1]
+        (["--element", "b[1][1]", "--spec"], '{"ranks": [1], "assignments": {"C[1][1]": "7"}}', "C[1][1]"),
+        (["--element", "b[1][1]", "--spec"], '{"ranks": [1], "assignments": {"c[1][2]": "7"}}', "c[1][2]"),
+        (["--element", "b[1][1]", "--spec"], '{"ranks": [1], "assignments": {"b[1][1]": "7"}}', "b[1][1]"),
     ]
 
     @pytest.mark.parametrize(

@@ -245,6 +245,13 @@ def _count_exp(monkeypatch):
     return calls
 
 
+def _generator_tables(ctx, spec):
+    """The generator series and their reciprocals, by generator, from the
+    numeric table of (spec, ctx)."""
+    terms = tower._terms(ctx, spec)
+    return terms.gens, terms.recips
+
+
 class TestGeneratorTable:
     """The generator series are built once per (spec, context) and shared."""
 
@@ -258,8 +265,8 @@ class TestGeneratorTable:
             x = random_element(rng, spec)
             eval_series(x, ctx, spec)
             delta_consistency_residual(x, ctx, spec)
-        cached = tower.generator_series(ctx, spec)
-        fresh = tower.generator_series(ctx, TowerSpec(spec.ranks))  # an empty cache
+        cached = _generator_tables(ctx, spec)
+        fresh = _generator_tables(ctx, TowerSpec(spec.ranks))  # an empty cache
         for got, want in zip(cached, fresh):
             assert list(got) == list(want) and len(want) == sum(spec.ranks)
             for v in want:
@@ -276,7 +283,7 @@ class TestGeneratorTable:
         eval_series(1 / spec.generator(2, 1), second, spec)
         delta_consistency_residual(spec.generator(1, 2), second, spec)
         assert len(calls) == 6
-        assert tower.generator_series(first, spec) is tower.generator_series(second, spec)
+        assert tower._terms(first, spec) is tower._terms(second, spec)
 
     def test_default_context_is_one_object_per_spec_and_order(self):
         spec = build_spec((2, 1))
@@ -294,7 +301,7 @@ class TestGeneratorTable:
         tables = []
         for ctx, s in cases:
             before = len(calls)
-            tables.append(tower.generator_series(ctx, s))
+            tables.append(_generator_tables(ctx, s))
             assert len(calls) - before == 4
         assert len({id(table) for table in tables}) == len(tables)
         assert tables[1][0][("b", 1, 1)].order == 9
@@ -302,8 +309,7 @@ class TestGeneratorTable:
 
     def test_cached_coefficients_are_read_only(self):
         spec = build_spec((2, 1))
-        gens, recips = tower.generator_series(SeriesContext.default(spec), spec)
-        for table in (gens, recips):
+        for table in _generator_tables(SeriesContext.default(spec), spec):
             for s in table.values():
                 with pytest.raises(ValueError):
                     s.coeffs[0] = 0.0
@@ -391,7 +397,7 @@ def _per_term_poly(p, gens, values, order):
 
 
 def _per_term_series(x, ctx, spec):
-    gens, recips = tower.generator_series(ctx, spec)
+    gens, recips = _generator_tables(ctx, spec)
     values = ctx.value_map()
     num = _per_term_poly(x.num, gens, values, ctx.order)
     if len(x.den.terms) > 1:
@@ -407,7 +413,7 @@ def _per_term_series(x, ctx, spec):
 
 
 def _per_term_residual(x, ctx, spec):
-    gens, _ = tower.generator_series(ctx, spec)
+    gens, _ = _generator_tables(ctx, spec)
     values = ctx.value_map()
     dx = derive(x, spec)
     polys = (x.num, x.den, dx.num, dx.den)
@@ -480,13 +486,22 @@ class TestMonomialTable:
         eval_series(x, ctx, spec)
         terms = tower._terms(ctx, spec)
         arrays = [factor for factor, _ in terms.products.values() if factor is not None]
-        arrays += [s.coeffs for table in (terms.powers, terms.recip_powers) for s in table.values()]
-        assert len(arrays) >= 6 and terms.recip_powers
+        arrays += [s.coeffs for s in terms.powers.values()]
+        assert len(arrays) >= 6 and any(e < 0 for _, e in terms.powers)
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0.0
             with pytest.raises(ValueError):
                 a += 1.0
+
+    def test_one_cache_entry_per_context(self):
+        spec = build_spec((2, 1))
+        ctx = SeriesContext.default(spec, order=12)
+        x = parse_element("(b[1][1]^2*b[2][1] + c[1][2]*b[1][2] - 3)/(b[1][2]*b[2][1]^2)")
+        eval_series(x, ctx, spec)
+        delta_consistency_residual(x, ctx, spec)
+        numeric = [key for key in spec._caches if key[0] not in ("e", "prod_e")]
+        assert numeric == [("default", 12), ("terms", ctx)]
 
     def test_results_are_fresh_arrays(self):
         spec = build_spec((2,))

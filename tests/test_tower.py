@@ -1,6 +1,8 @@
 """Derivations on the tower: eigen-equations, Leibniz, logd, iterates."""
 
+import json
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +12,7 @@ from deltatower import (
     DomainViolation,
     LevelOutOfRange,
     LogOfZero,
+    ParseError,
     TowerSpec,
     build_spec,
     d_twist,
@@ -226,6 +229,15 @@ class TestTowerSpec:
         assert again.ranks == spec.ranks
         assert again.assignments == spec.assignments
         assert again.to_json() == spec.to_json()
+
+    @pytest.mark.parametrize(
+        "key", ["C[1][1]", "c[1][3]", "c[2][2]", "c[3][1]", "b[1][1]", "c[01][1]", f"c[1][{'9' * 5000}]"]
+    )
+    def test_json_refuses_an_assignment_to_no_symbol_of_the_tower(self, key):
+        # at ranks (2, 1) the symbols are c[1][1], c[1][2] and c[2][1]
+        text = json.dumps({"ranks": [2, 1], "assignments": {"c[2][1]": "5", key: "7"}})
+        with pytest.raises(ParseError, match=re.escape(repr(key))):
+            TowerSpec.from_json(text)
 
     def test_json_rejects_inconsistent_ell(self):
         with pytest.raises(ValueError):
