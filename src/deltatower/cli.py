@@ -123,7 +123,10 @@ def _parse_positive_int(text: str, what: str) -> int:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("--initial must be comma-separated numbers")
 
 
 # --- tower build -------------------------------------------------------------

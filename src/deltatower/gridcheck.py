@@ -30,7 +30,7 @@ below:
   per step.  They search analyses with ``grid.height_chains``, whose
   step rule says which analyses it grows.  On every pair the public
   analysis functions, given the pair as cell sets, must return exactly
-  those chains, and the public predicates must agree on them.
+  those chains over that pair, and the public predicates must agree.
 
 ``_check`` is the only code that builds a ``PropertyReport``; the caller
 times it.  The chain properties are per-pair functions run by
@@ -116,19 +116,17 @@ class _Grid:
         self.row1_mask = 0
         for j in range(columns):
             self.row1_mask |= 1 << (j * depth)
+        # per column, fill every set bit down to row 1
+        masks = np.arange(size, dtype=np.int64)
         self.closure_table = np.zeros(size, dtype=np.int64)
-        for mask in range(size):
-            self.closure_table[mask] = self._close(mask)
+        for j in range(columns):
+            col = (masks >> (j * depth)) & ((1 << depth) - 1)
+            for _ in range(depth - 1):
+                col |= col >> 1
+            self.closure_table |= col << (j * depth)
         # the closed masks are the fixed points of the closure (np.unique
         # would give the same array, but loads numpy.ma)
-        self.closed_array = np.flatnonzero(self.closure_table == np.arange(size))
-
-    def _close(self, mask: int) -> int:
-        out = 0
-        for j in range(self.columns):
-            col = (mask >> (j * self.depth)) & ((1 << self.depth) - 1)
-            out |= ((1 << col.bit_length()) - 1) << (j * self.depth)
-        return out
+        self.closed_array = np.flatnonzero(self.closure_table == masks)
 
     def to_set(self, mask: int):
         return frozenset(
@@ -395,6 +393,8 @@ def check_analyses_minimal(max_cells: int) -> PropertyReport:
         ac = analysis_by_coreductions(G, T, g)
         ar.validate()
         ac.validate()
+        if (ar.base, ar.target) != (t_h, g_h) or (ac.base, ac.target) != (t_h, g_h):
+            return "public analysis has the wrong base or target"
         if list(ar.steps) != red_chain or list(ac.steps) != cored_chain:
             return "public analysis disagrees with the verified chain"
         if not (is_minimal(ar) and is_minimal(ac)):

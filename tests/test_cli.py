@@ -212,13 +212,6 @@ def test_series_output_unchanged(capsys, args):
 
 
 class TestGridVerify:
-    def test_small_budget_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "grid", "verify", "--max-cells", "4")
-        assert code == 0
-        assert "CHECK closure_axioms PASS" in out
-        assert "instances=" in out
-        assert out.strip().endswith("RESULT PASS")
-
     def test_budget_refusal(self, capsys):
         code, _, err = run_cli(capsys, "grid", "verify", "--max-cells", "20")
         assert code == 2
@@ -567,6 +560,15 @@ class TestSeries:
         assert code == 0
         check = next(line for line in out.splitlines() if line.startswith("CHECK "))
         assert int(check.split()[3]) >= 200, check
+
+    @pytest.mark.parametrize("initial", ["1,x", ""])
+    def test_unparsable_initial_values_are_a_usage_error(self, capsys, initial):
+        with pytest.raises(SystemExit) as info:
+            main(["series", "--logd-system", "2", "--initial", initial])
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert info.value.code == 2
+        assert len(errors) == 1 and "--initial" in errors[0], errors
+        assert "_parse_floats" not in errors[0], errors
 
     def test_float_range_error_names_only_the_magnitude(self, capsys):
         code, _, err = run_cli(capsys, "series", "--element", "2^1100", "--order", "8")

@@ -1,5 +1,5 @@
-"""Exhaustive verifier machinery (small budget; the full budget runs in the
-acceptance suite)."""
+"""Exhaustive verifier machinery (small budget; the full budget runs once,
+in the ``grid verify --max-cells 12`` CLI test)."""
 
 import re
 from collections import Counter
@@ -14,12 +14,20 @@ from deltatower.gridcheck import ALL_PROPERTIES, run_grid_suite
 
 
 def test_suite_passes_at_small_budget():
+    # a column of depth d has (d+1)(d+2)/2 nested closed (T, G) pairs and
+    # d+1 closed sets; the closure axioms visit every subset and every
+    # nested pair of subsets (3^n of them)
+    grids = [(d, c) for d in range(1, 7) for c in range(1, 6 // d + 1)]
+    pairs = sum(((d + 1) * (d + 2) // 2) ** c for d, c in grids)
+    expected = {name: pairs for name, _, _ in ALL_PROPERTIES}
+    expected["closure_axioms"] = sum(2 ** (d * c) + 3 ** (d * c) for d, c in grids)
+    expected["urank_additivity"] = sum((d + 1) ** (3 * c) for d, c in grids)
+    expected["column_chain_length"] = 6
     reports = run_grid_suite(max_cells=6)
-    assert [r.name for r in reports] == [name for name, _, _ in ALL_PROPERTIES]
+    assert [(r.name, r.instances) for r in reports] == list(expected.items())
     for r in reports:
-        assert r.passed, r.line()
-        assert r.instances > 0
-        assert r.counterexample is None
+        assert r.passed and r.counterexample is None, r.line()
+        assert r.line() == f"{r.name} instances={r.instances} PASS"
 
 
 def test_budget_is_enforced():
@@ -45,39 +53,6 @@ def test_properties_read_the_list_at_call_time():
         ALL_PROPERTIES[0] = (name, fn, cap)
     assert [n for n, _ in checks] == [n for n, _, _ in ALL_PROPERTIES]
     assert checks[0][1]().passed and calls == [3]
-
-
-def test_every_property_runs_to_twelve_cells():
-    # the closed forms of test_instance_counts_match_closed_forms at 12 cells
-    expected = {name: 869_516 for name, _, _ in ALL_PROPERTIES}
-    expected["closure_axioms"] = 3_908_501
-    expected["urank_additivity"] = 78_958_050_872
-    expected["column_chain_length"] = 12
-    reports = run_grid_suite(max_cells=12)
-    assert {r.name: r.instances for r in reports} == expected
-    assert all(r.passed for r in reports), [r.line() for r in reports if not r.passed]
-
-
-def test_report_lines_carry_counts():
-    reports = run_grid_suite(max_cells=4)
-    for r in reports:
-        line = r.line()
-        assert line.startswith(r.name)
-        assert f"instances={r.instances}" in line
-        assert "PASS" in line
-
-
-def test_instance_counts_match_closed_forms():
-    # a column of depth d has (d+1)(d+2)/2 nested closed (T, G) pairs and
-    # d+1 closed sets; the closure axioms visit every subset and every
-    # nested pair of subsets (3^n of them)
-    grids = [(d, c) for d in range(1, 7) for c in range(1, 6 // d + 1)]
-    pairs = sum(((d + 1) * (d + 2) // 2) ** c for d, c in grids)
-    expected = {name: pairs for name, _, _ in ALL_PROPERTIES}
-    expected["closure_axioms"] = sum(2 ** (d * c) + 3 ** (d * c) for d, c in grids)
-    expected["urank_additivity"] = sum((d + 1) ** (3 * c) for d, c in grids)
-    expected["column_chain_length"] = 6
-    assert {r.name: r.instances for r in run_grid_suite(max_cells=6)} == expected
 
 
 # (public name as gridcheck sees it, broken replacement, property that must fail)
