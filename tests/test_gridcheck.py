@@ -13,7 +13,19 @@ from deltatower import grid, gridcheck
 from deltatower.gridcheck import ALL_PROPERTIES, run_grid_suite
 
 
-def test_suite_passes_at_small_budget():
+@pytest.fixture(scope="module")
+def small_reports():
+    # one 6-cell suite run, shared by the three tests below
+    return run_grid_suite(max_cells=6)
+
+
+def test_suite_passes_at_small_budget(small_reports):
+    assert [r.name for r in small_reports] == [name for name, _, _ in ALL_PROPERTIES]
+    for r in small_reports:
+        assert r.passed and r.counterexample is None, r.line()
+
+
+def test_instance_counts_match_closed_forms(small_reports):
     # a column of depth d has (d+1)(d+2)/2 nested closed (T, G) pairs and
     # d+1 closed sets; the closure axioms visit every subset and every
     # nested pair of subsets (3^n of them)
@@ -23,10 +35,11 @@ def test_suite_passes_at_small_budget():
     expected["closure_axioms"] = sum(2 ** (d * c) + 3 ** (d * c) for d, c in grids)
     expected["urank_additivity"] = sum((d + 1) ** (3 * c) for d, c in grids)
     expected["column_chain_length"] = 6
-    reports = run_grid_suite(max_cells=6)
-    assert [(r.name, r.instances) for r in reports] == list(expected.items())
-    for r in reports:
-        assert r.passed and r.counterexample is None, r.line()
+    assert {r.name: r.instances for r in small_reports} == expected
+
+
+def test_report_lines_carry_counts(small_reports):
+    for r in small_reports:
         assert r.line() == f"{r.name} instances={r.instances} PASS"
 
 
