@@ -1,68 +1,107 @@
 """Exact rational expressions over the constant and generator symbols.
 
-An :class:`Element` is a reduced fraction of two :class:`~deltatower.polyring.Poly`
-values: numerator and denominator coprime, denominator monic in graded lex
-order, zero canonically ``0/1``.  Equality, hashing and printing all go
-through this canonical form, so two elements are equal exactly when their
-printed forms coincide.  A constant denominator is always the shared
-``polyring.ONE``: sums and products over it, and rational multiples and
-quotients, run no gcd; every other fraction is reduced through
-``polyring.cancel``.
-
-Elements double as both roles in the public API: expressions in the
-constant symbols only (``c[i][j]``, ``u[i][j]``) and full tower elements
-involving the generators ``b[i][j]``.
+An :class:`Element` is a reduced fraction num/den of two
+:class:`~deltatower.polyring.Poly` values, den monic in graded lex order,
+zero ``0/1``.  den is held as monomial * level-sum powers * residue: level
+sums (``polyring.level_sum``) are linear, so irreducible, and normal, and
+the residue is ``polyring.ONE`` on every tower path.  Operations combine
+exponents by min, max and sum and cancel a numerator by its monomial
+content, by trial division by level sums, and by a gcd only against a
+nonconstant residue.  ``Element(num, den)`` splits den once
+(``polyring.known_factors``); ``den`` is expanded on first read.  ``==``
+compares numerators and monomials, then the other parts or, where those
+differ (a split may leave a level sum in a residue), the expanded dens;
+equal elements print alike.  A rational element hashes as its
+``Fraction``, any other as (num, den).  Over the shared constant
+denominator ``polyring.ONE``, sums, products and rational multiples touch
+no part.  Elements are constant expressions (``c[i][j]``, ``u[i][j]``) or
+tower elements in the generators ``b[i][j]``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import DivisionByZero
-from .polyring import ONE, Poly, Var, cancel, printed_terms
+from .polyring import ONE, LevelSum, Monomial, Poly, Var, _check, _m_min, _monomial_content
+from .polyring import cancel, exact_div, known_factors, level_sum, m_pairs, monomial, printed_terms
+from .polyring import product
 
 _COERCIBLE = (int, Fraction)
+_NO_SUMS: Counter[LevelSum] = Counter()  # shared, so never mutated
+
+
+def _expand(mono: Monomial, sums: Counter[LevelSum], res: Poly) -> Poly:
+    return product(res.mul_term(mono, 1), *(level_sum(s) ** k for s, k in sorted(sums.items())))
 
 
 class Element:
-    """Canonical fraction num/den of multivariate polynomials over Q."""
+    """Canonical fraction num/den of multivariate polynomials over Q, with
+    den = mono * prod_S level_sum(S)^sums[S] * res."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "mono", "sums", "res", "_den", "_hash")
 
     def __init__(self, num: Poly, den: Poly = ONE):
         if den.is_zero():
             raise DivisionByZero("zero denominator")
-        if not num.is_zero() and not den.is_const():
-            _, num, den = cancel(num, den, "the gcd of numerator and denominator")
-        self._set_coprime(num, den)
+        self._set(num, *known_factors(den), what="the gcd of numerator and denominator")
 
-    def _set_coprime(self, num: Poly, den: Poly) -> None:
-        """Store coprime num/den, scaled so the denominator's leading
-        coefficient is 1 (a constant denominator becomes 1)."""
+    def _set(self, num: Poly, mono: Monomial = 0, sums: Counter[LevelSum] = _NO_SUMS,
+             res: Poly = ONE, what: str | None = None, keys=None) -> None:
+        """Store num / (mono * prod level_sum(S)^sums[S] * res) with res
+        monic.  With ``what``, num is first cancelled against the parts: its
+        monomial content, level_sum(S) for each S of ``keys`` (default all),
+        and a nonconstant res by the gcd, whose failure names ``what``."""
         if num.is_zero():
-            self.num, self.den = Poly(), ONE
-            return
-        lc = 1 if den is ONE else den.lead()[1]
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num, den = num.scale(inv), den.scale(inv)
-        self.num, self.den = num, ONE if den.is_const() else den
+            mono, sums, res = 0, _NO_SUMS, ONE
+        elif what is not None:
+            shared = _monomial_content(num.terms, mono)
+            if shared:
+                num = Poly({m - shared: c for m, c in num.terms.items()}, _trusted=True)
+                mono -= shared
+            if sums:
+                left = Counter(sums)
+                for s in sums if keys is None else keys:
+                    while left[s] and (q := exact_div(num, level_sum(s))) is not None:
+                        num, left[s] = q, left[s] - 1
+                sums = +left
+            if not res.is_const():
+                _, num, res = cancel(num, res, what)
+        if res is not ONE:
+            inv = Fraction(1) / res.lead()[1]
+            num, res = num.scale(inv), ONE if res.is_const() else res.scale(inv)
+        _check(mono)  # a product of two monomials may pass MAX_EXPONENT
+        self.num, self.mono, self.sums, self.res = num, mono, sums, res
+        self._den = ONE if not mono and not sums and res is ONE else None
 
     @classmethod
-    def _coprime(cls, num: Poly, den: Poly) -> "Element":
+    def _parts(cls, num: Poly, mono: Monomial = 0, sums: Counter[LevelSum] = _NO_SUMS,
+               res: Poly = ONE, what: str | None = None, keys=None) -> "Element":
         out = cls.__new__(cls)
-        out._set_coprime(num, den)
+        out._set(num, mono, sums, res, what, keys)
         return out
+
+    def __reduce__(self):
+        """Pickle and copy by the parts: a copy of ONE is rebuilt as ONE."""
+        return Element._parts, (self.num, self.mono, self.sums, self.res)
+
+    @property
+    def den(self) -> Poly:
+        """The expanded denominator, built on first read."""
+        if self._den is None:
+            self._den = _expand(self.mono, self.sums, self.res)
+        return self._den
 
     # --- constructors ----------------------------------------------------
 
     @classmethod
     def from_rational(cls, c) -> "Element":
-        return cls(Poly.const(Fraction(c)))
+        return cls._parts(Poly.const(Fraction(c)))
 
     @classmethod
     def from_var(cls, v: Var) -> "Element":
-        return cls(Poly.variable(v))
+        return cls._parts(Poly.variable(v))
 
     # --- predicates -------------------------------------------------------
 
@@ -70,7 +109,7 @@ class Element:
         return self.num.is_zero()
 
     def is_rational(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
+        return self._den is ONE and self.num.is_const()
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -79,7 +118,7 @@ class Element:
 
     def is_constant(self) -> bool:
         """True when no generator symbol occurs (the derivation kills it)."""
-        return not (self.num.has_generator() or self.den.has_generator())
+        return not (self.num.has_generator() or self._den is not ONE and self.den.has_generator())
 
     def variables(self) -> set[Var]:
         return self.num.variables() | self.den.variables()
@@ -96,31 +135,42 @@ class Element:
 
     def _plus(self, o: "Element", negate: bool) -> "Element":
         """self + o or self - o by Henrici's addition (Knuth, TAOCP vol. 2,
-        4.5.1): with g = gcd(d1, d2), the sum t = n1 d2/g +- n2 d1/g over
-        the lcm g (d1/g) (d2/g) can share a factor only with g."""
-        if self.den is o.den is ONE:
-            return Element._coprime(self.num - o.num if negate else self.num + o.num, ONE)
-        if self.den == o.den:
-            g, rest = self.den, ONE
-            t = self.num - o.num if negate else self.num + o.num
+        4.5.1): with g = gcd(d1, d2) part by part, t = n1 d2/g +- n2 d1/g
+        over the lcm g (d1/g) (d2/g) can share only a factor of g, and a
+        level sum only if d1 and d2 hold it to one power.  A residue may
+        hide a level sum, so then t is cancelled against all of the lcm."""
+        if self._den is o._den is ONE:
+            return Element._parts(self.num - o.num if negate else self.num + o.num)
+        mono, sums = _m_min(self.mono, o.mono), self.sums & o.sums
+        if self.res == o.res:
+            res, mine, theirs = self.res, ONE, ONE
+        elif self.res is ONE or o.res is ONE:
+            res, mine, theirs = ONE, self.res, o.res
         else:
-            g, mine, theirs = cancel(self.den, o.den, "the gcd of two denominators")
-            a, b = self.num * theirs, o.num * mine
-            t = a - b if negate else a + b
-            rest = mine * theirs
-        _, t, g = cancel(t, g, "the gcd of a sum and its denominator")
-        return Element._coprime(t, g * rest)
+            res, mine, theirs = cancel(self.res, o.res, "the gcd of two denominators")
+        a = self.num * _expand(o.mono - mono, o.sums - sums, theirs)
+        b = o.num * _expand(self.mono - mono, self.sums - sums, mine)
+        keys = [s for s in sums if self.sums[s] == o.sums[s]] if self.res is o.res is ONE else None
+        lcm = self.mono + o.mono - mono, self.sums | o.sums, product(res, mine, theirs)
+        what = "the gcd of a sum and its denominator"
+        return Element._parts(a - b if negate else a + b, *lcm, what, keys)
 
     @staticmethod
-    def _times(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> "Element":
-        """(n1 n2) / (d1 d2) for coprime n1, d1 and coprime n2, d2 by
-        Henrici's multiplication: only n1 with d2 and n2 with d1 can share
-        factors, so those two gcds replace one of the whole products."""
-        if d1 is d2 is ONE:
-            return Element._coprime(n1 * n2, ONE)
-        _, n1, d2 = cancel(n1, d2, "the gcd of a numerator and a denominator")
-        _, n2, d1 = cancel(n2, d1, "the gcd of a numerator and a denominator")
-        return Element._coprime(n1 * n2, d1 * d2)
+    def _times(x: "Element", y: "Element") -> "Element":
+        """x y by Henrici's multiplication: only the numerator of each can
+        share factors with the denominator of the other, so those two
+        cancellations replace one of the whole product.  A level sum of
+        both denominators divides neither numerator, so it is not tried."""
+        if x._den is y._den is ONE:
+            return Element._parts(x.num * y.num)
+        what = "the gcd of a numerator and a denominator"
+        a = Element._parts(x.num, y.mono, y.sums, y.res, what, [s for s in y.sums if not x.sums[s]])
+        b = Element._parts(y.num, x.mono, x.sums, x.res, what, [s for s in x.sums if not y.sums[s]])
+        return Element._parts(a.num * b.num, a.mono + b.mono, a.sums + b.sums, product(a.res, b.res))
+
+    def _reciprocal(self) -> "Element":
+        """den/num for a nonzero self, with num split into the parts."""
+        return Element._parts(self.den, *known_factors(self.num))
 
     def __add__(self, other) -> "Element":
         o = self._coerce(other)
@@ -143,16 +193,18 @@ class Element:
         return o - self
 
     def __neg__(self) -> "Element":
-        return Element._coprime(-self.num, self.den)
+        return Element._parts(-self.num, self.mono, self.sums, self.res)
 
     def __mul__(self, other) -> "Element":
         if type(other) in _COERCIBLE:
             # a nonzero rational is a unit: num stays coprime to the monic den
-            return Element._coprime(self.num.scale(other), self.den) if other else ZERO_ELEMENT
+            if not other:
+                return ZERO_ELEMENT
+            return Element._parts(self.num.scale(other), self.mono, self.sums, self.res)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Element._times(self.num, self.den, o.num, o.den)
+        return Element._times(self, o)
 
     __rmul__ = __mul__
 
@@ -162,10 +214,10 @@ class Element:
             return NotImplemented
         if o.is_zero():
             raise DivisionByZero("division by zero element")
-        if o.den is ONE and o.num.is_const():
+        if o.is_rational():
             # a nonzero rational: multiply by its reciprocal, as __mul__ does
-            return Element._coprime(self.num.scale(Fraction(1) / o.num.const_value()), self.den)
-        return Element._times(self.num, self.den, o.den, o.num)
+            return self * (Fraction(1) / o.num.const_value())
+        return Element._times(self, o._reciprocal())
 
     def __rtruediv__(self, other) -> "Element":
         o = self._coerce(other)
@@ -174,27 +226,32 @@ class Element:
         return o / self
 
     def __pow__(self, n: int) -> "Element":
-        """Powers of a coprime pair are coprime, so no gcd runs."""
+        """Powers of a coprime pair are coprime, so nothing cancels."""
         if not isinstance(n, int):
             return NotImplemented
-        if n >= 0:
-            return Element._coprime(self.num**n, self.den**n)
-        if self.is_zero():
-            raise DivisionByZero("negative power of zero")
-        return Element._coprime(self.den**-n, self.num**-n)
+        if n < 0:
+            if self.is_zero():
+                raise DivisionByZero("negative power of zero")
+            return self._reciprocal() ** -n
+        mono = monomial((v, e * n) for v, e in m_pairs(self.mono))
+        sums = Counter({s: k * n for s, k in self.sums.items() if n})
+        res = ONE if self.res is ONE or not n else self.res**n
+        return Element._parts(self.num**n, mono, sums, res)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num == o.num and (self._den is o._den is ONE or self.mono == o.mono and (
+            self.sums == o.sums and self.res == o.res or self.den == o.den))
 
     def __hash__(self) -> int:
-        """hash((num, den)), computed on the first call: elements are immutable."""
+        """hash(Fraction) of a rational element, which == equates with the
+        int or Fraction, else hash((num, den)); computed on the first call."""
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash((self.num, self.den))
+            self._hash = hash(self.num.const_value() if self.is_rational() else (self.num, self.den))
             return self._hash
 
     # --- printing ---------------------------------------------------------

@@ -27,24 +27,23 @@ registration can move shifts, so keys are compared only inside one
 ``max``, sort or ``exact_div`` call; none registers a variable, as
 products and quotients only add fields that exist.
 
-The gcd first strips the factors whose shape is known in advance: the
-monomial content and the linear level sums ``sum_j b[k][j]`` (each
-``e_k`` is one), which are irreducible, so each can be split off on its
-own.  A division by a level sum is tried only when the polynomial
-vanishes, modulo a prime, at a point where the sum does; the registry
-keeps each variable's coordinate of that point.  Only a cofactor built
-from other factors reaches the general algorithm, the recursive
+Element denominators carry their known factors, the monomial and the
+level sums ``sum_j b[k][j]`` (each ``e_k`` is one), split off once by
+``known_factors``; these are irreducible, so they cancel by exponents
+and trial ``exact_div``, with no gcd.  ``poly_gcd`` splits them off too,
+and only the cofactors reach the general algorithm, the recursive
 content/primitive-part gcd over Z with a pseudo-remainder sequence in
 the top variable.  Every result is exact.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
-from operator import lshift, or_
+from operator import lshift, mul, or_
 from struct import unpack
 from typing import Iterable
 
@@ -53,23 +52,22 @@ from .errors import BudgetExceeded
 Var = tuple[str, int, int]
 Monomial = int
 Pairs = tuple[tuple[Var, int], ...]
+LevelSum = tuple[Var, ...]
 
 ONE_MONOMIAL: Monomial = 0
 FIELD_BITS = 32  # one unsigned C int per field, so a monomial decodes in one unpack
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD = (1 << FIELD_BITS) - 1
 
-# the slot registry (per slot: variable, key shift, _may_divide coordinate,
-# printed name, place in the print order) and its masks
+# the slot registry (per slot: variable, key shift, printed name, place in
+# the print order) and its masks
 _SLOTS: dict[Var, int] = {}
 _SLOT_VARS: list[Var] = []
 _SHIFTS: list[int] = []
-_COORDS: list[int] = []
 _NAMES: list[str] = []
 _PRINT_RANKS: list[int] = []  # constants before generators, each kind by index
 _HIGH = 0  # the top bit of every field
 _GENERATORS = 0  # every field of a generator b[i][j]
-_PRIME = (1 << 61) - 1
 
 
 def var_b(level: int, index: int) -> Var:
@@ -85,23 +83,12 @@ def var_name(v: Var) -> str:
     return f"{kind}[{level}][{index}]"
 
 
-def _coordinate(v: Var) -> int:
-    """A fixed pseudo-random residue modulo _PRIME for each variable (the
-    splitmix64 finaliser of its packed indices)."""
-    kind, level, index = v
-    x = (ord(kind) << 40) ^ (level << 20) ^ index
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 % (1 << 64)
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB % (1 << 64)
-    return (x ^ (x >> 31)) % _PRIME
-
-
 def _slot(v: Var) -> int:
     global _HIGH, _GENERATORS
     s = _SLOTS.get(v)
     if s is None:
         s = _SLOTS[v] = len(_SLOT_VARS)
         _SLOT_VARS.append(v)
-        _COORDS.append(_coordinate(v))
         _NAMES.append(var_name(v))
         rank = {u: r for r, u in enumerate(sorted(_SLOT_VARS))}
         _SHIFTS[:] = [FIELD_BITS * rank[u] for u in _SLOT_VARS]
@@ -476,7 +463,7 @@ def _monomial_content(ms: Iterable[Monomial], bound: Monomial) -> Monomial:
     return shared
 
 
-def _level_sums(p: Poly) -> set[Monomial]:
+def _level_sums(p: Poly) -> set[LevelSum]:
     """Per level k, the sum of the b[k][j] occurring in p, as its tuple of
     variables (two or more).  Each is linear, hence irreducible, and it is
     e_k whenever e_k divides p, since a factor's variables all occur in p."""
@@ -487,65 +474,37 @@ def _level_sums(p: Poly) -> set[Monomial]:
     return {tuple(sorted(vs)) for vs in by_level.values() if len(vs) > 1}
 
 
-def _may_divide(s_vars: tuple[Var, ...], p: Poly) -> bool:
-    """False only when s = sum(s_vars) cannot divide p: s | p forces p to
-    vanish wherever s does, and p is nonzero modulo _PRIME at one such
-    point.  A failing exact_div stops at the first remainder term that the
-    divisor's leading monomial does not divide, so on small inputs this
-    test costs about what it saves; it pays on the heavy forced towers."""
-    if not p.variables().issuperset(s_vars):
-        return False
-    point = _COORDS.copy()
-    point[_SLOTS[s_vars[0]]] = -sum(point[_SLOTS[v]] for v in s_vars[1:]) % _PRIME
-    total = 0
-    for m, c in p.terms.items():
-        if c.denominator % _PRIME == 0:
-            return True
-        t = c.numerator if c.denominator == 1 else c.numerator * pow(c.denominator, -1, _PRIME)
-        for x, e in zip(point, _fields(m)):
-            if e:
-                t = t * pow(x, e, _PRIME) % _PRIME
-        total += t
-    return total % _PRIME == 0
+@cache
+def level_sum(s: LevelSum) -> Poly:
+    """The sum of the variables of s, built once per s."""
+    return Poly({monomial(((v, 1),)): 1 for v in s}, _trusted=True)
 
 
-def _strip(p: Poly, s: Poly, s_vars: tuple[Var, ...]) -> tuple[int, Poly]:
-    """(k, p / s^k) for the largest k with s^k | p."""
-    k = 0
-    while _may_divide(s_vars, p):
-        r = exact_div(p, s)
-        if r is None:
-            break
-        k, p = k + 1, r
-    return k, p
+def known_factors(p: Poly, keys=frozenset()) -> tuple[Monomial, Counter[LevelSum], Poly]:
+    """(m, {s: k}, r) with p = m * prod_s level_sum(s)^k * r for a nonzero
+    p: m is the monomial content, k the multiplicity of each level sum s,
+    one of p / m (see _level_sums) or of ``keys``, and r the cofactor.
+    Every factor split off is irreducible."""
+    if p.is_const():
+        return 0, Counter(), p
+    m = _monomial_content(p.terms, next(iter(p.terms)))
+    if m:
+        p = Poly({t - m: c for t, c in p.terms.items()}, _trusted=True)
+    sums: Counter[LevelSum] = Counter()
+    for s in sorted(_level_sums(p) | keys):
+        while (q := exact_div(p, level_sum(s))) is not None:
+            p, sums[s] = q, sums[s] + 1
+    return m, sums, p
 
 
-def _strip_known_factors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """(p', q', h) with h the part of gcd(p, q) made of the monomial content
-    and the level sums, and p', q' the cofactors free of those factors.
-    Every factor split off is irreducible, so gcd(p, q) = h * gcd(p', q')."""
-    pm = _monomial_content(p.terms, next(iter(p.terms)))
-    qm = _monomial_content(q.terms, next(iter(q.terms)))
-    h = Poly({_m_min(pm, qm): 1}, _trusted=True)
-    p = Poly({m - pm: c for m, c in p.terms.items()}, _trusted=True)
-    q = Poly({m - qm: c for m, c in q.terms.items()}, _trusted=True)
-    # a sum found in one argument only adds nothing to h, but splitting it
-    # off shrinks that cofactor, often to a constant, so the PRS below runs
-    # on small inputs or not at all: gcd((b11+b12)^299, (b11+b13)^299)
-    # would otherwise hand degree-299 cofactors to the PRS
-    for s_vars in sorted(_level_sums(p) | _level_sums(q)):
-        if p.is_const() or q.is_const():
-            break
-        s = Poly({monomial(((v, 1),)): 1 for v in s_vars}, _trusted=True)
-        a, p = _strip(p, s, s_vars)
-        b, q = _strip(q, s, s_vars)
-        if min(a, b):
-            h = h * s ** min(a, b)
-    return p, q, h
+def product(*ps: Poly) -> Poly:
+    """The product of ps; ``ONE`` itself when every factor is ``ONE``."""
+    return reduce(mul, [p for p in ps if p is not ONE] or [ONE])
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Primitive gcd with positive leading coefficient (1 for coprime inputs)."""
+    """Primitive gcd with positive leading coefficient (1 for coprime inputs):
+    the shared known factors times the general gcd of the cofactors."""
     if p.is_zero() and q.is_zero():
         return ZERO
     if p.is_zero():
@@ -554,7 +513,11 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return _make_primitive(p)
     if p.is_const() or q.is_const():
         return ONE
-    p, q, h = _strip_known_factors(p, q)
+    keys = _level_sums(p) | _level_sums(q)  # a sum of one may divide the other
+    pm, ps, p = known_factors(p, keys)
+    qm, qs, q = known_factors(q, keys)
+    shared = [level_sum(s) ** min(k, qs[s]) for s, k in ps.items() if qs[s]]
+    h = product(Poly({_m_min(pm, qm): 1}, _trusted=True), *shared)
     if p.is_const() or q.is_const():
         return h
     return _make_primitive(h * _prs_gcd(p, q))

@@ -61,7 +61,7 @@ def qlinear_dot(r: Sequence[int], values: Sequence[Element]) -> Element:
         if coeff:
             for m, c in value.num.terms.items():
                 acc[m] = acc.get(m, 0) + coeff * c
-    return Element._coprime(Poly(acc), ONE)
+    return Element._parts(Poly(acc))
 
 
 def linear_coefficients(x: Element) -> tuple[Fraction, dict[Var, Fraction]]:

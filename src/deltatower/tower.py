@@ -45,7 +45,8 @@ import deltatower  # annotations name deltatower.Series, which loads series only
 from .elements import Element, ONE_ELEMENT
 from .errors import BudgetExceeded, DomainViolation, LevelOutOfRange, LogOfZero, ParseError
 from .errors import NonInvertibleSeries, Record, UnknownSymbol
-from .polyring import Poly, Var, cancel, m_pairs, monomial, var_b, var_c, var_name
+from .polyring import ONE, Poly, Var, cancel, level_sum, m_pairs, monomial, product, var_b, var_c
+from .polyring import var_name
 
 
 def _primes() -> Iterator[int]:
@@ -121,7 +122,8 @@ class TowerSpec(Record):
         return self._caches[key]
 
     def prod_e_below(self, i: int) -> Element:
-        """prod_{k<i} e_k (the twist divisor of D_i); 1 for i = 1."""
+        """prod_{k<i} e_k, the twist divisor of D_i; 1 for i = 1.  As a denominator
+        it is the exponent row {e_k: 1 for k < i}, a rank-1 e_k = b[k][1] in the monomial."""
         self.check_level(i)
         key = ("prod_e", i)
         if key not in self._caches:
@@ -185,23 +187,39 @@ def _derive_poly(p: Poly, spec: TowerSpec) -> Poly:
 
 
 def derive(x: Element, spec: TowerSpec) -> Element:
-    """delta(x), extended from the generators as a derivation.
-
-    The quotient rule runs over g = gcd(f, delta f) for the denominator f:
-    delta(n/f) = (delta(n) f/g - n delta(f)/g) / (f f/g), so delta(n/h^k)
-    has denominator h^(k+1), not h^(2k)."""
+    """delta(x), extended from the generators as a derivation.  For x =
+    n / (m prod_s s^a_s) over level sums s, with S = prod_s s, it is
+    (delta(n) S - n (S delta(m)/m + sum_s a_s delta(s) S/s)) / (m prod_s s^(a_s + 1)):
+    delta(m)/m is a polynomial, as delta b = c b P_i, and each level sum is
+    normal, so its exponent rises by exactly one and only the monomial
+    content can cancel; no gcd runs.  A residue r takes the quotient rule
+    over g = gcd(r, delta r), so delta(1/h^k) has h^(k+1), not h^(2k)."""
     dnum = _derive_poly(x.num, spec)
-    if x.den.is_const():
-        return Element(dnum, x.den)
-    dden = _derive_poly(x.den, spec)
-    _, f, df = cancel(x.den, dden, "gcd(f, delta f)")
-    return Element(dnum * f - x.num * df, x.den * f)
+    if x._den is ONE:
+        return Element._parts(dnum)
+    sums = [level_sum(s) for s in x.sums]
+    dm = _derive_poly(Poly({x.mono: 1}), spec)
+    log_part = product(Poly({t - x.mono: c for t, c in dm.terms.items()}), *sums)
+    for k, (s, a) in enumerate(zip(sums, x.sums.values())):
+        log_part = log_part + product(_derive_poly(s, spec), *sums[:k], *sums[k + 1:]).scale(a)
+    s_all, res = product(*sums), x.res
+    num = dnum * s_all - x.num * log_part
+    if res is not ONE:
+        _, f, df = cancel(res, _derive_poly(res, spec), "gcd(f, delta f)")
+        num, res = num * f - x.num * s_all * df, res * f
+    up = x.sums + Counter(x.sums.keys())
+    what = "the gcd of a derivative and its denominator"
+    return Element._parts(num, x.mono, up, res, what, () if res is ONE else None)
 
 
 def d_twist(x: Element, i: int, spec: TowerSpec) -> Element:
-    """The twisted derivation D_i = delta / prod_{k<i} e_k."""
+    """The twisted derivation D_i = delta / prod_{k<i} e_k: delta(x) times
+    the reciprocal of ``prod_e_below(i)``, split once per spec and level."""
     spec.check_level(i)
-    return derive(x, spec) / spec.prod_e_below(i)
+    key = ("twist", i)
+    if key not in spec._caches:
+        spec._caches[key] = ONE_ELEMENT / spec.prod_e_below(i)
+    return derive(x, spec) * spec._caches[key]
 
 
 def logd(x: Element, i: int, spec: TowerSpec) -> Element:

@@ -1,8 +1,9 @@
 """Element arithmetic over denominator 1 skips the gcd layer: a sum, a
 difference or a product of two such elements, and a rational multiple of
 any element, must equal the fraction reduced through the full
-``polyring.cancel``, with the same printed form, and run no ``cancel``;
-every other denominator keeps the general Henrici path."""
+``polyring.cancel``, with the same printed form, and run no ``cancel``.
+So must a tower-shaped denominator, a monomial times level-sum powers;
+only a residue, any other factor, reaches ``cancel``."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -83,8 +84,9 @@ def test_denominator_one_runs_no_cancel(x, y):
 
 @examples
 @given(x=den_any, y=den_one | den_any)
-def test_a_nonconstant_denominator_keeps_the_general_path(x, y):
-    # x takes either operand's place: one denominator 1 still goes through cancel
+def test_a_tower_denominator_runs_no_cancel(x, y):
+    # a monomial times a power of e_1 is cancelled by exponents and trial
+    # division alone, with x in either operand's place
     for out, num in (
         (lambda: x + y, x.num * y.den + y.num * x.den),
         (lambda: y + x, x.num * y.den + y.num * x.den),
@@ -95,7 +97,7 @@ def test_a_nonconstant_denominator_keeps_the_general_path(x, y):
     ):
         with _counting_cancel() as calls:
             result = out()
-        assert calls != []
+        assert calls == []
         _same(result, _reference(num, x.den * y.den))
 
 
@@ -130,8 +132,13 @@ def test_division_by_a_nonzero_rational_runs_no_cancel(x, q):
         _same(out, ref)
 
 
-def test_division_by_a_symbol_keeps_the_general_path():
-    x = Element(Poly.variable(var_b(1, 1)) * Poly.variable(var_c(1, 1)))
+def test_division_by_a_residue_keeps_the_general_path():
+    b11, c11 = Element(Poly.variable(var_b(1, 1))), Element(Poly.variable(var_c(1, 1)))
+    # a symbol is a monomial: its content cancels with no gcd
     with _counting_cancel() as calls:
-        out = x / Element(Poly.variable(var_c(1, 1)))
-    assert calls != [] and out == Element(Poly.variable(var_b(1, 1)))
+        out = b11 * c11 / c11
+    assert calls == [] and out == b11
+    # c[1][1] + 1 is neither a monomial nor a level sum: a residue
+    with _counting_cancel() as calls:
+        out = b11 * (c11 + 1) / (c11 + 1)
+    assert calls != [] and out == b11

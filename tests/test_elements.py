@@ -117,7 +117,7 @@ def _from_sympy(expr, syms, sympy):
     n, d = poly(num), poly(den)
     lc = d.terms[max(d.terms, key=MONOMIAL_KEY)]
     n, d = n.scale(1 / lc), d.scale(1 / lc)
-    return format_element(Element._coprime(n, d))
+    return format_element(Element(n, d))
 
 
 def _sympy_delta(expr, syms, sympy):

@@ -1,0 +1,214 @@
+"""Factored denominators: an Element keeps its denominator as a monomial,
+level-sum powers and a residue.  Every operation must give the literal
+fraction reduced through ``polyring.cancel`` (and sympy's ``cancel``),
+with the same printed form; a rational element hashes as its Fraction;
+and ``tower build --check`` on the budget U-types runs no gcd."""
+
+import contextlib
+import io
+from fractions import Fraction
+from itertools import product
+from types import SimpleNamespace
+
+import pytest
+
+from deltatower import cli, polyring
+from deltatower.elements import ONE_ELEMENT, Element, format_element
+from deltatower.polyring import ONE, Poly, cancel, level_sum, m_pairs, monomial, var_b, var_c
+from deltatower.tower import _derive_poly, build_spec, d_twist, derive
+
+
+def P(v):
+    return Poly.variable(v)
+
+
+def _reference(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den reduced by the gcd and scaled so that den is monic."""
+    _, num, den = cancel(num, den, "the reference fraction")
+    inv = Fraction(1) / den.lead()[1]
+    return num.scale(inv), den.scale(inv)
+
+
+def _agrees(ours: Element, num: Poly, den: Poly) -> None:
+    n, d = _reference(num, den)
+    assert ours.num == n and ours.den == d
+    assert str(ours) == format_element(SimpleNamespace(num=n, den=d))
+    assert (repr(ours.num), repr(ours.den)) == (repr(n), repr(d))
+    # the same fraction split from its expanded denominator
+    raw = Element(ours.num, ours.den)
+    assert raw == ours and hash(raw) == hash(ours) and str(raw) == str(ours)
+    if ours.den.is_const():
+        assert ours.den is ONE
+
+
+# --- the hash / eq contract ----------------------------------------------
+
+
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)])
+def test_a_rational_element_hashes_as_its_fraction(value):
+    x = Element.from_rational(value)
+    assert x == value and hash(x) == hash(value) and len({value, x}) == 1
+    assert len({1, ONE_ELEMENT}) == 1 and {Fraction(1): "one"}[ONE_ELEMENT] == "one"
+
+
+def test_a_generator_element_hashes_as_its_pair():
+    b = Element.from_var(var_b(1, 1))
+    e = P(var_b(1, 1)) + P(var_b(1, 2))
+    twin = Element(b.num * e, e)
+    assert twin == b and hash(twin) == hash(b) == hash((b.num, ONE))
+    assert b != 1 and len({b, twin, 1}) == 2
+
+
+# --- the three parts on the edge cases -------------------------------------
+
+B11, B12, B13 = (P(var_b(1, j)) for j in (1, 2, 3))
+C11, C12 = P(var_c(1, 1)), P(var_c(1, 2))
+E1 = B11 + B12 + B13
+
+
+def test_a_rank_one_level_sum_sits_in_the_monomial():
+    spec = build_spec((1, 2, 3))
+    twist = 1 / spec.prod_e_below(3)  # 1 / (b[1][1] (b[2][1] + b[2][2]))
+    assert m_pairs(twist.mono) == ((var_b(1, 1), 1),)
+    assert dict(twist.sums) == {(var_b(2, 1), var_b(2, 2)): 1} and twist.res is ONE
+    raw = Element(Poly.const(1), spec.prod_e_below(3).num)
+    assert (raw.mono, raw.sums, raw.res) == (twist.mono, twist.sums, twist.res)
+    x = Element(B11 * P(var_c(2, 1)))
+    _agrees(d_twist(x, 3, spec), _derive_poly(x.num, spec), spec.prod_e_below(3).num)
+
+
+def test_a_partial_level_sum_is_equal_to_its_expansion():
+    # 1/((b11+b12)^2 e_1): the raw split keeps (b11+b12)^2 in the residue,
+    # the quotient holds it as a level sum of its own
+    half = B11 + B12
+    raw = Element(Poly.const(1), half**2 * E1)
+    quotient = ONE_ELEMENT / Element(half**2) / Element(E1)
+    assert raw.res == half**2 and dict(quotient.sums) == {(var_b(1, 1), var_b(1, 2)): 2,
+                                                          (var_b(1, 1), var_b(1, 2), var_b(1, 3)): 1}
+    assert quotient == raw and hash(quotient) == hash(raw) and str(quotient) == str(raw)
+    _agrees(quotient * Element(half), half, half**2 * E1)
+    _agrees(raw + quotient, Poly.const(2), half**2 * E1)
+
+
+@pytest.mark.parametrize(
+    "residue", [B11 - B12, C11 - C12, B11 + Poly.const(2), C11 * B11 - B12], ids=str
+)
+@pytest.mark.parametrize("lead", [1, -1, Fraction(2, 3), Fraction(-5, 2)])
+def test_residues_and_leading_coefficients(residue, lead):
+    spec = build_spec((3,))
+    den = residue * B11 * E1 * Poly.const(lead)
+    num = C11 * B12 + B13
+    x = Element(num, den)
+    _agrees(x, num, den)
+    _agrees(derive(x, spec), _derive_poly(num, spec) * den - num * _derive_poly(den, spec), den * den)
+    _agrees(x * Element(residue), num * residue, den)
+    _agrees(x + Element(Poly.const(1), residue), num * residue + den, den * residue)
+
+
+# --- random elements against the literal fraction and sympy ----------------
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+TOWERS = [(2, 2), (3,), (1, 1, 1), (1, 2, 3)]
+LEADS = [1, -1, Fraction(2, 3), Fraction(-5, 2)]
+rationals = st.integers(-4, 4) | st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def _poly(draw, variables, max_terms=3):
+    terms = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(variables), max_size=2), rationals),
+        min_size=1, max_size=max_terms,
+    ))
+    p = Poly({monomial((v, 1) for v in vs): c for vs, c in terms})
+    return p or Poly.const(1)
+
+
+@st.composite
+def _denominator(draw, ranks):
+    """A tower-shaped denominator: a generator monomial, level sums full and
+    partial, sometimes a residue, and a leading coefficient."""
+    den = Poly.const(draw(st.sampled_from(LEADS)))
+    gens = [var_b(i, j) for i, n in enumerate(ranks, 1) for j in range(1, n + 1)]
+    for v in draw(st.lists(st.sampled_from(gens), max_size=2)):
+        den = den * P(v)
+    for i, n in enumerate(ranks, 1):
+        level = [var_b(i, j) for j in range(1, n + 1)]
+        den = den * level_sum(tuple(level)) ** draw(st.integers(0, 2 if n > 1 else 1))
+        if n > 2 and draw(st.booleans()):
+            den = den * level_sum(tuple(level[:2]))
+    residues = [ONE, P(gens[0]) - P(gens[-1]), P(var_c(1, 1)) - P(var_c(len(ranks), 1)).scale(2)]
+    return den * draw(st.sampled_from(residues))
+
+
+@st.composite
+def _case(draw):
+    ranks = draw(st.sampled_from(TOWERS))
+    spec = build_spec(ranks)
+    variables = [v for i, n in enumerate(ranks, 1) for j in range(1, n + 1)
+                 for v in (var_b(i, j), var_c(i, j))]
+    x, y = (Element(draw(_poly(variables)), draw(_denominator(ranks))) for _ in range(2))
+    return spec, x, y, draw(st.integers(-2, 3)), draw(st.integers(1, len(ranks)))
+
+
+def _literal_cases(spec, x, y, k, level):
+    """(ours, literal numerator, literal denominator) for each operation."""
+    xn, xd, yn, yd = x.num, x.den, y.num, y.den
+    dn, dd = _derive_poly(xn, spec), _derive_poly(xd, spec)
+    cases = [
+        (x + y, xn * yd + yn * xd, xd * yd),
+        (x - y, xn * yd - yn * xd, xd * yd),
+        (x * y, xn * yn, xd * yd),
+        (x / y, xn * yd, xd * yn),
+        (derive(x, spec), dn * xd - xn * dd, xd * xd),
+        (d_twist(x, level, spec), dn * xd - xn * dd, xd * xd * spec.prod_e_below(level).num),
+    ]
+    cases.append((x**k, xn**k, xd**k) if k >= 0 else (x**k, xd**-k, xn**-k))
+    return cases
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(case=_case())
+def test_every_operation_is_the_literal_fraction_reduced_by_the_gcd(case):
+    for ours, num, den in _literal_cases(*case):
+        _agrees(ours, num, den)
+
+
+def _sympy(p, sympy):
+    total = sympy.Integer(0)
+    for m, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for (kind, i, j), e in m_pairs(m):
+            term *= sympy.Symbol(f"{kind}{i}{j}") ** e
+        total += term
+    return total
+
+
+@settings(max_examples=5, deadline=None, database=None, derandomize=True)
+@given(case=_case())
+def test_every_operation_agrees_with_sympy_cancel(case):
+    sympy = pytest.importorskip("sympy")
+    for ours, num, den in _literal_cases(*case):
+        p, q = sympy.fraction(sympy.cancel(_sympy(num, sympy) / _sympy(den, sympy)))
+        # reduced alike: the denominators are associates, the values equal
+        ratio = sympy.cancel(_sympy(ours.den, sympy) / q)
+        assert ratio.is_Rational and ratio != 0
+        assert sympy.expand(_sympy(ours.num, sympy) * q - p * _sympy(ours.den, sympy)) == 0
+
+
+# --- the tower path runs no gcd ----------------------------------------------
+
+BUDGET_UTYPES = [",".join(map(str, u)) for n in (1, 2, 3) for u in product((1, 2, 3), repeat=n)]
+
+
+def test_tower_build_check_runs_no_gcd(monkeypatch):
+    calls = []
+    real = polyring.poly_gcd
+    monkeypatch.setattr(polyring, "poly_gcd", lambda p, q: calls.append(p) or real(p, q))
+    for utype in BUDGET_UTYPES:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["tower", "build", "--utype", utype, "--check"]) == 0, utype
+        assert out.getvalue().endswith("RESULT PASS\n")
+    assert len(BUDGET_UTYPES) == 39 and calls == []

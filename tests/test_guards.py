@@ -62,7 +62,9 @@ def test_element_product_guards_the_cross_gcds(monkeypatch):
 
 
 def test_derive_guards_the_quotient_rule_gcd(monkeypatch):
-    x = Element(Poly.const(1), B11 + B12)
+    # b[1][1] + 2 is a residue, so the quotient rule runs over gcd(f, delta f);
+    # a level sum's derivative runs no gcd
+    x = Element(Poly.const(1), B11 + Poly.const(2))
     monkeypatch.setattr(polyring, "poly_gcd", _no_divisor)
     with pytest.raises(RuntimeError, match=r"gcd\(f, delta f\)"):
         tower.derive(x, SPEC)
