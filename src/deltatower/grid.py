@@ -263,9 +263,11 @@ def is_minimal(a: Analysis) -> bool:
 
 
 def is_canonical(a: Analysis) -> bool:
-    """Minimal and stepwise interalgebraic with every other minimal analysis."""
+    """Minimal and stepwise interalgebraic with every other minimal analysis,
+    in one search: a.steps is the only analysis of at most a.length steps,
+    as a shorter one would be another."""
     chains = height_chains(a.base, a.target, max_length=a.length)
-    return is_minimal(a) and all(tuple(other) == a.steps for other in chains)
+    return all(tuple(other) == a.steps for other in chains)
 
 
 # --- prescribed-U-type constructions ---------------------------------------

@@ -30,16 +30,19 @@ below:
   per step.  They search analyses with ``grid.height_chains``, whose
   step rule says which analyses it grows.  On every pair the public
   analysis functions, given the pair as cell sets, must return exactly
-  those chains over that pair, and the public predicates must agree.
+  those chains over that pair, and the public predicates must agree
+  (``is_canonical`` on every pair whose two U-types agree).
 
 ``_check`` is the only code that builds a ``PropertyReport``; the caller
-times it.  The chain properties are per-pair functions run by
-``_check_pairs`` over ``_pairs_closed`` of each bare ``GridModel``: they
-read height vectors only, so only layers 0 and 1 build the closure table
-of a ``_Grid``.  ``_check_pairs`` owns the orbit weights and the
-``grid DxC: ..., T=... G=...`` counterexample, shown in its
-representative's column order.  ``properties`` is the one budget-checked
-list of checks that ``run_grid_suite`` and the CLI run.
+times it.  The seven pair properties of layers 1 and 2 are per-pair
+functions run by ``_check_pairs`` over ``_pairs_closed`` of the grids it
+is given: layer 1 reads the closed masks of each ``_Grid``, and the chain
+properties read height vectors only, so they take each bare
+``GridModel`` and build no closure table.  ``_check_pairs`` owns the
+orbit weights and every pair counterexample, ``grid DxC: ..., T=(...)
+G=(...)`` in heights, in its representative's column order.
+``properties`` is the one budget-checked list of checks that
+``run_grid_suite`` and the CLI run.
 
 Cells are packed column-major: cell (i, j) is bit (j-1)*depth + (i-1).
 Closed sets are exactly the masks whose columns are downward intervals.
@@ -75,6 +78,7 @@ from .grid import (
     height_chains,
     heights,
     internal,
+    is_canonical,
     is_incompressible,
     is_minimal,
     reduction,
@@ -176,18 +180,6 @@ def _pairs_closed(gr: GridModel | _Grid):
         yield t_h, g_h, weight
 
 
-def _mask_pairs(gr: _Grid):
-    """(T, G, their masks, closed masks inside G, weight) per _pairs_closed pair."""
-    for t_h, g_h, weight in _pairs_closed(gr):
-        g_mask = gr.mask_of_heights(g_h)
-        inside = gr.closed_array[(gr.closed_array & ~g_mask) == 0]
-        yield t_h, g_h, gr.mask_of_heights(t_h), g_mask, inside, weight
-
-
-def _counterexample(gr: GridModel | _Grid, reason: str, t, g) -> str:
-    return f"grid {gr.depth}x{gr.columns}: {reason}, T={t} G={g}"
-
-
 def _check(name, gen):
     """Build a property's report.  gen yields None for an instance that
     holds, an int for a batch of that many instances that hold, or a
@@ -206,15 +198,17 @@ def _check(name, gen):
     return PropertyReport(name, count, counterexample is None, counterexample)
 
 
-def _check_pairs(name, max_cells, per_pair):
+def _check_pairs(name, grids, per_pair):
     """Run per_pair(g, t_h, g_h), which returns None or a reason, on the
-    closed height pairs of every grid g; a pair that holds counts its orbit."""
+    closed height pairs of every grid g in grids (``_models`` or
+    ``_grids``); a pair that holds counts its orbit."""
 
     def gen():
-        for g in _models(max_cells):
+        for g in grids:
+            where = f"grid {g.depth}x{g.columns}"
             for t_h, g_h, weight in _pairs_closed(g):
                 reason = per_pair(g, t_h, g_h)
-                yield weight if reason is None else _counterexample(g, reason, t_h, g_h)
+                yield weight if reason is None else f"{where}: {reason}, T={t_h} G={g_h}"
 
     return _check(name, gen())
 
@@ -324,57 +318,49 @@ def check_urank_additivity(max_cells: int) -> PropertyReport:
 
 
 def check_reduction_maximality(max_cells: int) -> PropertyReport:
-    def gen():
-        for gr in _grids(max_cells):
-            for t_h, g_h, t_mask, g_mask, inside, weight in _mask_pairs(gr):
-                T, G = gr.to_set(t_mask), gr.to_set(g_mask)
-                red = reduction(G, T, gr.g)
-                red_mask = sum(1 << ((j - 1) * gr.depth + i - 1) for i, j in red)
-                # brute force: internal closed subsets of G over T
-                allowed = t_mask | ((t_mask << 1) & gr.cells_mask) | gr.row1_mask
-                candidates = inside[((inside | t_mask) & ~allowed) == 0]
-                # ties the one-step-up column rule used by the chain
-                # properties to the public reduction, on every pair
-                formula = _step(_red_column, t_h, g_h)
-                if not internal(red, T, gr.g):
-                    reason = "reduction not internal"
-                elif np.any(candidates & ~red_mask):
-                    reason = "an internal subset escapes the reduction"
-                elif red_mask not in candidates:
-                    reason = "the reduction is not itself an internal closed subset"
-                elif red_mask != gr.mask_of_heights(formula):
-                    reason = "reduction disagrees with the height map"
-                else:
-                    reason = None
-                yield weight if reason is None else _counterexample(gr, reason, sorted(T), sorted(G))
+    def per_pair(gr, t_h, g_h):
+        t_mask, g_mask = gr.mask_of_heights(t_h), gr.mask_of_heights(g_h)
+        T, G = gr.to_set(t_mask), gr.to_set(g_mask)
+        red = reduction(G, T, gr.g)
+        red_mask = sum(1 << ((j - 1) * gr.depth + i - 1) for i, j in red)
+        # brute force: internal closed subsets of G over T
+        inside = gr.closed_array[(gr.closed_array & ~g_mask) == 0]
+        allowed = t_mask | ((t_mask << 1) & gr.cells_mask) | gr.row1_mask
+        candidates = inside[((inside | t_mask) & ~allowed) == 0]
+        if not internal(red, T, gr.g):
+            return "reduction not internal"
+        if np.any(candidates & ~red_mask):
+            return "an internal subset escapes the reduction"
+        if red_mask not in candidates:
+            return "the reduction is not itself an internal closed subset"
+        # ties the one-step-up column rule used by the chain properties to
+        # the public reduction, on every pair
+        if red_mask != gr.mask_of_heights(_step(_red_column, t_h, g_h)):
+            return "reduction disagrees with the height map"
+        return None
 
-    return _check("reduction_maximality", gen())
+    return _check_pairs("reduction_maximality", _grids(max_cells), per_pair)
 
 
 def check_coreduction_uniqueness(max_cells: int) -> PropertyReport:
-    def gen():
-        for gr in _grids(max_cells):
-            for t_h, g_h, t_mask, g_mask, inside, weight in _mask_pairs(gr):
-                tx = inside | t_mask
-                allowed = tx | ((tx << 1) & gr.cells_mask) | gr.row1_mask
-                witnesses = inside[(g_mask & ~allowed) == 0]
-                least = int(np.bitwise_and.reduce(witnesses))
-                # ties the one-step-down column rule used by the chain
-                # properties to the least witness, on every pair
-                formula = _step(_cored_column, t_h, g_h)
-                if least not in witnesses:
-                    reason = "minimal witnesses disagree"
-                elif (t_mask | least) != gr.mask_of_heights(formula):
-                    reason = "least witness disagrees with the height map"
-                elif coreduction(gr.to_set(g_mask), gr.to_set(t_mask), gr.g) != gr.to_set(least):
-                    reason = "coreduction disagrees with brute force"
-                else:
-                    reason = None
-                yield weight if reason is None else _counterexample(
-                    gr, reason, sorted(gr.to_set(t_mask)), sorted(gr.to_set(g_mask))
-                )
+    def per_pair(gr, t_h, g_h):
+        t_mask, g_mask = gr.mask_of_heights(t_h), gr.mask_of_heights(g_h)
+        inside = gr.closed_array[(gr.closed_array & ~g_mask) == 0]
+        tx = inside | t_mask
+        allowed = tx | ((tx << 1) & gr.cells_mask) | gr.row1_mask
+        witnesses = inside[(g_mask & ~allowed) == 0]
+        least = int(np.bitwise_and.reduce(witnesses))
+        if least not in witnesses:
+            return "minimal witnesses disagree"
+        # ties the one-step-down column rule used by the chain properties
+        # to the least witness, on every pair
+        if (t_mask | least) != gr.mask_of_heights(_step(_cored_column, t_h, g_h)):
+            return "least witness disagrees with the height map"
+        if coreduction(gr.to_set(g_mask), gr.to_set(t_mask), gr.g) != gr.to_set(least):
+            return "coreduction disagrees with brute force"
+        return None
 
-    return _check("coreduction_uniqueness", gen())
+    return _check_pairs("coreduction_uniqueness", _grids(max_cells), per_pair)
 
 
 def check_analyses_minimal(max_cells: int) -> PropertyReport:
@@ -401,24 +387,25 @@ def check_analyses_minimal(max_cells: int) -> PropertyReport:
             return "public is_minimal disagrees"
         return None
 
-    return _check_pairs("analyses_minimal", max_cells, per_pair)
+    return _check_pairs("analyses_minimal", _models(max_cells), per_pair)
 
 
 def check_equal_utype_canonical(max_cells: int) -> PropertyReport:
+    """Where the analyses by reductions and by coreductions have one U-type,
+    they are one analysis, and the public ``is_canonical`` holds of it."""
+
     def per_pair(g, t_h, g_h):
         red_chain = _red_chain(t_h, g_h)
         cored_chain = _cored_chain(t_h, g_h)
         if _utype(red_chain, t_h) != _utype(cored_chain, t_h):
             return None
-        # the red chain is minimal (analyses_minimal), so no shorter chain exists
-        for other in height_chains(t_h, g_h, max_length=len(red_chain)):
-            if other != red_chain:
-                return f"equal U-types but the minimal analysis {other} deviates"
+        if not is_canonical(Analysis(g, t_h, g_h, tuple(red_chain))):
+            return "equal U-types but the analysis by reductions is not canonical"
         if cored_chain != red_chain:
             return "analyses disagree stepwise"
         return None
 
-    return _check_pairs("equal_utype_canonical", max_cells, per_pair)
+    return _check_pairs("equal_utype_canonical", _models(max_cells), per_pair)
 
 
 def check_incompressible_ones_minimal(max_cells: int) -> PropertyReport:
@@ -439,7 +426,7 @@ def check_incompressible_ones_minimal(max_cells: int) -> PropertyReport:
                 return f"public predicates disagree on {seq}"
         return None
 
-    return _check_pairs("incompressible_ones_minimal", max_cells, per_pair)
+    return _check_pairs("incompressible_ones_minimal", _models(max_cells), per_pair)
 
 
 def check_local_criterion(max_cells: int, direction: str) -> PropertyReport:
@@ -475,7 +462,7 @@ def check_local_criterion(max_cells: int, direction: str) -> PropertyReport:
             return f"the locally-by-{direction} analyses {found} are not exactly [{official}]"
         return None
 
-    return _check_pairs(f"local_criterion_{direction}", max_cells, per_pair)
+    return _check_pairs(f"local_criterion_{direction}", _models(max_cells), per_pair)
 
 
 def check_column_chain_length(max_cells: int) -> PropertyReport:

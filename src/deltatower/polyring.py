@@ -401,10 +401,10 @@ def exact_quotient(p: Poly, q: Poly, what: str) -> Poly:
 
 
 def cancel(p: Poly, q: Poly, what: str) -> tuple[Poly, Poly, Poly]:
-    """(g, p/g, q/g) for g = gcd(p, q): the one rule that reduces a fraction.
-    Both divisions are skipped when g is constant (1 for coprime inputs);
-    a division that the gcd makes exact but that leaves a remainder raises
-    the RuntimeError of ``exact_quotient``, naming ``what``."""
+    """(g, p/g, q/g) for g = gcd(p, q), which reduces residues only: level sums
+    cancel by exponents and trial division.  Both divisions are skipped when
+    g is constant (1 for coprime inputs); one the gcd makes exact but that
+    leaves a remainder raises ``exact_quotient``'s RuntimeError, naming ``what``."""
     g = poly_gcd(p, q)
     if g.is_const():
         return g, p, q

@@ -176,14 +176,14 @@ def _derive_poly(p: Poly, spec: TowerSpec) -> Poly:
     Two (m, v) can land on one monomial (b1*b2*c2 from v = b1, b1*b2*c1
     from v = b2): coefficients add up, and Poly drops a zero sum."""
     euler: dict[int, Counter] = defaultdict(Counter)  # i -> E_i(p), monomial -> coefficient
+    c_of: dict[tuple[int, int], int] = {}  # (i, j) -> the monomial c[i][j], built once per call
     for m, coeff in p.terms.items():
         for (kind, i, j), e in m_pairs(m):
             if kind == "b":
-                euler[i][m + monomial(((("c", i, j), 1),))] += e * coeff
-    out = Poly()
-    for i in sorted(euler):
-        out = out + Poly(euler[i]) * spec.prod_e_below(i).num
-    return out
+                if (i, j) not in c_of:
+                    c_of[i, j] = monomial(((var_c(i, j), 1),))
+                euler[i][m + c_of[i, j]] += e * coeff
+    return sum((Poly(euler[i]) * spec.prod_e_below(i).num for i in sorted(euler)), Poly())
 
 
 def derive(x: Element, spec: TowerSpec) -> Element:

@@ -21,8 +21,8 @@ from deltatower import (
     reduction,
     urank,
 )
-from deltatower.grid import _cored_chain, height_chains
-from deltatower.gridcheck import _shortest_chain_length
+from deltatower.grid import _cored_chain, from_heights, height_chains
+from deltatower.gridcheck import _models, _pairs_closed, _shortest_chain_length
 
 G22 = GridModel(2, 2)
 EMPTY = frozenset()
@@ -162,6 +162,26 @@ class TestAnalyses:
         assert a.utype() == (1, 2, 1)
         assert is_incompressible(a)
         assert not is_minimal(a)
+        assert not is_canonical(a)
+
+    def test_is_canonical_matches_the_two_search_definition(self):
+        # one closed pair per column orbit of every grid with at most 7
+        # cells; the reference is the literal definition, minimal (no
+        # shorter analysis) and equal to every analysis of its length
+        def reference(a):
+            chains = height_chains(a.base, a.target, max_length=a.length)
+            return is_minimal(a) and all(tuple(other) == a.steps for other in chains)
+
+        for g in _models(7):
+            for t_h, g_h, _ in _pairs_closed(g):
+                T, G = from_heights(t_h, g), from_heights(g_h, g)
+                ar = analysis_by_reductions(G, T, g)
+                ac = analysis_by_coreductions(G, T, g)
+                for a in (ar, ac):
+                    assert is_canonical(a) == reference(a), (g, a.steps)
+                # the converse of equal_utype_canonical in grid verify
+                canonical = ar.utype() == ac.utype()
+                assert is_canonical(ar) == is_canonical(ac) == canonical, (g, t_h, g_h)
 
     def test_height_chains_match_literal_enumeration(self):
         # every strictly increasing sequence of height vectors from T to G,
