@@ -28,10 +28,14 @@ below:
   layer-1-verified column rules (``grid._red_chain``,
   ``grid._cored_chain``).  An analysis is a chain of height vectors, one
   per step.  They search analyses with ``grid.height_chains``, whose
-  step rule says which analyses it grows.  On every pair the public
-  analysis functions, given the pair as cell sets, must return exactly
-  those chains over that pair, and the public predicates must agree
-  (``is_canonical`` on every pair whose two U-types agree).
+  step rule says which analyses it grows.  The minimal length is the
+  closed form max_j (g_j - t_j), checked against the public
+  ``is_minimal`` search on every pair: a step raises a column by at most
+  one row, and the analysis by reductions raises every unfinished column.
+  On every pair the public analysis functions, given the pair as cell
+  sets, must return exactly those chains over that pair, and the public
+  predicates must agree (``is_canonical`` on every pair whose two U-types
+  agree).
 
 ``_check`` is the only code that builds a ``PropertyReport``; the caller
 times it.  The seven pair properties of layers 1 and 2 are per-pair
@@ -55,6 +59,7 @@ from collections.abc import Callable
 from functools import partial
 from itertools import combinations_with_replacement, product
 from math import factorial
+from operator import sub
 
 import numpy as np
 
@@ -216,13 +221,6 @@ def _check_pairs(name, grids, per_pair):
 # --- analysis search ---------------------------------------------------------
 
 
-def _shortest_chain_length(t_h, g_h) -> int:
-    for k in range(sum(g_h) - sum(t_h) + 1):
-        if next(height_chains(t_h, g_h, max_length=k), None) is not None:
-            return k
-    raise RuntimeError("no analysis found, though one of length <= total rank exists")
-
-
 def _column_rule_steps(column, before, last, target_h):
     """Next steps after ``last`` that raise each column by at most one and
     meet column(before_j, next_j) == last_j in every column j, so that
@@ -367,7 +365,7 @@ def check_analyses_minimal(max_cells: int) -> PropertyReport:
     def per_pair(g, t_h, g_h):
         red_chain = _red_chain(t_h, g_h)
         cored_chain = _cored_chain(t_h, g_h)
-        shortest = _shortest_chain_length(t_h, g_h)
+        shortest = max(map(sub, g_h, t_h))
         for label, chain in (("reductions", red_chain), ("coreductions", cored_chain)):
             if any(u < 1 for u in _utype(chain, t_h)):
                 return f"degenerate {label} step"
@@ -412,7 +410,7 @@ def check_incompressible_ones_minimal(max_cells: int) -> PropertyReport:
     def per_pair(g, t_h, g_h):
         if t_h == g_h:
             return None
-        shortest = _shortest_chain_length(t_h, g_h)
+        shortest = max(map(sub, g_h, t_h))
         rank = sum(g_h) - sum(t_h)
         for seq in height_chains(t_h, g_h, max_length=rank, steps=_single_cell_steps):
             if len(seq) != shortest:
@@ -469,10 +467,6 @@ def check_column_chain_length(max_cells: int) -> PropertyReport:
     def gen():
         for depth in range(1, max_cells + 1):
             g = GridModel(depth, 1)
-            shortest = _shortest_chain_length((0,), (depth,))
-            if shortest != depth:
-                yield f"column of depth {depth}: minimal analysis length {shortest}"
-                return
             a = analysis_by_reductions(frozenset({(depth, 1)}), frozenset(), g)
             if a.length != depth or not is_minimal(a):
                 yield f"column of depth {depth}: public analysis has length {a.length}"

@@ -7,15 +7,16 @@ so the constants form the field Q(c[1][1], ..., c[l][n_l]), with any
 adjoined u[i][j]; a constant is an Element with no generator in it.  The
 derivation acts by
 
-    delta b[i][j] = c[i][j] * b[i][j] * prod_{k<i} e_k,    e_k = sum_j b[k][j],
+    delta b[i][j] = c[i][j] * b[i][j] * P_i,    P_i = prod_{k<i} e_k,    e_k = sum_j b[k][j],
 
 extended to the whole rational-function field by linearity, Leibniz and
 the quotient rule.  On polynomials that is delta = sum_i P_i * E_i, where
-P_i = prod_{k<i} e_k and E_i = sum_{v at level i} c_v x_v d/dx_v is the
-Euler operator of level i, which maps term by term.  The twisted
-derivation D_i divides delta by P_i, so the level-i generators are
-D_i-eigenvectors with eigenvalue c[i][j].  The logarithmic derivative
-with respect to D_i is D_i(x)/x.
+E_i = sum_{v at level i} c_v x_v d/dx_v is the Euler operator of level i,
+which maps term by term.  The twisted derivation D_i = delta / P_i
+multiplies by the twist 1/P_i, built from its factored parts
+(``TowerSpec.twist``), so the level-i generators are D_i-eigenvectors
+with eigenvalue c[i][j].  The logarithmic derivative with respect to D_i
+is D_i(x)/x.
 
 A :class:`SeriesContext` interprets the same data numerically: delta
 becomes d/dt, level-1 generators become truncated exponentials and higher
@@ -42,11 +43,11 @@ from itertools import count, islice, takewhile
 from math import log10
 
 import deltatower  # annotations name deltatower.Series, which loads series only when resolved
-from .elements import Element, ONE_ELEMENT
+from .elements import Element
 from .errors import BudgetExceeded, DomainViolation, LevelOutOfRange, LogOfZero, ParseError
 from .errors import NonInvertibleSeries, Record, UnknownSymbol
-from .polyring import ONE, Poly, Var, cancel, level_sum, m_pairs, monomial, product, var_b, var_c
-from .polyring import var_name
+from .polyring import ONE, LevelSum, Poly, Var, cancel, level_sum, m_pairs, monomial, product
+from .polyring import var_b, var_c, var_name
 
 
 def _primes() -> Iterator[int]:
@@ -56,6 +57,11 @@ def _primes() -> Iterator[int]:
         if all(k % p for p in takewhile(lambda p: p * p <= k, primes)):
             primes.append(k)
             yield k
+
+
+def _level_key(k: int, n: int) -> LevelSum:
+    """(b[k][1], ..., b[k][n]): e_k as a ``polyring.level_sum`` key."""
+    return tuple(var_b(k, j) for j in range(1, n + 1))
 
 
 class TowerSpec(Record):
@@ -112,25 +118,19 @@ class TowerSpec(Record):
 
     def e(self, i: int) -> Element:
         """The level-i solution e_i = sum_j b[i][j]."""
-        self.check_level(i)
-        key = ("e", i)
-        if key not in self._caches:
-            total = Poly()
-            for j in range(1, self.ranks[i - 1] + 1):
-                total = total + Poly.variable(var_b(i, j))
-            self._caches[key] = Element(total)
-        return self._caches[key]
+        return Element._parts(level_sum(_level_key(i, self.rank(i))))
 
-    def prod_e_below(self, i: int) -> Element:
-        """prod_{k<i} e_k, the twist divisor of D_i; 1 for i = 1.  As a denominator
-        it is the exponent row {e_k: 1 for k < i}, a rank-1 e_k = b[k][1] in the monomial."""
+    def twist(self, i: int) -> Element:
+        """1/P_i = 1 / prod_{k<i} e_k, so D_i = delta * twist(i); 1 for i = 1.
+        Built from its parts once per level, with no product split: a rank-1
+        e_k = b[k][1] goes into the monomial, any other e_k is a level sum."""
         self.check_level(i)
-        key = ("prod_e", i)
+        key = ("twist", i)
         if key not in self._caches:
-            out = ONE_ELEMENT
-            for k in range(1, i):
-                out = out * self.e(k)
-            self._caches[key] = out
+            below = list(enumerate(self.ranks[: i - 1], 1))
+            mono = monomial((var_b(k, 1), 1) for k, n in below if n == 1)
+            sums = Counter({_level_key(k, n): 1 for k, n in below if n > 1})
+            self._caches[key] = Element._parts(ONE, mono, sums)
         return self._caches[key]
 
     # --- serialization ----------------------------------------------------
@@ -183,7 +183,7 @@ def _derive_poly(p: Poly, spec: TowerSpec) -> Poly:
                 if (i, j) not in c_of:
                     c_of[i, j] = monomial(((var_c(i, j), 1),))
                 euler[i][m + c_of[i, j]] += e * coeff
-    return sum((Poly(euler[i]) * spec.prod_e_below(i).num for i in sorted(euler)), Poly())
+    return sum((Poly(euler[i]) * spec.twist(i).den for i in sorted(euler)), Poly())
 
 
 def derive(x: Element, spec: TowerSpec) -> Element:
@@ -213,13 +213,9 @@ def derive(x: Element, spec: TowerSpec) -> Element:
 
 
 def d_twist(x: Element, i: int, spec: TowerSpec) -> Element:
-    """The twisted derivation D_i = delta / prod_{k<i} e_k: delta(x) times
-    the reciprocal of ``prod_e_below(i)``, split once per spec and level."""
+    """The twisted derivation D_i = delta / prod_{k<i} e_k."""
     spec.check_level(i)
-    key = ("twist", i)
-    if key not in spec._caches:
-        spec._caches[key] = ONE_ELEMENT / spec.prod_e_below(i)
-    return derive(x, spec) * spec._caches[key]
+    return derive(x, spec) * spec.twist(i)
 
 
 def logd(x: Element, i: int, spec: TowerSpec) -> Element:

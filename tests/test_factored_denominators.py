@@ -2,7 +2,11 @@
 level-sum powers and a residue.  Every operation must give the literal
 fraction reduced through ``polyring.cancel`` (and sympy's ``cancel``),
 with the same printed form; a rational element hashes as its Fraction;
-and ``tower build --check`` on the budget U-types runs no gcd."""
+and ``tower build --check`` on the budget U-types runs no gcd.  The fast
+paths skip ``cancel`` altogether: a sum, a difference or a product over
+denominator 1, a rational multiple of any element, and any operation on
+a tower-shaped denominator, a monomial times level-sum powers; only a
+residue, any other factor, reaches ``cancel``."""
 
 import contextlib
 import io
@@ -12,14 +16,22 @@ from types import SimpleNamespace
 
 import pytest
 
-from deltatower import cli, polyring
-from deltatower.elements import ONE_ELEMENT, Element, format_element
+from deltatower import cli, elements, polyring
+from deltatower.elements import ONE_ELEMENT, ZERO_ELEMENT, Element, format_element
 from deltatower.polyring import ONE, Poly, cancel, level_sum, m_pairs, monomial, var_b, var_c
 from deltatower.tower import _derive_poly, build_spec, d_twist, derive
 
 
 def P(v):
     return Poly.variable(v)
+
+
+def _literal_p(spec, i):
+    """P_i = prod_{k<i} e_k, multiplied out from the e_k in level order."""
+    out = Poly.const(1)
+    for k in range(1, i):
+        out = out * spec.e(k).num
+    return out
 
 
 def _reference(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -68,13 +80,13 @@ E1 = B11 + B12 + B13
 
 def test_a_rank_one_level_sum_sits_in_the_monomial():
     spec = build_spec((1, 2, 3))
-    twist = 1 / spec.prod_e_below(3)  # 1 / (b[1][1] (b[2][1] + b[2][2]))
+    twist = spec.twist(3)  # 1 / (b[1][1] (b[2][1] + b[2][2]))
     assert m_pairs(twist.mono) == ((var_b(1, 1), 1),)
     assert dict(twist.sums) == {(var_b(2, 1), var_b(2, 2)): 1} and twist.res is ONE
-    raw = Element(Poly.const(1), spec.prod_e_below(3).num)
+    raw = Element(Poly.const(1), _literal_p(spec, 3))
     assert (raw.mono, raw.sums, raw.res) == (twist.mono, twist.sums, twist.res)
     x = Element(B11 * P(var_c(2, 1)))
-    _agrees(d_twist(x, 3, spec), _derive_poly(x.num, spec), spec.prod_e_below(3).num)
+    _agrees(d_twist(x, 3, spec), _derive_poly(x.num, spec), _literal_p(spec, 3))
 
 
 def test_a_partial_level_sum_is_equal_to_its_expansion():
@@ -113,7 +125,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 TOWERS = [(2, 2), (3,), (1, 1, 1), (1, 2, 3)]
 LEADS = [1, -1, Fraction(2, 3), Fraction(-5, 2)]
-rationals = st.integers(-4, 4) | st.fractions(min_value=-4, max_value=4, max_denominator=5)
+rationals = st.integers(-6, 6) | st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
 
 @st.composite
@@ -163,7 +175,7 @@ def _literal_cases(spec, x, y, k, level):
         (x * y, xn * yn, xd * yd),
         (x / y, xn * yd, xd * yn),
         (derive(x, spec), dn * xd - xn * dd, xd * xd),
-        (d_twist(x, level, spec), dn * xd - xn * dd, xd * xd * spec.prod_e_below(level).num),
+        (d_twist(x, level, spec), dn * xd - xn * dd, xd * xd * _literal_p(spec, level)),
     ]
     cases.append((x**k, xn**k, xd**k) if k >= 0 else (x**k, xd**-k, xn**-k))
     return cases
@@ -196,6 +208,118 @@ def test_every_operation_agrees_with_sympy_cancel(case):
         ratio = sympy.cancel(_sympy(ours.den, sympy) / q)
         assert ratio.is_Rational and ratio != 0
         assert sympy.expand(_sympy(ours.num, sympy) * q - p * _sympy(ours.den, sympy)) == 0
+
+
+# --- fast paths: no cancel over denominator 1 or a tower denominator ---------
+
+VARS = [var_b(1, 1), var_b(1, 2), var_b(2, 1), var_c(1, 1), var_c(1, 2)]
+
+polys = st.dictionaries(
+    st.lists(st.sampled_from(VARS), max_size=3).map(lambda vs: monomial((v, 1) for v in vs)),
+    rationals,
+    max_size=4,
+).map(Poly)
+den_one = polys.map(Element)
+# tower-shaped denominators: a generator monomial times a power of e_1
+dens = st.builds(
+    lambda v, e, k: P(v) ** e * (B11 + B12) ** k,
+    st.sampled_from(VARS[:3]), st.integers(0, 2), st.integers(0, 2),
+)
+den_any = st.builds(Element, polys, dens).filter(lambda x: not x.den.is_const())
+
+examples = settings(max_examples=100, deadline=None, database=None)
+
+
+@contextlib.contextmanager
+def _counting_cancel():
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elements, "cancel", lambda *a: calls.append(a) or cancel(*a))
+        yield calls
+
+
+@examples
+@given(x=den_one | den_any, q=rationals)
+def test_rational_multiples_keep_the_canonical_form(x, q):
+    with _counting_cancel() as calls:
+        left, right = x * q, q * x
+    assert calls == []
+    _agrees(left, x.num * Poly.const(q), x.den)
+    _agrees(right, x.num * Poly.const(q), x.den)
+    if q == 0:
+        assert left is ZERO_ELEMENT and right is ZERO_ELEMENT
+
+
+@examples
+@given(x=den_one, y=den_one)
+def test_denominator_one_runs_no_cancel(x, y):
+    with _counting_cancel() as calls:
+        out = (x + y, x - y, x * y)
+    assert calls == []
+    _agrees(out[0], x.num + y.num, ONE)
+    _agrees(out[1], x.num - y.num, ONE)
+    _agrees(out[2], x.num * y.num, ONE)
+
+
+@examples
+@given(x=den_any, y=den_one | den_any)
+def test_a_tower_denominator_runs_no_cancel(x, y):
+    # a monomial times a power of e_1 is cancelled by exponents and trial
+    # division alone, with x in either operand's place
+    for out, num in (
+        (lambda: x + y, x.num * y.den + y.num * x.den),
+        (lambda: y + x, x.num * y.den + y.num * x.den),
+        (lambda: x - y, x.num * y.den - y.num * x.den),
+        (lambda: y - x, y.num * x.den - x.num * y.den),
+        (lambda: x * y, x.num * y.num),
+        (lambda: y * x, x.num * y.num),
+    ):
+        with _counting_cancel() as calls:
+            result = out()
+        assert calls == []
+        _agrees(result, num, x.den * y.den)
+
+
+@examples
+@given(x=den_one | den_any, y=den_one | den_any, q=rationals)
+def test_every_constant_denominator_is_the_shared_one(x, y, q):
+    nonzero = [e for e in (x, y) if not e.is_zero()]
+    made = [
+        x, y, x + y, x - y, x * y, x * q, x - x, x**0, x**2,
+        Element(x.num, Poly.const(q or 1)), Element.from_rational(q),
+        *(e / e for e in nonzero), *(e**-1 for e in nonzero), *(1 / e for e in nonzero),
+    ]
+    for e in made + [ZERO_ELEMENT, ONE_ELEMENT]:
+        if e.den.is_const():
+            assert e.den is ONE, e
+
+
+def test_bool_takes_the_coercing_path():
+    x = Element(Poly.variable(var_c(1, 1)))
+    assert x * True == x and x * False == ZERO_ELEMENT
+    assert x * Fraction(0) is ZERO_ELEMENT
+
+
+@examples
+@given(x=den_one | den_any, q=rationals.filter(bool))
+def test_division_by_a_nonzero_rational_runs_no_cancel(x, q):
+    for divisor in (q, Element.from_rational(q)):
+        with _counting_cancel() as calls:
+            out = x / divisor
+        assert calls == []
+        _agrees(out, x.num, x.den * Poly.const(q))
+
+
+def test_division_by_a_residue_keeps_the_general_path():
+    b11, c11 = Element(Poly.variable(var_b(1, 1))), Element(Poly.variable(var_c(1, 1)))
+    # a symbol is a monomial: its content cancels with no gcd
+    with _counting_cancel() as calls:
+        out = b11 * c11 / c11
+    assert calls == [] and out == b11
+    # c[1][1] + 1 is neither a monomial nor a level sum: a residue
+    with _counting_cancel() as calls:
+        out = b11 * (c11 + 1) / (c11 + 1)
+    assert calls != [] and out == b11
 
 
 # --- the tower path runs no gcd ----------------------------------------------

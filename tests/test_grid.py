@@ -22,7 +22,7 @@ from deltatower import (
     urank,
 )
 from deltatower.grid import _cored_chain, from_heights, height_chains
-from deltatower.gridcheck import _models, _pairs_closed, _shortest_chain_length
+from deltatower.gridcheck import _models, _pairs_closed
 
 G22 = GridModel(2, 2)
 EMPTY = frozenset()
@@ -186,7 +186,8 @@ class TestAnalyses:
     def test_height_chains_match_literal_enumeration(self):
         # every strictly increasing sequence of height vectors from T to G,
         # kept when Analysis.validate accepts it, on every closed pair of
-        # every grid with at most 4 cells
+        # every grid with at most 4 cells; the shortest of them have
+        # max_j (g_j - t_j) steps
         def increasing(h, g_h):
             if h == g_h:
                 yield []
@@ -211,8 +212,12 @@ class TestAnalyses:
                         found = [tuple(c) for c in height_chains(t_h, g_h, max_length=k)]
                         assert len(found) == len(set(found))
                         assert set(found) == {c for c in literal if len(c) <= k}
+                    # the closed form of gridcheck, and the is_minimal search
                     shortest = min(len(c) for c in literal)
-                    assert _shortest_chain_length(t_h, g_h) == shortest
+                    assert max(g - t for g, t in zip(g_h, t_h)) == shortest
+                    for c in literal:
+                        a = Analysis(g, t_h, g_h, c)
+                        assert is_minimal(a) == (len(c) == shortest), (t_h, g_h, c)
 
     @pytest.mark.parametrize(
         "columns, base, target, steps",

@@ -91,6 +91,26 @@ def test_broken_public_function_fails_its_property(monkeypatch, attr, broken, pr
     assert report.line().startswith(f"{prop} instances={report.instances} FAIL grid ")
 
 
+def test_a_longer_analysis_by_reductions_fails_the_length_check(monkeypatch):
+    # a valid analysis with one cell per step is too long wherever two
+    # columns rise; is_minimal is not broken, so the comparison with the
+    # closed form max_j (g_j - t_j) must report it
+    def one_cell_chain(t_h, g_h):
+        chain, h = [], list(t_h)
+        for j, top in enumerate(g_h):
+            while h[j] < top:
+                h[j] += 1
+                chain.append(tuple(h))
+        return chain
+
+    g = grid.GridModel(2, 2)
+    grid.Analysis(g, (0, 0), (2, 2), tuple(one_cell_chain((0, 0), (2, 2)))).validate()
+    monkeypatch.setattr(gridcheck, "_red_chain", one_cell_chain)
+    report = gridcheck.check_analyses_minimal(4)
+    assert not report.passed
+    assert report.counterexample == "grid 1x2: analysis by reductions not minimal, T=(0, 0) G=(1, 1)"
+
+
 def test_coreduction_is_compared_on_every_pair(monkeypatch):
     # wrong only at T = rows 1-2, G = rows 1-7 of the 7x1 grid: its 31st
     # closed pair, which a slice of every 16th pair above 6 cells skips

@@ -21,7 +21,8 @@ from deltatower import (
     logd_iter,
     parse_element,
 )
-from deltatower.elements import ZERO_ELEMENT
+from deltatower import elements, polyring
+from deltatower.elements import ONE_ELEMENT, ZERO_ELEMENT, Element
 from deltatower.polyring import Poly, m_pairs, monomial
 from deltatower.tower import _derive_poly, random_element
 
@@ -69,6 +70,14 @@ class TestDerive:
         assert derive(x + y, SPEC) == derive(x, SPEC) + derive(y, SPEC)
 
 
+def _literal_p(spec, i):
+    """P_i = prod_{k<i} e_k, multiplied out from the e_k in level order."""
+    out = Poly.const(1)
+    for k in range(1, i):
+        out = out * spec.e(k).num
+    return out
+
+
 def _derive_poly_literal(p, spec):
     """delta read off its definition: delta(b[i][j]) = c[i][j] b[i][j] P_i
     times the partial derivative, one Poly sum per (term, generator)."""
@@ -78,7 +87,7 @@ def _derive_poly_literal(p, spec):
             kind, i, j = v
             if kind != "b":
                 continue
-            dv = Poly.variable(("c", i, j)) * Poly.variable(v) * spec.prod_e_below(i).num
+            dv = Poly.variable(("c", i, j)) * Poly.variable(v) * _literal_p(spec, i)
             out = out + dv.mul_term(m - monomial(((v, 1),)), coeff * e)
     return out
 
@@ -122,12 +131,36 @@ def test_derive_poly_is_the_literal_derivation(utype):
         assert 0 not in got.terms.values()
 
 
+@pytest.mark.parametrize("utype", BUDGET_UTYPES, ids=lambda u: ",".join(map(str, u)))
+def test_twist_is_the_reciprocal_of_the_literal_product(utype):
+    spec = build_spec(utype)
+    for i in range(1, len(utype) + 1):
+        p = _literal_p(spec, i)
+        twist, literal = spec.twist(i), ONE_ELEMENT / Element(p)
+        assert (twist.mono, twist.sums, twist.res) == (literal.mono, literal.sums, literal.res)
+        assert list(twist.sums) == list(literal.sums) and str(twist) == str(literal)
+        # _derive_poly multiplies by the expanded twist: term order decides the bits
+        assert list(twist.den.terms.items()) == list(p.terms.items())
+        assert spec.twist(i) is twist
+
+
+def test_twist_is_built_with_no_division(monkeypatch):
+    calls = []
+    for module in (polyring, elements):
+        real = module.exact_div
+        monkeypatch.setattr(module, "exact_div", lambda p, q, real=real: calls.append(q) or real(p, q))
+    spec = build_spec((2, 1, 3, 2))
+    twists = [str(spec.twist(i)) for i in range(1, 5)]
+    assert twists[:3] == ["1", "1/(b[1][2] + b[1][1])", "1/(b[1][2]*b[2][1] + b[1][1]*b[2][1])"]
+    assert len(spec.twist(4).den.terms) == 6 and calls == []
+
+
 def test_euler_images_that_meet_cancel():
     # b1*b2*(c2 - c1) at level 2: both images land on b1*b2*c1*c2 and cancel
     b1, b2 = Poly.variable(("b", 2, 1)), Poly.variable(("b", 2, 2))
     c1, c2 = Poly.variable(("c", 2, 1)), Poly.variable(("c", 2, 2))
     p = b1 * b2 * (c2 - c1)
-    expected = b1 * b2 * (c2 * c2 - c1 * c1) * SPEC.prod_e_below(2).num
+    expected = b1 * b2 * (c2 * c2 - c1 * c1) * _literal_p(SPEC, 2)
     assert _derive_poly(p, SPEC) == expected == _derive_poly_literal(p, SPEC)
 
 
@@ -155,8 +188,13 @@ class TestDTwist:
         assert lhs == rhs
 
     def test_level_out_of_range(self):
-        with pytest.raises(LevelOutOfRange):
-            d_twist(B11, 4, SPEC)
+        # the level is checked before any lower level is looked at
+        for i in (0, 4, 5):
+            message = rf"^level {i} outside 1\.\.3$"
+            with pytest.raises(LevelOutOfRange, match=message):
+                d_twist(B11, i, SPEC)
+            with pytest.raises(LevelOutOfRange, match=message):
+                SPEC.twist(i)
 
     def test_no_new_constants_on_generator_monomials(self):
         # nonzero exponent vectors give nonzero log-derivatives
