@@ -64,8 +64,6 @@ class RunReport(Record):
     as its check finishes, so a slow or killed run shows what it got to."""
 
     __slots__ = _compared = ("command", "arguments", "checks")
-    # mutable, so unhashable
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, command: str, arguments: tuple[str, ...], checks: list | None = None):
         super().__init__(command, arguments, [] if checks is None else checks)

@@ -43,10 +43,6 @@ class GridModel(Record):
             raise ValueError("grid dimensions must be positive")
         super().__init__(depth, columns)
 
-    @property
-    def cells(self) -> int:
-        return self.depth * self.columns
-
     def check(self, S: CellSet) -> None:
         for i, j in S:
             if not (1 <= i <= self.depth and 1 <= j <= self.columns):
@@ -289,16 +285,10 @@ def build_seqred_a(s: Sequence[int]) -> tuple[GridModel, CellSet]:
 
 def build_seqred_b(s: Sequence[int]) -> tuple[GridModel, CellSet]:
     """Descending-staircase target whose analysis by coreductions has U-type s
-    (s nondecreasing)."""
+    (s nondecreasing): the top cell of each column of the staircase of
+    s reversed."""
     s = list(s)
-    if not s or any(v < 1 for v in s):
-        raise NotMonotone("s must be a nonempty sequence of positive integers")
-    if any(a > b for a, b in zip(s, s[1:])):
+    if all(v >= 1 for v in s) and any(a > b for a, b in zip(s, s[1:])):
         raise NotMonotone("analysis by coreductions needs a nondecreasing sequence")
-    n = len(s)
-    g = GridModel(depth=n, columns=s[-1])
-    first_fit = {}
-    for j in range(1, s[-1] + 1):
-        first_fit[j] = next(k for k in range(1, n + 1) if j <= s[k - 1])
-    target = frozenset((n + 1 - first_fit[j], j) for j in range(1, s[-1] + 1))
-    return g, target
+    g, staircase = build_seqred_a(s[::-1])  # refuses the rest
+    return g, frozenset((top, j) for j, top in enumerate(heights(staircase, g), 1))

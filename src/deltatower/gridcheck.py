@@ -95,8 +95,6 @@ MAX_VERIFY_CELLS = 12
 
 class PropertyReport(Record):
     __slots__ = _compared = ("name", "instances", "passed", "counterexample")
-    # mutable, so unhashable
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, name: str, instances: int, passed: bool, counterexample: str | None = None):
         super().__init__(name, instances, passed, counterexample)

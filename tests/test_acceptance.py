@@ -15,9 +15,10 @@ separated: there the oracle must report full rank on every instance.
 import math
 import random
 import time
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
+from _support import BUDGET_UTYPES
 
 from deltatower import (
     Verdict,
@@ -51,14 +52,9 @@ def _report(number, name, elapsed, budget):
     print(f"ACCEPTANCE {number} {name}: PASS ({elapsed:.1f}s < {budget}s)")
 
 
-def _all_utypes(max_levels=3, max_rank=3):
-    for ell in range(1, max_levels + 1):
-        yield from product(range(1, max_rank + 1), repeat=ell)
-
-
 def test_criterion_1_tower_identities():
     start = time.perf_counter()
-    for utype in _all_utypes():
+    for utype in BUDGET_UTYPES:
         spec = build_spec(utype)
         for i in range(1, spec.ell + 1):
             op = build_E(spec, i)

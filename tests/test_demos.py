@@ -1,22 +1,12 @@
 """Every narrative script under demos/ runs to completion."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
+from _support import ROOT, run_python
 
-ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stdout + proc.stderr
+    done = run_python([str(demo)], timeout=120, cwd=ROOT)
+    assert "Traceback" not in done.stdout + done.stderr

@@ -4,12 +4,12 @@ canonical strings against sympy.cancel (test-only)."""
 
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
+from _support import BUDGET_UTYPES, sympy_symbol, to_sympy, utype_id
 
 from deltatower.elements import ONE_ELEMENT, ZERO_ELEMENT, Element, format_element
-from deltatower.polyring import MONOMIAL_KEY, Poly, m_pairs, monomial, var_b, var_c
+from deltatower.polyring import MONOMIAL_KEY, Poly, monomial, var_b, var_c
 from deltatower.tower import _derive_poly, build_spec, derive, random_element
 
 SPEC = build_spec((3, 2))
@@ -56,10 +56,7 @@ def test_gcd_quotient_rule_matches_the_literal_one(seed):
     assert derive(x, SPEC) == literal
 
 
-BUDGET_UTYPES = [u for n in (1, 2, 3) for u in product((1, 2, 3), repeat=n)]
-
-
-@pytest.mark.parametrize("utype", BUDGET_UTYPES, ids=lambda u: ",".join(map(str, u)))
+@pytest.mark.parametrize("utype", BUDGET_UTYPES, ids=utype_id)
 def test_is_constant_matches_the_variable_scan(utype):
     # the one-mask test against the literal scan of every symbol
     spec = build_spec(utype)
@@ -85,28 +82,14 @@ def test_quotient_rule_denominator_of_a_power():
 # --- canonical strings against sympy.cancel ------------------------------
 
 
-def _sympy_symbols(sympy):
-    return {v: sympy.Symbol(f"{v[0]}_{v[1]}_{v[2]}") for v in GENS + CONSTS}
-
-
-def _to_sympy(p, syms, sympy):
-    total = sympy.Integer(0)
-    for m, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for v, e in m_pairs(m):
-            term *= syms[v] ** e
-        total += term
-    return total
-
-
-def _from_sympy(expr, syms, sympy):
+def _from_sympy(expr, sympy):
     """Print sympy's cancelled form the way Element prints: numerator and
     denominator scaled so the denominator's leading coefficient is 1."""
-    order = list(syms)
+    order = GENS + CONSTS
     num, den = sympy.fraction(sympy.cancel(expr))
 
     def poly(e):
-        terms = sympy.Poly(e, *[syms[v] for v in order]).terms()
+        terms = sympy.Poly(e, *map(sympy_symbol, order)).terms()
         return Poly(
             {
                 monomial(zip(order, exps)): Fraction(int(c.p), int(c.q))
@@ -120,22 +103,21 @@ def _from_sympy(expr, syms, sympy):
     return format_element(Element(n, d))
 
 
-def _sympy_delta(expr, syms, sympy):
+def _sympy_delta(expr, sympy):
     """The tower derivation by the chain rule:
     delta b[i][j] = c[i][j] b[i][j] prod_{k<i} e_k."""
-    e1 = _to_sympy(E1, syms, sympy)
+    e1 = to_sympy(E1)
     out = sympy.Integer(0)
     for kind, i, j in GENS:
         twist = e1 if i == 2 else 1
-        image = syms[("c", i, j)] * syms[(kind, i, j)] * twist
-        out += sympy.diff(expr, syms[(kind, i, j)]) * image
+        b = sympy_symbol((kind, i, j))
+        out += sympy.diff(expr, b) * (sympy_symbol(("c", i, j)) * b * twist)
     return out
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_canonical_strings_match_sympy_cancel(seed):
     sympy = pytest.importorskip("sympy")
-    syms = _sympy_symbols(sympy)
     rng = random.Random(seed)
     x, y, z = (_random_element(rng) for _ in range(3))
     # w and v make the sum and the product cancel against x: x + w = z - y
@@ -143,7 +125,7 @@ def test_canonical_strings_match_sympy_cancel(seed):
     w, v = z - y - x, z / x
 
     def s(e):
-        return _to_sympy(e.num, syms, sympy) / _to_sympy(e.den, syms, sympy)
+        return to_sympy(e.num) / to_sympy(e.den)
 
     sx, sy, sw, sv = s(x), s(y), s(w), s(v)
     cases = [
@@ -156,10 +138,10 @@ def test_canonical_strings_match_sympy_cancel(seed):
         (v / x, sv / sx),
         (x**3, sx**3),
         (x**-2, sx**-2),
-        (derive(x, SPEC), _sympy_delta(sx, syms, sympy)),
+        (derive(x, SPEC), _sympy_delta(sx, sympy)),
     ]
     for ours, theirs in cases:
-        assert str(ours) == _from_sympy(theirs, syms, sympy)
+        assert str(ours) == _from_sympy(theirs, sympy)
 
 
 def test_hash_is_the_pair_hash_computed_once(monkeypatch):

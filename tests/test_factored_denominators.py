@@ -1,37 +1,25 @@
 """Factored denominators: an Element keeps its denominator as a monomial,
 level-sum powers and a residue.  Every operation must give the literal
 fraction reduced through ``polyring.cancel`` (and sympy's ``cancel``),
-with the same printed form; a rational element hashes as its Fraction;
-and ``tower build --check`` on the budget U-types runs no gcd.  The fast
+with the same printed form; and a rational element hashes as its
+Fraction.  (That ``tower build --check`` on the budget U-types runs no
+gcd is checked with their report digests in ``test_cli``.)  The fast
 paths skip ``cancel`` altogether: a sum, a difference or a product over
 denominator 1, a rational multiple of any element, and any operation on
 a tower-shaped denominator, a monomial times level-sum powers; only a
 residue, any other factor, reaches ``cancel``."""
 
 import contextlib
-import io
 from fractions import Fraction
-from itertools import product
 from types import SimpleNamespace
 
 import pytest
+from _support import P, literal_p
 
-from deltatower import cli, elements, polyring
+from deltatower import elements
 from deltatower.elements import ONE_ELEMENT, ZERO_ELEMENT, Element, format_element
 from deltatower.polyring import ONE, Poly, cancel, level_sum, m_pairs, monomial, var_b, var_c
 from deltatower.tower import _derive_poly, build_spec, d_twist, derive
-
-
-def P(v):
-    return Poly.variable(v)
-
-
-def _literal_p(spec, i):
-    """P_i = prod_{k<i} e_k, multiplied out from the e_k in level order."""
-    out = Poly.const(1)
-    for k in range(1, i):
-        out = out * spec.e(k).num
-    return out
 
 
 def _reference(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -83,10 +71,10 @@ def test_a_rank_one_level_sum_sits_in_the_monomial():
     twist = spec.twist(3)  # 1 / (b[1][1] (b[2][1] + b[2][2]))
     assert m_pairs(twist.mono) == ((var_b(1, 1), 1),)
     assert dict(twist.sums) == {(var_b(2, 1), var_b(2, 2)): 1} and twist.res is ONE
-    raw = Element(Poly.const(1), _literal_p(spec, 3))
+    raw = Element(Poly.const(1), literal_p(spec, 3))
     assert (raw.mono, raw.sums, raw.res) == (twist.mono, twist.sums, twist.res)
     x = Element(B11 * P(var_c(2, 1)))
-    _agrees(d_twist(x, 3, spec), _derive_poly(x.num, spec), _literal_p(spec, 3))
+    _agrees(d_twist(x, 3, spec), _derive_poly(x.num, spec), literal_p(spec, 3))
 
 
 def test_a_partial_level_sum_is_equal_to_its_expansion():
@@ -121,11 +109,11 @@ def test_residues_and_leading_coefficients(residue, lead):
 
 pytest.importorskip("hypothesis")
 
+from _support import rationals, to_sympy  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 TOWERS = [(2, 2), (3,), (1, 1, 1), (1, 2, 3)]
 LEADS = [1, -1, Fraction(2, 3), Fraction(-5, 2)]
-rationals = st.integers(-6, 6) | st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
 
 @st.composite
@@ -175,39 +163,29 @@ def _literal_cases(spec, x, y, k, level):
         (x * y, xn * yn, xd * yd),
         (x / y, xn * yd, xd * yn),
         (derive(x, spec), dn * xd - xn * dd, xd * xd),
-        (d_twist(x, level, spec), dn * xd - xn * dd, xd * xd * _literal_p(spec, level)),
+        (d_twist(x, level, spec), dn * xd - xn * dd, xd * xd * literal_p(spec, level)),
     ]
     cases.append((x**k, xn**k, xd**k) if k >= 0 else (x**k, xd**-k, xn**-k))
     return cases
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(case=_case())
 def test_every_operation_is_the_literal_fraction_reduced_by_the_gcd(case):
     for ours, num, den in _literal_cases(*case):
         _agrees(ours, num, den)
 
 
-def _sympy(p, sympy):
-    total = sympy.Integer(0)
-    for m, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for (kind, i, j), e in m_pairs(m):
-            term *= sympy.Symbol(f"{kind}{i}{j}") ** e
-        total += term
-    return total
-
-
-@settings(max_examples=5, deadline=None, database=None, derandomize=True)
+@settings(max_examples=5)
 @given(case=_case())
 def test_every_operation_agrees_with_sympy_cancel(case):
     sympy = pytest.importorskip("sympy")
     for ours, num, den in _literal_cases(*case):
-        p, q = sympy.fraction(sympy.cancel(_sympy(num, sympy) / _sympy(den, sympy)))
+        p, q = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
         # reduced alike: the denominators are associates, the values equal
-        ratio = sympy.cancel(_sympy(ours.den, sympy) / q)
+        ratio = sympy.cancel(to_sympy(ours.den) / q)
         assert ratio.is_Rational and ratio != 0
-        assert sympy.expand(_sympy(ours.num, sympy) * q - p * _sympy(ours.den, sympy)) == 0
+        assert sympy.expand(to_sympy(ours.num) * q - p * to_sympy(ours.den)) == 0
 
 
 # --- fast paths: no cancel over denominator 1 or a tower denominator ---------
@@ -227,7 +205,7 @@ dens = st.builds(
 )
 den_any = st.builds(Element, polys, dens).filter(lambda x: not x.den.is_const())
 
-examples = settings(max_examples=100, deadline=None, database=None)
+examples = settings(max_examples=100)
 
 
 @contextlib.contextmanager
@@ -320,19 +298,3 @@ def test_division_by_a_residue_keeps_the_general_path():
     with _counting_cancel() as calls:
         out = b11 * (c11 + 1) / (c11 + 1)
     assert calls != [] and out == b11
-
-
-# --- the tower path runs no gcd ----------------------------------------------
-
-BUDGET_UTYPES = [",".join(map(str, u)) for n in (1, 2, 3) for u in product((1, 2, 3), repeat=n)]
-
-
-def test_tower_build_check_runs_no_gcd(monkeypatch):
-    calls = []
-    real = polyring.poly_gcd
-    monkeypatch.setattr(polyring, "poly_gcd", lambda p, q: calls.append(p) or real(p, q))
-    for utype in BUDGET_UTYPES:
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert cli.main(["tower", "build", "--utype", utype, "--check"]) == 0, utype
-        assert out.getvalue().endswith("RESULT PASS\n")
-    assert len(BUDGET_UTYPES) == 39 and calls == []

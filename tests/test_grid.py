@@ -1,6 +1,6 @@
 """Grid pregeometry: closure, rank, internality, analyses, constructions."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -271,6 +271,22 @@ class TestSeqred:
         assert target == cells((3, 1), (2, 2), (1, 3))
         a = analysis_by_coreductions(target, EMPTY, g)
         assert a.utype() == (1, 2, 3)
+
+    def test_the_descending_staircase_tops_the_staircase_reversed(self):
+        # every nondecreasing s of at most 5 entries up to 5: build_seqred_a
+        # of s reversed is the literal staircase, build_seqred_b(s) is the
+        # top cell of each of its columns, and each has its U-type
+        cases = [s for n in range(1, 6) for s in combinations_with_replacement(range(1, 6), n)]
+        for s in cases:
+            r = s[::-1]
+            g, staircase = build_seqred_a(r)
+            assert staircase == {(i, j) for i, width in enumerate(r, 1) for j in range(1, width + 1)}
+            gb, target = build_seqred_b(s)
+            tops = {(max(i for i, k in staircase if k == j), j) for j in range(1, g.columns + 1)}
+            assert (gb, target) == (g, tops)
+            assert analysis_by_reductions(staircase, EMPTY, g).utype() == r
+            assert analysis_by_coreductions(target, EMPTY, g).utype() == s
+        assert len(cases) == 251
 
     def test_monotonicity_enforced(self):
         with pytest.raises(NotMonotone):

@@ -15,6 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
+from _support import rationals  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from deltatower.elements import ONE_ELEMENT, ZERO_ELEMENT, Element, format_poly  # noqa: E402
@@ -105,7 +106,6 @@ VARS = [var_b(1, 1), var_b(1, 2), var_b(2, 1), var_c(1, 1), var_c(1, 2), var_c(2
 # registering one moves the key shift and the print place of the others
 LATE_VARS = [(kind, 0, j) for j in (1, 2) for kind in "cbu"]
 
-rationals = st.integers(-6, 6) | st.fractions(min_value=-6, max_value=6, max_denominator=7)
 unit_heavy = st.sampled_from([1, -1]) | rationals
 monomials = st.lists(st.tuples(st.sampled_from(VARS), st.integers(1, 3)), max_size=3).map(monomial)
 polys = st.dictionaries(monomials, unit_heavy, max_size=5).map(Poly)
@@ -116,7 +116,7 @@ elements = st.builds(Element, polys, st.just(ONE) | dens)
 values = polys.map(Element) | elements | st.just(ZERO_ELEMENT)
 coefficients = st.integers(-4, 4) | st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
-examples = settings(max_examples=150, deadline=None, database=None)
+examples = settings(max_examples=150)
 
 
 # --- qlinear_dot ----------------------------------------------------------------

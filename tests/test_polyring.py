@@ -1,15 +1,12 @@
 """Engine-level tests: monomial order, exact division, gcd."""
 
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from functools import cmp_to_key
-from pathlib import Path
 
 import pytest
+from _support import P, run_python, sympy_symbol, to_sympy
 
 from deltatower.elements import format_poly
 from deltatower.errors import BudgetExceeded
@@ -33,10 +30,6 @@ from deltatower.polyring import (
 B11 = var_b(1, 1)
 B12 = var_b(1, 2)
 C11 = var_c(1, 1)
-
-
-def P(v):
-    return Poly.variable(v)
 
 
 def m_cmp(m1, m2):
@@ -186,17 +179,6 @@ def _structured_pair(rng):
     return left, right
 
 
-def _to_sympy(p, sympy):
-    syms = {v: sympy.Symbol(f"{v[0]}_{v[1]}_{v[2]}") for v in ALL_VARS}
-    total = sympy.Integer(0)
-    for m, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for v, e in m_pairs(m):
-            term *= syms[v] ** e
-        total += term
-    return total, [syms[v] for v in ALL_VARS]
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_stripped_gcd_is_the_prs_gcd_and_sympy_gcd(seed):
     sympy = pytest.importorskip("sympy")
@@ -206,8 +188,8 @@ def test_stripped_gcd_is_the_prs_gcd_and_sympy_gcd(seed):
     # same normal form as the general algorithm run on the raw inputs
     assert g == _make_primitive(_prs_gcd(left, right))
     # an associate of sympy's gcd
-    sg = sympy.gcd(_to_sympy(left, sympy)[0], _to_sympy(right, sympy)[0])
-    ratio = sympy.cancel(_to_sympy(g, sympy)[0] / sg)
+    sg = sympy.gcd(to_sympy(left), to_sympy(right))
+    ratio = sympy.cancel(to_sympy(g) / sg)
     assert ratio.is_Rational and ratio != 0
 
 
@@ -218,15 +200,14 @@ def test_exact_div_inverts_mul_and_agrees_with_sympy_div(seed):
     p = _known_part(rng) * _random_poly(rng, ALL_VARS)
     q = _known_part(rng) * _cofactor(rng, max_terms=3)
     assert exact_div(p * q, q) == p
+    gens = [sympy_symbol(v) for v in ALL_VARS]
     for num in (p * q, p, p + _random_poly(rng, ALL_VARS, max_terms=2), p * q + P(B22)):
-        sp, gens = _to_sympy(num, sympy)
-        sq, _ = _to_sympy(q, sympy)
-        quotient, remainder = sympy.div(sp, sq, *gens)
+        quotient, remainder = sympy.div(to_sympy(num), to_sympy(q), *gens)
         got = exact_div(num, q)
         if remainder != 0:
             assert got is None
         else:
-            assert got is not None and sympy.expand(_to_sympy(got, sympy)[0] - quotient) == 0
+            assert got is not None and sympy.expand(to_sympy(got) - quotient) == 0
 
 
 # --- packed monomials: the field guard and the bit tricks ---------------
@@ -290,10 +271,9 @@ def _grlex_terms(expr, sympy):
     """sympy's terms of expr as (pairs, coefficient), in its own graded lex
     order with the generators from the most significant variable down."""
     order = sorted(ALL_VARS, reverse=True)
-    syms = [sympy.Symbol(f"{v[0]}_{v[1]}_{v[2]}") for v in order]
     return [
         (tuple((v, e) for v, e in zip(order, exps) if e), Fraction(int(c.p), int(c.q)))
-        for exps, c in sympy.Poly(expr, *syms).terms(order="grlex")
+        for exps, c in sympy.Poly(expr, *map(sympy_symbol, order)).terms(order="grlex")
     ]
 
 
@@ -314,9 +294,9 @@ def test_mixed_int_and_fraction_coefficients_agree_with_sympy(seed):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(seed)
     a, b, common = _mixed_poly(rng), _mixed_poly(rng), _mixed_poly(rng, max_terms=2)
-    sa, sb = _to_sympy(a, sympy)[0], _to_sympy(b, sympy)[0]
+    sa, sb = to_sympy(a), to_sympy(b)
     for got, want in ((a * b, sa * sb), (a + b, sa + sb), (a - b, sa - sb)):
-        assert sympy.expand(_to_sympy(got, sympy)[0] - want) == 0
+        assert sympy.expand(to_sympy(got) - want) == 0
         if got:
             terms = _grlex_terms(want, sympy)
             assert got.lead() == (monomial(terms[0][0]), terms[0][1])
@@ -325,8 +305,7 @@ def test_mixed_int_and_fraction_coefficients_agree_with_sympy(seed):
     assert quotient == a
     assert all(type(c) is int or c.denominator != 1 for c in quotient.terms.values())
     g = poly_gcd(a * common, b * common)
-    ratio = sympy.cancel(_to_sympy(g, sympy)[0] / sympy.gcd(sa * _to_sympy(common, sympy)[0],
-                                                             sb * _to_sympy(common, sympy)[0]))
+    ratio = sympy.cancel(to_sympy(g) / sympy.gcd(sa * to_sympy(common), sb * to_sympy(common)))
     assert ratio.is_Rational and ratio != 0
     assert all(type(c) is int for c in g.terms.values())
 
@@ -374,16 +353,9 @@ def _decode(pairs):
 
 
 def test_keys_after_a_registration_in_the_middle_of_a_run():
-    path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     runs = {}
     for mode in ("mid", "fresh"):
-        done = subprocess.run(
-            [sys.executable, "-c", MID_RUN_SCRIPT, mode],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        runs[mode] = json.loads(done.stdout)
+        runs[mode] = json.loads(run_python(["-c", MID_RUN_SCRIPT, mode], timeout=120).stdout)
     for run in runs.values():
         order = [_decode(pairs) for pairs in run["order"]]
         assert all(m_cmp(a, b) < 0 for a, b in zip(order, order[1:]))

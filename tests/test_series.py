@@ -467,7 +467,7 @@ class TestMonomialTable:
                 den = Poly({draw(monomials): 1}) * e_k ** draw(st.integers(1, 2))
             return spec, Element(num, den), draw(st.integers(2, 64))
 
-        @settings(max_examples=150, deadline=None, database=None)
+        @settings(max_examples=150)
         @given(case=cases())
         def check(case):
             spec, x, order = case

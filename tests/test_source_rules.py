@@ -5,20 +5,18 @@ import ast
 import importlib
 import importlib.util
 import inspect
-import os
-import subprocess
-import sys
 import types
 import typing
 from pathlib import Path
 
 import pytest
+from _support import ROOT, run_python
 
 import deltatower
 
 PACKAGE = Path(deltatower.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PERFBENCH = ROOT / "perfbench"
 
 # the numeric half: only these modules may import numpy when they load
 NUMERIC_MODULES = {"series.py", "gridcheck.py"}
@@ -108,22 +106,12 @@ def test_no_module_imports_dataclasses():
     assert _dataclass_imports(ast.parse("import dataclasses_json")) == []
 
 
-def _run(script: str, *options: str) -> str:
-    path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run(
-        [sys.executable, *options, "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
-
-
 def test_import_loads_no_submodule():
     script = (
         "import sys, deltatower\n"
         "print(sorted(m for m in sys.modules if m.startswith('deltatower.') or m == 'numpy'))"
     )
-    assert _run(script) == "[]"
+    assert run_python(["-c", script], timeout=120).stdout.splitlines()[-1] == "[]"
 
 
 def test_the_exponent_guard_holds_under_python_O():
@@ -136,7 +124,7 @@ def test_the_exponent_guard_holds_under_python_O():
         "except BudgetExceeded:\n"
         "    print(__debug__, 'refused')\n"
     )
-    assert _run(script, "-O") == "False refused"
+    assert run_python(["-O", "-c", script], timeout=120).stdout.splitlines()[-1] == "False refused"
 
 
 NUMERIC_SIDE = ["numpy", "deltatower.series", "deltatower.gridcheck"]
@@ -169,7 +157,7 @@ def test_exact_commands_load_no_numeric_module(argv):
         f"code = main({argv!r})\n"
         f"print(code, [m for m in {unloaded!r} if m in sys.modules])"
     )
-    assert _run(script) == "0 []"
+    assert run_python(["-c", script], timeout=120).stdout.splitlines()[-1] == "0 []"
 
 
 def test_exports_are_the_module_attributes():

@@ -4,9 +4,9 @@ import json
 import random
 import re
 from fractions import Fraction
-from itertools import product
 
 import pytest
+from _support import BUDGET_UTYPES, literal_p, utype_id
 
 from deltatower import (
     DomainViolation,
@@ -70,14 +70,6 @@ class TestDerive:
         assert derive(x + y, SPEC) == derive(x, SPEC) + derive(y, SPEC)
 
 
-def _literal_p(spec, i):
-    """P_i = prod_{k<i} e_k, multiplied out from the e_k in level order."""
-    out = Poly.const(1)
-    for k in range(1, i):
-        out = out * spec.e(k).num
-    return out
-
-
 def _derive_poly_literal(p, spec):
     """delta read off its definition: delta(b[i][j]) = c[i][j] b[i][j] P_i
     times the partial derivative, one Poly sum per (term, generator)."""
@@ -87,12 +79,9 @@ def _derive_poly_literal(p, spec):
             kind, i, j = v
             if kind != "b":
                 continue
-            dv = Poly.variable(("c", i, j)) * Poly.variable(v) * _literal_p(spec, i)
+            dv = Poly.variable(("c", i, j)) * Poly.variable(v) * literal_p(spec, i)
             out = out + dv.mul_term(m - monomial(((v, 1),)), coeff * e)
     return out
-
-
-BUDGET_UTYPES = [u for n in (1, 2, 3) for u in product((1, 2, 3), repeat=n)]
 
 
 def _random_poly(rng, spec):
@@ -120,10 +109,10 @@ def _random_poly(rng, spec):
     return p
 
 
-@pytest.mark.parametrize("utype", BUDGET_UTYPES, ids=lambda u: ",".join(map(str, u)))
+@pytest.mark.parametrize("utype", BUDGET_UTYPES, ids=utype_id)
 def test_derive_poly_is_the_literal_derivation(utype):
     spec = build_spec(utype)
-    rng = random.Random(",".join(map(str, utype)))
+    rng = random.Random(utype_id(utype))
     for _ in range(12):
         p = _random_poly(rng, spec)
         got = _derive_poly(p, spec)
@@ -131,11 +120,11 @@ def test_derive_poly_is_the_literal_derivation(utype):
         assert 0 not in got.terms.values()
 
 
-@pytest.mark.parametrize("utype", BUDGET_UTYPES, ids=lambda u: ",".join(map(str, u)))
+@pytest.mark.parametrize("utype", BUDGET_UTYPES, ids=utype_id)
 def test_twist_is_the_reciprocal_of_the_literal_product(utype):
     spec = build_spec(utype)
     for i in range(1, len(utype) + 1):
-        p = _literal_p(spec, i)
+        p = literal_p(spec, i)
         twist, literal = spec.twist(i), ONE_ELEMENT / Element(p)
         assert (twist.mono, twist.sums, twist.res) == (literal.mono, literal.sums, literal.res)
         assert list(twist.sums) == list(literal.sums) and str(twist) == str(literal)
@@ -160,7 +149,7 @@ def test_euler_images_that_meet_cancel():
     b1, b2 = Poly.variable(("b", 2, 1)), Poly.variable(("b", 2, 2))
     c1, c2 = Poly.variable(("c", 2, 1)), Poly.variable(("c", 2, 2))
     p = b1 * b2 * (c2 - c1)
-    expected = b1 * b2 * (c2 * c2 - c1 * c1) * _literal_p(SPEC, 2)
+    expected = b1 * b2 * (c2 * c2 - c1 * c1) * literal_p(SPEC, 2)
     assert _derive_poly(p, SPEC) == expected == _derive_poly_literal(p, SPEC)
 
 
