@@ -20,12 +20,14 @@ tower elements in the generators ``b[i][j]``.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from fractions import Fraction
+from math import log10
 
-from .errors import DivisionByZero
-from .polyring import ONE, LevelSum, Monomial, Poly, Var, _check, _m_min, _monomial_content
-from .polyring import cancel, exact_div, known_factors, level_sum, m_pairs, monomial, printed_terms
+from .errors import BudgetExceeded, DivisionByZero
+from .polyring import ONE, LevelSum, Monomial, Poly, Var, _check, _m_min, cancel, cancel_monomial
+from .polyring import exact_div, known_factors, level_sum, m_pairs, monomial, printed_terms
 from .polyring import product
 
 _COERCIBLE = (int, Fraction)
@@ -56,10 +58,7 @@ class Element:
         if num.is_zero():
             mono, sums, res = 0, _NO_SUMS, ONE
         elif what is not None:
-            shared = _monomial_content(num.terms, mono)
-            if shared:
-                num = Poly({m - shared: c for m, c in num.terms.items()}, _trusted=True)
-                mono -= shared
+            num, mono = cancel_monomial(num, mono)
             if sums:
                 left = Counter(sums)
                 for s in sums if keys is None else keys:
@@ -273,10 +272,19 @@ def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     out = []
-    for mono, c in printed_terms(p, constants_first=True):
-        mag = abs(c)
-        body = f"{mag}*{mono}" if mono and mag != 1 else mono or str(mag)
-        out.append(f" - {body}" if c < 0 else f" + {body}")
+    try:
+        for mono, c in printed_terms(p, constants_first=True):
+            mag = abs(c)
+            body = f"{mag}*{mono}" if mono and mag != 1 else mono or str(mag)
+            out.append(f" - {body}" if c < 0 else f" + {body}")
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        k = max(max(abs(c.numerator), c.denominator) for c in p.terms.values())
+        digits = int(log10(k)) + 1  # log10 is a float: correct it near a power of 10
+        digits += (k >= 10**digits) - (k < 10 ** (digits - 1))
+        limit = sys.get_int_max_str_digits()
+        raise BudgetExceeded(
+            f"a coefficient of {digits} digits passes the limit {limit} on printed integers"
+        ) from None
     lead = out[0]  # " + x" prints as "x", " - x" as "-x"
     out[0] = lead[3:] if lead[1] == "+" else f"-{lead[3:]}"
     return "".join(out)

@@ -463,6 +463,14 @@ def _monomial_content(ms: Iterable[Monomial], bound: Monomial) -> Monomial:
     return shared
 
 
+def cancel_monomial(p: Poly, m: Monomial) -> tuple[Poly, Monomial]:
+    """(p / g, m / g) for g the monomial content p shares with the monomial m."""
+    shared = _monomial_content(p.terms, m)
+    if shared:
+        p = Poly({t - shared: c for t, c in p.terms.items()}, _trusted=True)
+    return p, m - shared
+
+
 def _level_sums(p: Poly) -> set[LevelSum]:
     """Per level k, the sum of the b[k][j] occurring in p, as its tuple of
     variables (two or more).  Each is linear, hence irreducible, and it is

@@ -8,6 +8,17 @@ Grammar (whitespace insignificant)::
     base   := int | 'c[' int '][' int ']' | 'b[' int '][' int ']'
             | 'u[' int '][' int ']' | '(' expr ')'
 
+One regex pass lexes the text: ``b[i][j]`` with no space or leading zero
+is one token, other symbol text is read bracket by bracket, and an
+integer of more digits than ``sys.get_int_max_str_digits()`` is a
+``ParseError``.  A parsed value is a Laurent polynomial (num, mono), a
+``Poly`` over one packed monomial whose shared content cancels as it
+arises, as in ``Element``; the text is canonicalised once, by
+``Element._parts``.  Only division by, or a negative power of, a
+polynomial of more than one term makes an ``Element``, which ``Element``
+arithmetic combines from then on.  A monomial denominator adds no term
+and no coefficient bit, so the caps below see what ``Element``s show.
+
 Printing (``str(element)``) always emits canonical form and round-trips
 bit-exactly through :func:`parse_element`.
 """
@@ -15,11 +26,14 @@ bit-exactly through :func:`parse_element`.
 from __future__ import annotations
 
 import re
+import sys
+from fractions import Fraction
 from math import comb
 from operator import add, mul, sub, truediv
 
 from .elements import Element
 from .errors import ParseError
+from .polyring import ONE, Monomial, Poly, _check, _m_min, cancel_monomial, m_pairs, monomial
 
 # cap on the terms a power or a product in element text may expand to; the
 # slowest accepted powers, such as 1/(b[1][1]+b[1][2])^255, take seconds
@@ -32,33 +46,48 @@ MAX_POWER_BITS = 1 << 16
 _OPS = {"+": add, "-": sub, "*": mul, "/": truediv}
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[bcu])|(?P<op>[-+*/^()\[\]]))"
+    r"\s*(?:(?P<sym>([bcu])\[([1-9]\d*)\]\[([1-9]\d*)\])|(?P<int>\d+)|(?P<name>[bcu])"
+    r"|(?P<op>[-+*/^()\[\]])|(?P<bad>\S))"
 )
+
+Laurent = tuple[Poly, Monomial]
+
+
+def _int(digits: str, pos: int) -> int:
+    """The lexer's one integer conversion."""
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"integer of {len(digits)} digits passes the limit {limit}", pos) from None
 
 
 class _Tokens:
+    """(kind, text, position, value) per token, then ("end", "", len(text),
+    None): an int's value is the int, a symbol's its variable and its text
+    the letter, as a bracket-by-bracket read would show it."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.lastgroup is None:
-                if text[pos:].strip():
-                    raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-                break
-            kind = m.lastgroup
-            self.items.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
+        self.items: list[tuple[str, str, int, object]] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = value = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m[kind]!r}", m.start())
+            if kind == "sym":
+                value = (m[2], _int(m[3], m.start(3)), _int(m[4], m.start(4)))
+            elif kind == "int":
+                value = _int(m[kind], m.start(kind))
+            self.items.append((kind, m[2] if kind == "sym" else m[kind], m.start(kind), value))
+        self.items.append(("end", "", len(text), None))
         self.i = 0
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.items[self.i] if self.i < len(self.items) else None
+    def peek(self) -> tuple[str, str, int, object]:
+        return self.items[self.i]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
+    def next(self) -> tuple[str, str, int, object]:
+        tok = self.items[self.i]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of input", tok[2])
         self.i += 1
         return tok
 
@@ -68,22 +97,67 @@ class _Tokens:
             raise ParseError(f"expected {value!r}, found {tok[1]!r}", tok[2])
 
     def accept(self, value: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok[1] == value:
+        if self.items[self.i][1] == value:
             self.i += 1
             return True
         return False
 
 
+# --- Laurent polynomials -------------------------------------------------
+
+
+def _plus(x: Laurent, y: Laurent, negate: bool) -> Laurent:
+    (p, m), (q, n) = x, y
+    if m != n:  # over the lcm of the monomials
+        lcm = m + n - _m_min(m, n)
+        p, q, m = p.mul_term(lcm - m, 1), q.mul_term(lcm - n, 1), lcm
+    return cancel_monomial(p - q if negate else p + q, m)
+
+
+def _times(x: Laurent, y: Laurent) -> Laurent:
+    """x y, each numerator first cancelled against the other's monomial."""
+    (p, n), (q, m) = cancel_monomial(x[0], y[1]), cancel_monomial(y[0], x[1])
+    num = p * q
+    _check(m + n)
+    return num, m + n
+
+
+def _reciprocal(x: Laurent) -> Laurent:
+    """1/x for a numerator of one term c*t: (mono/c) / t."""
+    ((t, c),) = x[0].terms.items()
+    return Poly({x[1]: Fraction(1) / c}), t
+
+
+def _power(x: Laurent, n: int) -> Laurent | Element:
+    if n < 0:
+        if len(x[0].terms) != 1:
+            return _element(x) ** n
+        x, n = _reciprocal(x), -n
+    mono = monomial((v, e * n) for v, e in m_pairs(x[1])) if x[1] else 0
+    return x[0] ** n, mono
+
+
+def _element(x: Laurent | Element) -> Element:
+    return x if isinstance(x, Element) else Element._parts(*x)
+
+
+def _polys(x: Laurent | Element) -> tuple[Poly, Poly]:
+    """Numerator and denominator as the caps see them: a monomial counts as ONE."""
+    return (x.num, x.den) if isinstance(x, Element) else (x[0], ONE)
+
+
+# --- the parser ----------------------------------------------------------
+
+
 def _parse_int(tokens: _Tokens) -> int:
     neg = tokens.accept("-")
-    kind, value, pos = tokens.next()
+    kind, value, pos, n = tokens.next()
     if kind != "int":
         raise ParseError(f"expected integer, found {value!r}", pos)
-    return -int(value) if neg else int(value)
+    return -n if neg else n
 
 
-def _parse_indexed(tokens: _Tokens, kind_letter: str, pos: int) -> Element:
+def _parse_indexed(tokens: _Tokens, kind_letter: str, pos: int) -> Laurent:
     tokens.expect("[")
     level = _parse_int(tokens)
     tokens.expect("]")
@@ -92,13 +166,15 @@ def _parse_indexed(tokens: _Tokens, kind_letter: str, pos: int) -> Element:
     tokens.expect("]")
     if level < 1 or index < 1:
         raise ParseError(f"symbol indices must be >= 1: {kind_letter}[{level}][{index}]", pos)
-    return Element.from_var((kind_letter, level, index))
+    return Poly.variable((kind_letter, level, index)), 0
 
 
-def _parse_base(tokens: _Tokens) -> Element:
-    kind, value, pos = tokens.next()
+def _parse_base(tokens: _Tokens) -> Laurent | Element:
+    kind, value, pos, payload = tokens.next()
     if kind == "int":
-        return Element.from_rational(int(value))
+        return Poly.const(payload), 0
+    if kind == "sym":
+        return Poly.variable(payload), 0
     if kind == "name":
         return _parse_indexed(tokens, value, pos)
     if value == "(":
@@ -108,55 +184,66 @@ def _parse_base(tokens: _Tokens) -> Element:
     raise ParseError(f"unexpected token {value!r}", pos)
 
 
-def _parse_factor(tokens: _Tokens) -> Element:
+def _parse_factor(tokens: _Tokens) -> Laurent | Element:
     base = _parse_base(tokens)
     if not tokens.accept("^"):
         return base
     n = _parse_int(tokens)
+    num, den = _polys(base)
     # (t terms)^n has at most C(|n|+t-1, t-1) terms, one per multiset of |n| terms
-    t = max(len(base.num.terms), len(base.den.terms))
+    t = max(len(num.terms), len(den.terms))
     if comb(abs(n) + t - 1, t - 1) > MAX_POWER_TERMS:
         raise ParseError(f"power {n} of {t} terms may expand past {MAX_POWER_TERMS}, the cap")
     bits = abs(n) * max(
         0 if abs(k) == 1 else abs(k).bit_length()
-        for p in (base.num, base.den)
+        for p in (num, den)
         for c in p.terms.values()
         for k in (c.numerator, c.denominator)
     )
     if bits > MAX_POWER_BITS:
         raise ParseError(f"power {n} may need {bits} bits, past the cap {MAX_POWER_BITS}")
-    return base**n
+    return base**n if isinstance(base, Element) else _power(base, n)
 
 
-def _combine(op: str, x: Element, y: Element) -> Element:
+def _combine(op: str, x: Laurent | Element, y: Laurent | Element) -> Laurent | Element:
     """x op y, refused when a polynomial product it forms may have more than
     MAX_POWER_TERMS terms.  A single-term side adds no terms, so printed
     canonical forms, such as (num)/(den), always pass."""
-    yn, yd = (y.den, y.num) if op == "/" else (y.num, y.den)
-    products = [(x.num, yn), (x.den, yd)]
+    (xn, xd), (yn, yd) = _polys(x), _polys(y)
+    if op == "/":
+        yn, yd = yd, yn
+    products = [(xn, yn), (xd, yd)]
     if op in "+-":  # a sum is formed over the product of the denominators at most
-        products = [(x.num, yd), (yn, x.den), (x.den, yd)]
+        products = [(xn, yd), (yn, xd), (xd, yd)]
     for p, q in products:
         s, t = len(p.terms), len(q.terms)
         if s > 1 and t > 1 and s * t > MAX_POWER_TERMS:
             raise ParseError(f"product of {s} and {t} terms may pass the cap {MAX_POWER_TERMS}")
-    return _OPS[op](x, y)
+    # yd is y's denominator, or y for a quotient: a Laurent value stays one over one term
+    if isinstance(x, Element) or isinstance(y, Element) or len(yd.terms) != 1:
+        return _OPS[op](_element(x), _element(y))
+    if op in "+-":
+        return _plus(x, y, negate=op == "-")
+    return _times(x, y if op == "*" else _reciprocal(y))
 
 
-def _chain(tokens: _Tokens, out: Element, operand, ops: tuple[str, str]) -> Element:
+def _chain(tokens: _Tokens, out: Laurent | Element, operand, ops: tuple[str, str]) -> Laurent | Element:
     """Fold ``out (op operand)*`` left to right, op one of ``ops``."""
-    while (tok := tokens.peek()) is not None and tok[1] in ops:
+    while (tok := tokens.peek())[1] in ops:
         tokens.next()
         out = _combine(tok[1], out, operand(tokens))
     return out
 
 
-def _parse_term(tokens: _Tokens) -> Element:
+def _parse_term(tokens: _Tokens) -> Laurent | Element:
     return _chain(tokens, _parse_factor(tokens), _parse_factor, ("*", "/"))
 
 
-def _parse_expr(tokens: _Tokens) -> Element:
-    first = -_parse_term(tokens) if tokens.accept("-") else _parse_term(tokens)
+def _parse_expr(tokens: _Tokens) -> Laurent | Element:
+    neg = tokens.accept("-")
+    first = _parse_term(tokens)
+    if neg:
+        first = -first if isinstance(first, Element) else (-first[0], first[1])
     return _chain(tokens, first, _parse_term, ("+", "-"))
 
 
@@ -165,6 +252,6 @@ def parse_element(text: str) -> Element:
     tokens = _Tokens(text)
     e = _parse_expr(tokens)
     tok = tokens.peek()
-    if tok is not None:
+    if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return e
+    return _element(e)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from collections import Counter, defaultdict
 from collections.abc import Iterator
 from fractions import Fraction
@@ -147,6 +148,9 @@ class TowerSpec(Record):
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"tower spec is not JSON: {exc}") from None
+        except ValueError:  # an integer past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"malformed tower spec: an integer has more digits than {limit}") from None
         if not isinstance(doc, dict) or "ranks" not in doc:
             raise ParseError("tower spec has no ranks field")
         if type(doc.get("ell", 0)) is not int:

@@ -328,6 +328,64 @@ class TestGridSeqred:
         assert code == 0 and peak_mb < 64, (code, peak_mb)
 
 
+DIGITS = "7" * 4400  # past the interpreter's default limit of 4,300 digits on int()
+
+# rows of TestSeries.BAD_INPUTS that meet the digit limit of int() and str()
+DIGIT_LIMIT_INPUTS = [
+    pytest.param(["--element", DIGITS], None, "4400 digits", id="digits-literal"),
+    pytest.param(["--element", f"b[1][1]^{DIGITS}"], None, "4400 digits", id="digits-exponent"),
+    pytest.param(["--element", f"b[{DIGITS}][1]"], None, "4400 digits", id="digits-index"),
+    pytest.param(["--logd-system", "2", "--h", DIGITS], None, "4400 digits", id="digits-h"),
+    pytest.param(
+        ["--element", "b[1][1]", "--spec"], f'{{"ranks": [{DIGITS}]}}', "more digits", id="digits-rank"
+    ),
+    pytest.param(
+        ["--element", "b[1][1]", "--spec"],
+        f'{{"ranks": [2], "assignments": {{"c[1][1]": {DIGITS}}}}}',
+        "more digits",
+        id="digits-assignment",
+    ),
+    # evaluated to 0.0, but their coefficients have too many digits to print
+    pytest.param(["--element", "b[1][1]/3^9100"], None, "4342 digits", id="digits-printed-den"),
+    pytest.param(["--element", "2^-9000*2^-9000*b[1][1]"], None, "5419 digits", id="digits-printed-num"),
+]
+
+# runs cli.main on each argv of the JSON list argv[1] in one interpreter and
+# prints [exit code, stdout, stderr] per run as JSON
+IN_PROCESS_SCRIPT = """
+import contextlib, io, json, sys
+from deltatower.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _with_spec(argv, spec_text, path):
+    """argv with a trailing --spec given a file: ``spec_text`` written at
+    path, or, for None, a missing file."""
+    if argv[-1] != "--spec":
+        return argv
+    if spec_text is None:
+        path = path.with_name("no-such-spec.json")
+    else:
+        path.write_text(spec_text)
+    return argv + [str(path)]
+
+
+def _is_one_error_line(code, out, err, word):
+    """The bad-input contract: exit 2, no stdout, one error: line naming word."""
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert word in lines[0]
+
+
 class TestSeries:
     def test_logd_system_exponential(self, capsys):
         code, out, _ = run_cli(capsys, "series", "--logd-system", "2", "--order", "5")
@@ -503,6 +561,7 @@ class TestSeries:
         (["--element", "b[1][1]", "--spec"], '{"ranks": [1], "assignments": {"C[1][1]": "7"}}', "C[1][1]"),
         (["--element", "b[1][1]", "--spec"], '{"ranks": [1], "assignments": {"c[1][2]": "7"}}', "c[1][2]"),
         (["--element", "b[1][1]", "--spec"], '{"ranks": [1], "assignments": {"b[1][1]": "7"}}', "b[1][1]"),
+        *DIGIT_LIMIT_INPUTS,
     ]
 
     @pytest.mark.parametrize(
@@ -542,17 +601,19 @@ class TestSeries:
 
     @pytest.mark.parametrize("argv, spec_text, word", BAD_INPUTS)
     def test_bad_input_is_one_error_line(self, capsys, tmp_path, argv, spec_text, word):
-        if argv[-1] == "--spec":
-            path = tmp_path / ("spec.json" if spec_text is not None else "no-such-spec.json")
-            if spec_text is not None:
-                path.write_text(spec_text)
-            argv = argv + [str(path)]
-        code, out, err = run_cli(capsys, "series", *argv)
-        assert code == 2
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), err
-        assert word in lines[0]
+        argv = _with_spec(argv, spec_text, tmp_path / "spec.json")
+        _is_one_error_line(*run_cli(capsys, "series", *argv), word)
+
+    @pytest.mark.parametrize("flags", [[], ["-X", "int_max_str_digits=640"]], ids=["default", "640"])
+    def test_the_digit_limit_rows_hold_at_any_limit(self, tmp_path, flags):
+        rows = [row.values for row in DIGIT_LIMIT_INPUTS]
+        argvs = [
+            ["series", *_with_spec(argv, spec_text, tmp_path / f"spec{i}.json")]
+            for i, (argv, spec_text, _) in enumerate(rows)
+        ]
+        done = run_python([*flags, "-c", IN_PROCESS_SCRIPT, json.dumps(argvs)], timeout=120)
+        for result, (_, _, word) in zip(json.loads(done.stdout), rows, strict=True):
+            _is_one_error_line(*result, word)
 
 
 # Registers every variable of the budget in reversed order before anything
