@@ -21,6 +21,20 @@ weight is one linear combination: over eigenvalues with denominator 1,
 the usual case, `qlinear_dot` adds r_j times each numerator term into
 one dictionary, not a run of Element sums.
 
+A replay re-executes every step and compares it with the trace.  Over the
+constants (rational initial coefficients, eigenvalues homogeneous linear
+forms with integer coefficients in the constant symbols) no coefficient
+gains a generator, and s_r is num(s_r0) / den(s_r0) times a product of
+the integer linear forms (p - r) . lambda.  The replay multiplies each one
+out exactly as one Python int, its dehomogenisation under the Kronecker
+substitution c_k = 2^(W_r * B_r^k): B_r - 1 bounds every exponent and
+2^(W_r - 1) > |num(s_r0)| * prod_j ||(p_j - r) . lambda||_1 bounds every
+coefficient, so the map is injective and S_r == 0 is the literal zero
+test.  A product by (p - r) . lambda = sum_k a_k c_k is then
+sum_k a_k * (S_r << shift_k), a few big-int operations.  Other relations
+step on Elements.  Either way the replay then checks the verdict against
+the end state.
+
 The weights r . lambda are pairwise distinct for all r exactly when the
 eigenvalues are Q-linearly independent (`qlinear_independent`): the
 eigenvector argument behind the step rank n_i.
@@ -35,6 +49,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
@@ -184,6 +199,15 @@ class MonomialRelation(Record):
             spec._caches[key] = lams
         return lams
 
+    def eigenvalue_columns(self, spec: TowerSpec) -> tuple[tuple[int, ...], ...] | None:
+        """Per constant symbol (sorted), its integer coefficient in each
+        eigenvalue, cached beside the eigenvalues; None unless every
+        eigenvalue is a homogeneous linear form with integer coefficients."""
+        key = ("eigenvalue columns", self.level, self.variables)
+        if key not in spec._caches:
+            spec._caches[key] = _integer_columns(self.eigenvalues(spec))
+        return spec._caches[key]
+
     def weights(self, spec: TowerSpec) -> dict[ExponentVector, Element]:
         """r . lambda for every support vector: the functionals of constant
         coefficients, the same for every relation a reduction of G reaches."""
@@ -240,6 +264,97 @@ def _reduce(G: MonomialRelation, pivot: ExponentVector, phis: dict) -> MonomialR
     return MonomialRelation(G.level, G.variables, new_coeffs)
 
 
+def _integer_columns(values: Sequence[Element]) -> tuple[tuple[int, ...], ...] | None:
+    forms = []
+    for value in values:
+        try:
+            const, coeffs = linear_coefficients(value)
+        except NotLinear:
+            return None
+        if const or any(c.denominator != 1 for c in coeffs.values()):
+            return None
+        forms.append(coeffs)
+    symbols = sorted({v for form in forms for v in form})
+    return tuple(tuple(int(form.get(v, 0)) for form in forms) for v in symbols)
+
+
+def _replay_literal(G: MonomialRelation, steps, weights: dict, spec: TowerSpec) -> dict | None:
+    """The steps on Elements: the final coefficients, or None at the first
+    step that does not match the one _reduce takes."""
+    for step in steps:
+        if step.pivot not in G.coefficients:
+            return None
+        phis = G.functionals(spec, weights)
+        if phis != step.functionals:
+            return None
+        try:
+            G = _reduce(G, step.pivot, phis)
+        except SupportTooSmall:
+            return None
+        if tuple(G.support) != step.remaining_support:
+            return None
+    return G.coefficients
+
+
+def _replay_packed(G: MonomialRelation, steps, weights: dict, columns) -> dict | None:
+    """The steps on packed coefficients, each functional the weight
+    r . lambda: the final packed coefficients, or None at the first step
+    that does not match.  S_r starts as num(s_r0), so it packs
+    den(s_r0) * s_r at the points of `_kronecker_shifts`."""
+    vectors = {r: tuple(sum(map(mul, r, column)) for column in columns) for r in G.coefficients}
+    if any(step.pivot not in vectors for step in steps):
+        return None
+    shifts = _kronecker_shifts(G, steps, vectors)
+    packed = {r: G.coefficients[r].as_rational().numerator for r in sorted(G.coefficients)}
+    for step in steps:
+        if step.pivot not in packed or step.functionals != {r: weights[r] for r in packed}:
+            return None
+        packed = _packed_step(packed, step.pivot, vectors, shifts)
+        if not packed or tuple(packed) != step.remaining_support:
+            return None
+    return packed
+
+
+def _kronecker_shifts(G: MonomialRelation, steps, vectors: dict) -> dict[ExponentVector, tuple]:
+    """Per support vector r, the shifts of its packed coefficient S_r:
+    W_r * B_r^k for the first n - 1 symbols (k = 0, ..., n - 2), then 0
+    for the last, which the dehomogenisation sets to 1.  B_r - 1 is the
+    number of steps before r is the pivot, so no exponent passes it, and
+    2^(W_r - 1) exceeds |num(s_r0)| times the product of
+    ||(p - r) . lambda||_1 over those steps, so no coefficient reaches it."""
+    first: dict[ExponentVector, int] = {}
+    for t, step in enumerate(steps):
+        first.setdefault(step.pivot, t)
+    out = {}
+    for r, s in G.coefficients.items():
+        survived = first.get(r, len(steps))
+        bound = abs(s.as_rational().numerator)
+        w = vectors[r]
+        for step in steps[:survived]:
+            bound *= max(1, sum(abs(a - b) for a, b in zip(vectors[step.pivot], w)))
+        width = bound.bit_length() + 1
+        n = len(w)
+        out[r] = tuple(width * (survived + 1) ** k for k in range(n - 1)) + (0,) if n else ()
+    return out
+
+
+def _packed_step(packed: dict, pivot: ExponentVector, vectors: dict, shifts: dict) -> dict:
+    """One step on packed coefficients: S_r times (p - r) . lambda =
+    sum_k a_k c_k is sum_k a_k * (S_r << shift_k), and a zero result drops
+    r, as the literal zero test does."""
+    wp = vectors[pivot]
+    out = {}
+    for r, S in packed.items():
+        if r != pivot:
+            acc = 0
+            for a, b, k in zip(wp, vectors[r], shifts[r]):
+                if a != b:
+                    acc += (a - b) * (S << k)
+            if acc:
+                out[r] = acc
+    return out
+
+
 class ReductionStep(Record):
     __slots__ = ("pivot", "functionals", "remaining_support")
     _compared = ("pivot", "remaining_support")
@@ -264,22 +379,59 @@ class ReductionTrace(Record):
         )
 
     def replay(self, spec: TowerSpec) -> bool:
-        """Re-execute every step literally, expanding the coefficients as
-        reduce_step does, and compare the stored functionals and supports
-        exactly.  The weights r . lambda are computed once, here, from the
-        initial relation; each step adds logD_i of its expanded coefficients."""
-        current = self.initial
-        weights = current.weights(spec)
-        for step in self.steps:
-            if step.pivot not in current.coefficients:
+        """Re-execute every step, multiplying out every coefficient exactly
+        as reduce_step does, and compare the pivot, the stored functionals
+        and the remaining support; then check the verdict against the end
+        state.  The weights r . lambda are computed once, here, from the
+        initial relation.
+
+        Over the constants (rational initial coefficients, eigenvalues
+        homogeneous integer linear forms) it multiplies out every
+        coefficient exactly on packed integers: s_r is one int, at
+        c_k = 2^(W_r * B_r^k), and the packing is injective because
+        2^(W_r - 1) > |num(s_r0)| * prod_j ||(p_j - r) . lambda||_1 bounds
+        every coefficient and B_r - 1 every exponent (`_kronecker_shifts`).
+        Any other relation steps on Elements, each step adding logD_i of
+        its expanded coefficients.
+
+        NoNontrivialRelation needs one vector left; InvariantMonomialFound
+        the colliding pair left, with equal functionals and
+        invariant_exponent = r2 - r1; Degenerate no steps and equal weights
+        for the colliding pair, which may hold the zero vector."""
+        G = self.initial
+        if self.verdict is Verdict.DEGENERATE:
+            lams = G.eigenvalues(spec)
+            if self.steps or not self._pair_in({*G.coefficients, (0,) * len(lams)}):
                 return False
-            phis = current.functionals(spec, weights)
-            if phis != step.functionals:
-                return False
-            current = _reduce(current, step.pivot, phis)
-            if tuple(current.support) != step.remaining_support:
-                return False
-        return True
+            r1, r2 = self.colliding_pair
+            return qlinear_dot(r1, lams) == qlinear_dot(r2, lams)
+        weights = G.weights(spec)
+        columns = G.eigenvalue_columns(spec)
+        packed = columns is not None and all(s.is_rational() for s in G.coefficients.values())
+        if packed:
+            final = _replay_packed(G, self.steps, weights, columns)
+        else:
+            final = _replay_literal(G, self.steps, weights, spec)
+        if final is None:
+            return False
+        if self.verdict is Verdict.NO_NONTRIVIAL_RELATION:
+            return len(final) == 1
+        if not self._pair_in(final):
+            return False
+        # over the constants no coefficient gains a generator: logD_i(s_r) = 0
+        phi1, phi2 = (
+            weights[r] if packed else _plus_logd(weights[r], final[r], G.level, spec)
+            for r in self.colliding_pair
+        )
+        r1, r2 = self.colliding_pair
+        return phi1 == phi2 and self.invariant_exponent == tuple(b - a for a, b in zip(r1, r2))
+
+    def _pair_in(self, support) -> bool:
+        """The colliding pair is two distinct vectors of ``support``."""
+        pair = self.colliding_pair
+        return pair is not None and len(pair) == 2 and pair[0] != pair[1] and all(
+            r in support for r in pair
+        )
 
     def to_json(self) -> str:
         text: dict[Element, str] = {}  # each distinct functional is formatted once

@@ -7,18 +7,23 @@ nothing here.
 - ``to_sympy``: a ``Poly`` as a sympy expression, the exact reference of
   the sympy tests.
 - ``P``, ``literal_p`` and the ``rationals`` strategy.
+- ``seeded_relations``: the prover's seeded level-1 relations with small
+  integer coefficients, the literal cases of the replay tests.
 - ``run_python`` and ``cli_in_child``: a fresh interpreter with this
   checkout's ``src`` first on ``PYTHONPATH``.
 """
 
 import os
+import random
 import subprocess
 import sys
 from itertools import product
 from pathlib import Path
 
 from deltatower import cli
+from deltatower.elements import Element
 from deltatower.polyring import Poly, m_pairs
+from deltatower.relations import MonomialRelation, degree_vectors
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,6 +38,19 @@ def utype_id(utype) -> str:
 
 def P(v):
     return Poly.variable(v)
+
+
+def seeded_relations(variables, count):
+    """count level-1 relations over variables, supports of 2..6 vectors of
+    degree <= 3 in turn and coefficients 1..5, drawn from one seed per
+    number of variables."""
+    m = len(variables)
+    rng = random.Random(f"literal m={m}")
+    pool = degree_vectors(m, 3, include_zero=False)
+    for k in range(count):
+        support = rng.sample(pool, 2 + k % 5)
+        coeffs = {r: Element.from_rational(rng.randint(1, 5)) for r in support}
+        yield MonomialRelation(1, tuple(variables), coeffs)
 
 
 def literal_p(spec, i):

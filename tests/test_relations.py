@@ -30,6 +30,8 @@ from deltatower.relations import (
 from deltatower.textio import parse_element
 from deltatower.tower import SeriesContext, logd
 
+from _support import seeded_relations
+
 SPEC = build_spec((3, 2))
 B11 = SPEC.generator(1, 1)
 B12 = SPEC.generator(1, 2)
@@ -248,22 +250,25 @@ class TestCertifyIndependence:
             assert len(trace.steps) == len(coeffs) - 1
             assert trace.replay(SPEC)
 
-    def test_degree_six_level_one_replays_literally(self):
-        # C(9, 3) - 1 = 83 terms; the replay expands every step's products
-        # of linear forms in c[1][.] (about 2 s on a 2-core machine)
+    def test_degree_six_level_one_replays_literally(self, monkeypatch):
+        # C(9, 3) - 1 = 83 terms; the Element replay, forced here, expands
+        # every step's products of linear forms in c[1][.] (about 2 s on a
+        # 2-core machine; the packed replay takes about 0.3 s)
+        monkeypatch.setattr(MonomialRelation, "eigenvalue_columns", lambda self, spec: None)
         spec = build_spec((3,))
         trace = certify_independence(spec.generators(1), 6, spec)
         assert len(trace.steps) == 82
         assert trace.replay(spec)
 
     def test_degree_seven_level_one(self):
-        # C(10, 3) - 1 = 119 terms, one eliminated per step; the literal
-        # replay of this trace takes about 9 s on a 2-core machine and is
-        # not run here
+        # C(10, 3) - 1 = 119 terms, one eliminated per step; the packed
+        # replay of this trace takes about 2 s on a 2-core machine, the
+        # Element replay about 9 s and is not run here
         spec = build_spec((3,))
         trace = certify_independence(spec.generators(1), 7, spec)
         assert trace.verdict is Verdict.NO_NONTRIVIAL_RELATION
         assert len(trace.steps) == 118
+        assert trace.replay(spec)
 
 
 class TestInvariantMonomial:
@@ -369,17 +374,11 @@ def _functionals_literal(G, spec):
     }
 
 
-def _seeded_relations(m, count):
-    rng = random.Random(f"literal m={m}")
-    pool = degree_vectors(m, 3, include_zero=False)
-    variables = (B11, B12, B13)[:m]
-    for k in range(count):
-        support = rng.sample(pool, 2 + k % 5)
-        yield relation(1, variables, {r: Element.from_rational(rng.randint(1, 5)) for r in support})
-
-
 LITERAL_CASES = {
-    **{f"seeded m={m} #{k}": G for m in (2, 3) for k, G in enumerate(_seeded_relations(m, 10))},
+    **{
+        f"seeded m={m} #{k}": G
+        for m in (2, 3) for k, G in enumerate(seeded_relations((B11, B12, B13)[:m], 10))
+    },
     "level 2 two terms": relation(2, tuple(SPEC.generators(2)), {(1, 0): B11, (0, 1): B11 * B12}),
     "level 2 three terms": relation(
         2, tuple(SPEC.generators(2)), {(1, 0): B11, (0, 1): B11 * B12, (1, 1): B13}
@@ -389,6 +388,9 @@ LITERAL_CASES = {
 
 @pytest.mark.parametrize("name", sorted(LITERAL_CASES))
 def test_replay_functionals_match_the_literal_ones(name, monkeypatch):
+    # the Element replay, forced: over the constants it is the reference
+    # that tests/test_replay.py checks the packed replay against
+    monkeypatch.setattr(MonomialRelation, "eigenvalue_columns", lambda self, spec: None)
     trace = run_reduction(LITERAL_CASES[name], SPEC)
     seen = []
     real = MonomialRelation.functionals
