@@ -173,7 +173,7 @@ def _normal(c):
     """c as an int when it is integral, else as a Fraction."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    c = c if type(c) is Fraction else Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -541,12 +541,16 @@ def _prs_gcd(p: Poly, q: Poly) -> Poly:
         # no common variable: any common divisor is a unit
         return ONE
     v = max(shared)
-    ca, cb = _content_wrt(a, v), _content_wrt(b, v)
-    cont = poly_gcd(ca, cb)
-    pa = exact_quotient(a, ca, "the content of the first gcd argument")
-    pb = exact_quotient(b, cb, "the content of the second gcd argument")
-    if pa.degree_in(v) < pb.degree_in(v):
-        pa, pb = pb, pa
+    if a.degree_in(v) < b.degree_in(v):
+        a, b = b, a
+    # b's content first, of the lower degree in v: when it is 1, the sequence
+    # ends at gcd(a, b) = gcd(pp(a), b), and a's, often the costlier, is skipped
+    cont, pa, pb = ONE, a, b
+    if not (cb := _content_wrt(b, v)).is_const():
+        ca = _content_wrt(a, v)
+        cont = poly_gcd(ca, cb)
+        pa = exact_quotient(a, ca, "the content of the first gcd argument")
+        pb = exact_quotient(b, cb, "the content of the second gcd argument")
     while True:
         r = _prem(pa, pb, v)
         if r.is_zero():

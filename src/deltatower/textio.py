@@ -11,13 +11,12 @@ Grammar (whitespace insignificant)::
 One regex pass lexes the text: ``b[i][j]`` with no space or leading zero
 is one token, other symbol text is read bracket by bracket, and an
 integer of more digits than ``sys.get_int_max_str_digits()`` is a
-``ParseError``.  A parsed value is a Laurent polynomial (num, mono), a
-``Poly`` over one packed monomial whose shared content cancels as it
-arises, as in ``Element``; the text is canonicalised once, by
-``Element._parts``.  Only division by, or a negative power of, a
-polynomial of more than one term makes an ``Element``, which ``Element``
-arithmetic combines from then on.  A monomial denominator adds no term
-and no coefficient bit, so the caps below see what ``Element``s show.
+``ParseError``.  The grammar holds no arithmetic: a leaf is an
+``Element`` (``Element.from_var`` or an integer constant), and each
+operator applies ``Element``'s own ``+ - * / **``.  The caps below refuse
+a power or a product before it is formed, from the terms and coefficient
+bits of the operands' numerators and expanded denominators; a monomial
+denominator is one term of coefficient 1, so it adds neither.
 
 Printing (``str(element)``) always emits canonical form and round-trips
 bit-exactly through :func:`parse_element`.
@@ -27,13 +26,11 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from math import comb
 from operator import add, mul, sub, truediv
 
 from .elements import Element
 from .errors import ParseError
-from .polyring import ONE, Monomial, Poly, _check, _m_min, cancel_monomial, m_pairs, monomial
 
 # cap on the terms a power or a product in element text may expand to; the
 # slowest accepted powers, such as 1/(b[1][1]+b[1][2])^255, take seconds
@@ -49,8 +46,6 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<sym>([bcu])\[([1-9]\d*)\]\[([1-9]\d*)\])|(?P<int>\d+)|(?P<name>[bcu])"
     r"|(?P<op>[-+*/^()\[\]])|(?P<bad>\S))"
 )
-
-Laurent = tuple[Poly, Monomial]
 
 
 def _int(digits: str, pos: int) -> int:
@@ -103,49 +98,6 @@ class _Tokens:
         return False
 
 
-# --- Laurent polynomials -------------------------------------------------
-
-
-def _plus(x: Laurent, y: Laurent, negate: bool) -> Laurent:
-    (p, m), (q, n) = x, y
-    if m != n:  # over the lcm of the monomials
-        lcm = m + n - _m_min(m, n)
-        p, q, m = p.mul_term(lcm - m, 1), q.mul_term(lcm - n, 1), lcm
-    return cancel_monomial(p - q if negate else p + q, m)
-
-
-def _times(x: Laurent, y: Laurent) -> Laurent:
-    """x y, each numerator first cancelled against the other's monomial."""
-    (p, n), (q, m) = cancel_monomial(x[0], y[1]), cancel_monomial(y[0], x[1])
-    num = p * q
-    _check(m + n)
-    return num, m + n
-
-
-def _reciprocal(x: Laurent) -> Laurent:
-    """1/x for a numerator of one term c*t: (mono/c) / t."""
-    ((t, c),) = x[0].terms.items()
-    return Poly({x[1]: Fraction(1) / c}), t
-
-
-def _power(x: Laurent, n: int) -> Laurent | Element:
-    if n < 0:
-        if len(x[0].terms) != 1:
-            return _element(x) ** n
-        x, n = _reciprocal(x), -n
-    mono = monomial((v, e * n) for v, e in m_pairs(x[1])) if x[1] else 0
-    return x[0] ** n, mono
-
-
-def _element(x: Laurent | Element) -> Element:
-    return x if isinstance(x, Element) else Element._parts(*x)
-
-
-def _polys(x: Laurent | Element) -> tuple[Poly, Poly]:
-    """Numerator and denominator as the caps see them: a monomial counts as ONE."""
-    return (x.num, x.den) if isinstance(x, Element) else (x[0], ONE)
-
-
 # --- the parser ----------------------------------------------------------
 
 
@@ -157,7 +109,7 @@ def _parse_int(tokens: _Tokens) -> int:
     return -n if neg else n
 
 
-def _parse_indexed(tokens: _Tokens, kind_letter: str, pos: int) -> Laurent:
+def _parse_indexed(tokens: _Tokens, kind_letter: str, pos: int) -> Element:
     tokens.expect("[")
     level = _parse_int(tokens)
     tokens.expect("]")
@@ -166,15 +118,15 @@ def _parse_indexed(tokens: _Tokens, kind_letter: str, pos: int) -> Laurent:
     tokens.expect("]")
     if level < 1 or index < 1:
         raise ParseError(f"symbol indices must be >= 1: {kind_letter}[{level}][{index}]", pos)
-    return Poly.variable((kind_letter, level, index)), 0
+    return Element.from_var((kind_letter, level, index))
 
 
-def _parse_base(tokens: _Tokens) -> Laurent | Element:
+def _parse_base(tokens: _Tokens) -> Element:
     kind, value, pos, payload = tokens.next()
     if kind == "int":
-        return Poly.const(payload), 0
+        return Element.from_rational(payload)
     if kind == "sym":
-        return Poly.variable(payload), 0
+        return Element.from_var(payload)
     if kind == "name":
         return _parse_indexed(tokens, value, pos)
     if value == "(":
@@ -184,12 +136,12 @@ def _parse_base(tokens: _Tokens) -> Laurent | Element:
     raise ParseError(f"unexpected token {value!r}", pos)
 
 
-def _parse_factor(tokens: _Tokens) -> Laurent | Element:
+def _parse_factor(tokens: _Tokens) -> Element:
     base = _parse_base(tokens)
     if not tokens.accept("^"):
         return base
     n = _parse_int(tokens)
-    num, den = _polys(base)
+    num, den = base.num, base.den
     # (t terms)^n has at most C(|n|+t-1, t-1) terms, one per multiset of |n| terms
     t = max(len(num.terms), len(den.terms))
     if comb(abs(n) + t - 1, t - 1) > MAX_POWER_TERMS:
@@ -202,14 +154,14 @@ def _parse_factor(tokens: _Tokens) -> Laurent | Element:
     )
     if bits > MAX_POWER_BITS:
         raise ParseError(f"power {n} may need {bits} bits, past the cap {MAX_POWER_BITS}")
-    return base**n if isinstance(base, Element) else _power(base, n)
+    return base**n
 
 
-def _combine(op: str, x: Laurent | Element, y: Laurent | Element) -> Laurent | Element:
+def _combine(op: str, x: Element, y: Element) -> Element:
     """x op y, refused when a polynomial product it forms may have more than
     MAX_POWER_TERMS terms.  A single-term side adds no terms, so printed
     canonical forms, such as (num)/(den), always pass."""
-    (xn, xd), (yn, yd) = _polys(x), _polys(y)
+    xn, xd, yn, yd = x.num, x.den, y.num, y.den
     if op == "/":
         yn, yd = yd, yn
     products = [(xn, yn), (xd, yd)]
@@ -219,15 +171,10 @@ def _combine(op: str, x: Laurent | Element, y: Laurent | Element) -> Laurent | E
         s, t = len(p.terms), len(q.terms)
         if s > 1 and t > 1 and s * t > MAX_POWER_TERMS:
             raise ParseError(f"product of {s} and {t} terms may pass the cap {MAX_POWER_TERMS}")
-    # yd is y's denominator, or y for a quotient: a Laurent value stays one over one term
-    if isinstance(x, Element) or isinstance(y, Element) or len(yd.terms) != 1:
-        return _OPS[op](_element(x), _element(y))
-    if op in "+-":
-        return _plus(x, y, negate=op == "-")
-    return _times(x, y if op == "*" else _reciprocal(y))
+    return _OPS[op](x, y)
 
 
-def _chain(tokens: _Tokens, out: Laurent | Element, operand, ops: tuple[str, str]) -> Laurent | Element:
+def _chain(tokens: _Tokens, out: Element, operand, ops: tuple[str, str]) -> Element:
     """Fold ``out (op operand)*`` left to right, op one of ``ops``."""
     while (tok := tokens.peek())[1] in ops:
         tokens.next()
@@ -235,15 +182,12 @@ def _chain(tokens: _Tokens, out: Laurent | Element, operand, ops: tuple[str, str
     return out
 
 
-def _parse_term(tokens: _Tokens) -> Laurent | Element:
+def _parse_term(tokens: _Tokens) -> Element:
     return _chain(tokens, _parse_factor(tokens), _parse_factor, ("*", "/"))
 
 
-def _parse_expr(tokens: _Tokens) -> Laurent | Element:
-    neg = tokens.accept("-")
-    first = _parse_term(tokens)
-    if neg:
-        first = -first if isinstance(first, Element) else (-first[0], first[1])
+def _parse_expr(tokens: _Tokens) -> Element:
+    first = -_parse_term(tokens) if tokens.accept("-") else _parse_term(tokens)
     return _chain(tokens, first, _parse_term, ("+", "-"))
 
 
@@ -254,4 +198,4 @@ def parse_element(text: str) -> Element:
     tok = tokens.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return _element(e)
+    return e

@@ -430,6 +430,17 @@ class TestSeries:
         assert "derivation/series residual inf" in out
         assert out.strip().endswith("RESULT FAIL")
 
+    def test_a_numerator_of_costly_content_finishes(self):
+        # the sum's gcd with the residue b[1][1]+b[1][2]+b[1][3]+c[1][1] is
+        # 1: the residue's content in c[1][1] is 1, so the 66-term
+        # numerator's content is never formed
+        text = (
+            "(b[1][1]+b[1][2])*(b[1][1]+b[1][2]+b[1][3]+c[1][1]) - (b[1][1] + b[1][3])^15"
+            " - 3/(b[1][1]+b[1][2]+b[1][3]+c[1][1])"
+        )
+        done = run_python(["-m", "deltatower.cli", "series", "--element", text, "--order", "8"], timeout=10)
+        assert "CHECK delta_consistency PASS" in done.stdout and done.stdout.endswith("RESULT PASS\n")
+
     def test_a_spec_value_equal_to_a_default_is_accepted(self, capsys, tmp_path):
         # c[1][2] would default to 3, which c[1][1] takes; it moves to 5
         spec = tmp_path / "spec.json"

@@ -192,12 +192,13 @@ def test_every_operation_agrees_with_sympy_cancel(case):
 
 VARS = [var_b(1, 1), var_b(1, 2), var_b(2, 1), var_c(1, 1), var_c(1, 2)]
 
-polys = st.dictionaries(
-    st.lists(st.sampled_from(VARS), max_size=3).map(lambda vs: monomial((v, 1) for v in vs)),
-    rationals,
-    max_size=4,
-).map(Poly)
+monomials = st.lists(st.sampled_from(VARS), max_size=3).map(lambda vs: monomial((v, 1) for v in vs))
+polys = st.dictionaries(monomials, rationals, max_size=4).map(Poly)
 den_one = polys.map(Element)
+# one nonzero term: a bare monomial denominator, once made monic
+terms = st.builds(lambda m, c: Poly({m: c}), monomials, rationals.filter(bool))
+den_mono = st.builds(Element, polys, terms)
+one_term = st.builds(Element, terms, terms)
 # tower-shaped denominators: a generator monomial times a power of e_1
 dens = st.builds(
     lambda v, e, k: P(v) ** e * (B11 + B12) ** k,
@@ -256,6 +257,28 @@ def test_a_tower_denominator_runs_no_cancel(x, y):
             result = out()
         assert calls == []
         _agrees(result, num, x.den * y.den)
+
+
+@examples
+@given(x=den_one | den_mono, y=den_mono, t=one_term, n=st.integers(-3, -1))
+def test_a_monomial_denominator_runs_no_cancel(x, y, t, n):
+    # over two bare monomials: a sum over their lcm, a product with each
+    # numerator cancelled against the other monomial, and 1/(c m) = (den/c)/m
+    # for the one-term numerator c m of a quotient or a negative power
+    cases = [
+        (lambda: x + y, x.num * y.den + y.num * x.den, x.den * y.den),
+        (lambda: x - y, x.num * y.den - y.num * x.den, x.den * y.den),
+        (lambda: x * y, x.num * y.num, x.den * y.den),
+        (lambda: x / t, x.num * t.den, x.den * t.num),
+        (lambda: t**n, t.den**-n, t.num**-n),
+    ]
+    if not x.is_zero():
+        cases.append((lambda: x**n, x.den**-n, x.num**-n))
+    for out, num, den in cases:
+        with _counting_cancel() as calls:
+            result = out()
+        assert calls == []
+        _agrees(result, num, den)
 
 
 @examples

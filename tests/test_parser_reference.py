@@ -1,7 +1,7 @@
 """parse_element against references: malformed and over-cap texts keep
 their pinned errors, the oracle's printed elements parse back to
 themselves, and random expression trees parse to their value computed
-with Element arithmetic on the tree (the literal path)."""
+by sympy on the tree, independently of Element arithmetic."""
 
 import random
 from operator import add, mul, neg, sub, truediv
@@ -130,21 +130,22 @@ def test_the_oracle_corpus_parses_back(seed):
             assert y == x and str(y) == text, text
 
 
-# --- random expression trees against the literal path --------------------
+# --- random expression trees against sympy ---------------------------------
 
 pytest.importorskip("hypothesis")
 
+from _support import sympy_symbol, to_sympy  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
-# (text, value): symbols, compact (one token) or spaced or with a leading
-# zero (read bracket by bracket), then integers, one with leading zeros;
-# hypothesis starts from the first entry of a sampled list
+# (text, symbol or integer): symbols, compact (one token) or spaced or with
+# a leading zero (read bracket by bracket), then integers, one with leading
+# zeros; hypothesis starts from the first entry of a sampled list
 ATOMS = st.sampled_from([
-    (text.format(*v), Element.from_var(v))
+    (text.format(*v), v)
     for v in [("b", 1, 1), ("b", 1, 2), ("b", 2, 1), ("c", 1, 1), ("c", 2, 3), ("u", 1, 1)]
     for text in ("{}[{}][{}]", "{} [ {} ][{}] ", "{}[0{}][\t{}]")
-] + [(str(n), Element.from_rational(n)) for n in range(12, -1, -1)] + [("007", Element.from_rational(7))])
+] + [(str(n), n) for n in range(12, -1, -1)] + [("007", 7)])
 KINDS = st.sampled_from(["pow", "/", "*", "+", "-", "neg", "atom"])
 REDUNDANT = st.sampled_from([False] * 7 + [True])  # parentheses that need not be there
 # precedence of a printed subexpression: a sum or a negation, a product or
@@ -161,57 +162,58 @@ def _wrap(draw, text, prec, lowest, space):
     return text
 
 
-def _apply(fn, *values):
-    """The literal value, or None once Element arithmetic divided by zero."""
-    if None in values:
+def _apply(sympy, fn, *values, divisor=None):
+    """fn(*values) as a cancelled sympy fraction, or None once a division
+    by zero occurred: ``divisor`` is what the operation divides by."""
+    if None in values or divisor == 0:
         return None
-    try:
-        return fn(*values)
-    except DivisionByZero:
-        return None
+    return sympy.cancel(fn(*values))
 
 
-def _tree(draw, depth, space):
+def _tree(sympy, draw, depth, space):
     """(text, precedence, value) of a random expression tree of at most
     ``depth`` levels, with ``space`` around operators.  Three levels of
     integers up to 12, powers up to 3 in magnitude and symbols stay far
     below every cap."""
     kind = draw(KINDS) if depth else "atom"
     if kind == "atom":
-        text, value = draw(ATOMS)
-        return text, ATOM, value
+        text, atom = draw(ATOMS)
+        return text, ATOM, sympy_symbol(atom) if isinstance(atom, tuple) else sympy.Integer(atom)
     if kind == "neg":
-        text, prec, value = _tree(draw, depth - 1, space)
-        return f"-{space}{_wrap(draw, text, prec, TERM, space)}", EXPR, _apply(neg, value)
+        text, prec, value = _tree(sympy, draw, depth - 1, space)
+        return f"-{space}{_wrap(draw, text, prec, TERM, space)}", EXPR, _apply(sympy, neg, value)
     if kind == "pow":
-        text, prec, value = _tree(draw, depth - 1, space)
+        text, prec, value = _tree(sympy, draw, depth - 1, space)
         n = draw(st.integers(-3, 3))
         exponent = f"-{space}{-n}" if n < 0 else str(n)
         text = f"{_wrap(draw, text, prec, ATOM, space)}{space}^{space}{exponent}"
-        return text, POWER, _apply(lambda x: x**n, value)
+        return text, POWER, _apply(sympy, lambda x: x**n, value, divisor=value if n < 0 else None)
     op_prec = EXPR if kind in "+-" else TERM
-    (left, lp, lv), (right, rp, rv) = _tree(draw, depth - 1, space), _tree(draw, depth - 1, space)
+    (left, lp, lv), (right, rp, rv) = (_tree(sympy, draw, depth - 1, space) for _ in range(2))
     left, right = _wrap(draw, left, lp, op_prec, space), _wrap(draw, right, rp, op_prec + 1, space)
-    return f"{left}{space}{kind}{space}{right}", op_prec, _apply(OPS[kind], lv, rv)
+    divisor = rv if kind == "/" else None
+    return f"{left}{space}{kind}{space}{right}", op_prec, _apply(sympy, OPS[kind], lv, rv, divisor=divisor)
 
 
 @st.composite
-def trees(draw):
-    """(text, literal value or None for a division by zero) of a tree."""
+def trees(draw, sympy):
+    """(text, sympy value or None for a division by zero) of a tree."""
     space = draw(SPACE)
-    text, _, value = _tree(draw, 3, space)
+    text, _, value = _tree(sympy, draw, 3, space)
     return f"{space}{text}{space}", value
 
 
 @settings(max_examples=200)
-@given(trees())
-def test_a_tree_parses_to_its_literal_value(tree):
-    text, value = tree
+@given(data=st.data())
+def test_a_tree_parses_to_its_literal_value(data):
+    sympy = pytest.importorskip("sympy")
+    text, value = data.draw(trees(sympy))
     if value is None:
         with pytest.raises(DivisionByZero):
             parse_element(text)
         return
     parsed = parse_element(text)
-    assert parsed == value, text
-    assert str(parsed) == str(value)
-    assert parse_element(str(parsed)) == value
+    assert sympy.cancel(to_sympy(parsed.num) / to_sympy(parsed.den) - value) == 0, text
+    printed = str(parsed)
+    reparsed = parse_element(printed)
+    assert reparsed == parsed and str(reparsed) == printed

@@ -193,6 +193,21 @@ def test_stripped_gcd_is_the_prs_gcd_and_sympy_gcd(seed):
     assert ratio.is_Rational and ratio != 0
 
 
+def test_gcd_skips_the_content_of_the_higher_degree_argument():
+    # the pair of "x - 3/R" for the sum x below: R has content 1 in c[1][1],
+    # so the 66-term numerator's content in c[1][1], a gcd of large
+    # polynomials in the b[1][j], is never formed
+    sympy = pytest.importorskip("sympy")
+    residue = E1 + P(C11)
+    x = (P(B11) + P(B12)) * residue - (P(B11) + P(B13)) ** 15
+    left = x * residue - Poly.const(3)
+    assert len(left.terms) == 66
+    g = poly_gcd(left, residue)
+    assert g == Poly.const(1)
+    ratio = sympy.cancel(to_sympy(g) / sympy.gcd(to_sympy(left), to_sympy(residue)))
+    assert ratio.is_Rational and ratio != 0
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_exact_div_inverts_mul_and_agrees_with_sympy_div(seed):
     sympy = pytest.importorskip("sympy")
