@@ -7,18 +7,16 @@ sums (``polyring.level_sum``) are linear, so irreducible, and normal, and
 the residue is ``polyring.ONE`` on every tower path.  Operations combine
 exponents by min, max and sum and cancel a numerator by its monomial
 content, by trial division by level sums, and by a gcd only against a
-nonconstant residue.  Over two bare monomial denominators (no level sum,
-residue ``ONE``) a sum is taken over the lcm of the monomials and a
-product cancels each numerator against the other's monomial, directly;
-the reciprocal of a one-term numerator c*t is (den/c)/t.  ``Element(num,
-den)`` splits den once (``polyring.known_factors``); ``den`` is expanded
-on first read.  ``==`` compares numerators and monomials, then the other
-parts or, where those differ (a split may leave a level sum in a
-residue), the expanded dens; equal elements print alike.  A rational
-element hashes as its ``Fraction``, any other as (num, den).  Over the
-shared constant denominator ``polyring.ONE``, sums, products and rational
-multiples touch no part.  Elements are constant expressions (``c[i][j]``,
-``u[i][j]``) or tower elements in the generators ``b[i][j]``.
+nonconstant residue, so over bare monomial denominators no gcd runs.
+``Element(num, den)`` splits den once (``polyring.known_factors``);
+``den`` is expanded on first read.  ``==`` compares numerators and
+monomials, then the other parts or, where those differ (a split may leave
+a level sum in a residue), the expanded dens; equal elements print alike.
+A rational element hashes as its ``Fraction``, any other as (num, den).
+Over the shared constant denominator ``polyring.ONE``, sums, products and
+rational multiples touch no part.  Elements are constant expressions
+(``c[i][j]``, ``u[i][j]``) or tower elements in the generators
+``b[i][j]``.
 """
 
 from __future__ import annotations
@@ -39,11 +37,6 @@ _NO_SUMS: Counter[LevelSum] = Counter()  # shared, so never mutated
 
 def _expand(mono: Monomial, sums: Counter[LevelSum], res: Poly) -> Poly:
     return product(res.mul_term(mono, 1), *(level_sum(s) ** k for s, k in sorted(sums.items())))
-
-
-def _monomial_only(x: "Element", y: "Element") -> bool:
-    """Both denominators are a bare monomial: no level sum, residue ONE."""
-    return not x.sums and not y.sums and x.res is y.res is ONE
 
 
 class Element:
@@ -78,8 +71,7 @@ class Element:
         if res is not ONE:
             inv = Fraction(1) / res.lead()[1]
             num, res = num.scale(inv), ONE if res.is_const() else res.scale(inv)
-        if mono:  # a product of two monomials may pass MAX_EXPONENT
-            _check(mono)
+        _check(mono)  # a product of two monomials may pass MAX_EXPONENT
         self.num, self.mono, self.sums, self.res = num, mono, sums, res
         self._den = ONE if not mono and not sums and res is ONE else None
 
@@ -149,11 +141,7 @@ class Element:
         hide a level sum, so then t is cancelled against all of the lcm."""
         if self._den is o._den is ONE:
             return Element._parts(self.num - o.num if negate else self.num + o.num)
-        mono = _m_min(self.mono, o.mono)
-        if _monomial_only(self, o):  # over the lcm of the monomials
-            a, b = self.num.mul_term(o.mono - mono, 1), o.num.mul_term(self.mono - mono, 1)
-            return Element._parts(*cancel_monomial(a - b if negate else a + b, self.mono + o.mono - mono))
-        sums = self.sums & o.sums
+        mono, sums = _m_min(self.mono, o.mono), self.sums & o.sums
         if self.res == o.res:
             res, mine, theirs = self.res, ONE, ONE
         elif self.res is ONE or o.res is ONE:
@@ -175,20 +163,13 @@ class Element:
         both denominators divides neither numerator, so it is not tried."""
         if x._den is y._den is ONE:
             return Element._parts(x.num * y.num)
-        if _monomial_only(x, y):
-            (p, n), (q, m) = cancel_monomial(x.num, y.mono), cancel_monomial(y.num, x.mono)
-            return Element._parts(p * q, m + n)
         what = "the gcd of a numerator and a denominator"
         a = Element._parts(x.num, y.mono, y.sums, y.res, what, [s for s in y.sums if not x.sums[s]])
         b = Element._parts(y.num, x.mono, x.sums, x.res, what, [s for s in x.sums if not y.sums[s]])
         return Element._parts(a.num * b.num, a.mono + b.mono, a.sums + b.sums, product(a.res, b.res))
 
     def _reciprocal(self) -> "Element":
-        """den/num for a nonzero self, with num split into the parts;
-        1/(c t) = (den/c)/t for a numerator of one term."""
-        if len(self.num.terms) == 1:
-            ((t, c),) = self.num.terms.items()
-            return Element._parts(self.den.scale(Fraction(1) / c), t)
+        """den/num for a nonzero self, with num split into the parts."""
         return Element._parts(self.den, *known_factors(self.num))
 
     def __add__(self, other) -> "Element":

@@ -173,7 +173,7 @@ def _normal(c):
     """c as an int when it is integral, else as a Fraction."""
     if type(c) is int:
         return c
-    c = c if type(c) is Fraction else Fraction(c)
+    c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
