@@ -21,19 +21,15 @@ weight is one linear combination: over eigenvalues with denominator 1,
 the usual case, `qlinear_dot` adds r_j times each numerator term into
 one dictionary, not a run of Element sums.
 
-A replay re-executes every step and compares it with the trace.  Over the
-constants (rational initial coefficients, eigenvalues homogeneous linear
-forms with integer coefficients in the constant symbols) no coefficient
-gains a generator, and s_r is num(s_r0) / den(s_r0) times a product of
-the integer linear forms (p - r) . lambda.  The replay multiplies each one
-out exactly as one Python int, its dehomogenisation under the Kronecker
-substitution c_k = 2^(W_r * B_r^k): B_r - 1 bounds every exponent and
-2^(W_r - 1) > |num(s_r0)| * prod_j ||(p_j - r) . lambda||_1 bounds every
-coefficient, so the map is injective and S_r == 0 is the literal zero
-test.  A product by (p - r) . lambda = sum_k a_k c_k is then
-sum_k a_k * (S_r << shift_k), a few big-int operations.  Other relations
-step on Elements.  Either way the replay then checks the verdict against
-the end state.
+Over the constants (every functional constant) no step changes a
+functional: phi* - phi(r) is constant, so its logD_i is 0.  A step
+multiplies s_r by the constant (p - r) . lambda, and the constants are a
+field, so s_r becomes 0 exactly when r . lambda == p . lambda.  A run
+then carries the functionals restricted to the support, and a replay of a
+relation with constant coefficients follows the support alone: the trace
+stores no coefficient, so the zero test is all a product was for.  Other
+relations step on Elements.  A replay re-executes every step, compares it
+with the trace, then checks the verdict against the end state.
 
 The weights r . lambda are pairwise distinct for all r exactly when the
 eigenvalues are Q-linearly independent (`qlinear_independent`): the
@@ -49,7 +45,6 @@ from __future__ import annotations
 import json
 from enum import Enum
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Sequence
 
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
@@ -199,15 +194,6 @@ class MonomialRelation(Record):
             spec._caches[key] = lams
         return lams
 
-    def eigenvalue_columns(self, spec: TowerSpec) -> tuple[tuple[int, ...], ...] | None:
-        """Per constant symbol (sorted), its integer coefficient in each
-        eigenvalue, cached beside the eigenvalues; None unless every
-        eigenvalue is a homogeneous linear form with integer coefficients."""
-        key = ("eigenvalue columns", self.level, self.variables)
-        if key not in spec._caches:
-            spec._caches[key] = _integer_columns(self.eigenvalues(spec))
-        return spec._caches[key]
-
     def weights(self, spec: TowerSpec) -> dict[ExponentVector, Element]:
         """r . lambda for every support vector: the functionals of constant
         coefficients, the same for every relation a reduction of G reaches."""
@@ -264,18 +250,11 @@ def _reduce(G: MonomialRelation, pivot: ExponentVector, phis: dict) -> MonomialR
     return MonomialRelation(G.level, G.variables, new_coeffs)
 
 
-def _integer_columns(values: Sequence[Element]) -> tuple[tuple[int, ...], ...] | None:
-    forms = []
-    for value in values:
-        try:
-            const, coeffs = linear_coefficients(value)
-        except NotLinear:
-            return None
-        if const or any(c.denominator != 1 for c in coeffs.values()):
-            return None
-        forms.append(coeffs)
-    symbols = sorted({v for form in forms for v in form})
-    return tuple(tuple(int(form.get(v, 0)) for form in forms) for v in symbols)
+def _all_constant(values: Iterable[Element]) -> bool:
+    """Whether no generator occurs in any of the values: of a run's
+    functionals, no step changes them; of a replay's initial coefficients,
+    the replay follows the support alone."""
+    return all(value.is_constant() for value in values)
 
 
 def _replay_literal(G: MonomialRelation, steps, weights: dict, spec: TowerSpec) -> dict | None:
@@ -296,63 +275,20 @@ def _replay_literal(G: MonomialRelation, steps, weights: dict, spec: TowerSpec) 
     return G.coefficients
 
 
-def _replay_packed(G: MonomialRelation, steps, weights: dict, columns) -> dict | None:
-    """The steps on packed coefficients, each functional the weight
-    r . lambda: the final packed coefficients, or None at the first step
-    that does not match.  S_r starts as num(s_r0), so it packs
-    den(s_r0) * s_r at the points of `_kronecker_shifts`."""
-    vectors = {r: tuple(sum(map(mul, r, column)) for column in columns) for r in G.coefficients}
-    if any(step.pivot not in vectors for step in steps):
-        return None
-    shifts = _kronecker_shifts(G, steps, vectors)
-    packed = {r: G.coefficients[r].as_rational().numerator for r in sorted(G.coefficients)}
+def _replay_support(G: MonomialRelation, steps, weights: dict) -> set | None:
+    """The steps of G with constant coefficients, on its support alone: the
+    final support, or None at the first step that does not match.  Each
+    functional is the weight r . lambda, and step p keeps r exactly when
+    (p - r) . lambda, the constant s_r is multiplied by, is nonzero."""
+    support = set(G.coefficients)
     for step in steps:
-        if step.pivot not in packed or step.functionals != {r: weights[r] for r in packed}:
+        if step.pivot not in support or step.functionals != {r: weights[r] for r in support}:
             return None
-        packed = _packed_step(packed, step.pivot, vectors, shifts)
-        if not packed or tuple(packed) != step.remaining_support:
+        weight = weights[step.pivot]
+        support = {r for r in support if weights[r] != weight}
+        if not support or tuple(sorted(support)) != step.remaining_support:
             return None
-    return packed
-
-
-def _kronecker_shifts(G: MonomialRelation, steps, vectors: dict) -> dict[ExponentVector, tuple]:
-    """Per support vector r, the shifts of its packed coefficient S_r:
-    W_r * B_r^k for the first n - 1 symbols (k = 0, ..., n - 2), then 0
-    for the last, which the dehomogenisation sets to 1.  B_r - 1 is the
-    number of steps before r is the pivot, so no exponent passes it, and
-    2^(W_r - 1) exceeds |num(s_r0)| times the product of
-    ||(p - r) . lambda||_1 over those steps, so no coefficient reaches it."""
-    first: dict[ExponentVector, int] = {}
-    for t, step in enumerate(steps):
-        first.setdefault(step.pivot, t)
-    out = {}
-    for r, s in G.coefficients.items():
-        survived = first.get(r, len(steps))
-        bound = abs(s.as_rational().numerator)
-        w = vectors[r]
-        for step in steps[:survived]:
-            bound *= max(1, sum(abs(a - b) for a, b in zip(vectors[step.pivot], w)))
-        width = bound.bit_length() + 1
-        n = len(w)
-        out[r] = tuple(width * (survived + 1) ** k for k in range(n - 1)) + (0,) if n else ()
-    return out
-
-
-def _packed_step(packed: dict, pivot: ExponentVector, vectors: dict, shifts: dict) -> dict:
-    """One step on packed coefficients: S_r times (p - r) . lambda =
-    sum_k a_k c_k is sum_k a_k * (S_r << shift_k), and a zero result drops
-    r, as the literal zero test does."""
-    wp = vectors[pivot]
-    out = {}
-    for r, S in packed.items():
-        if r != pivot:
-            acc = 0
-            for a, b, k in zip(wp, vectors[r], shifts[r]):
-                if a != b:
-                    acc += (a - b) * (S << k)
-            if acc:
-                out[r] = acc
-    return out
+    return support
 
 
 class ReductionStep(Record):
@@ -379,20 +315,17 @@ class ReductionTrace(Record):
         )
 
     def replay(self, spec: TowerSpec) -> bool:
-        """Re-execute every step, multiplying out every coefficient exactly
-        as reduce_step does, and compare the pivot, the stored functionals
-        and the remaining support; then check the verdict against the end
-        state.  The weights r . lambda are computed once, here, from the
-        initial relation.
+        """Re-execute every step and compare the pivot, the stored
+        functionals and the remaining support; then check the verdict
+        against the end state.  The weights r . lambda are computed once,
+        here, from the initial relation.
 
-        Over the constants (rational initial coefficients, eigenvalues
-        homogeneous integer linear forms) it multiplies out every
-        coefficient exactly on packed integers: s_r is one int, at
-        c_k = 2^(W_r * B_r^k), and the packing is injective because
-        2^(W_r - 1) > |num(s_r0)| * prod_j ||(p_j - r) . lambda||_1 bounds
-        every coefficient and B_r - 1 every exponent (`_kronecker_shifts`).
-        Any other relation steps on Elements, each step adding logD_i of
-        its expanded coefficients.
+        When every initial coefficient is constant, every functional is its
+        weight and a step drops the pivot and each r of the pivot's weight,
+        the exact zero test of the constant product (p - r) . lambda * s_r,
+        so the replay follows the support alone (`_replay_support`).  Any
+        other relation steps on Elements as reduce_step does, each step
+        adding logD_i of its expanded coefficients.
 
         NoNontrivialRelation needs one vector left; InvariantMonomialFound
         the colliding pair left, with equal functionals and
@@ -406,10 +339,9 @@ class ReductionTrace(Record):
             r1, r2 = self.colliding_pair
             return qlinear_dot(r1, lams) == qlinear_dot(r2, lams)
         weights = G.weights(spec)
-        columns = G.eigenvalue_columns(spec)
-        packed = columns is not None and all(s.is_rational() for s in G.coefficients.values())
-        if packed:
-            final = _replay_packed(G, self.steps, weights, columns)
+        constant = _all_constant(G.coefficients.values())
+        if constant:
+            final = _replay_support(G, self.steps, weights)
         else:
             final = _replay_literal(G, self.steps, weights, spec)
         if final is None:
@@ -420,7 +352,7 @@ class ReductionTrace(Record):
             return False
         # over the constants no coefficient gains a generator: logD_i(s_r) = 0
         phi1, phi2 = (
-            weights[r] if packed else _plus_logd(weights[r], final[r], G.level, spec)
+            weights[r] if constant else _plus_logd(weights[r], final[r], G.level, spec)
             for r in self.colliding_pair
         )
         r1, r2 = self.colliding_pair
@@ -466,13 +398,16 @@ def run_reduction(G: MonomialRelation, spec: TowerSpec) -> ReductionTrace:
     functionals: a step multiplies s_r by the nonzero phi* - phi(r), and
     logD_i is additive over products, so phi(r) gains logD_i(phi* - phi(r)).
     That is zero when the difference is constant, and phi(r) is kept as it
-    is; the weights r . lambda are computed once, by the first functionals."""
+    is; the weights r . lambda are computed once, by the first functionals.
+    When every functional is constant, every difference is, and the
+    functionals are only restricted to the support left."""
     return _run_reduction(G, G.functionals(spec) if len(G.coefficients) > 1 else {}, spec)
 
 
 def _run_reduction(G: MonomialRelation, phis: dict, spec: TowerSpec) -> ReductionTrace:
     """run_reduction with the functionals phis of G already computed."""
     steps: list[ReductionStep] = []
+    constant = _all_constant(phis.values())
     while len(phis) > 1:
         collision = _find_collision(phis)
         if collision is not None:
@@ -493,7 +428,7 @@ def _run_reduction(G: MonomialRelation, phis: dict, spec: TowerSpec) -> Reductio
             # take the general gcd far longer than the whole run
             break
         phis = {
-            r: _plus_logd(phis[r], phis[pivot] - phis[r], G.level, spec)
+            r: phis[r] if constant else _plus_logd(phis[r], phis[pivot] - phis[r], G.level, spec)
             for r in rest
         }
     return ReductionTrace(G, tuple(steps), Verdict.NO_NONTRIVIAL_RELATION)

@@ -1,10 +1,11 @@
-"""``ReductionTrace.replay`` on both of its paths.
+"""``ReductionTrace.replay`` and ``run_reduction`` on both of their paths.
 
-Over the constants the replay multiplies out every coefficient as one
-packed int; any other relation steps on ``Element``s, the literal
-reference.  Here the two must agree on every trace, the packed ints must
-be the literal coefficients at the substitution point, and a tampered,
-truncated or relabelled trace must replay False on both paths.
+With constant coefficients the replay follows the support alone, each
+step dropping the pivot and every vector of the pivot's weight; any other
+relation steps on ``Element``s, the literal reference.  Here the two must
+agree on every trace, a tampered, truncated or relabelled trace must
+replay False on both paths, and a run over the constants must write the
+trace that the general loop of functionals writes.
 """
 
 from contextlib import contextmanager
@@ -14,8 +15,7 @@ import pytest
 
 from deltatower import Verdict, build_spec, certify_independence, reduce_step, run_reduction
 from deltatower import relations
-from deltatower.elements import Element, ONE_ELEMENT
-from deltatower.polyring import m_pairs
+from deltatower.elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from deltatower.relations import (
     MonomialRelation,
     ReductionStep,
@@ -23,6 +23,7 @@ from deltatower.relations import (
     degree_vectors,
 )
 from deltatower.textio import parse_element
+from deltatower.tower import logd
 
 from _support import seeded_relations
 
@@ -42,32 +43,34 @@ def retrace(trace, **fields):
 
 
 @contextmanager
-def packed_replays():
-    """Records the final state of every packed replay run inside."""
+def support_replays():
+    """Records the final support of every replay inside that follows the
+    support alone."""
     finals = []
-    real = relations._replay_packed
+    real = relations._replay_support
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(relations, "_replay_packed", lambda *a: finals.append(real(*a)) or finals[-1])
+        mp.setattr(relations, "_replay_support", lambda *a: finals.append(real(*a)) or finals[-1])
         yield finals
 
 
 @contextmanager
-def literal_replays():
-    """Every replay inside steps on Elements."""
+def general_paths():
+    """Every replay inside steps on Elements, and every run carries its
+    functionals through the general loop."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(MonomialRelation, "eigenvalue_columns", lambda self, spec: None)
+        mp.setattr(relations, "_all_constant", lambda values: False)
         yield
 
 
 def both_replays(trace, spec):
-    """(packed, literal) replay results; the first must take the packed path
+    """(support, literal) replay results; the first must follow the support
     unless the verdict is Degenerate, which steps on neither."""
-    with packed_replays() as finals:
-        packed = trace.replay(spec)
+    with support_replays() as finals:
+        support = trace.replay(spec)
     assert len(finals) == (trace.verdict is not Verdict.DEGENERATE)
-    with literal_replays():
+    with general_paths():
         literal = trace.replay(spec)
-    return packed, literal
+    return support, literal
 
 
 def _certify_at(utype, d, level, m=3):
@@ -89,27 +92,6 @@ AGREEMENT_CASES = {
         run_reduction(relation(1, (B11, B11), {(1, 0): ONE_ELEMENT, (0, 1): -ONE_ELEMENT}), SPEC),
         SPEC,
     ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
-def test_packed_and_literal_replays_agree(name):
-    trace, spec = AGREEMENT_CASES[name]()
-    assert both_replays(trace, spec) == (True, True)
-    if trace.steps:
-        truncated = retrace(trace, steps=trace.steps[:-1])
-        assert both_replays(truncated, spec) == (False, False)
-
-
-def _evaluate(x: Element, point: dict) -> Fraction:
-    """The numerator of x at c_v = 2^point[v], exactly."""
-    return sum(c * (1 << sum(point[v] * e for v, e in m_pairs(m))) for m, c in x.num.terms.items())
-
-
-STATE_CASES = {
-    **{f"(3,) m={m} d={d}": _certify_at((3,), d, 1, m) for m in (2, 3) for d in (1, 2, 3)},
-    **{f"(3, 3) level=2 d={d}": _certify_at((3, 3), d, 2) for d in (1, 2, 3)},
-    **{f"(1, 1, 3) level=3 d={d}": _certify_at((1, 1, 3), d, 3) for d in (1, 2, 3)},
     # fractional coefficients and eigenvalues c11 + c12, 2 c13 - c11, c12
     "fractions": lambda: (
         run_reduction(
@@ -127,43 +109,25 @@ STATE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(STATE_CASES))
-def test_packed_ints_are_the_literal_coefficients_at_the_point(name, monkeypatch):
-    trace, spec = STATE_CASES[name]()
-    G = trace.initial
-    shifts, states = {}, []
-    real_shifts, real_step = relations._kronecker_shifts, relations._packed_step
-    monkeypatch.setattr(
-        relations, "_kronecker_shifts", lambda *a: shifts.update(real_shifts(*a)) or shifts
-    )
-    monkeypatch.setattr(
-        relations, "_packed_step", lambda *a: states.append(real_step(*a)) or states[-1]
-    )
-    assert trace.replay(spec)
-    assert len(states) == len(trace.steps) > 0
-    symbols = sorted({v for lam in G.eigenvalues(spec) for v in lam.variables()})
-    assert len(symbols) == len(G.variables)
-    current = G
-    for step, packed in zip(trace.steps, states):
-        current = reduce_step(current, step.pivot, spec)
-        assert tuple(packed) == tuple(current.support)
-        for r, s in current.coefficients.items():
-            den = G.coefficients[r].as_rational().denominator
-            scaled = s * den
-            assert scaled.den.is_const()
-            point = dict(zip(symbols, shifts[r]))
-            assert packed[r] == _evaluate(scaled, point)
-            # shifts W_r, then W_r * B_r for three symbols, then 0: every
-            # coefficient below 2^(W_r - 1), every exponent below B_r
-            width = shifts[r][0]
-            assert max(abs(c) for c in scaled.num.terms.values()) < 2 ** (width - 1)
-            if len(symbols) == 3:
-                base = shifts[r][1] // width
-                assert all(e < base for m in scaled.num.terms for _, e in m_pairs(m))
+@pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
+def test_packed_and_literal_replays_agree(name):
+    trace, spec = AGREEMENT_CASES[name]()
+    assert both_replays(trace, spec) == (True, True)
+    if trace.steps:
+        truncated = retrace(trace, steps=trace.steps[:-1])
+        assert both_replays(truncated, spec) == (False, False)
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
+def test_a_run_over_the_constants_writes_the_general_trace(name):
+    trace, _ = AGREEMENT_CASES[name]()
+    with general_paths():
+        general, _ = AGREEMENT_CASES[name]()
+    assert trace.to_json() == general.to_json()
 
 
 def test_one_constant_symbol():
-    # eigenvalue c11 alone: every shift is 0 and S_r is an integer product
+    # eigenvalue c11 alone: every weight a multiple of c11
     for d in (1, 2, 5):
         trace = certify_independence([B11], d, SPEC)
         assert len(trace.steps) == d - 1
@@ -173,15 +137,13 @@ def test_one_constant_symbol():
     trace = run_reduction(G, SPEC)
     assert trace.verdict is Verdict.NO_NONTRIVIAL_RELATION
     assert both_replays(trace, SPEC) == (True, True)
-    vectors = {r: (2 * r[0],) for r in G.coefficients}
-    assert relations._kronecker_shifts(G, trace.steps, vectors) == dict.fromkeys(vectors, (0,))
 
 
 def test_a_zero_linear_form():
     # u[1][1] is constant: its eigenvalue is 0, so (0,1) and (0,2) share
     # the weight 0 and the step with pivot (0,1) drops (0,2) on both paths
     G = relation(1, (B11, U11), {(0, 1): ONE_ELEMENT, (1, 0): ONE_ELEMENT, (0, 2): ONE_ELEMENT})
-    assert G.eigenvalue_columns(SPEC) == ((1, 0),)
+    assert G.eigenvalues(SPEC) == (parse_element("c[1][1]"), ZERO_ELEMENT)
     trace = run_reduction(G, SPEC)
     assert trace.verdict is Verdict.INVARIANT_MONOMIAL_FOUND
     assert both_replays(trace, SPEC) == (True, True)
@@ -194,10 +156,10 @@ def test_a_zero_linear_form():
 
 
 def test_no_symbols_at_all():
-    # every eigenvalue the zero form: no columns, and any step zeroes every
-    # coefficient, which neither path accepts as a step
+    # every eigenvalue the zero form: any step zeroes every coefficient,
+    # which neither path accepts as a step
     G = relation(1, (U11,), {(1,): ONE_ELEMENT, (2,): ONE_ELEMENT})
-    assert G.eigenvalue_columns(SPEC) == ()
+    assert G.eigenvalues(SPEC) == (ZERO_ELEMENT,)
     trace = run_reduction(G, SPEC)
     assert trace.verdict is Verdict.INVARIANT_MONOMIAL_FOUND and not trace.steps
     assert both_replays(trace, SPEC) == (True, True)
@@ -208,19 +170,36 @@ def test_no_symbols_at_all():
 
 
 def test_relations_off_the_constants_step_on_elements():
-    # a constant-symbol coefficient and a generator coefficient keep the
-    # Element path, as does an eigenvalue that is not a homogeneous linear
-    # form with integer coefficients
-    for G in (
-        relation(1, (B11, B12), {(1, 0): parse_element("c[1][2]"), (0, 1): ONE_ELEMENT}),
-        relation(1, (B11, B12), {(1, 0): B13, (0, 1): ONE_ELEMENT}),
-    ):
-        trace = run_reduction(G, SPEC)
-        with packed_replays() as finals:
-            assert trace.replay(SPEC)
-        assert finals == []
-    for text in ("c[1][1]/2", "c[1][1] + 1", "c[1][1]^2"):
-        assert relations._integer_columns((parse_element(text),)) is None
+    # a constant-symbol coefficient is constant, so its replay follows the
+    # support and agrees with the Element replay; a generator coefficient
+    # keeps the Element path
+    G = relation(1, (B11, B12), {(1, 0): parse_element("c[1][2]"), (0, 1): ONE_ELEMENT})
+    trace = run_reduction(G, SPEC)
+    assert both_replays(trace, SPEC) == (True, True)
+    G = relation(1, (B11, B12), {(1, 0): B13, (0, 1): ONE_ELEMENT})
+    trace = run_reduction(G, SPEC)
+    with support_replays() as finals:
+        assert trace.replay(SPEC)
+    assert finals == []
+
+
+def test_a_certificate_and_its_replay_multiply_nothing():
+    # over the constants a run restricts its functionals and a replay its
+    # support: no Element difference, product or logD once the eigenvalues
+    # are cached
+    spec = build_spec((3,))
+    variables = spec.generators(1)
+    MonomialRelation(1, tuple(variables), {(1, 1, 1): ONE_ELEMENT}).eigenvalues(spec)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__sub__", "__mul__"):
+            real = getattr(Element, name)
+            mp.setattr(Element, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        mp.setattr(relations, "logd", lambda *a: calls.append("logd") or logd(*a))
+        trace = certify_independence(variables, 4, spec)
+        assert trace.replay(spec)
+    assert len(trace.steps) == 33
+    assert calls == []
 
 
 # --- the end state ----------------------------------------------------------
@@ -286,7 +265,7 @@ def test_an_invariant_over_generator_coefficients_steps_on_elements():
     G = relation(2, (b21, b21, b22), {(1, 0, 0): b11, (0, 1, 0): -b11, (0, 0, 1): b11 * b11})
     trace = run_reduction(G, spec)
     assert trace.verdict is Verdict.INVARIANT_MONOMIAL_FOUND
-    with packed_replays() as finals:
+    with support_replays() as finals:
         assert trace.replay(spec)
         assert not retrace(trace, invariant_exponent=(-1, 1, 0)).replay(spec)
         assert not retrace(trace, colliding_pair=((0, 0, 1), (1, 0, 0))).replay(spec)
@@ -362,15 +341,19 @@ from _support import rationals  # noqa: E402
 POOL = (B11, B12, B13, B11 * B12, B13**2 / B11, U11)
 
 
+# constant coefficients times a rational: the rational ones, and ones
+# with constant symbols in the numerator or the denominator
+CONSTANTS = tuple(map(parse_element, ("1", "c[1][2]", "c[1][1]/c[1][3]", "u[1][1]")))
+
+
 @st.composite
 def relations_over_the_constants(draw):
     indices = draw(st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=3))
     m = len(indices)
     vectors = st.sampled_from(degree_vectors(m, 3))
     support = draw(st.lists(vectors, min_size=1, max_size=8, unique=True))
-    coeffs = [draw(rationals.filter(bool)) for _ in support]
-    return relation(1, [POOL[i] for i in indices],
-                    {r: Element.from_rational(c) for r, c in zip(support, coeffs)})
+    coeffs = [draw(st.sampled_from(CONSTANTS)) * draw(rationals.filter(bool)) for _ in support]
+    return relation(1, [POOL[i] for i in indices], dict(zip(support, coeffs)))
 
 
 @settings(max_examples=60)
