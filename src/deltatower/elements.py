@@ -144,8 +144,6 @@ class Element:
         mono, sums = _m_min(self.mono, o.mono), self.sums & o.sums
         if self.res == o.res:
             res, mine, theirs = self.res, ONE, ONE
-        elif self.res is ONE or o.res is ONE:
-            res, mine, theirs = ONE, self.res, o.res
         else:
             res, mine, theirs = cancel(self.res, o.res, "the gcd of two denominators")
         a = self.num * _expand(o.mono - mono, o.sums - sums, theirs)

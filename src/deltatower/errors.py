@@ -86,15 +86,33 @@ class ParseError(DeltaTowerError, ValueError):
 
 class Record:
     """Base of the package's records (plain classes, so no module imports
-    ``dataclasses``): the fields are the ``__slots__``, set in order by
-    ``__init__``; records of one class are equal, and hash alike, when their
-    ``_compared`` fields are; assigning or deleting a field raises AttributeError."""
+    ``dataclasses``): the fields are the ``__slots__``, which ``__init__``
+    fills by position or by name; a missing trailing field takes its value
+    from the class's ``_defaults``, and a missing, unknown or repeated field
+    is a TypeError.  Records of one class are equal, and hash alike, when
+    their ``_compared`` fields are; assigning or deleting a field raises
+    AttributeError."""
 
     __slots__ = ()
+    _defaults: dict = {}
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *values, **named):
+        slots = self.__slots__
+        if len(values) > len(slots):
+            raise TypeError(f"{type(self).__name__} takes {len(slots)} fields, not {len(values)}")
+        for name, value in zip(slots, values):
             object.__setattr__(self, name, value)
+        for name in slots[len(values):]:
+            if name in named:
+                value = named.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__} is missing the field {name!r}")
+            object.__setattr__(self, name, value)
+        for name in named:
+            kind = "repeated" if name in slots else "unknown"
+            raise TypeError(f"{type(self).__name__} got the {kind} field {name!r}")
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared])

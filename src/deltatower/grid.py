@@ -166,9 +166,6 @@ class Analysis(Record):
 
     __slots__ = _compared = ("grid", "base", "target", "steps")
 
-    def __init__(self, grid: GridModel, base: tuple, target: tuple, steps: tuple):
-        super().__init__(grid, base, target, steps)
-
     def validate(self) -> None:
         g = self.grid
         for h in (self.base, self.target, *self.steps):

@@ -95,9 +95,7 @@ MAX_VERIFY_CELLS = 12
 
 class PropertyReport(Record):
     __slots__ = _compared = ("name", "instances", "passed", "counterexample")
-
-    def __init__(self, name: str, instances: int, passed: bool, counterexample: str | None = None):
-        super().__init__(name, instances, passed, counterexample)
+    _defaults = {"counterexample": None}
 
     def verdict(self) -> tuple[bool, str]:
         """(passed, detail) of the property's CHECK line."""

@@ -109,9 +109,6 @@ class EigenDecomposition(Record):
 
     __slots__ = _compared = ("level", "components")
 
-    def __init__(self, level: int, components: tuple[Element, ...]):
-        super().__init__(level, components)
-
     def total(self) -> Element:
         out = ZERO_ELEMENT
         for f in self.components:

@@ -30,10 +30,12 @@ products and quotients only add fields that exist.
 Element denominators carry their known factors, the monomial and the
 level sums ``sum_j b[k][j]`` (each ``e_k`` is one), split off once by
 ``known_factors``; these are irreducible, so they cancel by exponents
-and trial ``exact_div``, with no gcd.  ``poly_gcd`` splits them off too,
-and only the cofactors reach the general algorithm, the recursive
-content/primitive-part gcd over Z with a pseudo-remainder sequence in
-the top variable.  Every result is exact.
+and trial ``exact_div``, with no gcd.  ``poly_gcd`` first certifies a
+coprime pair from univariate images mod a prime (``_coprime_images``),
+which can only prove the gcd 1; otherwise it splits the known factors
+off both sides, and only the cofactors reach the general algorithm, the
+recursive content/primitive-part gcd over Z with a pseudo-remainder
+sequence in the top variable.  Every result is exact.
 """
 
 from __future__ import annotations
@@ -239,9 +241,13 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()}, _trusted=True)
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _merge(self, other: "Poly", negate: bool) -> "Poly":
+        """self + other, or self - other when negate: other's terms merged
+        into a copy of self's, in order, dropping each sum that cancels."""
         res = dict(self.terms)
         for m, c in other.terms.items():
+            if negate:
+                c = -c
             s = res.get(m)
             if s is None:
                 res[m] = c
@@ -253,19 +259,11 @@ class Poly:
                     del res[m]
         return Poly(res, _trusted=True)
 
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._merge(other, False)
+
     def __sub__(self, other: "Poly") -> "Poly":
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m)
-            if s is None:
-                res[m] = -c
-            else:
-                s = s - c
-                if s:
-                    res[m] = s
-                else:
-                    del res[m]
-        return Poly(res, _trusted=True)
+        return self._merge(other, True)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
@@ -499,10 +497,16 @@ def known_factors(p: Poly, keys=frozenset()) -> tuple[Monomial, Counter[LevelSum
     if m:
         p = Poly({t - m: c for t, c in p.terms.items()}, _trusted=True)
     sums: Counter[LevelSum] = Counter()
-    for s in sorted(_level_sums(p) | keys):
+    return m, sums, _split_sums(p, _level_sums(p) | keys, sums)
+
+
+def _split_sums(p: Poly, keys, sums: Counter[LevelSum]) -> Poly:
+    """p with every power of level_sum(s), s in keys, divided out and
+    counted in sums."""
+    for s in sorted(keys):
         while (q := exact_div(p, level_sum(s))) is not None:
             p, sums[s] = q, sums[s] + 1
-    return m, sums, p
+    return p
 
 
 def product(*ps: Poly) -> Poly:
@@ -519,16 +523,99 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return _make_primitive(q)
     if q.is_zero():
         return _make_primitive(p)
-    if p.is_const() or q.is_const():
+    if p.is_const() or q.is_const() or _coprime_images(p, q):
         return ONE
-    keys = _level_sums(p) | _level_sums(q)  # a sum of one may divide the other
-    pm, ps, p = known_factors(p, keys)
-    qm, qs, q = known_factors(q, keys)
+    # a sum split off one side may divide the other's cofactor: each side
+    # takes its own sums, q also p's, then p also q's
+    pm, ps, p = known_factors(p)
+    qm, qs, q = known_factors(q, ps.keys())
+    p = _split_sums(p, qs.keys() - ps.keys(), ps)
     shared = [level_sum(s) ** min(k, qs[s]) for s, k in ps.items() if qs[s]]
     h = product(Poly({_m_min(pm, qm): 1}, _trusted=True), *shared)
     if p.is_const() or q.is_const():
         return h
     return _make_primitive(h * _prs_gcd(p, q))
+
+
+# images mod a Mersenne prime; the degree cap bounds a dense image and its
+# quadratic Euclid, and a higher degree falls through to the general gcd
+_PRIME = (1 << 61) - 1
+_MAX_IMAGE_DEGREE = 256
+_MASK64 = (1 << 64) - 1
+
+
+def _coprime_images(p: Poly, q: Poly) -> bool:
+    """True only when gcd(p, q) = 1, shown by univariate images (Brown, J. ACM
+    18(4), 1971).  For each shared variable v, every other variable is set to
+    its slot's fixed point mod _PRIME.  A nonconstant gcd g has some shared v;
+    when both images keep their degree in v, the leading coefficient of g in
+    v survives too, so g's image of positive degree divides both images and
+    their gcd is nonconstant.  So constant image gcds in every shared v prove
+    coprimality; any other outcome proves nothing and returns False.  With
+    one variable between p and q each image is its own input: no check."""
+    slots_p, slots_q = (
+        {s for s, e in enumerate(_fields(reduce(or_, x.terms, 0))) if e} for x in (p, q)
+    )
+    if len(slots_p | slots_q) < 2:
+        return False
+    shared = sorted(slots_p & slots_q)
+    points = {s: _point(s) for s in slots_p | slots_q}
+    images = [_images(x, shared, points) for x in (p, q)]
+    return None not in images and all(map(_coprime_mod, *images))
+
+
+def _point(s: int) -> int:
+    """The fixed point of slot s mod _PRIME: the splitmix64 hash of s (Steele,
+    Lea and Flood, OOPSLA 2014), so no small integer linear form in the
+    points vanishes by construction, as it would for multiples of one number."""
+    z = (s + 1) * 0x9E3779B97F4A7C15 & _MASK64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return (z ^ z >> 31) % _PRIME or 1
+
+
+def _images(p: Poly, shared: list[int], points: dict[int, int]) -> list[list[int]] | None:
+    """Per slot s of shared, p's image in (Z/_PRIME)[x_s], lowest degree
+    first, with every other variable at its point; None when an image loses
+    its degree in x_s, passes _MAX_IMAGE_DEGREE or a denominator is 0 mod _PRIME."""
+    images: list[dict[int, int]] = [{} for _ in shared]
+    for m, c in p.terms.items():
+        if type(c) is not int:
+            if not c.denominator % _PRIME:
+                return None
+            c = c.numerator * pow(c.denominator, -1, _PRIME)
+        fields = _fields(m)
+        for s, e in enumerate(fields):
+            if e:
+                c = c * pow(points[s], e, _PRIME) % _PRIME
+        for image, s in zip(images, shared):
+            e = fields[s] if s < len(fields) else 0
+            image[e] = (image.get(e, 0) + c * pow(points[s], -e, _PRIME)) % _PRIME
+    dense = []
+    for image in images:
+        top = max(image)
+        if top > _MAX_IMAGE_DEGREE or not image[top]:
+            return None
+        dense.append([image.get(e, 0) for e in range(top + 1)])
+    return dense
+
+
+def _coprime_mod(a: list[int], b: list[int]) -> bool:
+    """Whether gcd(a, b) is constant in (Z/_PRIME)[x], by Euclid on dense
+    images, lowest degree first, each of positive degree."""
+    while len(b) > 1:
+        inv, a = pow(b[-1], -1, _PRIME), a[:]
+        while len(a) >= len(b):
+            f, off = a[-1] * inv % _PRIME, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[off + i] = (a[off + i] - f * c) % _PRIME
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
 
 
 def _prs_gcd(p: Poly, q: Poly) -> Poly:

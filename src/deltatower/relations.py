@@ -294,9 +294,7 @@ def _replay_support(G: MonomialRelation, steps, weights: dict) -> set | None:
 class ReductionStep(Record):
     __slots__ = ("pivot", "functionals", "remaining_support")
     _compared = ("pivot", "remaining_support")
-
-    def __init__(self, pivot: ExponentVector, functionals: dict, remaining_support: tuple = ()):
-        super().__init__(pivot, functionals, remaining_support)
+    _defaults = {"remaining_support": ()}
 
 
 class ReductionTrace(Record):
@@ -305,14 +303,7 @@ class ReductionTrace(Record):
     __slots__ = _compared = (
         "initial", "steps", "verdict", "invariant_exponent", "invariant_element", "colliding_pair"
     )
-
-    def __init__(
-        self, initial: MonomialRelation, steps: tuple, verdict: Verdict,
-        invariant_exponent=None, invariant_element=None, colliding_pair=None,
-    ):
-        super().__init__(
-            initial, steps, verdict, invariant_exponent, invariant_element, colliding_pair
-        )
+    _defaults = dict.fromkeys(("invariant_exponent", "invariant_element", "colliding_pair"))
 
     def replay(self, spec: TowerSpec) -> bool:
         """Re-execute every step and compare the pivot, the stored
@@ -514,9 +505,6 @@ class RankReport(Record):
     """Outcome of the numerical rank oracle."""
 
     __slots__ = _compared = ("rows", "order", "smallest_singular_value", "rank")
-
-    def __init__(self, rows: int, order: int, smallest_singular_value: float, rank: int):
-        super().__init__(rows, order, smallest_singular_value, rank)
 
     @property
     def full_rank(self) -> bool:

@@ -16,7 +16,8 @@ integer of more digits than ``sys.get_int_max_str_digits()`` is a
 operator applies ``Element``'s own ``+ - * / **``.  The caps below refuse
 a power or a product before it is formed, from the terms and coefficient
 bits of the operands' numerators and expanded denominators; a monomial
-denominator is one term of coefficient 1, so it adds neither.
+denominator is one term of coefficient 1, so it adds neither.  The lexer
+refuses parentheses nested past ``MAX_NESTING`` before the parser recurses.
 
 Printing (``str(element)``) always emits canonical form and round-trips
 bit-exactly through :func:`parse_element`.
@@ -39,6 +40,13 @@ MAX_POWER_TERMS = 256
 # cap on |n| times the bit length of the largest coefficient numerator or
 # denominator of a power's base (1 counts 0): 2^20000 passes, 3^40000 not
 MAX_POWER_BITS = 1 << 16
+
+# cap on how deep parentheses nest, refused before the parser recurses: one
+# level takes at most six parser frames (_parse_expr, _chain, _parse_term,
+# _chain, _parse_factor and _parse_base, as in 1+1*( ... )), and a quarter of
+# the recursion limit stays for the caller and the arithmetic at the deepest
+# level; 125 at the default limit of 1000
+MAX_NESTING = sys.getrecursionlimit() // 8
 
 _OPS = {"+": add, "-": sub, "*": mul, "/": truediv}
 
@@ -64,10 +72,15 @@ class _Tokens:
 
     def __init__(self, text: str):
         self.items: list[tuple[str, str, int, object]] = []
+        depth = 0
         for m in _TOKEN_RE.finditer(text):
             kind = value = m.lastgroup
             if kind == "bad":
                 raise ParseError(f"unexpected character {m[kind]!r}", m.start())
+            if kind == "op" and m[kind] in "()":
+                depth += 1 if m[kind] == "(" else -1
+                if depth > MAX_NESTING:
+                    raise ParseError(f"parentheses nest deeper than {MAX_NESTING}, the cap", m.start(kind))
             if kind == "sym":
                 value = (m[2], _int(m[3], m.start(3)), _int(m[4], m.start(4)))
             elif kind == "int":

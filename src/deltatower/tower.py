@@ -151,6 +151,8 @@ class TowerSpec(Record):
         except ValueError:  # an integer past sys.get_int_max_str_digits()
             limit = sys.get_int_max_str_digits()
             raise ParseError(f"malformed tower spec: an integer has more digits than {limit}") from None
+        except RecursionError:
+            raise ParseError("malformed tower spec: arrays or objects nest too deeply") from None
         if not isinstance(doc, dict) or "ranks" not in doc:
             raise ParseError("tower spec has no ranks field")
         if type(doc.get("ell", 0)) is not int:

@@ -441,6 +441,18 @@ class TestSeries:
         done = run_python(["-m", "deltatower.cli", "series", "--element", text, "--order", "8"], timeout=10)
         assert "CHECK delta_consistency PASS" in done.stdout and done.stdout.endswith("RESULT PASS\n")
 
+    def test_coprime_residues_finish(self, capsys):
+        # the sum's residues are coprime: univariate images certify it, where
+        # the pseudo-remainder sequence ran for minutes
+        text = (
+            "4/((1*c[1][2] + 2*b[1][2] + 3*b[1][3])^4)"
+            " + 2/((3*b[1][2] + 2*c[1][2])^2*(3*c[1][2] + 1*b[1][1])^1)"
+        )
+        start = time.process_time()
+        code, out, _ = run_cli(capsys, "series", "--element", text, "--order", "8")
+        assert code == 0 and "CHECK delta_consistency PASS" in out
+        assert time.process_time() - start < 2
+
     def test_a_spec_value_equal_to_a_default_is_accepted(self, capsys, tmp_path):
         # c[1][2] would default to 3, which c[1][1] takes; it moves to 5
         spec = tmp_path / "spec.json"
@@ -572,6 +584,12 @@ class TestSeries:
         (["--element", "b[1][1]", "--spec"], '{"ranks": [1], "assignments": {"C[1][1]": "7"}}', "C[1][1]"),
         (["--element", "b[1][1]", "--spec"], '{"ranks": [1], "assignments": {"c[1][2]": "7"}}', "c[1][2]"),
         (["--element", "b[1][1]", "--spec"], '{"ranks": [1], "assignments": {"b[1][1]": "7"}}', "b[1][1]"),
+        # refused before the parser recurses, and before json.loads' RecursionError
+        pytest.param(["--element", "(" * 250 + "b[1][1]" + ")" * 250], None, "nest", id="nested-parentheses"),
+        pytest.param(
+            ["--element", "b[1][1]", "--spec"], '{"ranks": ' + "[" * 1000 + "]" * 1000 + "}", "nest",
+            id="nested-spec",
+        ),
         *DIGIT_LIMIT_INPUTS,
     ]
 

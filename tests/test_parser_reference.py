@@ -10,6 +10,7 @@ import pytest
 
 from deltatower import BudgetExceeded, DivisionByZero, ParseError, parse_element
 from deltatower.elements import Element
+from deltatower.textio import MAX_NESTING
 from deltatower.tower import build_spec, random_element
 
 A17, B15 = "(b[1][1] + b[1][2])^16", "(b[1][1] + b[1][3])^15"
@@ -92,6 +93,11 @@ REFUSED = [
     ("(b[1][1] - b[1][1])^-2", DivisionByZero, "negative power of zero", None),
     ("1/(b[1][1] - b[1][1])", DivisionByZero, "division by zero element", None),
     ("(c[1][1]/b[1][1] - c[1][1]/b[1][1])^-1", DivisionByZero, "negative power of zero", None),
+    pytest.param(
+        "(" * 250 + "b[1][1]" + ")" * 250,
+        ParseError, "parentheses nest deeper than 125, the cap (at position 125)", 125,
+        id="nested-parentheses",
+    ),
 ]
 
 
@@ -102,6 +108,12 @@ def test_refused_texts_keep_their_errors(text, kind, message, position):
     assert type(info.value) is kind
     assert str(info.value) == message
     assert getattr(info.value, "position", None) == position
+
+
+def test_the_costliest_nesting_parses_at_the_cap():
+    # six parser frames a level, the most any shape takes
+    assert MAX_NESTING == 125
+    assert parse_element("1+1*(" * MAX_NESTING + "b[1][1]" + ")" * MAX_NESTING) is not None
 
 
 def test_the_bit_cap_boundary_and_large_exponents_are_accepted():

@@ -14,9 +14,12 @@ from deltatower.polyring import (
     MAX_EXPONENT,
     MONOMIAL_KEY,
     Poly,
+    _coprime_images,
     _make_primitive,
     _monomial_content,
+    _point,
     _prs_gcd,
+    _slot,
     exact_div,
     m_divides,
     m_pairs,
@@ -378,3 +381,62 @@ def test_keys_after_a_registration_in_the_middle_of_a_run():
             assert _decode(lead) == max(map(_decode, terms), key=cmp_to_key(m_cmp))
         assert all(run["divides"])
     assert runs["mid"] == runs["fresh"]
+
+
+# --- coprime pairs certified by univariate images mod a prime -------------
+
+B13 = var_b(1, 3)
+
+
+def test_a_sum_split_off_one_side_is_tried_on_the_other():
+    # b[1][2] is p's monomial content, so p's own level sum is b[1][1] + b[1][3],
+    # which q's own split (the sum of all three) does not try
+    common = P(B11) + P(B13)
+    p = (common * P(B12)).scale(Fraction(3, 2))
+    q = common * (P(B12) * P(C11) - Poly.const(4))
+    assert poly_gcd(p, q) == common == poly_gcd(q, p)
+
+
+def test_images_certify_a_coprime_pair_and_skip_one_variable():
+    left, right = P(B11) * P(B12) + Poly.const(1), P(B11) + P(B12) * P(C11)
+    assert _coprime_images(left, right) and poly_gcd(left, right) == Poly.const(1)
+    # one variable between them: no images, the general gcd decides
+    assert not _coprime_images(P(B11) + Poly.const(1), P(B11) - Poly.const(1))
+    assert not _coprime_images(left * right, right)
+
+
+def test_a_factor_whose_lead_vanishes_at_the_point_is_not_certified_away():
+    # g's leading coefficient in each variable vanishes at the other's point,
+    # so g's images are the constant 1; only the degree check sees that the
+    # images of p and q lost degree, and the gcd falls through to the PRS
+    k11, k12 = (_point(_slot(v)) for v in (B11, B12))
+    g = (P(B11) - Poly.const(k11)) * (P(B12) - Poly.const(k12)) + Poly.const(1)
+    p, q = g * (P(B11) + Poly.const(2)), g * (P(B12) + Poly.const(3))
+    assert not _coprime_images(p, q)
+    assert poly_gcd(p, q) == g
+
+
+pytest.importorskip("hypothesis")
+
+from _support import rationals  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+GCD_VARS = [B11, B12, B13, C11]
+gcd_polys = st.dictionaries(
+    st.lists(st.sampled_from(GCD_VARS), max_size=3).map(lambda vs: monomial((v, 1) for v in vs)),
+    rationals,
+    max_size=4,
+).map(Poly)
+
+
+@settings(max_examples=100)
+@given(a=gcd_polys, b=gcd_polys, common=gcd_polys, planted=st.booleans())
+def test_gcd_agrees_with_sympy_on_planted_and_coprime_pairs(a, b, common, planted):
+    sympy = pytest.importorskip("sympy")
+    if planted:
+        a, b = a * common, b * common
+    g = poly_gcd(a, b)
+    assert g == _make_primitive(g)
+    if a and b:
+        ratio = sympy.cancel(to_sympy(g) / sympy.gcd(to_sympy(a), to_sympy(b)))
+        assert ratio.is_number and ratio != 0

@@ -15,6 +15,7 @@ from deltatower.relations import (
     MonomialRelation,
     RankReport,
     ReductionStep,
+    ReductionTrace,
     certify_independence,
 )
 from deltatower.tower import SeriesContext, TowerSpec, build_spec
@@ -124,3 +125,26 @@ def test_frozen_records_copy_and_pickle(index):
         assert all(getattr(twin, name) == getattr(record, name) for name in names if name[0] != "_")
         with pytest.raises(AttributeError):
             setattr(twin, names[0], None)
+
+
+def test_the_constructor_refuses_a_missing_an_unknown_and_a_repeated_field():
+    for make, word in (
+        (lambda: RankReport(3, 8, 0.5), "missing the field 'rank'"),
+        (lambda: ReductionStep(functionals={}), "missing the field 'pivot'"),
+        (lambda: RankReport(3, 8, 0.5, 3, 9), "takes 4 fields, not 5"),
+        (lambda: RankReport(3, 8, 0.5, rank=3, colour=1), "unknown field 'colour'"),
+        (lambda: RankReport(3, 8, 0.5, 3, rank=3), "repeated field 'rank'"),
+        (lambda: PropertyReport("p", 3, True, None, counterexample="x"), "repeated field"),
+    ):
+        with pytest.raises(TypeError, match=word):
+            make()
+    assert RankReport(3, 8, smallest_singular_value=0.5, rank=3) == RankReport(3, 8, 0.5, 3)
+
+
+def test_defaults_fill_the_trailing_fields_of_a_trace():
+    # ReductionStep's and PropertyReport's are checked with their equality above
+    trace = certify_independence(SPEC.generators(1), 2, SPEC, level=1)
+    bare = ReductionTrace(trace.initial, trace.steps, trace.verdict)
+    assert (bare.invariant_exponent, bare.invariant_element, bare.colliding_pair) == (None, None, None)
+    named = ReductionTrace(trace.initial, trace.steps, trace.verdict, colliding_pair=((1, 0), (0, 1)))
+    assert named.colliding_pair == ((1, 0), (0, 1)) and named.invariant_exponent is None

@@ -106,6 +106,52 @@ def test_no_module_imports_dataclasses():
     assert _dataclass_imports(ast.parse("import dataclasses_json")) == []
 
 
+def _forwarding_inits(tree) -> list[str]:
+    """Every Record subclass whose __init__ does nothing but pass its own
+    parameters, unchanged, to super().__init__ or Record.__init__: the
+    generic constructor already fills the fields by position or by name."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or "Record" not in [ast.unparse(b) for b in cls.bases]:
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "__init__" and len(fn.body) == 1):
+                continue
+            call = fn.body[0].value if isinstance(fn.body[0], ast.Expr) else None
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+            passed = [*call.args, *[k.value for k in call.keywords]] if isinstance(call, ast.Call) else [None]
+            target = ast.unparse(call.func) if isinstance(call, ast.Call) else ""
+            if target in ("super().__init__", "Record.__init__") and all(
+                isinstance(a, ast.Name) and a.id in params for a in passed
+            ):
+                found.append(cls.name)
+    return found
+
+
+def test_no_record_init_only_forwards_its_fields():
+    found = [
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name in _forwarding_inits(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+    # the rule sees a forwarder, by position or by name, and passes an
+    # __init__ that checks or builds a field
+    for text in (
+        "class A(Record):\n    def __init__(self, x, y=None):\n        super().__init__(x, y)",
+        "class A(Record):\n    def __init__(self, x, *, y):\n        super().__init__(x, y=y)",
+        "class A(Record):\n    def __init__(self, x):\n        Record.__init__(self, x)",
+    ):
+        assert _forwarding_inits(ast.parse(text)) == ["A"], text
+    for text in (
+        "class A(Record):\n    def __init__(self, x, c=None):\n        super().__init__(x, c or [])",
+        "class A(Record):\n    def __init__(self, x):\n        if x:\n            raise ValueError\n"
+        "        super().__init__(x)",
+        "class A:\n    def __init__(self, x):\n        super().__init__(x)",
+    ):
+        assert _forwarding_inits(ast.parse(text)) == [], text
+
+
 def test_import_loads_no_submodule():
     script = (
         "import sys, deltatower\n"
