@@ -30,12 +30,12 @@ products and quotients only add fields that exist.
 Element denominators carry their known factors, the monomial and the
 level sums ``sum_j b[k][j]`` (each ``e_k`` is one), split off once by
 ``known_factors``; these are irreducible, so they cancel by exponents
-and trial ``exact_div``, with no gcd.  ``poly_gcd`` first certifies a
-coprime pair from univariate images mod a prime (``_coprime_images``),
-which can only prove the gcd 1; otherwise it splits the known factors
-off both sides, and only the cofactors reach the general algorithm, the
-recursive content/primitive-part gcd over Z with a pseudo-remainder
-sequence in the top variable.  Every result is exact.
+and trial ``exact_div``, with no gcd.  ``poly_gcd`` is Brown's modular
+gcd: images mod a Mersenne prime, evaluated and interpolated one
+variable at a time down to sparse univariate ones, are read back over Z,
+and the result stands only when it divides both inputs exactly and the
+cofactors' gcd mod the prime is constant; else the next prime is tried.
+Every result is exact.
 """
 
 from __future__ import annotations
@@ -44,10 +44,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
+from itertools import chain, zip_longest
 from math import gcd as int_gcd
 from operator import lshift, mul, or_
+from random import Random
 from struct import unpack
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded
 
@@ -311,21 +313,6 @@ class Poly:
             n >>= 1
         return result
 
-    # --- structure with respect to one variable -------------------------
-
-    def degree_in(self, v: Var) -> int:
-        shift = FIELD_BITS * _slot(v)
-        return max(((m >> shift) & _FIELD for m in self.terms), default=0)
-
-    def coeffs_in(self, v: Var) -> dict[int, "Poly"]:
-        """Split into x^e -> coefficient polynomial, x = v."""
-        shift = FIELD_BITS * _slot(v)
-        out: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            e = (m >> shift) & _FIELD
-            out.setdefault(e, {})[m - (e << shift)] = c
-        return {e: Poly(d, _trusted=True) for e, d in out.items()}
-
     def __repr__(self) -> str:
         if not self.terms:
             return "Poly(0)"
@@ -409,7 +396,7 @@ def cancel(p: Poly, q: Poly, what: str) -> tuple[Poly, Poly, Poly]:
     return g, exact_quotient(p, g, what), exact_quotient(q, g, what)
 
 
-# --- gcd: content / primitive part over Z --------------------------------
+# --- integer content, known factors --------------------------------------
 
 
 def _int_content(p: Poly) -> Fraction:
@@ -425,30 +412,10 @@ def _int_content(p: Poly) -> Fraction:
     return content
 
 
-def _content_wrt(p: Poly, v: Var) -> Poly:
-    coeffs = p.coeffs_in(v)
-    g = ZERO
-    for c in coeffs.values():
-        g = poly_gcd(g, c)
-        if g.is_const() and not g.is_zero():
-            break
-    return g
-
-
-def _prem(a: Poly, b: Poly, v: Var) -> Poly:
-    """Pseudo-remainder of a by b with respect to v (b has positive degree)."""
-    db = b.degree_in(v)
-    bc = b.coeffs_in(v)
-    lb = bc[db]
-    r = a
-    while not r.is_zero():
-        dr = r.degree_in(v)
-        if dr < db:
-            break
-        rc = r.coeffs_in(v)
-        lr = rc[dr]
-        r = r * lb - b * lr.mul_term((dr - db) << (FIELD_BITS * _slot(v)), 1)
-    return r
+def _make_primitive(p: Poly) -> Poly:
+    if p.is_zero():
+        return p
+    return p.scale(1 / _int_content(p))
 
 
 def _monomial_content(ms: Iterable[Monomial], bound: Monomial) -> Monomial:
@@ -486,27 +453,21 @@ def level_sum(s: LevelSum) -> Poly:
     return Poly({monomial(((v, 1),)): 1 for v in s}, _trusted=True)
 
 
-def known_factors(p: Poly, keys=frozenset()) -> tuple[Monomial, Counter[LevelSum], Poly]:
+def known_factors(p: Poly) -> tuple[Monomial, Counter[LevelSum], Poly]:
     """(m, {s: k}, r) with p = m * prod_s level_sum(s)^k * r for a nonzero
-    p: m is the monomial content, k the multiplicity of each level sum s,
-    one of p / m (see _level_sums) or of ``keys``, and r the cofactor.
-    Every factor split off is irreducible."""
+    p: m is the monomial content, k the multiplicity of each level sum s of
+    p / m (see _level_sums), and r the cofactor.  Every factor split off is
+    irreducible."""
     if p.is_const():
         return 0, Counter(), p
     m = _monomial_content(p.terms, next(iter(p.terms)))
     if m:
         p = Poly({t - m: c for t, c in p.terms.items()}, _trusted=True)
     sums: Counter[LevelSum] = Counter()
-    return m, sums, _split_sums(p, _level_sums(p) | keys, sums)
-
-
-def _split_sums(p: Poly, keys, sums: Counter[LevelSum]) -> Poly:
-    """p with every power of level_sum(s), s in keys, divided out and
-    counted in sums."""
-    for s in sorted(keys):
+    for s in sorted(_level_sums(p)):
         while (q := exact_div(p, level_sum(s))) is not None:
             p, sums[s] = q, sums[s] + 1
-    return p
+    return m, sums, p
 
 
 def product(*ps: Poly) -> Poly:
@@ -514,148 +475,180 @@ def product(*ps: Poly) -> Poly:
     return reduce(mul, [p for p in ps if p is not ONE] or [ONE])
 
 
+# --- gcd: Brown's modular algorithm ---------------------------------------
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Primitive gcd with positive leading coefficient (1 for coprime inputs):
-    the shared known factors times the general gcd of the cofactors."""
-    if p.is_zero() and q.is_zero():
-        return ZERO
-    if p.is_zero():
-        return _make_primitive(q)
-    if q.is_zero():
-        return _make_primitive(p)
-    if p.is_const() or q.is_const() or _coprime_images(p, q):
-        return ONE
-    # a sum split off one side may divide the other's cofactor: each side
-    # takes its own sums, q also p's, then p also q's
-    pm, ps, p = known_factors(p)
-    qm, qs, q = known_factors(q, ps.keys())
-    p = _split_sums(p, qs.keys() - ps.keys(), ps)
-    shared = [level_sum(s) ** min(k, qs[s]) for s, k in ps.items() if qs[s]]
-    h = product(Poly({_m_min(pm, qm): 1}, _trusted=True), *shared)
+    """Primitive gcd with positive leading coefficient (1 for coprime inputs),
+    by Brown's modular algorithm (J. ACM 18(4), 1971), leading terms taken
+    in the lex order of the packed ints.  With a, b the primitive parts of
+    p, q over Z and gamma = gcd(lc(a), lc(b)), gamma times the monic gcd
+    mod a prime, read in the symmetric range, is accepted if it divides a
+    and b exactly and the cofactors have a constant gcd mod the prime.  The
+    prime does not divide gamma, so a common factor of positive degree
+    keeps its leading term there: a constant gcd mod the prime proves the
+    cofactors, or a and b, coprime.  Any other outcome tries the next
+    prime, so every result is exact."""
+    if p.is_zero() or q.is_zero():
+        return _make_primitive(q if p.is_zero() else p)
     if p.is_const() or q.is_const():
-        return h
-    return _make_primitive(h * _prs_gcd(p, q))
-
-
-# images mod a Mersenne prime; the degree cap bounds a dense image and its
-# quadratic Euclid, and a higher degree falls through to the general gcd
-_PRIME = (1 << 61) - 1
-_MAX_IMAGE_DEGREE = 256
-_MASK64 = (1 << 64) - 1
-
-
-def _coprime_images(p: Poly, q: Poly) -> bool:
-    """True only when gcd(p, q) = 1, shown by univariate images (Brown, J. ACM
-    18(4), 1971).  For each shared variable v, every other variable is set to
-    its slot's fixed point mod _PRIME.  A nonconstant gcd g has some shared v;
-    when both images keep their degree in v, the leading coefficient of g in
-    v survives too, so g's image of positive degree divides both images and
-    their gcd is nonconstant.  So constant image gcds in every shared v prove
-    coprimality; any other outcome proves nothing and returns False.  With
-    one variable between p and q each image is its own input: no check."""
-    slots_p, slots_q = (
-        {s for s, e in enumerate(_fields(reduce(or_, x.terms, 0))) if e} for x in (p, q)
-    )
-    if len(slots_p | slots_q) < 2:
-        return False
-    shared = sorted(slots_p & slots_q)
-    points = {s: _point(s) for s in slots_p | slots_q}
-    images = [_images(x, shared, points) for x in (p, q)]
-    return None not in images and all(map(_coprime_mod, *images))
-
-
-def _point(s: int) -> int:
-    """The fixed point of slot s mod _PRIME: the splitmix64 hash of s (Steele,
-    Lea and Flood, OOPSLA 2014), so no small integer linear form in the
-    points vanishes by construction, as it would for multiples of one number."""
-    z = (s + 1) * 0x9E3779B97F4A7C15 & _MASK64
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
-    return (z ^ z >> 31) % _PRIME or 1
-
-
-def _images(p: Poly, shared: list[int], points: dict[int, int]) -> list[list[int]] | None:
-    """Per slot s of shared, p's image in (Z/_PRIME)[x_s], lowest degree
-    first, with every other variable at its point; None when an image loses
-    its degree in x_s, passes _MAX_IMAGE_DEGREE or a denominator is 0 mod _PRIME."""
-    images: list[dict[int, int]] = [{} for _ in shared]
-    for m, c in p.terms.items():
-        if type(c) is not int:
-            if not c.denominator % _PRIME:
-                return None
-            c = c.numerator * pow(c.denominator, -1, _PRIME)
-        fields = _fields(m)
-        for s, e in enumerate(fields):
-            if e:
-                c = c * pow(points[s], e, _PRIME) % _PRIME
-        for image, s in zip(images, shared):
-            e = fields[s] if s < len(fields) else 0
-            image[e] = (image.get(e, 0) + c * pow(points[s], -e, _PRIME)) % _PRIME
-    dense = []
-    for image in images:
-        top = max(image)
-        if top > _MAX_IMAGE_DEGREE or not image[top]:
-            return None
-        dense.append([image.get(e, 0) for e in range(top + 1)])
-    return dense
-
-
-def _coprime_mod(a: list[int], b: list[int]) -> bool:
-    """Whether gcd(a, b) is constant in (Z/_PRIME)[x], by Euclid on dense
-    images, lowest degree first, each of positive degree."""
-    while len(b) > 1:
-        inv, a = pow(b[-1], -1, _PRIME), a[:]
-        while len(a) >= len(b):
-            f, off = a[-1] * inv % _PRIME, len(a) - len(b)
-            for i, c in enumerate(b):
-                a[off + i] = (a[off + i] - f * c) % _PRIME
-            a.pop()
-            while a and not a[-1]:
-                a.pop()
-        if not a:
-            return False
-        a, b = b, a
-    return True
-
-
-def _prs_gcd(p: Poly, q: Poly) -> Poly:
-    """The general gcd: recursive content/primitive part over Z with a
-    primitive pseudo-remainder sequence in the top shared variable."""
-    a = _make_primitive(p)
-    b = _make_primitive(q)
-    shared = a.variables() & b.variables()
-    if not shared:
-        # no common variable: any common divisor is a unit
         return ONE
-    v = max(shared)
-    if a.degree_in(v) < b.degree_in(v):
-        a, b = b, a
-    # b's content first, of the lower degree in v: when it is 1, the sequence
-    # ends at gcd(a, b) = gcd(pp(a), b), and a's, often the costlier, is skipped
-    cont, pa, pb = ONE, a, b
-    if not (cb := _content_wrt(b, v)).is_const():
-        ca = _content_wrt(a, v)
-        cont = poly_gcd(ca, cb)
-        pa = exact_quotient(a, ca, "the content of the first gcd argument")
-        pb = exact_quotient(b, cb, "the content of the second gcd argument")
+    a, b = _make_primitive(p), _make_primitive(q)
+    gamma = int_gcd(a.terms[max(a.terms)], b.terms[max(b.terms)])
+    # variables by degree: the last is evaluated first, the first is the main one
+    degrees = list(map(max, zip_longest(*map(_fields, chain(a.terms, b.terms)), fillvalue=0)))
+    order = sorted(range(len(degrees)), key=degrees.__getitem__)
+    for prime in _PRIMES:
+        if not gamma % prime:
+            continue
+        image = _gcd_mod(_image(a, prime), _image(b, prime), order, prime)
+        if image == _UNIT:
+            return ONE
+        lifted = {m: c - prime if 2 * c > prime else c for m, c in _scaled(image, gamma, prime).items()}
+        g = _make_primitive(Poly(lifted, _trusted=True))
+        ca, cb = exact_div(a, g), exact_div(b, g)
+        if ca is not None and cb is not None:
+            if _gcd_mod(_image(ca, prime), _image(cb, prime), order, prime) == _UNIT:
+                return g
+    raise BudgetExceeded(f"no Mersenne prime of up to {_PRIMES[-1].bit_length()} bits certifies a gcd")
+
+
+# Mersenne primes, tried in turn; the last bounds the gcd's coefficients
+_PRIMES = tuple((1 << e) - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
+                                        4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497))
+# a polynomial mod a prime: residues by packed monomial, or by exponent when
+# univariate, sparse either way, so x^3000 - 2 keeps two terms
+Residues = dict[int, int]
+_UNIT: Residues = {ONE_MONOMIAL: 1}
+
+
+def _image(p: Poly, prime: int) -> Residues:
+    return {m: r for m, c in p.terms.items() if (r := c % prime)}
+
+
+def _gcd_mod(a: Residues, b: Residues, order: list[int], prime: int) -> Residues:
+    """The monic gcd of nonzero a and b mod prime, by Brown's recursion on
+    the slots of order that occur.  With one, it is Euclid's gcd.  Else the
+    contents in v, the last, are divided out, and v is evaluated at its
+    seeded points, skipping each where gamma, the gcd of the leading
+    coefficients in the other variables, vanishes.  There each image's gcd
+    is a multiple of the image of the primitive gcd, which keeps its
+    leading term: so a constant image leaves the gcd of the contents, one
+    of lower degree restarts, one of higher degree is skipped.  The images,
+    led by gamma, are interpolated until one more point leaves the
+    interpolant unchanged; its primitive part times the contents' gcd is
+    the gcd."""
+    present = reduce(or_, a) | reduce(or_, b)
+    slots = [s for s in order if present >> FIELD_BITS * s & _FIELD]
+    if not slots:
+        return _UNIT
+    shift = FIELD_BITS * slots[-1]
+    if len(slots) == 1:
+        g = _euclid({m >> shift: c for m, c in a.items()}, {m >> shift: c for m, c in b.items()}, prime)
+        return {e << shift: c for e, c in g.items()}
+    (cont_a, a), (cont_b, b) = _primitive(_split(a, shift), prime), _primitive(_split(b, shift), prime)
+    cont, gamma = _euclid(cont_a, cont_b, prime), _euclid(a[max(a)], b[max(b)], prime)
+    h: dict[Monomial, Residues] = {}
+    newton, top = _UNIT, None  # the product of (v - x) over the points used
+    for x in _points(slots[-1], prime):
+        gamma_x, newton_x = _at(gamma, x, prime), _at(newton, x, prime)
+        if not (gamma_x and newton_x):
+            continue
+        images = ({m: r for m, u in p.items() if (r := _at(u, x, prime))} for p in (a, b))
+        image = _gcd_mod(*images, order, prime)
+        lead = max(image)
+        if lead == ONE_MONOMIAL:
+            return {e << shift: c for e, c in cont.items()}
+        if top is None or lead < top:
+            h, newton, newton_x, top = {}, _UNIT, 1, lead
+        elif lead != top:
+            continue
+        step, changed = pow(newton_x, -1, prime), False
+        for m in image.keys() | h.keys():
+            u = h.get(m, {})
+            if d := (gamma_x * image.get(m, 0) - _at(u, x, prime)) * step % prime:
+                h[m], changed = _plus(u, _scaled(newton, d, prime), prime), True
+        if not changed:
+            break
+        newton = _times(newton, {1: 1, 0: prime - x}, prime)
+    h = _primitive(h, prime)[1]
+    g = {m + (e << shift): c for m, u in h.items() for e, c in _times(u, cont, prime).items()}
+    return _scaled(g, pow(g[max(g)], -1, prime), prime)
+
+
+def _points(slot: int, prime: int) -> Iterator[int]:
+    """The evaluation points of slot's variable mod prime, seeded by the slot."""
+    draw = Random(slot)
     while True:
-        r = _prem(pa, pb, v)
-        if r.is_zero():
-            g = _primitive_wrt(pb, v)
-            break
-        if r.degree_in(v) == 0:
-            g = ONE
-            break
-        pa, pb = pb, _primitive_wrt(r, v)
-    return cont * g
+        yield draw.randrange(1, prime)
 
 
-def _primitive_wrt(p: Poly, v: Var) -> Poly:
-    c = _content_wrt(p, v)
-    return _make_primitive(exact_quotient(p, c, f"the content in {var_name(v)}"))
+def _split(p: Residues, shift: int) -> dict[Monomial, Residues]:
+    """p with coefficients in the variable at shift: {monomial in the others:
+    {exponent: residue}}."""
+    out: dict[Monomial, Residues] = {}
+    for m, c in p.items():
+        e = (m >> shift) & _FIELD
+        out.setdefault(m - (e << shift), {})[e] = c
+    return out
 
 
-def _make_primitive(p: Poly) -> Poly:
-    if p.is_zero():
-        return p
-    return p.scale(1 / _int_content(p))
+def _primitive(p: dict[Monomial, Residues], prime: int) -> tuple[Residues, dict[Monomial, Residues]]:
+    """(c, p / c) for c the monic gcd of p's coefficients."""
+    c: Residues = {}
+    for u in p.values():
+        c = _euclid(c, u, prime)
+        if c == _UNIT:
+            return c, p
+    return c, {m: _divmod(u, c, prime)[0] for m, u in p.items()}
+
+
+# --- univariate residues --------------------------------------------------
+
+
+def _at(u: Residues, x: int, prime: int) -> int:
+    return sum(c * pow(x, e, prime) for e, c in u.items()) % prime
+
+
+def _scaled(u: Residues, c: int, prime: int) -> Residues:
+    return {e: r * c % prime for e, r in u.items()}
+
+
+def _plus(u: Residues, w: Residues, prime: int) -> Residues:
+    out = dict(u)
+    for e, c in w.items():
+        out[e] = (out.get(e, 0) + c) % prime
+    return {e: c for e, c in out.items() if c}
+
+
+def _times(u: Residues, w: Residues, prime: int) -> Residues:
+    out: Residues = {}
+    for e1, c1 in u.items():
+        for e2, c2 in w.items():
+            out[e1 + e2] = (out.get(e1 + e2, 0) + c1 * c2) % prime
+    return {e: c for e, c in out.items() if c}
+
+
+def _divmod(a: Residues, b: Residues, prime: int) -> tuple[Residues, Residues]:
+    """(quotient, remainder) of a by a nonzero b, stepping down a's
+    exponents, so that no step scans the remainder for its leading term."""
+    db = max(b)
+    inv = pow(b[db], -1, prime)
+    tail = [(e - db, c) for e, c in b.items() if e != db]
+    r, quotient = dict(a), {}
+    for e in range(max(a, default=db - 1), db - 1, -1):
+        if c := r.pop(e, 0) * inv % prime:
+            quotient[e - db] = c
+            for offset, t in tail:
+                if s := (r.get(e + offset, 0) - c * t) % prime:
+                    r[e + offset] = s
+                else:
+                    del r[e + offset]
+    return quotient, r
+
+
+def _euclid(a: Residues, b: Residues, prime: int) -> Residues:
+    """The monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, _divmod(a, b, prime)[1]
+    return _scaled(a, pow(a[max(a)], -1, prime), prime)

@@ -432,8 +432,8 @@ class TestSeries:
 
     def test_a_numerator_of_costly_content_finishes(self):
         # the sum's gcd with the residue b[1][1]+b[1][2]+b[1][3]+c[1][1] is
-        # 1: the residue's content in c[1][1] is 1, so the 66-term
-        # numerator's content is never formed
+        # 1, which a constant image mod the first prime proves, so the
+        # 66-term numerator's content in any variable is never formed
         text = (
             "(b[1][1]+b[1][2])*(b[1][1]+b[1][2]+b[1][3]+c[1][1]) - (b[1][1] + b[1][3])^15"
             " - 3/(b[1][1]+b[1][2]+b[1][3]+c[1][1])"
@@ -441,13 +441,31 @@ class TestSeries:
         done = run_python(["-m", "deltatower.cli", "series", "--element", text, "--order", "8"], timeout=10)
         assert "CHECK delta_consistency PASS" in done.stdout and done.stdout.endswith("RESULT PASS\n")
 
-    def test_coprime_residues_finish(self, capsys):
-        # the sum's residues are coprime: univariate images certify it, where
-        # the pseudo-remainder sequence ran for minutes
-        text = (
-            "4/((1*c[1][2] + 2*b[1][2] + 3*b[1][3])^4)"
-            " + 2/((3*b[1][2] + 2*c[1][2])^2*(3*c[1][2] + 1*b[1][1])^1)"
-        )
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # coprime residues, certified by one image each
+            pytest.param(
+                "4/((1*c[1][2] + 2*b[1][2] + 3*b[1][3])^4)"
+                " + 2/((3*b[1][2] + 2*c[1][2])^2*(3*c[1][2] + 1*b[1][1])^1)",
+                id="coprime-residues",
+            ),
+            pytest.param(
+                "(b[1][1]+b[1][2])*(b[1][1]+b[1][2]+b[1][3]+c[1][1]) - (b[1][1] + b[1][3])^15"
+                " - 3/(b[1][1]+b[1][2]+b[1][3]+c[1][1])",
+                id="costly-content",
+            ),
+            # a residue with repeated factors: derive's gcd(f, delta f) is not 1
+            pytest.param(
+                "4/((3*c[1][1] + 2*b[1][3] + 3*c[1][2])^3*(3*c[1][2] + 3*c[1][1] + 1*b[1][2])^2"
+                "*(1*b[1][2] + 1*c[1][2])^1) + 1/((2*c[1][2] + 2*c[1][1] + 1*b[1][1])^1)",
+                id="repeated-factors",
+            ),
+            # univariate images of degree 3000, sparse: x^3000 - 2 keeps two terms
+            pytest.param("1/(b[1][1]^3000 - 2) + 1/(b[1][1]^2999 + b[1][2])", id="sparse-images"),
+        ],
+    )
+    def test_sums_of_reciprocals_finish(self, capsys, text):
         start = time.process_time()
         code, out, _ = run_cli(capsys, "series", "--element", text, "--order", "8")
         assert code == 0 and "CHECK delta_consistency PASS" in out

@@ -1,6 +1,7 @@
 """The guards on mathematical identities raise RuntimeError, not assert, so
 they also hold under ``python -O``.  Each test breaks one identity through
-a monkeypatch and checks that its guard fires."""
+a monkeypatch and checks that its guard fires: a RuntimeError, or for the
+gcd's checks, the move to the next prime."""
 
 import pytest
 
@@ -12,8 +13,8 @@ from deltatower.tower import build_spec
 
 SPEC = build_spec((2, 2))
 B11, B12, C11 = (Poly.variable(v) for v in (var_b(1, 1), var_b(1, 2), var_c(1, 1)))
-# Two polynomials whose gcd needs the general algorithm: b[1][1] + 2 is
-# neither a monomial nor a level sum.
+# Two polynomials whose gcd b[1][1] + 2 is neither a monomial nor a level
+# sum, so an Element reduces them by poly_gcd.
 LEFT = (B11 + Poly.const(2)) * (B11 + Poly.const(3))
 RIGHT = (B11 + Poly.const(2)) * (B11 + C11)
 
@@ -22,16 +23,33 @@ def _no_divisor(*args):
     return Poly.variable(var_b(2, 2))
 
 
-def test_poly_gcd_guards_the_content_division(monkeypatch):
-    monkeypatch.setattr(polyring, "_content_wrt", _no_divisor)
-    with pytest.raises(RuntimeError, match="content of the first gcd argument"):
-        polyring.poly_gcd(LEFT, RIGHT)
+def _first_image(monkeypatch, fake: Poly) -> list[int]:
+    """Make the first gcd image, mod the first prime, the image of fake;
+    return the list of primes the images are taken mod."""
+    real, primes = polyring._gcd_mod, []
+
+    def image(a, b, order, prime):
+        primes.append(prime)
+        return polyring._image(fake, prime) if len(primes) == 1 else real(a, b, order, prime)
+
+    monkeypatch.setattr(polyring, "_gcd_mod", image)
+    return primes
 
 
-def test_primitive_part_guards_the_content_division(monkeypatch):
-    monkeypatch.setattr(polyring, "_content_wrt", _no_divisor)
-    with pytest.raises(RuntimeError, match=r"content in b\[1\]\[1\]"):
-        polyring._primitive_wrt(LEFT, var_b(1, 1))
+def test_poly_gcd_refuses_a_proper_divisor_of_the_gcd(monkeypatch):
+    # b[1][1] + 2 divides both, but the cofactors share b[1][2] + 1, so the
+    # certificate of their image gcd refuses it and the next prime decides
+    common = (B11 + Poly.const(2)) * (B12 + Poly.const(1))
+    primes = _first_image(monkeypatch, B11 + Poly.const(2))
+    assert polyring.poly_gcd(common * (B11 + Poly.const(3)), common * (B11 + C11)) == common
+    assert primes[0] != primes[-1] == polyring._PRIMES[1]
+
+
+def test_poly_gcd_refuses_a_non_divisor(monkeypatch):
+    # b[1][1] + 5 divides neither input: trial division refuses it
+    primes = _first_image(monkeypatch, B11 + Poly.const(5))
+    assert polyring.poly_gcd(LEFT, RIGHT) == B11 + Poly.const(2)
+    assert primes[0] != primes[-1] == polyring._PRIMES[1]
 
 
 def test_element_guards_the_gcd_division(monkeypatch):

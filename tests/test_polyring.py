@@ -14,11 +14,10 @@ from deltatower.polyring import (
     MAX_EXPONENT,
     MONOMIAL_KEY,
     Poly,
-    _coprime_images,
+    _PRIMES,
     _make_primitive,
     _monomial_content,
-    _point,
-    _prs_gcd,
+    _points,
     _slot,
     exact_div,
     m_divides,
@@ -187,19 +186,17 @@ def test_stripped_gcd_is_the_prs_gcd_and_sympy_gcd(seed):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(seed)
     left, right = _structured_pair(rng)
+    # known factors on both sides, as in tower denominators: the gcd is an
+    # associate of sympy's (the name is kept so that the test ids stay)
     g = poly_gcd(left, right)
-    # same normal form as the general algorithm run on the raw inputs
-    assert g == _make_primitive(_prs_gcd(left, right))
-    # an associate of sympy's gcd
     sg = sympy.gcd(to_sympy(left), to_sympy(right))
     ratio = sympy.cancel(to_sympy(g) / sg)
     assert ratio.is_Rational and ratio != 0
 
 
 def test_gcd_skips_the_content_of_the_higher_degree_argument():
-    # the pair of "x - 3/R" for the sum x below: R has content 1 in c[1][1],
-    # so the 66-term numerator's content in c[1][1], a gcd of large
-    # polynomials in the b[1][j], is never formed
+    # the pair of "x - 3/R" for the sum x below, coprime: one constant image
+    # proves it, so no content of the 66-term numerator is ever formed
     sympy = pytest.importorskip("sympy")
     residue = E1 + P(C11)
     x = (P(B11) + P(B12)) * residue - (P(B11) + P(B13)) ** 15
@@ -383,14 +380,15 @@ def test_keys_after_a_registration_in_the_middle_of_a_run():
     assert runs["mid"] == runs["fresh"]
 
 
-# --- coprime pairs certified by univariate images mod a prime -------------
+# --- the modular gcd: images, certificates and unlucky points -------------
 
 B13 = var_b(1, 3)
 
 
 def test_a_sum_split_off_one_side_is_tried_on_the_other():
-    # b[1][2] is p's monomial content, so p's own level sum is b[1][1] + b[1][3],
-    # which q's own split (the sum of all three) does not try
+    # b[1][1] + b[1][3] is a level sum of p only once p's monomial content
+    # b[1][2] is removed: the known-factor split that once ran before the
+    # general gcd returned 1 here
     common = P(B11) + P(B13)
     p = (common * P(B12)).scale(Fraction(3, 2))
     q = common * (P(B12) * P(C11) - Poly.const(4))
@@ -399,20 +397,21 @@ def test_a_sum_split_off_one_side_is_tried_on_the_other():
 
 def test_images_certify_a_coprime_pair_and_skip_one_variable():
     left, right = P(B11) * P(B12) + Poly.const(1), P(B11) + P(B12) * P(C11)
-    assert _coprime_images(left, right) and poly_gcd(left, right) == Poly.const(1)
-    # one variable between them: no images, the general gcd decides
-    assert not _coprime_images(P(B11) + Poly.const(1), P(B11) - Poly.const(1))
-    assert not _coprime_images(left * right, right)
+    assert poly_gcd(left, right) == Poly.const(1)
+    # one variable between them: the univariate image is Euclid's gcd
+    assert poly_gcd(P(B11) + Poly.const(1), P(B11) - Poly.const(1)) == Poly.const(1)
+    assert poly_gcd(left * right, right) == right
 
 
 def test_a_factor_whose_lead_vanishes_at_the_point_is_not_certified_away():
-    # g's leading coefficient in each variable vanishes at the other's point,
-    # so g's images are the constant 1; only the degree check sees that the
-    # images of p and q lost degree, and the gcd falls through to the PRS
-    k11, k12 = (_point(_slot(v)) for v in (B11, B12))
-    g = (P(B11) - Poly.const(k11)) * (P(B12) - Poly.const(k12)) + Poly.const(1)
-    p, q = g * (P(B11) + Poly.const(2)), g * (P(B12) + Poly.const(3))
-    assert not _coprime_images(p, q)
+    # b[1][2] has the higher degree, so it is evaluated; g's leading
+    # coefficient in b[1][1], gamma = b[1][2] - k, vanishes at its first
+    # point k, where the primitive part of p has the constant image 1: only
+    # the skip of that point keeps the gcd from being certified 1
+    k = next(_points(_slot(B12), _PRIMES[0]))
+    g = (P(B12) - Poly.const(k)) * P(B11) + Poly.const(1)
+    p = g * (P(B12) * P(B12) + Poly.const(3))
+    q = g * (P(B12) * P(B12) + P(B11) + Poly.const(5))
     assert poly_gcd(p, q) == g
 
 

@@ -73,10 +73,8 @@ def test_only_the_numeric_modules_import_numpy_at_load():
     assert _numeric_imports(ast.parse("def f():\n    import numpy")) == []
 
 
-def _dataclass_imports(tree) -> list[int]:
-    """Lines of every import of ``dataclasses``, at load time or not: a CLI
-    start that imports it also loads ``inspect``, which costs more than the
-    exact checks of a small tower."""
+def _imports(tree, packages) -> list[int]:
+    """Lines of every import of one of packages, at load time or not."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -85,9 +83,16 @@ def _dataclass_imports(tree) -> list[int]:
             names = [node.module or ""]
         else:
             continue
-        if any(n.split(".")[0] == "dataclasses" for n in names):
+        if any(n.split(".")[0] in packages for n in names):
             lines.append(node.lineno)
     return lines
+
+
+def _dataclass_imports(tree) -> list[int]:
+    """Lines of every import of ``dataclasses``: a CLI start that imports it
+    also loads ``inspect``, which costs more than the exact checks of a
+    small tower."""
+    return _imports(tree, {"dataclasses"})
 
 
 def test_no_module_imports_dataclasses():
@@ -104,6 +109,29 @@ def test_no_module_imports_dataclasses():
                  "class A:\n    import dataclasses"):
         assert _dataclass_imports(ast.parse(text)) != [], text
     assert _dataclass_imports(ast.parse("import dataclasses_json")) == []
+
+
+def _test_only_imports(tree) -> list[int]:
+    """Lines of every import of ``sympy`` or ``hypothesis``: references for
+    the tests, never runtime dependencies."""
+    return _imports(tree, {"sympy", "hypothesis"})
+
+
+def test_no_module_imports_a_test_only_package():
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _test_only_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+    # the rule sees every spelling it forbids
+    for text in ("import sympy", "import sympy as sp", "import os, hypothesis",
+                 "from sympy import gcd", "from hypothesis.strategies import integers as i",
+                 "if True:\n    import sympy", "def f():\n    from sympy import cancel",
+                 "class A:\n    import hypothesis"):
+        assert _test_only_imports(ast.parse(text)) != [], text
+    assert _test_only_imports(ast.parse("import sympy_like")) == []
+    assert _test_only_imports(ast.parse("from . import sympy")) == []
 
 
 def _forwarding_inits(tree) -> list[str]:
