@@ -48,26 +48,27 @@ class Element:
     def __init__(self, num: Poly, den: Poly = ONE):
         if den.is_zero():
             raise DivisionByZero("zero denominator")
-        self._set(num, *known_factors(den), what="the gcd of numerator and denominator")
+        mono, sums, res = known_factors(den)
+        self._set(num, mono, sums, res, sums)
 
     def _set(self, num: Poly, mono: Monomial = 0, sums: Counter[LevelSum] = _NO_SUMS,
-             res: Poly = ONE, what: str | None = None, keys=None) -> None:
+             res: Poly = ONE, keys=None) -> None:
         """Store num / (mono * prod level_sum(S)^sums[S] * res) with res
-        monic.  With ``what``, num is first cancelled against the parts: its
-        monomial content, level_sum(S) for each S of ``keys`` (default all),
-        and a nonconstant res by the gcd, whose failure names ``what``."""
+        monic.  Unless ``keys`` is None, num is first cancelled against the
+        parts: its monomial content, level_sum(S) for each S of ``keys``,
+        and a nonconstant res by the gcd."""
         if num.is_zero():
             mono, sums, res = 0, _NO_SUMS, ONE
-        elif what is not None:
+        elif keys is not None:
             num, mono = cancel_monomial(num, mono)
             if sums:
                 left = Counter(sums)
-                for s in sums if keys is None else keys:
+                for s in keys:
                     while left[s] and (q := exact_div(num, level_sum(s))) is not None:
                         num, left[s] = q, left[s] - 1
                 sums = +left
             if not res.is_const():
-                _, num, res = cancel(num, res, what)
+                _, num, res = cancel(num, res)
         if res is not ONE:
             inv = Fraction(1) / res.lead()[1]
             num, res = num.scale(inv), ONE if res.is_const() else res.scale(inv)
@@ -77,9 +78,9 @@ class Element:
 
     @classmethod
     def _parts(cls, num: Poly, mono: Monomial = 0, sums: Counter[LevelSum] = _NO_SUMS,
-               res: Poly = ONE, what: str | None = None, keys=None) -> "Element":
+               res: Poly = ONE, keys=None) -> "Element":
         out = cls.__new__(cls)
-        out._set(num, mono, sums, res, what, keys)
+        out._set(num, mono, sums, res, keys)
         return out
 
     def __reduce__(self):
@@ -145,13 +146,12 @@ class Element:
         if self.res == o.res:
             res, mine, theirs = self.res, ONE, ONE
         else:
-            res, mine, theirs = cancel(self.res, o.res, "the gcd of two denominators")
+            res, mine, theirs = cancel(self.res, o.res)
         a = self.num * _expand(o.mono - mono, o.sums - sums, theirs)
         b = o.num * _expand(self.mono - mono, self.sums - sums, mine)
-        keys = [s for s in sums if self.sums[s] == o.sums[s]] if self.res is o.res is ONE else None
         lcm = self.mono + o.mono - mono, self.sums | o.sums, product(res, mine, theirs)
-        what = "the gcd of a sum and its denominator"
-        return Element._parts(a - b if negate else a + b, *lcm, what, keys)
+        keys = [s for s in sums if self.sums[s] == o.sums[s]] if self.res is o.res is ONE else lcm[1]
+        return Element._parts(a - b if negate else a + b, *lcm, keys)
 
     @staticmethod
     def _times(x: "Element", y: "Element") -> "Element":
@@ -161,9 +161,8 @@ class Element:
         both denominators divides neither numerator, so it is not tried."""
         if x._den is y._den is ONE:
             return Element._parts(x.num * y.num)
-        what = "the gcd of a numerator and a denominator"
-        a = Element._parts(x.num, y.mono, y.sums, y.res, what, [s for s in y.sums if not x.sums[s]])
-        b = Element._parts(y.num, x.mono, x.sums, x.res, what, [s for s in x.sums if not y.sums[s]])
+        a = Element._parts(x.num, y.mono, y.sums, y.res, [s for s in y.sums if not x.sums[s]])
+        b = Element._parts(y.num, x.mono, x.sums, x.res, [s for s in x.sums if not y.sums[s]])
         return Element._parts(a.num * b.num, a.mono + b.mono, a.sums + b.sums, product(a.res, b.res))
 
     def _reciprocal(self) -> "Element":

@@ -48,7 +48,7 @@ G=(...)`` in heights, in its representative's column order.
 ``properties`` is the one budget-checked list of checks that
 ``run_grid_suite`` and the CLI run.
 
-Cells are packed column-major: cell (i, j) is bit (j-1)*depth + (i-1).
+A mask is a Python int, packed column-major: cell (i, j) is bit (j-1)*depth + (i-1).
 Closed sets are exactly the masks whose columns are downward intervals.
 """
 
@@ -56,12 +56,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations_with_replacement, product
 from math import factorial
-from operator import sub
-
-import numpy as np
+from operator import and_, sub
 
 from .errors import BudgetExceeded, Record
 from .grid import (
@@ -109,29 +107,34 @@ class PropertyReport(Record):
 
 
 class _Grid:
-    """The closure of every mask of one grid, and its fixed points."""
+    """The closure of every mask of one grid, and its fixed points, as int lists."""
 
     def __init__(self, depth: int, columns: int):
         self.depth = depth
         self.columns = columns
         self.g = GridModel(depth, columns)
         self.cells = depth * columns
-        size = 1 << self.cells
-        self.cells_mask = size - 1
-        self.row1_mask = 0
-        for j in range(columns):
-            self.row1_mask |= 1 << (j * depth)
+        self.cells_mask = (1 << self.cells) - 1
+        self.row1_mask = sum(1 << (j * depth) for j in range(columns))
         # per column, fill every set bit down to row 1
-        masks = np.arange(size, dtype=np.int64)
-        self.closure_table = np.zeros(size, dtype=np.int64)
-        for j in range(columns):
-            col = (masks >> (j * depth)) & ((1 << depth) - 1)
+        column_closure = []
+        for col in range(1 << depth):
             for _ in range(depth - 1):
                 col |= col >> 1
-            self.closure_table |= col << (j * depth)
-        # the closed masks are the fixed points of the closure (np.unique
-        # would give the same array, but loads numpy.ma)
-        self.closed_array = np.flatnonzero(self.closure_table == masks)
+            column_closure.append(col)
+        # mask = col << (j * depth) | low, so column j is the outer loop
+        table = [0]
+        for j in range(columns):
+            table = [col << (j * depth) | low for col in column_closure for low in table]
+        self.closure_table = table
+        self.closed_array = [mask for mask, image in enumerate(table) if image == mask]
+        self._inside = {}
+
+    def closed_inside(self, mask: int) -> list[int]:
+        """The closed masks inside mask, in increasing order (cached)."""
+        if mask not in self._inside:
+            self._inside[mask] = [m for m in self.closed_array if (m & mask) == m]
+        return self._inside[mask]
 
     def to_set(self, mask: int):
         return frozenset(
@@ -142,10 +145,7 @@ class _Grid:
         )
 
     def mask_of_heights(self, h) -> int:
-        out = 0
-        for j, top in enumerate(h):
-            out |= ((1 << top) - 1) << (j * self.depth)
-        return out
+        return sum(((1 << top) - 1) << (j * self.depth) for j, top in enumerate(h))
 
 
 def _models(max_cells: int):
@@ -257,24 +257,24 @@ def check_closure_axioms(max_cells: int) -> PropertyReport:
         for gr in _grids(max_cells):
             where = f"grid {gr.depth}x{gr.columns}: closure"
             table = gr.closure_table
-            masks = np.arange(table.size)
-            for mask in range(table.size):
+            masks = range(len(table))
+            for mask in masks:
                 S = gr.to_set(mask)
-                same = closure(S, gr.g) == gr.to_set(int(table[mask]))
+                same = closure(S, gr.g) == gr.to_set(table[mask])
                 yield None if same else f"{where} mismatch on {sorted(S)}"
             # the public closure is the table, so the axioms are its laws;
             # monotone on covering pairs A <= A | {x} is monotone on all
             # 3^cells nested pairs, as inclusion is transitive
-            laws = (("extensive", (masks & ~table) == 0), ("idempotent", table[table] == table))
-            for law, holds in laws:
-                if not holds.all():
-                    yield f"{where} not {law} on {sorted(gr.to_set(int(np.argmin(holds))))}"
+            extensive = [m for m in masks if m & ~table[m]]
+            idempotent = [m for m in masks if table[table[m]] != table[m]]
+            for law, bad in (("extensive", extensive), ("idempotent", idempotent)):
+                if bad:
+                    yield f"{where} not {law} on {sorted(gr.to_set(bad[0]))}"
                     return
             for x in range(gr.cells):
-                bad = np.flatnonzero(table & ~table[masks | 1 << x])
-                if bad.size:
-                    a = int(bad[0])
-                    pair = f"{sorted(gr.to_set(a))} <= {sorted(gr.to_set(a | 1 << x))}"
+                bad = [a for a in masks if table[a] & ~table[a | 1 << x]]
+                if bad:
+                    pair = f"{sorted(gr.to_set(bad[0]))} <= {sorted(gr.to_set(bad[0] | 1 << x))}"
                     yield f"{where} not monotone on {pair}"
                     return
             yield 3**gr.cells
@@ -287,8 +287,9 @@ def check_urank_additivity(max_cells: int) -> PropertyReport:
         for gr in _grids(max_cells):
             closed, table = gr.closed_array, gr.closure_table
             # One row per column orbit of (T, A), every closed B at once: with
-            # A|B|T closed, ranks are popcount differences, so additive.  The
-            # public urank of A over T is cross-checked on each row.
+            # A|B|T closed, ranks are popcount differences, so additive.  Each
+            # row checks the public urank; a union A|T scans the closed masks once.
+            first_open = {}
             states = list(product(range(gr.depth + 1), repeat=2))
             for rep, weight in _orbits(states, gr.columns):
                 t_h, a_h = zip(*rep)
@@ -296,17 +297,17 @@ def check_urank_additivity(max_cells: int) -> PropertyReport:
                 if urank(gr.to_set(a), gr.to_set(t), gr.g) != (a | t).bit_count() - t.bit_count():
                     yield f"grid {gr.depth}x{gr.columns}: urank disagrees with the mask table"
                     return
-                unions = closed | a | t
-                not_closed = table[unions] != unions
-                if not_closed.any():
-                    b = int(closed[np.argmax(not_closed)])
+                u = a | t
+                if u not in first_open:
+                    first_open[u] = next((b for b in closed if table[b | u] != b | u), None)
+                if (b := first_open[u]) is not None:
                     yield (
                         f"grid {gr.depth}x{gr.columns}: A|B|T is not closed at "
                         f"A={sorted(gr.to_set(a))} "
                         f"B={sorted(gr.to_set(b))} T={sorted(gr.to_set(t))}"
                     )
                     return
-                yield weight * closed.size
+                yield weight * len(closed)
 
     return _check("urank_additivity", gen())
 
@@ -318,12 +319,11 @@ def check_reduction_maximality(max_cells: int) -> PropertyReport:
         red = reduction(G, T, gr.g)
         red_mask = sum(1 << ((j - 1) * gr.depth + i - 1) for i, j in red)
         # brute force: internal closed subsets of G over T
-        inside = gr.closed_array[(gr.closed_array & ~g_mask) == 0]
         allowed = t_mask | ((t_mask << 1) & gr.cells_mask) | gr.row1_mask
-        candidates = inside[((inside | t_mask) & ~allowed) == 0]
+        candidates = [m for m in gr.closed_inside(g_mask) if (m & allowed) == m]
         if not internal(red, T, gr.g):
             return "reduction not internal"
-        if np.any(candidates & ~red_mask):
+        if any(m & ~red_mask for m in candidates):
             return "an internal subset escapes the reduction"
         if red_mask not in candidates:
             return "the reduction is not itself an internal closed subset"
@@ -339,11 +339,10 @@ def check_reduction_maximality(max_cells: int) -> PropertyReport:
 def check_coreduction_uniqueness(max_cells: int) -> PropertyReport:
     def per_pair(gr, t_h, g_h):
         t_mask, g_mask = gr.mask_of_heights(t_h), gr.mask_of_heights(g_h)
-        inside = gr.closed_array[(gr.closed_array & ~g_mask) == 0]
-        tx = inside | t_mask
-        allowed = tx | ((tx << 1) & gr.cells_mask) | gr.row1_mask
-        witnesses = inside[(g_mask & ~allowed) == 0]
-        least = int(np.bitwise_and.reduce(witnesses))
+        # brute force: closed X in G with G internal over X|T, that is X|X<<1 covers rest
+        rest = g_mask & ~(t_mask | t_mask << 1 | gr.row1_mask)
+        witnesses = [x for x in gr.closed_inside(g_mask) if (x | x << 1) & rest == rest]
+        least = reduce(and_, witnesses, g_mask)  # with no witness, g_mask is none
         if least not in witnesses:
             return "minimal witnesses disagree"
         # ties the one-step-down column rule used by the chain properties

@@ -30,12 +30,15 @@ products and quotients only add fields that exist.
 Element denominators carry their known factors, the monomial and the
 level sums ``sum_j b[k][j]`` (each ``e_k`` is one), split off once by
 ``known_factors``; these are irreducible, so they cancel by exponents
-and trial ``exact_div``, with no gcd.  ``poly_gcd`` is Brown's modular
+and trial ``exact_div``, with no gcd.  ``cancel`` is Brown's modular
 gcd: images mod a Mersenne prime, evaluated and interpolated one
 variable at a time down to sparse univariate ones, are read back over Z,
 and the result stands only when it divides both inputs exactly and the
 cofactors' gcd mod the prime is constant; else the next prime is tried.
-Every result is exact.
+Every result is exact, and the cofactors it verified are handed back, so
+no second division runs.  One univariate remainder sequence, or the
+divisions of one content, may do at most ``MAX_EUCLID_WORK`` units of
+work (exponents stepped times divisor terms); past it, ``BudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -376,26 +379,6 @@ def exact_div(p: Poly, q: Poly) -> Poly | None:
     return Poly(quotient, _trusted=True)
 
 
-def exact_quotient(p: Poly, q: Poly, what: str) -> Poly:
-    """p / q where the maths makes the division exact; RuntimeError (not
-    an assert, so it survives ``python -O``) names ``what`` otherwise."""
-    res = exact_div(p, q)
-    if res is None:
-        raise RuntimeError(f"{what} does not divide exactly")
-    return res
-
-
-def cancel(p: Poly, q: Poly, what: str) -> tuple[Poly, Poly, Poly]:
-    """(g, p/g, q/g) for g = gcd(p, q), which reduces residues only: level sums
-    cancel by exponents and trial division.  Both divisions are skipped when
-    g is constant (1 for coprime inputs); one the gcd makes exact but that
-    leaves a remainder raises ``exact_quotient``'s RuntimeError, naming ``what``."""
-    g = poly_gcd(p, q)
-    if g.is_const():
-        return g, p, q
-    return g, exact_quotient(p, g, what), exact_quotient(q, g, what)
-
-
 # --- integer content, known factors --------------------------------------
 
 
@@ -479,21 +462,30 @@ def product(*ps: Poly) -> Poly:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Primitive gcd with positive leading coefficient (1 for coprime inputs),
-    by Brown's modular algorithm (J. ACM 18(4), 1971), leading terms taken
-    in the lex order of the packed ints.  With a, b the primitive parts of
-    p, q over Z and gamma = gcd(lc(a), lc(b)), gamma times the monic gcd
-    mod a prime, read in the symmetric range, is accepted if it divides a
-    and b exactly and the cofactors have a constant gcd mod the prime.  The
-    prime does not divide gamma, so a common factor of positive degree
-    keeps its leading term there: a constant gcd mod the prime proves the
-    cofactors, or a and b, coprime.  Any other outcome tries the next
-    prime, so every result is exact."""
+    """Primitive gcd with positive leading coefficient (1 for coprime inputs)."""
+    return cancel(p, q)[0]
+
+
+def cancel(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, p/g, q/g) for g = gcd(p, q), primitive with positive leading
+    coefficient (1 for coprime inputs), by Brown's modular algorithm (J. ACM
+    18(4), 1971), leading terms taken in the lex order of the packed ints.
+    It reduces residues only: level sums cancel by exponents and trial
+    division.  With a, b the primitive parts of p, q over Z and gamma =
+    gcd(lc(a), lc(b)), gamma times the monic gcd mod a prime, read in the
+    symmetric range, is accepted if it divides a and b exactly and the
+    cofactors have a constant gcd mod the prime; those cofactors, times the
+    contents of p and q, are p/g and q/g.  The prime does not divide gamma,
+    so a common factor of positive degree keeps its leading term there: a
+    constant gcd mod the prime proves the cofactors, or a and b, coprime.
+    Any other outcome tries the next prime, so every result is exact."""
     if p.is_zero() or q.is_zero():
-        return _make_primitive(q if p.is_zero() else p)
+        g = _make_primitive(q if p.is_zero() else p)
+        return (g, p, q) if g.is_const() else (g, exact_div(p, g), exact_div(q, g))
     if p.is_const() or q.is_const():
-        return ONE
-    a, b = _make_primitive(p), _make_primitive(q)
+        return ONE, p, q
+    content_p, content_q = _int_content(p), _int_content(q)
+    a, b = p.scale(1 / content_p), q.scale(1 / content_q)
     gamma = int_gcd(a.terms[max(a.terms)], b.terms[max(b.terms)])
     # variables by degree: the last is evaluated first, the first is the main one
     degrees = list(map(max, zip_longest(*map(_fields, chain(a.terms, b.terms)), fillvalue=0)))
@@ -503,13 +495,13 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
             continue
         image = _gcd_mod(_image(a, prime), _image(b, prime), order, prime)
         if image == _UNIT:
-            return ONE
+            return ONE, p, q
         lifted = {m: c - prime if 2 * c > prime else c for m, c in _scaled(image, gamma, prime).items()}
         g = _make_primitive(Poly(lifted, _trusted=True))
         ca, cb = exact_div(a, g), exact_div(b, g)
         if ca is not None and cb is not None:
             if _gcd_mod(_image(ca, prime), _image(cb, prime), order, prime) == _UNIT:
-                return g
+                return g, ca.scale(content_p), cb.scale(content_q)
     raise BudgetExceeded(f"no Mersenne prime of up to {_PRIMES[-1].bit_length()} bits certifies a gcd")
 
 
@@ -600,10 +592,17 @@ def _primitive(p: dict[Monomial, Residues], prime: int) -> tuple[Residues, dict[
         c = _euclid(c, u, prime)
         if c == _UNIT:
             return c, p
-    return c, {m: _divmod(u, c, prime)[0] for m, u in p.items()}
+    work, quotients = 0, {}
+    for m, u in p.items():
+        quotients[m], _, work = _divmod(u, c, prime, work)
+    return c, quotients
 
 
 # --- univariate residues --------------------------------------------------
+
+# the work of one remainder sequence, or of the divisions by one content: per
+# division, exponents stepped (at least its quotient terms) times divisor terms
+MAX_EUCLID_WORK = 1 << 22
 
 
 def _at(u: Residues, x: int, prime: int) -> int:
@@ -629,14 +628,20 @@ def _times(u: Residues, w: Residues, prime: int) -> Residues:
     return {e: c for e, c in out.items() if c}
 
 
-def _divmod(a: Residues, b: Residues, prime: int) -> tuple[Residues, Residues]:
-    """(quotient, remainder) of a by a nonzero b, stepping down a's
-    exponents, so that no step scans the remainder for its leading term."""
+def _divmod(a: Residues, b: Residues, prime: int, work: int) -> tuple[Residues, Residues, int]:
+    """(quotient, remainder, work) of a by a nonzero b, stepping down a's
+    exponents, so that no step scans the remainder for its leading term.
+    This division's work is added before it runs; past MAX_EUCLID_WORK,
+    BudgetExceeded."""
     db = max(b)
+    top = max(a, default=db - 1)
+    work += max(top - db + 1, 0) * len(b)
+    if work > MAX_EUCLID_WORK:
+        raise BudgetExceeded(f"a univariate remainder sequence passes {MAX_EUCLID_WORK} steps, the cap")
     inv = pow(b[db], -1, prime)
     tail = [(e - db, c) for e, c in b.items() if e != db]
     r, quotient = dict(a), {}
-    for e in range(max(a, default=db - 1), db - 1, -1):
+    for e in range(top, db - 1, -1):
         if c := r.pop(e, 0) * inv % prime:
             quotient[e - db] = c
             for offset, t in tail:
@@ -644,11 +649,13 @@ def _divmod(a: Residues, b: Residues, prime: int) -> tuple[Residues, Residues]:
                     r[e + offset] = s
                 else:
                     del r[e + offset]
-    return quotient, r
+    return quotient, r, work
 
 
 def _euclid(a: Residues, b: Residues, prime: int) -> Residues:
-    """The monic gcd of a and b, not both zero."""
+    """The monic gcd of a and b, not both zero, by one remainder sequence."""
+    work = 0
     while b:
-        a, b = b, _divmod(a, b, prime)[1]
+        _, r, work = _divmod(a, b, prime, work)
+        a, b = b, r
     return _scaled(a, pow(a[max(a)], -1, prime), prime)

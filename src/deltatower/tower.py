@@ -211,11 +211,10 @@ def derive(x: Element, spec: TowerSpec) -> Element:
     s_all, res = product(*sums), x.res
     num = dnum * s_all - x.num * log_part
     if res is not ONE:
-        _, f, df = cancel(res, _derive_poly(res, spec), "gcd(f, delta f)")
+        _, f, df = cancel(res, _derive_poly(res, spec))
         num, res = num * f - x.num * s_all * df, res * f
     up = x.sums + Counter(x.sums.keys())
-    what = "the gcd of a derivative and its denominator"
-    return Element._parts(num, x.mono, up, res, what, () if res is ONE else None)
+    return Element._parts(num, x.mono, up, res, () if res is ONE else up)
 
 
 def d_twist(x: Element, i: int, spec: TowerSpec) -> Element:

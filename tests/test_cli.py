@@ -441,6 +441,19 @@ class TestSeries:
         done = run_python(["-m", "deltatower.cli", "series", "--element", text, "--order", "8"], timeout=10)
         assert "CHECK delta_consistency PASS" in done.stdout and done.stdout.endswith("RESULT PASS\n")
 
+    def test_a_long_univariate_remainder_sequence_is_refused(self):
+        # Euclid on dense remainders of degree about 10^5 costs the square of
+        # the degree, and a division by a sparse divisor of degree 10^9 steps
+        # down every exponent: the work cap refuses both, one error: line each
+        texts = [
+            "1/(b[1][1]^100000 - 1) + 1/(b[1][1]^99999 - 1)",
+            "1/(b[1][1]^2000000000 - 1) + 1/(b[1][1]^1000000000 + 1)",
+        ]
+        argvs = [["series", "--element", text] for text in texts]
+        done = run_python(["-c", IN_PROCESS_SCRIPT, json.dumps(argvs)], timeout=10)
+        for result in json.loads(done.stdout):
+            _is_one_error_line(*result, "remainder sequence")
+
     @pytest.mark.parametrize(
         "text",
         [

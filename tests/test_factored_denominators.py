@@ -24,7 +24,7 @@ from deltatower.tower import _derive_poly, build_spec, d_twist, derive
 
 def _reference(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """num/den reduced by the gcd and scaled so that den is monic."""
-    _, num, den = cancel(num, den, "the reference fraction")
+    _, num, den = cancel(num, den)
     inv = Fraction(1) / den.lead()[1]
     return num.scale(inv), den.scale(inv)
 

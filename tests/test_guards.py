@@ -5,7 +5,7 @@ gcd's checks, the move to the next prime."""
 
 import pytest
 
-from deltatower import operators, polyring, relations, tower
+from deltatower import operators, polyring, relations
 from deltatower.elements import Element, ZERO_ELEMENT
 from deltatower.polyring import Poly, var_b, var_c
 from deltatower.relations import MonomialRelation, ReductionTrace, Verdict
@@ -13,14 +13,9 @@ from deltatower.tower import build_spec
 
 SPEC = build_spec((2, 2))
 B11, B12, C11 = (Poly.variable(v) for v in (var_b(1, 1), var_b(1, 2), var_c(1, 1)))
-# Two polynomials whose gcd b[1][1] + 2 is neither a monomial nor a level
-# sum, so an Element reduces them by poly_gcd.
+# Two polynomials whose gcd is b[1][1] + 2
 LEFT = (B11 + Poly.const(2)) * (B11 + Poly.const(3))
 RIGHT = (B11 + Poly.const(2)) * (B11 + C11)
-
-
-def _no_divisor(*args):
-    return Poly.variable(var_b(2, 2))
 
 
 def _first_image(monkeypatch, fake: Poly) -> list[int]:
@@ -50,42 +45,6 @@ def test_poly_gcd_refuses_a_non_divisor(monkeypatch):
     primes = _first_image(monkeypatch, B11 + Poly.const(5))
     assert polyring.poly_gcd(LEFT, RIGHT) == B11 + Poly.const(2)
     assert primes[0] != primes[-1] == polyring._PRIMES[1]
-
-
-def test_element_guards_the_gcd_division(monkeypatch):
-    monkeypatch.setattr(polyring, "poly_gcd", _no_divisor)
-    with pytest.raises(RuntimeError, match="gcd of numerator and denominator"):
-        Element(LEFT, RIGHT)
-
-
-def test_element_addition_guards_the_denominator_gcd(monkeypatch):
-    x, y = Element(Poly.const(1), LEFT), Element(Poly.const(1), RIGHT)
-    monkeypatch.setattr(polyring, "poly_gcd", _no_divisor)
-    with pytest.raises(RuntimeError, match="gcd of two denominators"):
-        x + y
-
-
-def test_element_addition_guards_the_sum_gcd(monkeypatch):
-    x, y = Element(Poly.const(1), LEFT), Element(Poly.const(2), LEFT)
-    monkeypatch.setattr(polyring, "poly_gcd", _no_divisor)
-    with pytest.raises(RuntimeError, match="gcd of a sum and its denominator"):
-        x + y
-
-
-def test_element_product_guards_the_cross_gcds(monkeypatch):
-    x, y = Element(LEFT), Element(Poly.const(1), RIGHT)
-    monkeypatch.setattr(polyring, "poly_gcd", _no_divisor)
-    with pytest.raises(RuntimeError, match="gcd of a numerator and a denominator"):
-        x * y
-
-
-def test_derive_guards_the_quotient_rule_gcd(monkeypatch):
-    # b[1][1] + 2 is a residue, so the quotient rule runs over gcd(f, delta f);
-    # a level sum's derivative runs no gcd
-    x = Element(Poly.const(1), B11 + Poly.const(2))
-    monkeypatch.setattr(polyring, "poly_gcd", _no_divisor)
-    with pytest.raises(RuntimeError, match=r"gcd\(f, delta f\)"):
-        tower.derive(x, SPEC)
 
 
 def test_decompose_guards_the_eigen_equations(monkeypatch):

@@ -19,6 +19,7 @@ from deltatower.polyring import (
     _monomial_content,
     _points,
     _slot,
+    cancel,
     exact_div,
     m_divides,
     m_pairs,
@@ -434,8 +435,10 @@ def test_gcd_agrees_with_sympy_on_planted_and_coprime_pairs(a, b, common, plante
     sympy = pytest.importorskip("sympy")
     if planted:
         a, b = a * common, b * common
-    g = poly_gcd(a, b)
-    assert g == _make_primitive(g)
+    g, a_g, b_g = cancel(a, b)
+    assert g == poly_gcd(a, b) == _make_primitive(g)
+    if g:
+        assert g * a_g == a and g * b_g == b
     if a and b:
         ratio = sympy.cancel(to_sympy(g) / sympy.gcd(to_sympy(a), to_sympy(b)))
         assert ratio.is_number and ratio != 0

@@ -18,8 +18,10 @@ PACKAGE = Path(deltatower.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 PERFBENCH = ROOT / "perfbench"
 
-# the numeric half: only these modules may import numpy when they load
-NUMERIC_MODULES = {"series.py", "gridcheck.py"}
+# the numeric half: only the series oracle may import numpy when it loads
+NUMERIC_MODULES = {"series.py"}
+# the grid half runs on Python ints: these import numpy nowhere
+GRID_MODULES = {"grid.py", "gridcheck.py"}
 
 
 def test_no_assert_statements():
@@ -86,6 +88,24 @@ def _imports(tree, packages) -> list[int]:
         if any(n.split(".")[0] in packages for n in names):
             lines.append(node.lineno)
     return lines
+
+
+def test_the_grid_modules_never_import_numpy():
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name in GRID_MODULES
+        for line in _imports(ast.parse(path.read_text(encoding="utf-8"), str(path)), {"numpy"})
+    ]
+    assert len([p for p in SOURCES if p.name in GRID_MODULES]) == 2 and found == []
+    # the rule sees every spelling it forbids, at load time or inside a function
+    for text in ("import numpy", "import numpy as np", "import os, numpy.ma",
+                 "from numpy import flatnonzero", "from numpy.ma import masked as m",
+                 "if True:\n    import numpy", "def f():\n    import numpy as np",
+                 "class A:\n    from numpy import int64"):
+        assert _imports(ast.parse(text), {"numpy"}) != [], text
+    assert _imports(ast.parse("import numpyro"), {"numpy"}) == []
+    assert _imports(ast.parse("from . import numpy"), {"numpy"}) == []
 
 
 def _dataclass_imports(tree) -> list[int]:
@@ -206,11 +226,11 @@ EXACT_SIDE = [
     f"deltatower.{m}" for m in ("polyring", "elements", "tower", "operators", "relations", "textio")
 ]
 # what each command leaves unloaded: tower build parses no element text,
-# no grid command touches the exact side, and grid verify needs no numpy.ma
+# no grid command touches the exact side, and grid verify needs no numpy
 UNLOADED = {
     "tower": [*NUMERIC_SIDE, "dataclasses", "inspect", "deltatower.textio", "deltatower.grid"],
     "seqred": [*NUMERIC_SIDE, *EXACT_SIDE],
-    "verify": [*EXACT_SIDE, "numpy.ma"],
+    "verify": [*EXACT_SIDE, "numpy"],
 }
 
 
