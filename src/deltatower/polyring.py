@@ -637,7 +637,7 @@ def _divmod(a: Residues, b: Residues, prime: int, work: int) -> tuple[Residues, 
     top = max(a, default=db - 1)
     work += max(top - db + 1, 0) * len(b)
     if work > MAX_EUCLID_WORK:
-        raise BudgetExceeded(f"a univariate remainder sequence passes {MAX_EUCLID_WORK} steps, the cap")
+        raise BudgetExceeded(f"a univariate gcd passes {MAX_EUCLID_WORK} units of work, the cap")
     inv = pow(b[db], -1, prime)
     tail = [(e - db, c) for e, c in b.items() if e != db]
     r, quotient = dict(a), {}

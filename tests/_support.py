@@ -11,8 +11,11 @@ nothing here.
   integer coefficients, the literal cases of the replay tests.
 - ``run_python`` and ``cli_in_child``: a fresh interpreter with this
   checkout's ``src`` first on ``PYTHONPATH``.
+- ``counting_cancel``: every gcd, through ``elements.cancel`` and
+  ``tower.cancel``, the two names that reach ``polyring.cancel``.
 """
 
+import contextlib
 import os
 import random
 import subprocess
@@ -20,7 +23,9 @@ import sys
 from itertools import product
 from pathlib import Path
 
-from deltatower import cli
+import pytest
+
+from deltatower import cli, elements, polyring, tower
 from deltatower.elements import Element
 from deltatower.polyring import Poly, m_pairs
 from deltatower.relations import MonomialRelation, degree_vectors
@@ -86,6 +91,20 @@ except ImportError:  # the modules that draw from it skip themselves
     pass
 else:
     rationals = st.integers(-6, 6) | st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@contextlib.contextmanager
+def counting_cancel():
+    """Within the block, every call of the gcd appends (module name, args)
+    to the list it yields; the modules hold ``cancel`` by name."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (elements, tower):
+            def counted(*a, name=module.__name__):
+                calls.append((name, a))
+                return polyring.cancel(*a)
+            mp.setattr(module, "cancel", counted)
+        yield calls
 
 
 def child_env() -> dict:

@@ -7,9 +7,9 @@ import sys
 import time
 
 import pytest
-from _support import BUDGET_UTYPES, child_env, cli_in_child, run_python, utype_id
+from _support import BUDGET_UTYPES, child_env, cli_in_child, counting_cancel, run_python, utype_id
 
-from deltatower import cli, gridcheck, operators, polyring, tower
+from deltatower import cli, gridcheck, operators, tower
 from deltatower.cli import main
 
 
@@ -149,10 +149,8 @@ class TestTowerBudget:
         # the budget's U-types, each built with no gcd: tower denominators
         # are cancelled by their factors alone
         assert REPORT_DIGESTS.keys() == set(map(utype_id, BUDGET_UTYPES))
-        calls = []
-        real = polyring.poly_gcd
-        monkeypatch.setattr(polyring, "poly_gcd", lambda p, q: calls.append(p) or real(p, q))
-        code, out, report_json = _build_report(capsys, monkeypatch, utype)
+        with counting_cancel() as calls:
+            code, out, report_json = _build_report(capsys, monkeypatch, utype)
         assert code == 0 and calls == []
         assert (_digest(out), _digest(report_json)) == REPORT_DIGESTS[utype], out
 
@@ -445,6 +443,7 @@ class TestSeries:
         # Euclid on dense remainders of degree about 10^5 costs the square of
         # the degree, and a division by a sparse divisor of degree 10^9 steps
         # down every exponent: the work cap refuses both, one error: line each
+        # that names the cap's unit
         texts = [
             "1/(b[1][1]^100000 - 1) + 1/(b[1][1]^99999 - 1)",
             "1/(b[1][1]^2000000000 - 1) + 1/(b[1][1]^1000000000 + 1)",
@@ -452,7 +451,7 @@ class TestSeries:
         argvs = [["series", "--element", text] for text in texts]
         done = run_python(["-c", IN_PROCESS_SCRIPT, json.dumps(argvs)], timeout=10)
         for result in json.loads(done.stdout):
-            _is_one_error_line(*result, "remainder sequence")
+            _is_one_error_line(*result, "units of work")
 
     @pytest.mark.parametrize(
         "text",

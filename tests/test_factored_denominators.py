@@ -9,14 +9,12 @@ denominator 1, a rational multiple of any element, and any operation on
 a tower-shaped denominator, a monomial times level-sum powers; only a
 residue, any other factor, reaches ``cancel``."""
 
-import contextlib
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from _support import P, literal_p
+from _support import P, counting_cancel, literal_p
 
-from deltatower import elements
 from deltatower.elements import ONE_ELEMENT, ZERO_ELEMENT, Element, format_element
 from deltatower.polyring import ONE, Poly, cancel, level_sum, m_pairs, monomial, var_b, var_c
 from deltatower.tower import _derive_poly, build_spec, d_twist, derive
@@ -207,18 +205,10 @@ one_term = st.builds(lambda m, c, d: Element(Poly({m: c}), d), monomials, ration
 examples = settings(max_examples=100)
 
 
-@contextlib.contextmanager
-def _counting_cancel():
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(elements, "cancel", lambda *a: calls.append(a) or cancel(*a))
-        yield calls
-
-
 @examples
 @given(x=den_one | den_any, q=rationals)
 def test_rational_multiples_keep_the_canonical_form(x, q):
-    with _counting_cancel() as calls:
+    with counting_cancel() as calls:
         left, right = x * q, q * x
     assert calls == []
     _agrees(left, x.num * Poly.const(q), x.den)
@@ -230,7 +220,7 @@ def test_rational_multiples_keep_the_canonical_form(x, q):
 @examples
 @given(x=den_one, y=den_one)
 def test_denominator_one_runs_no_cancel(x, y):
-    with _counting_cancel() as calls:
+    with counting_cancel() as calls:
         out = (x + y, x - y, x * y)
     assert calls == []
     _agrees(out[0], x.num + y.num, ONE)
@@ -256,7 +246,7 @@ def test_a_tower_denominator_runs_no_cancel(x, y, t, n):
         (lambda: t**n, t.den**-n, t.num**-n),
         (lambda: x**n, x.den**-n, x.num**-n),
     ):
-        with _counting_cancel() as calls:
+        with counting_cancel() as calls:
             result = out()
         assert calls == []
         _agrees(result, num, den)
@@ -286,7 +276,7 @@ def test_bool_takes_the_coercing_path():
 @given(x=den_one | den_any, q=rationals.filter(bool))
 def test_division_by_a_nonzero_rational_runs_no_cancel(x, q):
     for divisor in (q, Element.from_rational(q)):
-        with _counting_cancel() as calls:
+        with counting_cancel() as calls:
             out = x / divisor
         assert calls == []
         _agrees(out, x.num, x.den * Poly.const(q))
@@ -295,10 +285,14 @@ def test_division_by_a_nonzero_rational_runs_no_cancel(x, q):
 def test_division_by_a_residue_keeps_the_general_path():
     b11, c11 = Element(Poly.variable(var_b(1, 1))), Element(Poly.variable(var_c(1, 1)))
     # a symbol is a monomial: its content cancels with no gcd
-    with _counting_cancel() as calls:
+    with counting_cancel() as calls:
         out = b11 * c11 / c11
     assert calls == [] and out == b11
     # c[1][1] + 1 is neither a monomial nor a level sum: a residue
-    with _counting_cancel() as calls:
+    with counting_cancel() as calls:
         out = b11 * (c11 + 1) / (c11 + 1)
     assert calls != [] and out == b11
+    # so is its derivative's denominator: the quotient rule's gcd is counted too
+    with counting_cancel() as calls:
+        derive(1 / (c11 + 1), build_spec((1,)))
+    assert "deltatower.tower" in {name for name, _ in calls}

@@ -30,7 +30,7 @@ from deltatower.relations import (
 from deltatower.textio import parse_element
 from deltatower.tower import SeriesContext, logd
 
-from _support import seeded_relations
+from _support import counting_cancel, seeded_relations
 
 SPEC = build_spec((3, 2))
 B11 = SPEC.generator(1, 1)
@@ -449,16 +449,12 @@ def test_a_non_eigen_variable_raises_on_every_call():
     assert not any(key[0] == "eigenvalues" for key in spec._caches)
 
 
-def test_weights_over_the_constants_run_no_gcd(monkeypatch):
-    from deltatower import polyring
-
+def test_weights_over_the_constants_run_no_gcd():
     spec = build_spec((3,))
     G = relation(1, tuple(spec.generators(1)), dict.fromkeys(degree_vectors(3, 5), ONE_ELEMENT))
     G.eigenvalues(spec)
-    calls = []
-    real = polyring.poly_gcd
-    monkeypatch.setattr(polyring, "poly_gcd", lambda p, q: calls.append(p) or real(p, q))
-    weights = G.weights(spec)
+    with counting_cancel() as calls:
+        weights = G.weights(spec)
     assert len(weights) == 56 and calls == []
 
 

@@ -90,68 +90,39 @@ def _imports(tree, packages) -> list[int]:
     return lines
 
 
-def test_the_grid_modules_never_import_numpy():
+def _never_imported(modules, packages):
+    """No source module named in modules imports one of packages, at load
+    time or inside a function; and the rule sees every spelling it forbids."""
+    paths = [path for path in SOURCES if path.name in modules]
     found = [
         f"{path.name}:{line}"
-        for path in SOURCES
-        if path.name in GRID_MODULES
-        for line in _imports(ast.parse(path.read_text(encoding="utf-8"), str(path)), {"numpy"})
+        for path in paths
+        for line in _imports(ast.parse(path.read_text(encoding="utf-8"), str(path)), packages)
     ]
-    assert len([p for p in SOURCES if p.name in GRID_MODULES]) == 2 and found == []
-    # the rule sees every spelling it forbids, at load time or inside a function
-    for text in ("import numpy", "import numpy as np", "import os, numpy.ma",
-                 "from numpy import flatnonzero", "from numpy.ma import masked as m",
-                 "if True:\n    import numpy", "def f():\n    import numpy as np",
-                 "class A:\n    from numpy import int64"):
-        assert _imports(ast.parse(text), {"numpy"}) != [], text
-    assert _imports(ast.parse("import numpyro"), {"numpy"}) == []
-    assert _imports(ast.parse("from . import numpy"), {"numpy"}) == []
+    assert len(paths) == len(modules) and found == []
+    for p in packages:
+        for text in (f"import {p}", f"import {p} as x", f"import os, {p}.sub",
+                     f"from {p} import y", f"from {p}.sub import y as z",
+                     f"if True:\n    import {p}", f"def f():\n    import {p} as x",
+                     f"class A:\n    from {p} import y"):
+            assert _imports(ast.parse(text), packages) != [], text
+        assert _imports(ast.parse(f"import {p}_like"), packages) == []
+        assert _imports(ast.parse(f"from . import {p}"), packages) == []
 
 
-def _dataclass_imports(tree) -> list[int]:
-    """Lines of every import of ``dataclasses``: a CLI start that imports it
-    also loads ``inspect``, which costs more than the exact checks of a
-    small tower."""
-    return _imports(tree, {"dataclasses"})
+def test_the_grid_modules_never_import_numpy():
+    _never_imported(GRID_MODULES, {"numpy"})
 
 
 def test_no_module_imports_dataclasses():
-    found = [
-        f"{path.name}:{line}"
-        for path in SOURCES
-        for line in _dataclass_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    ]
-    assert found == []
-    # the rule sees every spelling it forbids
-    for text in ("import dataclasses", "import dataclasses as dc", "import os, dataclasses",
-                 "from dataclasses import dataclass", "from dataclasses import field as f",
-                 "def f():\n    from dataclasses import replace",
-                 "class A:\n    import dataclasses"):
-        assert _dataclass_imports(ast.parse(text)) != [], text
-    assert _dataclass_imports(ast.parse("import dataclasses_json")) == []
-
-
-def _test_only_imports(tree) -> list[int]:
-    """Lines of every import of ``sympy`` or ``hypothesis``: references for
-    the tests, never runtime dependencies."""
-    return _imports(tree, {"sympy", "hypothesis"})
+    # a CLI start that imports it also loads ``inspect``, which costs more
+    # than the exact checks of a small tower
+    _never_imported({path.name for path in SOURCES}, {"dataclasses"})
 
 
 def test_no_module_imports_a_test_only_package():
-    found = [
-        f"{path.name}:{line}"
-        for path in SOURCES
-        for line in _test_only_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    ]
-    assert found == []
-    # the rule sees every spelling it forbids
-    for text in ("import sympy", "import sympy as sp", "import os, hypothesis",
-                 "from sympy import gcd", "from hypothesis.strategies import integers as i",
-                 "if True:\n    import sympy", "def f():\n    from sympy import cancel",
-                 "class A:\n    import hypothesis"):
-        assert _test_only_imports(ast.parse(text)) != [], text
-    assert _test_only_imports(ast.parse("import sympy_like")) == []
-    assert _test_only_imports(ast.parse("from . import sympy")) == []
+    # references for the tests, never runtime dependencies
+    _never_imported({path.name for path in SOURCES}, {"sympy", "hypothesis"})
 
 
 def _forwarding_inits(tree) -> list[str]:
