@@ -147,12 +147,12 @@ def reduction(S: CellSet, T: CellSet, g: GridModel) -> CellSet:
 def coreduction(S: CellSet, T: CellSet, g: GridModel) -> CellSet:
     """Smallest closed T' inside cl(S|T) with S internal over T|T'.
 
-    Columns are independent, so the least witness is taken per column:
-    nothing where cl(S|T) is already one step above cl(T), else all but
-    the top cell of cl(S|T).
+    Columns are independent, so the least witness keeps the one-step-down
+    height of cl(T|T') where it lies above cl(T), and is empty elsewhere.
     """
     ht, full_h = _pair_heights(S, T, g)
-    return from_heights([0 if full <= t + 1 else full - 1 for full, t in zip(full_h, ht)], g)
+    down = _step(_cored_column, ht, full_h)
+    return from_heights([h if h > t else 0 for h, t in zip(down, ht)], g)
 
 
 class Analysis(Record):

@@ -71,9 +71,7 @@ def test_properties_read_the_list_at_call_time():
 BROKEN = [
     ("urank", lambda S, T, g: urank(S, T, g) + 1, "urank_additivity"),
     ("reduction", lambda S, T, g: closure(T, g), "reduction_maximality"),
-    ("reduction", lambda S, T, g: closure(T, g), "local_criterion_reductions"),
     ("coreduction", lambda S, T, g: closure(S | T, g), "coreduction_uniqueness"),
-    ("coreduction", lambda S, T, g: closure(S | T, g), "local_criterion_coreductions"),
     ("is_minimal", lambda a: False, "analyses_minimal"),
     ("is_canonical", lambda a: False, "equal_utype_canonical"),
 ]
@@ -90,24 +88,57 @@ def test_broken_public_function_fails_its_property(monkeypatch, attr, broken, pr
     assert report.line().startswith(f"{prop} instances={report.instances} FAIL grid ")
 
 
+def _one_cell_chain(t_h, g_h):
+    """A valid analysis that adds one cell per step, column by column."""
+    chain, h = [], list(t_h)
+    for j, top in enumerate(g_h):
+        while h[j] < top:
+            h[j] += 1
+            chain.append(tuple(h))
+    return chain
+
+
 def test_a_longer_analysis_by_reductions_fails_the_length_check(monkeypatch):
     # a valid analysis with one cell per step is too long wherever two
     # columns rise; is_minimal is not broken, so the comparison with the
     # closed form max_j (g_j - t_j) must report it
-    def one_cell_chain(t_h, g_h):
-        chain, h = [], list(t_h)
-        for j, top in enumerate(g_h):
-            while h[j] < top:
-                h[j] += 1
-                chain.append(tuple(h))
-        return chain
-
     g = grid.GridModel(2, 2)
-    grid.Analysis(g, (0, 0), (2, 2), tuple(one_cell_chain((0, 0), (2, 2)))).validate()
-    monkeypatch.setattr(gridcheck, "_red_chain", one_cell_chain)
+    grid.Analysis(g, (0, 0), (2, 2), tuple(_one_cell_chain((0, 0), (2, 2)))).validate()
+    monkeypatch.setattr(gridcheck, "_red_chain", _one_cell_chain)
     report = gridcheck.check_analyses_minimal(4)
     assert not report.passed
     assert report.counterexample == "grid 1x2: analysis by reductions not minimal, T=(0, 0) G=(1, 1)"
+
+
+# The local criteria read chains only; these three checks alone tie the
+# column rules to the public functions and the chains to the rules.
+@pytest.mark.parametrize(
+    "name, broken, line",
+    [
+        (
+            "_red_column",
+            lambda b, a: min(a, b + 2),
+            "reduction_maximality instances=124 FAIL grid 2x1: "
+            "reduction disagrees with the height map, T=(0,) G=(2,)",
+        ),
+        (
+            "_cored_column",
+            lambda b, a: max(b, a - 2),
+            "coreduction_uniqueness instances=124 FAIL grid 2x1: "
+            "least witness disagrees with the height map, T=(0,) G=(2,)",
+        ),
+        (
+            "_red_chain",
+            _one_cell_chain,
+            "local_criterion_reductions instances=9 FAIL grid 1x2: "
+            "by-reductions analysis fails the local criterion at step 1, T=(0, 0) G=(1, 1)",
+        ),
+    ],
+)
+def test_a_broken_rule_or_chain_fails_the_check_that_ties_it(monkeypatch, name, broken, line):
+    monkeypatch.setattr(gridcheck, name, broken)
+    prop = line.split(" ", 1)[0]
+    assert {n: fn for n, fn, _ in ALL_PROPERTIES}[prop](4).line() == line
 
 
 def test_coreduction_is_compared_on_every_pair(monkeypatch):

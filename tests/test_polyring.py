@@ -4,10 +4,12 @@ import json
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import islice
 
 import pytest
 from _support import P, run_python, sympy_symbol, to_sympy
 
+from deltatower import polyring
 from deltatower.elements import format_poly
 from deltatower.errors import BudgetExceeded
 from deltatower.polyring import (
@@ -414,6 +416,28 @@ def test_a_factor_whose_lead_vanishes_at_the_point_is_not_certified_away():
     p = g * (P(B12) * P(B12) + Poly.const(3))
     q = g * (P(B12) * P(B12) + P(B11) + Poly.const(5))
     assert poly_gcd(p, q) == g
+
+
+def test_a_prime_that_divides_gamma_is_skipped():
+    # gamma, the gcd of the leading coefficients, is the first prime itself:
+    # mod that prime g loses its leading term and the images are coprime
+    g = P(B11).scale(_PRIMES[0]) + Poly.const(1)
+    left, right = P(B12) + Poly.const(1), P(B12) + Poly.const(2)
+    assert cancel(g * left, g * right) == (g, left, right)
+
+
+def test_an_image_of_higher_degree_is_skipped(monkeypatch):
+    # b[1][2] has the higher degree, so it is evaluated; at its second point
+    # x1 both cofactors become b[1][1] and the image gcd gains that factor.
+    # One prime and 16 points: a gcd that interpolated that image would
+    # never settle, and here ends in BudgetExceeded
+    u, v = P(B11), P(B12)
+    x1 = list(islice(_points(_slot(B12), _PRIMES[0]), 2))[1]
+    g = v * v + u + Poly.const(1)
+    a, b = g * (u + v - Poly.const(x1)), g * (u - v + Poly.const(x1))
+    monkeypatch.setattr(polyring, "_PRIMES", _PRIMES[:1])
+    monkeypatch.setattr(polyring, "_points", lambda slot, prime: islice(_points(slot, prime), 16))
+    assert poly_gcd(a, b) == g
 
 
 pytest.importorskip("hypothesis")
