@@ -34,7 +34,6 @@ or grid module, and the grid commands no exact-side module.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -88,6 +87,8 @@ class RunReport(Record):
 
     def to_json(self) -> str:
         """Deterministic serialization: everything except elapsed times."""
+        import json  # only here, so the grid commands never load it
+
         doc = {
             "command": self.command,
             "arguments": list(self.arguments),

@@ -168,14 +168,17 @@ class Analysis(Record):
 
     def validate(self) -> None:
         g = self.grid
+        rows = range(g.depth + 1).__contains__
         for h in (self.base, self.target, *self.steps):
-            if len(h) != g.columns or not all(v in range(g.depth + 1) for v in h):
+            if len(h) != g.columns or not all(map(rows, h)):
                 raise ValueError(f"heights {h} do not fit the {g.depth}x{g.columns} grid")
         prev = tuple(self.base)
         for step in map(tuple, self.steps):
-            if step == prev or any(s < p for p, s in zip(prev, step)):
+            # rows each column rises: none below 0, some above, none past 1
+            rises = tuple(map(sub, step, prev))
+            if min(rises) < 0 or not any(rises):
                 raise ValueError("closures must strictly increase")
-            if not _one_step(prev, step):
+            if max(rises) > 1:
                 raise ValueError("each step must be internal over the previous")
             prev = step
         if prev != tuple(self.target):

@@ -51,18 +51,31 @@ G=(...)`` in heights, in its representative's column order.
 ``properties`` is the one budget-checked list of checks that
 ``run_grid_suite`` and the CLI run.
 
+Small values are tables built once and read by index.  A ``_Grid`` holds,
+next to its closure table, the cell sets of the low and the high half of
+every mask's bits (``to_set`` joins two) and the mask of every column at
+every height (``mask_of_heights`` sums one per column); ``_orbits``
+divides the column orders along each run of equal states; a local
+criterion keeps the values of the column rule in force for one check.
+The one cache that outlives a check, ``_PAIRS``, holds the closed pairs
+of each grid shape, keyed on the ``_orbits`` in force, as height tuples
+(4,249 of them at 12 cells); the ``_Grid`` tables go with their grid.
+None of this changes what is checked: the ``_Grid`` tables come from the
+bit layout alone, a kept rule value is the rule's own on the same two
+heights, and every public function is still called on every instance it
+was called on before.
+
 A mask is a Python int, packed column-major: cell (i, j) is bit (j-1)*depth + (i-1).
 Closed sets are exactly the masks whose columns are downward intervals.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import combinations_with_replacement, product
 from math import factorial
-from operator import and_, sub
+from operator import and_, getitem, sub
 
 from .errors import BudgetExceeded, Record
 from .grid import (
@@ -108,8 +121,18 @@ class PropertyReport(Record):
         return f"{self.name} instances={self.instances} {status}{tail}"
 
 
+def _subsets(cells):
+    """The cell set of every mask over cells, bit k standing for cells[k]:
+    each cell doubles the list."""
+    sets = [frozenset()]
+    for cell in cells:
+        sets += [s | {cell} for s in sets]
+    return sets
+
+
 class _Grid:
-    """The closure of every mask of one grid, and its fixed points, as int lists."""
+    """The closure of every mask of one grid and its fixed points, as int
+    lists, and tables of cell sets and column masks, read by index."""
 
     def __init__(self, depth: int, columns: int):
         self.depth = depth
@@ -131,6 +154,17 @@ class _Grid:
         self.closure_table = table
         self.closed_array = [mask for mask, image in enumerate(table) if image == mask]
         self._inside = {}
+        # the cell sets of the low and the high half of a mask's bits:
+        # 2 * 2^(cells/2) sets, where one per mask would take 2^cells
+        cell_of_bit = [(i + 1, j + 1) for j in range(columns) for i in range(depth)]
+        self.half = self.cells // 2
+        self.low_mask = (1 << self.half) - 1
+        self.low_sets = _subsets(cell_of_bit[: self.half])
+        self.high_sets = _subsets(cell_of_bit[self.half :])
+        # column j filled to height h
+        self.column_masks = [
+            [((1 << h) - 1) << (j * depth) for h in range(depth + 1)] for j in range(columns)
+        ]
 
     def closed_inside(self, mask: int) -> list[int]:
         """The closed masks inside mask, in increasing order (cached)."""
@@ -139,15 +173,10 @@ class _Grid:
         return self._inside[mask]
 
     def to_set(self, mask: int):
-        return frozenset(
-            (i + 1, j + 1)
-            for j in range(self.columns)
-            for i in range(self.depth)
-            if mask >> (j * self.depth + i) & 1
-        )
+        return self.low_sets[mask & self.low_mask] | self.high_sets[mask >> self.half]
 
     def mask_of_heights(self, h) -> int:
-        return sum(((1 << top) - 1) << (j * self.depth) for j, top in enumerate(h))
+        return sum(map(getitem, self.column_masks, h))
 
 
 def _models(max_cells: int):
@@ -166,21 +195,33 @@ def _grids(max_cells: int):
 def _orbits(states, columns):
     """(representative, orbit size) of every assignment of a state to each
     column, up to column order: each multiset once, in the order of
-    ``states``, with the multinomial number of its column orders."""
+    ``states``, with the multinomial number of its column orders.  Equal
+    states come out next to each other, so the k-th of a run divides the
+    column orders by k."""
+    orders = factorial(columns)
     for rep in combinations_with_replacement(states, columns):
-        weight = factorial(columns)
-        for count in Counter(rep).values():
-            weight //= factorial(count)
+        weight = orders
+        run = 1
+        for before, state in zip(rep, rep[1:]):
+            run = run + 1 if state == before else 1
+            weight //= run
         yield rep, weight
+
+
+# (depth, columns, _orbits) -> the list _pairs_closed returns
+_PAIRS = {}
 
 
 def _pairs_closed(gr: GridModel | _Grid):
     """(T, G, weight): closed height-vector pairs with T inside G, one per
-    column orbit.  The column states (t, g) are ordered by g first."""
-    states = [(t, g) for g in range(gr.depth + 1) for t in range(g + 1)]
-    for rep, weight in _orbits(states, gr.columns):
-        t_h, g_h = zip(*rep)
-        yield t_h, g_h, weight
+    column orbit.  The column states (t, g) are ordered by g first.  Built
+    once per grid shape and ``_orbits`` in force, and shared by every pair
+    property."""
+    key = (gr.depth, gr.columns, _orbits)
+    if key not in _PAIRS:
+        states = [(t, g) for g in range(gr.depth + 1) for t in range(g + 1)]
+        _PAIRS[key] = [(*zip(*rep), weight) for rep, weight in _orbits(states, gr.columns)]
+    return _PAIRS[key]
 
 
 def _check(name, gen):
@@ -427,10 +468,12 @@ def check_local_criterion(max_cells: int, direction: str) -> PropertyReport:
     of the next step over the step before, joined with that step).
     Forward, that analysis meets the criterion; reverse, ``height_chains``
     with the criterion as its step rule finds it and no other analysis."""
-    column, official_chain = {
+    rule, official_chain = {
         "reductions": (_red_column, _red_chain),
         "coreductions": (_cored_column, _cored_chain),
     }[direction]
+    # the rule in force, its values kept for this check as they are first read
+    column = cache(rule)
     steps = partial(_column_rule_steps, column)
 
     def per_pair(g, t_h, g_h):

@@ -220,15 +220,16 @@ class TestAnalyses:
                         assert is_minimal(a) == (len(c) == shortest), (t_h, g_h, c)
 
     @pytest.mark.parametrize(
-        "columns, base, target, steps",
+        "columns, base, target, steps, message",
         [
-            (1, (0,), (2,), ((2,),)),
-            (2, (0, 0), (1, 1), ((1, 0, 0), (1, 1))),
-            (1, (0,), (3,), ((1,), (2,), (3,))),
-            (1, (-1,), (1,), ((0,), (1,))),
-            (2, (0, 0), (1, 1), ((1, 0), (0, 1), (1, 1))),
-            (1, (0,), (1,), ((1,), (1,))),
-            (1, (0,), (2,), ((1,),)),
+            (1, (0,), (2,), ((2,),), "each step must be internal over the previous"),
+            (2, (0, 0), (1, 1), ((1, 0, 0), (1, 1)), r"heights \(1, 0, 0\) do not fit the 2x2 grid"),
+            (1, (0,), (3,), ((1,), (2,), (3,)), r"heights \(3,\) do not fit the 2x1 grid"),
+            (1, (-1,), (1,), ((0,), (1,)), r"heights \(-1,\) do not fit the 2x1 grid"),
+            (2, (0, 0), (1, 1), ((1, 0), (0, 1), (1, 1)), "closures must strictly increase"),
+            (1, (0,), (1,), ((1,), (1,)), "closures must strictly increase"),
+            (1, (0,), (2,), ((1,),), "the analysis must end at the target's closure"),
+            (2, (1, 0), (0, 2), ((0, 2),), "closures must strictly increase"),
         ],
         ids=[
             "non-internal",
@@ -238,11 +239,14 @@ class TestAnalyses:
             "below-predecessor",
             "repeated-step",
             "not-at-target",
+            "lowers-one-jumps-another",
         ],
     )
-    def test_validate_rejects_non_internal_steps(self, columns, base, target, steps):
-        # heights on a grid of depth 2; each case breaks exactly one rule
-        with pytest.raises(ValueError):
+    def test_validate_rejects_non_internal_steps(self, columns, base, target, steps, message):
+        # heights on a grid of depth 2; each case breaks one rule, except the
+        # last, whose step breaks two: a lowered column is reported before a
+        # column that rises two rows
+        with pytest.raises(ValueError, match=f"^{message}$"):
             Analysis(GridModel(2, columns), base, target, steps).validate()
 
     def test_closure_invariance_of_analyses(self):

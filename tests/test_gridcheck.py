@@ -3,6 +3,7 @@ in the ``grid verify --max-cells 12`` CLI test)."""
 
 import re
 from collections import Counter
+from functools import partial
 from itertools import permutations, product
 
 import pytest
@@ -139,6 +140,27 @@ def test_a_broken_rule_or_chain_fails_the_check_that_ties_it(monkeypatch, name, 
     monkeypatch.setattr(gridcheck, name, broken)
     prop = line.split(" ", 1)[0]
     assert {n: fn for n, fn, _ in ALL_PROPERTIES}[prop](4).line() == line
+
+
+@pytest.mark.parametrize(
+    "direction, name, broken",
+    [
+        ("reductions", "_red_column", lambda b, a: min(a, b + 2)),
+        ("coreductions", "_cored_column", lambda b, a: max(b, a - 2)),
+    ],
+)
+def test_local_criterion_reads_the_rule_in_force(monkeypatch, direction, name, broken):
+    # the rule's values are kept for one check only: a run before the
+    # patch, the patch and its undo are each seen by the next check
+    check = partial(gridcheck.check_local_criterion, 4, direction)
+    assert check().line() == f"local_criterion_{direction} instances=187 PASS"
+    monkeypatch.setattr(gridcheck, name, broken)
+    assert check().line() == (
+        f"local_criterion_{direction} instances=124 FAIL grid 2x1: "
+        f"by-{direction} analysis fails the local criterion at step 1, T=(0,) G=(2,)"
+    )
+    monkeypatch.undo()
+    assert check().passed
 
 
 def test_coreduction_is_compared_on_every_pair(monkeypatch):
@@ -369,6 +391,42 @@ def test_literal_reference_sees_a_column_asymmetric_bug(monkeypatch):
     report = gridcheck.check_reduction_maximality(4)
     assert not report.passed
     assert report.counterexample.startswith("grid 1x2: an internal subset escapes the reduction")
+
+
+def test_cell_sets_and_height_masks_are_their_formulas():
+    """The tables of a _Grid, read by index, equal the bit decoding of every
+    mask and the shifted column fill of every height vector."""
+    for gr in gridcheck._grids(gridcheck.MAX_VERIFY_CELLS):
+        d, c = gr.depth, gr.columns
+        for mask in range(1 << (d * c)):
+            literal = {(i + 1, j + 1) for j in range(c) for i in range(d) if mask >> (j * d + i) & 1}
+            assert gr.to_set(mask) == frozenset(literal), (d, c, mask)
+        for h in product(range(d + 1), repeat=c):
+            literal = sum(((1 << top) - 1) << (j * d) for j, top in enumerate(h))
+            assert gr.mask_of_heights(h) == literal, (d, c, h)
+
+
+PAIR_PROPERTIES = [(name, fn) for name, fn in ORBIT_PROPERTIES if name != "urank_additivity"]
+
+
+def test_closed_pairs_are_built_once_per_grid_shape(monkeypatch, small_reports):
+    """The seven pair properties share one list of closed pairs per grid
+    shape, kept for the _orbits in force: a patched _orbits is entered
+    once per shape, and so is the next one patched over it."""
+    assert len(PAIR_PROPERTIES) == 7
+    real = gridcheck._orbits
+    shapes = sorted(((d + 1) * (d + 2) // 2, c) for d in range(1, 7) for c in range(1, 6 // d + 1))
+    expected = [r for r in small_reports if r.name in dict(PAIR_PROPERTIES)]
+    for _ in range(2):
+        entered = []
+
+        def counted(states, columns, entered=entered):
+            entered.append((len(states), columns))
+            return real(states, columns)
+
+        monkeypatch.setattr(gridcheck, "_orbits", counted)
+        assert [fn(6) for _, fn in PAIR_PROPERTIES] == expected
+        assert sorted(entered) == shapes
 
 
 def test_closed_masks_are_the_fixed_points_of_the_closure():

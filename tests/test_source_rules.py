@@ -200,8 +200,8 @@ EXACT_SIDE = [
 # no grid command touches the exact side, and grid verify needs no numpy
 UNLOADED = {
     "tower": [*NUMERIC_SIDE, "dataclasses", "inspect", "deltatower.textio", "deltatower.grid"],
-    "seqred": [*NUMERIC_SIDE, *EXACT_SIDE],
-    "verify": [*EXACT_SIDE, "numpy"],
+    "seqred": [*NUMERIC_SIDE, *EXACT_SIDE, "json"],
+    "verify": [*EXACT_SIDE, "numpy", "json"],
 }
 
 
