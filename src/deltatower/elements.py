@@ -13,6 +13,8 @@ nonconstant residue, so over bare monomial denominators no gcd runs.
 monomials, then the other parts or, where those differ (a split may leave
 a level sum in a residue), the expanded dens; equal elements print alike.
 A rational element hashes as its ``Fraction``, any other as (num, den).
+The hash and the printed text are computed on first use and kept on the
+element; a copy or an unpickled element computes its own.
 Over the shared constant denominator ``polyring.ONE``, sums, products and
 rational multiples touch no part.  Elements are constant expressions
 (``c[i][j]``, ``u[i][j]``) or tower elements in the generators
@@ -43,7 +45,7 @@ class Element:
     """Canonical fraction num/den of multivariate polynomials over Q, with
     den = mono * prod_S level_sum(S)^sums[S] * res."""
 
-    __slots__ = ("num", "mono", "sums", "res", "_den", "_hash")
+    __slots__ = ("num", "mono", "sums", "res", "_den", "_hash", "_str")
 
     def __init__(self, num: Poly, den: Poly = ONE):
         if den.is_zero():
@@ -254,10 +256,15 @@ class Element:
     # --- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
-        return format_element(self)
+        """format_element(self), computed on the first call and kept."""
+        try:
+            return self._str
+        except AttributeError:
+            self._str = format_element(self)
+            return self._str
 
     def __repr__(self) -> str:
-        return f"Element({format_element(self)})"
+        return f"Element({self})"
 
 
 ZERO_ELEMENT = Element.from_rational(0)

@@ -14,9 +14,10 @@ G(y) = 0.  When the functionals are pairwise distinct, iterating shrinks
 any support to a single term whose coefficient must vanish; when two
 support vectors share a functional, their quotient monomial y^(r2-r1) is
 an invariant direction and is surfaced instead.  Neither the eigenvalues
-nor the weights r . lambda depend on the step: the spec caches the
-eigenvalues, a reduction and its replay each compute the weights once,
-and a step adds only logD_i(s_r) of the non-constant coefficients.  A
+nor the weights r . lambda depend on the step or on the relation: the spec
+caches the eigenvalues, a reduction run reads the weights from a table of
+the spec per (level, variables), filled on first use, a replay computes its
+own, and a step adds only logD_i(s_r) of the non-constant coefficients.  A
 weight is one linear combination: over eigenvalues with denominator 1,
 the usual case, `qlinear_dot` adds r_j times each numerator term into
 one dictionary, not a run of Element sums.
@@ -196,15 +197,32 @@ class MonomialRelation(Record):
 
     def weights(self, spec: TowerSpec) -> dict[ExponentVector, Element]:
         """r . lambda for every support vector: the functionals of constant
-        coefficients, the same for every relation a reduction of G reaches."""
+        coefficients, the same for every relation a reduction of G reaches.
+        Computed afresh, not read from the spec's table, so a replay checks
+        the run's functionals against weights of its own."""
         lams = self.eigenvalues(spec)
         return {r: qlinear_dot(r, lams) for r in self.coefficients}
 
+    def _spec_weights(self, spec: TowerSpec) -> dict[ExponentVector, Element]:
+        """The spec's table r -> r . lambda of (level, variables), with every
+        support vector filled in; created only once the eigenvalues are, so
+        a non-eigen variable raises on every call."""
+        key = ("weights", self.level, self.variables)
+        table = spec._caches.get(key)
+        if table is None:
+            self.eigenvalues(spec)
+            table = spec._caches[key] = {}
+        for r in self.coefficients:
+            if r not in table:
+                table[r] = qlinear_dot(r, self.eigenvalues(spec))
+        return table
+
     def functionals(self, spec: TowerSpec, weights=None) -> dict[ExponentVector, Element]:
         """phi(r) = logD_i(s_r) + r . lambda for every support vector, with
-        r . lambda read from ``weights`` (computed here when not given)."""
+        r . lambda read from ``weights``, or from the spec's table when not
+        given."""
         if weights is None:
-            weights = self.weights(spec)
+            weights = self._spec_weights(spec)
         return {r: _plus_logd(weights[r], s, self.level, spec) for r, s in self.coefficients.items()}
 
     def evaluate(self) -> Element:
@@ -309,7 +327,8 @@ class ReductionTrace(Record):
         """Re-execute every step and compare the pivot, the stored
         functionals and the remaining support; then check the verdict
         against the end state.  The weights r . lambda are computed once,
-        here, from the initial relation.
+        here, from the initial relation, not read from the spec's table
+        that the run filled.
 
         When every initial coefficient is constant, every functional is its
         weight and a step drops the pivot and each r of the pivot's weight,
@@ -357,7 +376,8 @@ class ReductionTrace(Record):
         )
 
     def to_json(self) -> str:
-        text: dict[Element, str] = {}  # each distinct functional is formatted once
+        # each support vector's text is built once; an Element keeps its own
+        keys: dict[ExponentVector, str] = {}
         doc = {
             "verdict": self.verdict.value,
             "initial_support": [list(r) for r in self.initial.support],
@@ -367,7 +387,7 @@ class ReductionTrace(Record):
                 {
                     "pivot": list(s.pivot),
                     "functionals": {
-                        ",".join(map(str, r)): text.get(phi) or text.setdefault(phi, str(phi))
+                        keys.get(r) or keys.setdefault(r, ",".join(map(str, r))): str(phi)
                         for r, phi in sorted(s.functionals.items())
                     },
                     "eliminated_term": list(s.pivot),
@@ -389,7 +409,8 @@ def run_reduction(G: MonomialRelation, spec: TowerSpec) -> ReductionTrace:
     functionals: a step multiplies s_r by the nonzero phi* - phi(r), and
     logD_i is additive over products, so phi(r) gains logD_i(phi* - phi(r)).
     That is zero when the difference is constant, and phi(r) is kept as it
-    is; the weights r . lambda are computed once, by the first functionals.
+    is; the weights r . lambda are read once, from the spec's table, by the
+    first functionals.
     When every functional is constant, every difference is, and the
     functionals are only restricted to the support left."""
     return _run_reduction(G, G.functionals(spec) if len(G.coefficients) > 1 else {}, spec)

@@ -67,7 +67,16 @@ def _level_key(k: int, n: int) -> LevelSum:
 
 class TowerSpec(Record):
     """Index data of a tower: ranks (n_1, ..., n_l), plus optional numeric
-    assignments for the eigenvalue symbols (decimal strings keyed by name)."""
+    assignments for the eigenvalue symbols (decimal strings keyed by name).
+
+    ``_caches`` holds what is computed once per spec and outlives a call,
+    keyed by tuples whose first entry names the kind; equality and the hash
+    ignore it.  ``("twist", i)``: 1/P_i.  ``("generator", i, j)``: the
+    element b[i][j].  ``("default", order)``: the default SeriesContext.
+    ``("terms", ctx)``: the numeric table of a context.  ``("eigenvalues",
+    level, variables)`` and ``("weights", level, variables)``: the
+    relations' logD_i of the variables and the table r -> r . lambda that a
+    reduction run reads and fills."""
 
     __slots__ = ("ranks", "assignments", "_caches")
     _compared = ("ranks", "assignments")
@@ -111,7 +120,11 @@ class TowerSpec(Record):
         return var_b(i, j)
 
     def generator(self, i: int, j: int) -> Element:
-        return Element.from_var(self.generator_var(i, j))
+        """b[i][j], one Element per spec: its hash and text are computed once."""
+        key = ("generator", i, j)
+        if key not in self._caches:
+            self._caches[key] = Element.from_var(self.generator_var(i, j))
+        return self._caches[key]
 
     def generators(self, i: int) -> list[Element]:
         self.check_level(i)

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from _support import BUDGET_UTYPES, sympy_symbol, to_sympy, utype_id
 
+from deltatower import elements
 from deltatower.elements import ONE_ELEMENT, ZERO_ELEMENT, Element, format_element
-from deltatower.polyring import MONOMIAL_KEY, Poly, monomial, var_b, var_c
+from deltatower.polyring import MONOMIAL_KEY, ONE, Poly, monomial, var_b, var_c
 from deltatower.tower import _derive_poly, build_spec, derive, random_element
 
 SPEC = build_spec((3, 2))
@@ -162,3 +163,23 @@ def test_hash_is_the_pair_hash_computed_once(monkeypatch):
     first = hash(y)
     assert len(calls) == 2
     assert hash(y) == first and {y: 1}[y] == 1 and len(calls) == 2
+
+
+def test_text_is_formatted_once_and_kept(monkeypatch):
+    import copy
+    import pickle
+
+    calls = []
+    real = elements.format_poly
+    monkeypatch.setattr(elements, "format_poly", lambda p: calls.append(p) or real(p))
+    rng = random.Random("text")
+    for _ in range(20):
+        x = _random_element(rng)
+        calls.clear()
+        text = str(x)
+        # the numerator, and the denominator unless it is 1
+        assert len(calls) == (1 if x.den == ONE else 2)
+        assert str(x) == text and repr(x) == f"Element({x})" == f"Element({text})"
+        assert len(calls) == (1 if x.den == ONE else 2)
+        for other in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert str(other) == text and repr(other) == repr(x)

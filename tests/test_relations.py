@@ -540,3 +540,65 @@ PINNED_TRACES = {
 def test_trace_json_unchanged(name):
     text = PINNED_TRACES[name]().to_json()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == TRACE_DIGESTS[name], text
+
+
+def _benchmark_like_family(spec):
+    """Level-1 relations like the prover benchmark's seeded ones, all on one
+    spec: m = 2 and 3 variables in turn, supports of 2..6 vectors of degree
+    <= 3 and coefficients 1..5."""
+    rng = random.Random("benchmark-like family")
+    for k in range(200):
+        m = 2 + k % 2
+        support = rng.sample(degree_vectors(m, 3, include_zero=False), 2 + k % 5)
+        coeffs = {r: Element.from_rational(rng.randint(1, 5)) for r in support}
+        yield relation(1, spec.generators(1)[:m], coeffs)
+
+
+def test_a_seeded_family_on_one_spec_is_pinned():
+    # the relations share a spec, so all but the first few read their
+    # weights from tables that earlier relations filled
+    spec = build_spec((3,))
+    texts = []
+    for G in _benchmark_like_family(spec):
+        trace = run_reduction(G, spec)
+        assert trace.replay(spec)
+        texts.append(trace.to_json())
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16] == "fe5edaacac3c2337"
+
+
+def _warm_spec_cases(spec):
+    """Three overlapping pairs of level-1 generators, each over every
+    nonzero vector of degree <= 3, then one level-2 relation with
+    non-constant coefficients."""
+    b1, b2 = spec.generators(1), spec.generators(2)
+    full = dict.fromkeys(degree_vectors(2, 3, include_zero=False), ONE_ELEMENT)
+    cases = [relation(1, (b1[j], b1[k]), full) for j, k in ((0, 1), (1, 2), (0, 2))]
+    level_2 = {(1, 0, 0): b1[0], (0, 1, 0): b1[0] * b1[1], (0, 0, 2): ONE_ELEMENT}
+    return cases + [relation(2, b2, level_2)]
+
+
+def test_warm_spec_runs_equal_fresh_spec_runs(monkeypatch):
+    # one spec for every relation, so each reads the weight table of its
+    # level and variables that earlier runs left; each must equal a run on
+    # a fresh spec
+    spec = build_spec((3, 3))
+    cases = _warm_spec_cases(spec)
+    for k, G in enumerate(cases):
+        fresh = build_spec((3, 3))
+        expected = run_reduction(_warm_spec_cases(fresh)[k], fresh).to_json()
+        trace = run_reduction(G, spec)
+        assert trace.to_json() == expected and trace.replay(spec)
+    # the variables of the first case are no eigen-elements at level 2
+    with pytest.raises(ValueError, match="not an eigen-element"):
+        run_reduction(relation(2, cases[0].variables, cases[0].coefficients), spec)
+    tables = {key for key in spec._caches if key[0] == "weights"}
+    assert tables == {("weights", G.level, G.variables) for G in cases}
+    calls = []
+    real = relations.qlinear_dot
+    monkeypatch.setattr(relations, "qlinear_dot", lambda r, lams: calls.append(r) or real(r, lams))
+    for G in _warm_spec_cases(spec):
+        trace = run_reduction(G, spec)
+        assert calls == []
+        # the replay weighs every support vector itself
+        assert trace.replay(spec) and sorted(calls) == G.support
+        calls.clear()

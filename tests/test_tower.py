@@ -21,10 +21,11 @@ from deltatower import (
     logd_iter,
     parse_element,
 )
-from deltatower import elements, polyring
+from deltatower import cli, elements, polyring, tower
 from deltatower.elements import ONE_ELEMENT, ZERO_ELEMENT, Element
 from deltatower.polyring import Poly, m_pairs, monomial
-from deltatower.tower import _derive_poly, random_element
+from deltatower.relations import certify_independence
+from deltatower.tower import SeriesContext, _derive_poly, eval_series, random_element
 
 SPEC = build_spec((2, 2, 1))
 B11 = SPEC.generator(1, 1)
@@ -290,3 +291,36 @@ class TestTowerSpec:
     def test_symbol_is_the_constant_element(self):
         assert SPEC.symbol(2, 1) == parse_element("c[2][1]")
         assert SPEC.symbol(2, 1).is_constant()
+
+    def test_one_generator_element_per_spec(self):
+        spec, fresh = build_spec((2, 3)), build_spec((2, 3))
+        for i, n in enumerate(spec.ranks, 1):
+            for j in range(1, n + 1):
+                b = spec.generator(i, j)
+                assert b is spec.generator(i, j) is spec.generators(i)[j - 1]
+                assert b == Element.from_var(polyring.var_b(i, j)) == fresh.generator(i, j)
+                assert b is not fresh.generator(i, j) and str(b) == f"b[{i}][{j}]"
+        with pytest.raises(LevelOutOfRange):
+            spec.generator(1, 3)
+        assert ("generator", 1, 3) not in spec._caches
+
+
+# the kinds of TowerSpec._caches keys; the TowerSpec docstring names each
+SPEC_CACHE_KINDS = {"twist", "default", "terms", "eigenvalues", "weights", "generator"}
+
+
+def test_every_per_spec_cache_is_named(monkeypatch, capsys):
+    # the spec that tower build --check builds and checks, then a
+    # certificate with its replay and eval_series on the same spec
+    specs = []
+    real = tower.build_spec
+    monkeypatch.setattr(tower, "build_spec", lambda utype: specs.append(real(utype)) or specs[-1])
+    assert cli.main(["tower", "build", "--utype", "2,1", "--check"]) == 0
+    assert "RESULT PASS" in capsys.readouterr().out
+    [spec] = specs
+    trace = certify_independence(spec.generators(1), 3, spec)
+    assert trace.replay(spec)
+    ctx = SeriesContext.default(spec, order=12)
+    eval_series(parse_element("(b[1][1]*c[2][1] - b[2][1])/(b[1][1] + b[1][2])^2"), ctx, spec)
+    assert {key[0] for key in spec._caches} == SPEC_CACHE_KINDS
+    assert all(f'``("{kind}"' in TowerSpec.__doc__ for kind in SPEC_CACHE_KINDS)
