@@ -10,7 +10,7 @@ down to a single term, whose coefficient must then be zero.
 import json
 
 from deltatower import Verdict, build_spec, certify_independence, series_rank_check
-from deltatower.tower import SeriesContext
+from deltatower.series import SeriesContext
 
 spec = build_spec((3,))
 gens = spec.generators(1)

@@ -9,10 +9,9 @@ import math
 import random
 
 from deltatower import build_spec, derive, eval_series, logd_system, solve_prolonged
-from deltatower.operators import prolonged_residual
-from deltatower.series import residual
+from deltatower.series import SeriesContext, prolonged_residual, residual
 from deltatower.textio import parse_element
-from deltatower.tower import SeriesContext, random_element
+from deltatower.tower import random_element
 
 spec = build_spec((2, 1))
 ctx = SeriesContext.default(spec, order=12)

@@ -6,8 +6,9 @@ The package has two halves that check each other:
   Q(c[i][j]) with the eigen-derivation, factored linear operators,
   Wronskians, and a term-minimization independence prover with the
   Q-linear algebra of its eigenvalues;
-* a numerical side: truncated power series interpreting the derivation
-  as d/dt, used as an independent oracle for the symbolic identities;
+* a numerical side, the one module ``series`` and the only one that
+  imports numpy: truncated power series interpreting the derivation as
+  d/dt, used as an independent oracle for the symbolic identities;
 
 plus a finite combinatorial grid model in which closure, rank,
 internality, analyses, reductions and coreductions are all computed by
@@ -16,9 +17,9 @@ exhaustive search.
 Exports are lazy (PEP 562): ``import deltatower`` loads no submodule, and
 each name in ``__all__`` imports its module on first use.  A CLI command
 loads only what it runs (``tower build`` the exact side, the grid commands
-``grid``/``gridcheck``, ``series`` ``textio``, ``tower`` and numpy), and no
-module imports ``dataclasses``, whose ``inspect`` costs a start more than
-a small tower's checks.
+``grid``/``gridcheck``, ``series`` the exact side, ``textio``, ``series``
+and numpy), and no module imports ``dataclasses``, whose ``inspect`` costs
+a start more than a small tower's checks.
 """
 
 from importlib import import_module
@@ -33,14 +34,12 @@ _EXPORTS = {
         "build_seqred_a build_seqred_b closure coreduction internal is_canonical "
         "is_incompressible is_minimal reduction urank",
     "operators": "EigenDecomposition ExpandedOperator FactoredOperator ProlongedSystem "
-        "apply_operator build_E decompose expand is_generic logd_system solve_prolonged "
-        "wronskian",
-    "relations": "MonomialRelation RankReport ReductionTrace Verdict certify_independence "
-        "invariant_monomial qlinear_dot qlinear_independent reduce_step run_reduction "
-        "series_rank_check",
-    "series": "Series",
+        "apply_operator build_E decompose expand is_generic logd_system wronskian",
+    "relations": "MonomialRelation ReductionTrace Verdict certify_independence "
+        "invariant_monomial qlinear_dot qlinear_independent reduce_step run_reduction",
+    "series": "RankReport Series SeriesContext eval_series series_rank_check solve_prolonged",
     "textio": "parse_element",
-    "tower": "SeriesContext TowerSpec build_spec d_twist derive eval_series logd logd_iter",
+    "tower": "TowerSpec build_spec d_twist derive logd logd_iter",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -280,8 +280,11 @@ def _small(residual: float, label: str) -> tuple[bool, str]:
 
 
 def cmd_series(args, argv) -> int:
+    from .operators import logd_system
+    from .series import SeriesContext, delta_consistency_residual, eval_series, quiet_overflow
+    from .series import prolonged_residual, solve_prolonged
     from .textio import parse_element
-    from .tower import SeriesContext, TowerSpec, delta_consistency_residual, eval_series
+    from .tower import TowerSpec
 
     by_element = args.element is not None
     mode, unused = ("--element", ("h", "initial")) if by_element else ("--logd-system", ("spec",))
@@ -294,8 +297,6 @@ def cmd_series(args, argv) -> int:
         raise TruncationTooShort(f"--order {args.order} is below 2, the shortest truncation")
     report = RunReport("series", tuple(argv))
     if args.logd_system is not None:
-        from .operators import logd_system, prolonged_residual, solve_prolonged
-
         n = args.logd_system
         if n < 1:
             raise DeltaTowerError(f"--logd-system {n} is not a positive dimension")
@@ -319,8 +320,6 @@ def cmd_series(args, argv) -> int:
         residual = partial(prolonged_residual, system, solution, h_series)
         report.run("residual", lambda: _small(residual(), "defining-equation residual"))
     else:
-        import numpy as np
-
         x = parse_element(args.element)
         if args.spec:
             try:
@@ -333,8 +332,7 @@ def cmd_series(args, argv) -> int:
         else:
             spec = TowerSpec(_covering_ranks(x))
         ctx = SeriesContext.default(spec, order=args.order)
-        # overflow to inf/nan FAILs the residual check, so numpy stays quiet
-        with np.errstate(over="ignore", invalid="ignore"):
+        with quiet_overflow():
             s = eval_series(x, ctx, spec)
             print(f"element: {x}")
             print(f"series: {_format_series(s)}")

@@ -61,9 +61,8 @@ The one cache that outlives a check, ``_PAIRS``, holds the closed pairs
 of each grid shape, keyed on the ``_orbits`` in force, as height tuples
 (4,249 of them at 12 cells); the ``_Grid`` tables go with their grid.
 None of this changes what is checked: the ``_Grid`` tables come from the
-bit layout alone, a kept rule value is the rule's own on the same two
-heights, and every public function is still called on every instance it
-was called on before.
+bit layout alone, and a kept rule value is the rule's own on the same two
+heights.
 
 A mask is a Python int, packed column-major: cell (i, j) is bit (j-1)*depth + (i-1).
 Closed sets are exactly the masks whose columns are downward intervals.

@@ -10,16 +10,15 @@ printed (`FactoredOperator.to_text`); nothing parses it.
 Also here: the eigen-decomposition of normal-form solutions, Wronskian
 determinants as independence certificates, and the prolonged first-order
 system x_i' = x_i x_{i+1} behind the iterated logarithmic derivative,
-with a truncated-series solver.
+whose truncated-series solver is in ``series``.
 """
 
 from __future__ import annotations
 
-import deltatower  # annotations name deltatower.Series, which loads series only when resolved
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
-from .errors import NotNormalForm, Record, ZeroInitialValue
+from .errors import NotNormalForm, Record
 from .polyring import Poly, m_pairs, monomial
-from .tower import TowerSpec, d_twist, to_float
+from .tower import TowerSpec, d_twist
 
 
 class FactoredOperator(Record):
@@ -207,68 +206,14 @@ def logd_system(n: int, h: Element | int) -> ProlongedSystem:
     return ProlongedSystem(n, h)
 
 
-def _h_series(
-    system: ProlongedSystem, order: int, h_series: deltatower.Series | None
-) -> deltatower.Series:
-    """h as a series of the given order: ``h_series`` truncated, or, when
-    none is given, the constant series of a rational h (ValueError else)."""
-    from .series import Series
-
-    if h_series is None:
-        return Series.const(to_float(system.h.as_rational()), order)
-    if h_series.order < order:
-        raise ValueError("the series of h is shorter than the requested order")
-    return h_series.truncate(order)
+# perfbench reads these names from this module; they live in ``series``,
+# which loads only when one of them is read (PEP 562)
+_FORWARDED = ("solve_prolonged", "prolonged_residual")
 
 
-def solve_prolonged(
-    system: ProlongedSystem,
-    initial_values: list[float],
-    order: int,
-    h_series: deltatower.Series | None = None,
-) -> list[deltatower.Series]:
-    """Truncated series solution with the given values at t=0.
+def __getattr__(name: str):
+    if name not in _FORWARDED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import series
 
-    A non-rational h comes as its series ``h_series``, which the caller
-    can hand to `prolonged_residual` too; a rational h needs none.
-    """
-    import numpy as np
-
-    from .series import Series
-
-    if len(initial_values) != system.n:
-        raise ValueError(f"expected {system.n} initial values")
-    if any(v == 0 for v in initial_values):
-        raise ZeroInitialValue("initial values must be nonzero")
-    h_series = _h_series(system, order, h_series)
-    n = system.n
-    xs = np.zeros((n, order))
-    xs[:, 0] = initial_values
-    h = h_series.coeffs
-    # huge initial values overflow to inf/nan here; the residual check FAILs them
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(order - 1):
-            for i in range(n):
-                rhs = h[: k + 1] if i == n - 1 else xs[i + 1, : k + 1]
-                conv = float(np.dot(xs[i, : k + 1], rhs[::-1]))
-                xs[i, k + 1] = conv / (k + 1)
-    return [Series(xs[i]) for i in range(n)]
-
-
-def prolonged_residual(
-    system: ProlongedSystem,
-    solution: list[deltatower.Series],
-    h_series: deltatower.Series | None = None,
-) -> float:
-    """Scaled residual of delta x_i - x_i x_{i+1} (and the h row), with
-    ``h_series`` as in `solve_prolonged`."""
-    from .series import residual as series_residual
-
-    worst = 0.0
-    n = system.n
-    h_series = _h_series(system, solution[-1].order, h_series)
-    for i in range(n):
-        lhs = solution[i].deriv()
-        rhs = solution[i] * (solution[i + 1] if i < n - 1 else h_series)
-        worst = max(worst, series_residual(lhs, rhs))
-    return worst
+    return getattr(series, name)

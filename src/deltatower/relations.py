@@ -36,9 +36,8 @@ The weights r . lambda are pairwise distinct for all r exactly when the
 eigenvalues are Q-linearly independent (`qlinear_independent`): the
 eigenvector argument behind the step rank n_i.
 
-The series rank check is the independent numerical oracle: rows are the
-truncated series of all monomials y^r up to the degree bound, and full
-row rank means no relation is detected numerically.
+The independent numerical oracle, the series rank check, is in
+``series``.
 """
 
 from __future__ import annotations
@@ -49,9 +48,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
-from .errors import LengthMismatch, NotLinear, Record, SupportTooSmall, TruncationTooShort
+from .errors import LengthMismatch, NotLinear, Record, SupportTooSmall
 from .polyring import ONE, Poly, Var, m_pairs
-from .tower import SeriesContext, TowerSpec, eval_series, logd
+from .tower import TowerSpec, logd
 
 ExponentVector = tuple[int, ...]
 
@@ -517,69 +516,14 @@ def invariant_monomial(
     return h
 
 
-# singular values of the unit-normalised monomial rows above this count
-# towards the numerical rank
-RANK_THRESHOLD = 1e-6
+# perfbench reads this name from this module; it lives in ``series``,
+# which loads only when it is read (PEP 562)
+_FORWARDED = ("series_rank_check",)
 
 
-class RankReport(Record):
-    """Outcome of the numerical rank oracle."""
+def __getattr__(name: str):
+    if name not in _FORWARDED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import series
 
-    __slots__ = _compared = ("rows", "order", "smallest_singular_value", "rank")
-
-    @property
-    def full_rank(self) -> bool:
-        return self.rank == self.rows
-
-
-def series_rank_check(
-    variables: list[Element],
-    degree_bound: int,
-    ctx: SeriesContext,
-    spec: TowerSpec,
-) -> RankReport:
-    """Numerical independence oracle over all monomials of degree <= bound.
-
-    Rows are unit-normalized truncated series of the monomials (constant
-    monomial included); the report carries the smallest singular value and
-    the rank at RANK_THRESHOLD.
-
-    The rank is that of the numeric specialisation at ``ctx.values``, not of
-    the monomials over Q(c).  It mirrors the prover's verdict only when the
-    assigned values are Q-linearly independent and well separated: under a
-    rational relation such as 2 + 3 = 5 distinct monomials become the same
-    exponential and the rank drops, and nearly colliding exponents can fall
-    below the threshold.
-    """
-    import numpy as np
-
-    from .series import Series
-
-    vectors = degree_vectors(len(variables), degree_bound, include_zero=True)
-    if len(vectors) > ctx.order:
-        raise TruncationTooShort(
-            f"{len(vectors)} monomials exceed the truncation order {ctx.order}"
-        )
-    var_series = [eval_series(v, ctx, spec) for v in variables]
-    rows = []
-    for r in vectors:
-        row = None
-        for s, e in zip(var_series, r):
-            if e:
-                p = s**e
-                row = p if row is None else row * p
-        if row is None:
-            row = Series.const(1.0, ctx.order)
-        rows.append(row.coeffs)
-    matrix = np.array(rows)
-    norms = np.linalg.norm(matrix, axis=1)
-    norms[norms == 0.0] = 1.0
-    matrix = matrix / norms[:, None]
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    return RankReport(
-        rows=len(vectors),
-        order=ctx.order,
-        smallest_singular_value=float(singular[-1]),
-        rank=int(np.sum(singular > RANK_THRESHOLD)),
-    )
-
+    return getattr(series, name)

@@ -18,16 +18,8 @@ multiplies by the twist 1/P_i, built from its factored parts
 with eigenvalue c[i][j].  The logarithmic derivative with respect to D_i
 is D_i(x)/x.
 
-A :class:`SeriesContext` interprets the same data numerically: delta
-becomes d/dt, level-1 generators become truncated exponentials and higher
-generators integrate the product of the lower e_k before exponentiating.
-One table per (spec, context), ``_Terms``, holds the generator series,
-their reciprocals, their powers and each monomial's product of generator
-powers: a polynomial is evaluated by adding one scaled, cached array per
-term in term order, which gives the same bits as multiplying every term
-out afresh.  A denominator that is one monomial is evaluated by
-multiplying with reciprocal series, with no division; any other
-denominator, such as a power of e_k, is divided by series division.
+The numeric interpretation of a tower, ``SeriesContext`` and
+``eval_series``, is in ``series``.
 """
 
 from __future__ import annotations
@@ -37,27 +29,12 @@ import random
 import re
 import sys
 from collections import Counter, defaultdict
-from collections.abc import Iterator
 from fractions import Fraction
-from functools import cache
-from itertools import count, islice, takewhile
-from math import log10
 
-import deltatower  # annotations name deltatower.Series, which loads series only when resolved
 from .elements import Element
-from .errors import BudgetExceeded, DomainViolation, LevelOutOfRange, LogOfZero, ParseError
-from .errors import NonInvertibleSeries, Record, UnknownSymbol
+from .errors import DomainViolation, LevelOutOfRange, LogOfZero, ParseError, Record
 from .polyring import ONE, LevelSum, Poly, Var, cancel, level_sum, m_pairs, monomial, product
-from .polyring import var_b, var_c, var_name
-
-
-def _primes() -> Iterator[int]:
-    """2, 3, 5, ...: each by trial division by the smaller primes up to its root."""
-    primes: list[int] = []
-    for k in count(2):
-        if all(k % p for p in takewhile(lambda p: p * p <= k, primes)):
-            primes.append(k)
-            yield k
+from .polyring import var_b, var_c
 
 
 def _level_key(k: int, n: int) -> LevelSum:
@@ -72,11 +49,12 @@ class TowerSpec(Record):
     ``_caches`` holds what is computed once per spec and outlives a call,
     keyed by tuples whose first entry names the kind; equality and the hash
     ignore it.  ``("twist", i)``: 1/P_i.  ``("generator", i, j)``: the
-    element b[i][j].  ``("default", order)``: the default SeriesContext.
-    ``("terms", ctx)``: the numeric table of a context.  ``("eigenvalues",
-    level, variables)`` and ``("weights", level, variables)``: the
-    relations' logD_i of the variables and the table r -> r . lambda that a
-    reduction run reads and fills."""
+    element b[i][j].  ``("default", order)`` and ``("terms", ctx)``: the
+    default SeriesContext and the numeric table of a context, which
+    ``series`` fills.  ``("eigenvalues", level, variables)`` and
+    ``("weights", level, variables)``: the relations' logD_i of the
+    variables and the table r -> r . lambda that a reduction run reads and
+    fills."""
 
     __slots__ = ("ranks", "assignments", "_caches")
     _compared = ("ranks", "assignments")
@@ -259,225 +237,6 @@ def logd_iter(x: Element, m: int, spec: TowerSpec) -> Element:
     return current
 
 
-# --- numerical interpretation ---------------------------------------------
-
-
-class SeriesContext(Record):
-    """Numeric interpretation: truncation order and symbol values.
-
-    ``values`` assigns reals to constant symbols; within each level the
-    assigned values must be pairwise distinct.  Every generator is 1 at t=0.
-    """
-
-    __slots__ = _compared = ("order", "values")
-
-    def __init__(self, order: int, values: tuple[tuple[Var, float], ...]):
-        if order < 2:
-            raise ValueError("truncation order must be >= 2")
-        by_level: dict[int, list[float]] = {}
-        for (kind, level, _), val in values:
-            if kind == "c":
-                by_level.setdefault(level, []).append(val)
-        for level, vals in by_level.items():
-            if len(set(vals)) != len(vals):
-                raise ParseError(f"assigned values at level {level} are not pairwise distinct")
-        super().__init__(order, values)
-
-    @classmethod
-    def default(cls, spec: TowerSpec, order: int = 16) -> "SeriesContext":
-        """The primes 2, 3, ..., 61 assigned cyclically to the symbols in index
-        order, except that the 19th symbol of a level and beyond take the 19th
-        prime and beyond, so a level's defaults stay distinct.  Explicit
-        assignments of the spec come first; a default equal to an explicit
-        value of its level moves to the smallest larger prime that no symbol
-        of the level takes.  One context per (spec, order)."""
-        key = ("default", order)
-        if key in spec._caches:
-            return spec._caches[key]
-        explicit = dict(spec.assignments)
-        values = []
-        symbols = [var_c(i, j) for i, n in enumerate(spec.ranks, 1) for j in range(1, n + 1)]
-        primes = list(islice(_primes(), max(18, max(spec.ranks))))
-        for k, v in enumerate(symbols):
-            name, j = var_name(v), v[2]
-            prime = primes[k % 18] if j <= 18 else primes[j - 1]
-            text = explicit.get(name, str(prime))
-            try:
-                values.append((v, float(Fraction(text))))
-            except (ValueError, ZeroDivisionError, OverflowError):
-                message = f"assignment {name}={text!r} is not a decimal in float range"
-                raise ParseError(message) from None
-        given = {(v[1], x) for v, x in values if var_name(v) in explicit}
-        taken = {(v[1], x) for v, x in values}
-        for k, (v, x) in enumerate(values):
-            if (v[1], x) in given and var_name(v) not in explicit:
-                x = next(p for p in _primes() if p > x and (v[1], p) not in taken)
-                taken.add((v[1], x))
-                values[k] = (v, float(x))
-        spec._caches[key] = cls(order=order, values=tuple(values))
-        return spec._caches[key]
-
-    def value_map(self) -> dict[Var, float]:
-        return dict(self.values)
-
-
-@cache
-def _series():
-    """The series module, imported on first use so the exact half never loads
-    numpy; cached, as an import statement costs microseconds per call."""
-    from . import series
-
-    return series
-
-
-def _lookup(table: dict, v: Var):
-    """table[v], or the error that names the symbol the context cannot evaluate."""
-    try:
-        return table[v]
-    except KeyError:
-        raise UnknownSymbol(f"{var_name(v)} has no series or value in this tower") from None
-
-
-def to_float(q: Fraction) -> float:
-    """q as a float; BudgetExceeded when q is past the float range.  The
-    message names q's magnitude from bit lengths: q may have more digits
-    than an int may print."""
-    try:
-        return float(q)
-    except OverflowError:
-        digits = int((abs(q.numerator).bit_length() - q.denominator.bit_length()) * log10(2))
-        raise BudgetExceeded(f"coefficient of about 10^{digits} is outside float range") from None
-
-
-def _power(values: dict[Var, float], v: Var, e: int) -> float:
-    try:
-        return _lookup(values, v) ** e
-    except OverflowError:
-        raise BudgetExceeded(f"{var_name(v)}^{e} is outside float range") from None
-
-
-class _Terms:
-    """The numeric table of one (spec, ctx), kept in the spec's cache: the
-    generator series b[1][j] -> exp(c t) and, above level 1, b[i][j] ->
-    exp(c * integral of prod_{k<i} e_k), their reciprocals exp(-c * phase),
-    the powers b^e and b^-e, keyed (v, e) and (v, -e), and each monomial's
-    generator product (its powers b^e multiplied in m_pairs order, or None)
-    and constant powers.  Every cached array is read-only.  A monomial whose
-    symbol has no value, or whose power leaves float range, raises and
-    stores no entry."""
-
-    __slots__ = ("order", "values", "gens", "recips", "products", "powers")
-
-    def __init__(self, ctx: SeriesContext, spec: TowerSpec):
-        Series = _series().Series
-        self.order = ctx.order
-        self.values = ctx.value_map()
-        self.gens: dict[Var, Series] = {}
-        self.recips: dict[Var, Series] = {}
-        self.products: dict[int, tuple] = {}  # monomial -> (product array or None, constant powers)
-        self.powers: dict[tuple[Var, int], Series] = {}  # (v, e) -> b^e, (v, -e) -> b^-e
-        phase = Series.t(ctx.order)
-        accumulated: Series | None = None  # prod_{k<i} e_k as a series
-        for i in range(1, spec.ell + 1):
-            if accumulated is not None:
-                phase = accumulated.integ()
-            level_sum = Series.zero(ctx.order)
-            for j in range(1, spec.rank(i) + 1):
-                v = spec.generator_var(i, j)
-                c_hat = _lookup(self.values, ("c", i, j))
-                s = (phase * c_hat).exp()
-                self.gens[v], self.recips[v] = s, (phase * -c_hat).exp()
-                level_sum = level_sum + s
-            accumulated = level_sum if accumulated is None else accumulated * level_sum
-        for s in [*self.gens.values(), *self.recips.values()]:
-            s.coeffs.flags.writeable = False
-
-    def power(self, v: Var, e: int) -> deltatower.Series:
-        """b^e, from the reciprocal series when e < 0; cached and read-only."""
-        if (v, e) not in self.powers:
-            s = _lookup(self.gens if e > 0 else self.recips, v) ** abs(e)
-            s.coeffs.flags.writeable = False
-            self.powers[v, e] = s
-        return self.powers[v, e]
-
-    def product(self, m: int) -> tuple:
-        if m in self.products:
-            return self.products[m]
-        factor = None
-        constants = []
-        for v, e in m_pairs(m):
-            if v[0] == "b":
-                s = self.power(v, e)
-                factor = s if factor is None else factor * s
-            else:
-                constants.append(_power(self.values, v, e))
-        if factor is not None:
-            factor.coeffs.flags.writeable = False
-            factor = factor.coeffs
-        self.products[m] = factor, tuple(constants)
-        return self.products[m]
-
-
-def _terms(ctx: SeriesContext, spec: TowerSpec) -> _Terms:
-    """The numeric table of (spec, ctx); equal contexts share one."""
-    key = ("terms", ctx)
-    if key not in spec._caches:
-        spec._caches[key] = _Terms(ctx, spec)
-    return spec._caches[key]
-
-
-def _eval_poly(p: Poly, terms: _Terms) -> deltatower.Series:
-    """Sum of coefficient * constant powers * generator product over the
-    terms of p, added into one array in term order."""
-    total = _series().Series.zero(terms.order)
-    out = total.coeffs
-    for m, coeff in p.terms.items():
-        scalar = to_float(coeff)
-        factor, constants = terms.product(m)
-        for c in constants:
-            scalar *= c
-        if factor is None:
-            # the other coefficients would add 0.0: a running sum that
-            # starts at +0.0 is never -0.0, so that changes no bit
-            out[0] += scalar
-        else:
-            out += factor * scalar
-    return total
-
-
-def eval_series(x: Element, ctx: SeriesContext, spec: TowerSpec) -> deltatower.Series:
-    """Interpret an element as a truncated power series in t.  A monomial
-    denominator (monic, so its coefficient is 1) multiplies the numerator by
-    reciprocal series; any other one is divided by series division."""
-    terms = _terms(ctx, spec)
-    num = _eval_poly(x.num, terms)
-    if len(x.den.terms) > 1:
-        return num / _eval_poly(x.den, terms)
-    [den] = x.den.terms
-    scalar = 1.0
-    for v, e in m_pairs(den):
-        if v[0] == "b":
-            num = num * terms.power(v, -e)
-        else:
-            scalar *= _power(terms.values, v, e)
-    if scalar == 0.0:
-        raise NonInvertibleSeries("denominator has zero constant term")
-    return num / scalar
-
-
-def delta_consistency_residual(x: Element, ctx: SeriesContext, spec: TowerSpec) -> float:
-    """Scaled disagreement between derive(x) and d/dt of x as series, with no
-    division: for x = n/d and derive(x) = N/D it compares N d^2 with
-    D (n' d - n d') over the shared coefficients.  d(0) = 0 raises
-    NonInvertibleSeries, as evaluating x would."""
-    terms = _terms(ctx, spec)
-    dx = derive(x, spec)
-    n, d, num, den = (_eval_poly(p, terms) for p in (x.num, x.den, dx.num, dx.den))
-    if d[0] == 0.0:
-        raise NonInvertibleSeries("denominator has zero constant term")
-    return _series().residual(num * d * d, den * (n.deriv() * d - n * d.deriv()))
-
-
 def random_element(
     rng: random.Random, spec: TowerSpec, *, allow_denominator: bool = True
 ) -> Element:
@@ -506,3 +265,16 @@ def random_element(
         v = rng.choice(level_one)
         den = Poly.variable(v) ** rng.randint(1, 2)
     return Element(num, den)
+
+
+# perfbench reads these names from this module; they live in ``series``,
+# which loads only when one of them is read (PEP 562)
+_FORWARDED = ("SeriesContext", "eval_series", "delta_consistency_residual")
+
+
+def __getattr__(name: str):
+    if name not in _FORWARDED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import series
+
+    return getattr(series, name)

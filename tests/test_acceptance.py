@@ -41,9 +41,11 @@ from deltatower.elements import Element
 from deltatower.errors import TruncationTooShort
 from deltatower.grid import Analysis, GridModel, build_seqred_a, build_seqred_b, height_chains
 from deltatower.gridcheck import run_grid_suite
-from deltatower.operators import FactoredOperator, decompose, expand, is_generic, prolonged_residual
+from deltatower.operators import FactoredOperator, decompose, expand, is_generic
 from deltatower.relations import degree_vectors
-from deltatower.tower import SeriesContext, delta_consistency_residual, eval_series, random_element
+from deltatower.series import SeriesContext, delta_consistency_residual, eval_series
+from deltatower.series import prolonged_residual
+from deltatower.tower import random_element
 
 EMPTY = frozenset()
 

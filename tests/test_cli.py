@@ -9,7 +9,7 @@ import time
 import pytest
 from _support import BUDGET_UTYPES, child_env, cli_in_child, counting_cancel, run_python, utype_id
 
-from deltatower import cli, gridcheck, operators, tower
+from deltatower import cli, gridcheck, operators, series
 from deltatower.cli import main
 
 
@@ -49,6 +49,20 @@ class TestTowerBuild:
             [name, "PASS"]
             for name in ("kernel_e1", "genericity_e1", "expand_symmetry_E1", "expand_apply_E1")
         ] + [["independence_level1", "PASS"]]
+
+    def test_an_order_dependent_expansion_fails_the_symmetry_check(self, capsys, monkeypatch):
+        # the mutant's constant coefficient is the first factor's eigenvalue
+        real = operators.expand
+
+        def order_dependent(op):
+            coefficients = real(op).coefficients
+            return operators.ExpandedOperator(op.level, (op.eigenvalues[0], *coefficients[1:]))
+
+        monkeypatch.setattr(operators, "expand", order_dependent)
+        code, out, _ = run_cli(capsys, "tower", "build", "--utype", "2", "--check")
+        assert code == 1 and out.endswith("RESULT FAIL\n")
+        line = next(line for line in out.splitlines() if "expand_symmetry_E1" in line)
+        assert line.split()[2] == "FAIL" and line.endswith(" expansion depends on the factor order")
 
     def test_spec_roundtrip_identical_report(self, capsys, tmp_path):
         out_file = tmp_path / "spec.json"
@@ -506,18 +520,14 @@ class TestSeries:
 
     def test_logd_system_evaluates_h_once(self, capsys, monkeypatch):
         # one series of h serves both the solver and the residual
-        from deltatower import tower
-
         calls = []
-        real = tower.eval_series
+        real = series.eval_series
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("deltatower") and getattr(module, "eval_series", None) is real:
-                monkeypatch.setattr(module, "eval_series", counted)
+        monkeypatch.setattr(series, "eval_series", counted)
         argv = ["--logd-system", "3", "--order", "12", "--h", "b[1][1]"]
         code, out, _ = run_cli(capsys, "series", *argv)
         assert code == 0 and out.endswith("RESULT PASS\n")
@@ -631,14 +641,13 @@ class TestSeries:
         ],
     )
     def test_check_time_includes_the_residual(self, capsys, monkeypatch, argv, slow):
-        module = operators if slow == "prolonged_residual" else tower
-        real = getattr(module, slow)
+        real = getattr(series, slow)
 
         def slow_residual(*args):
             time.sleep(0.2)
             return real(*args)
 
-        monkeypatch.setattr(module, slow, slow_residual)
+        monkeypatch.setattr(series, slow, slow_residual)
         code, out, _ = run_cli(capsys, "series", *argv)
         assert code == 0
         check = next(line for line in out.splitlines() if line.startswith("CHECK "))

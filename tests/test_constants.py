@@ -98,6 +98,9 @@ class TestQLinearIndependent:
         assert qlinear_independent([C11 + 1, C11])
         assert not qlinear_independent([C11 + 1, C11, Element.from_rational(1)])
 
+    def test_no_vectors_are_independent(self):
+        assert qlinear_independent([])
+
     def test_not_linear(self):
         with pytest.raises(NotLinear):
             qlinear_independent([C11 * C11])

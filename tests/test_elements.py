@@ -48,6 +48,15 @@ def test_henrici_arithmetic_matches_the_product_formulas(seed):
     assert x / y == Element(x.num * y.den, x.den * y.num)
 
 
+def test_a_number_minus_an_element_is_the_negated_difference():
+    # a number minus an Element reaches Element.__rsub__
+    b = SPEC.generator(1, 1)
+    assert 3 - b == -(b - 3) == Element(Poly.const(3) - Poly.variable(GENS[0]), Poly.const(1))
+    assert Fraction(1, 2) - b / SPEC.e(1) == -(b / SPEC.e(1) - Fraction(1, 2))
+    with pytest.raises(TypeError):
+        "3" - b  # noqa: B018 - no number: __rsub__ leaves it to Python's error
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_gcd_quotient_rule_matches_the_literal_one(seed):
     rng = random.Random(seed)

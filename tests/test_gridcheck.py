@@ -179,6 +179,70 @@ def test_coreduction_is_compared_on_every_pair(monkeypatch):
     assert report.counterexample == "grid 7x1: coreduction disagrees with brute force, T=(2,) G=(7,)"
 
 
+# Every other FAIL branch of a property, each reached by one named mutant:
+# (the names gridcheck sees and their broken replacements, the report line).
+# Brute force counts as a mutant target too: with no witness found, the
+# least witness is no witness.
+FAIL_BRANCHES = {
+    "internal refuses everything": (
+        {"internal": lambda S, T, g: False},
+        "reduction_maximality instances=1 FAIL grid 1x1: reduction not internal, T=(0,) G=(0,)",
+    ),
+    "reduction of the whole grid": (
+        {"reduction": lambda S, T, g: grid.reduction(
+            grid.from_heights((g.depth,) * g.columns, g), T, g)},
+        "reduction_maximality instances=1 FAIL grid 1x1: "
+        "the reduction is not itself an internal closed subset, T=(0,) G=(0,)",
+    ),
+    "brute force finds no witness": (
+        {"_Grid.closed_inside": lambda self, mask: []},
+        "coreduction_uniqueness instances=1 FAIL grid 1x1: minimal witnesses disagree, T=(0,) G=(0,)",
+    ),
+    "chain repeats its base": (
+        {"_red_chain": lambda t_h, g_h: [t_h, *grid._red_chain(t_h, g_h)]},
+        "analyses_minimal instances=1 FAIL grid 1x1: degenerate reductions step, T=(0,) G=(0,)",
+    ),
+    "public analysis over the empty set": (
+        {"analysis_by_reductions": lambda G, T, g: grid.analysis_by_reductions(G, frozenset(), g)},
+        "analyses_minimal instances=3 FAIL grid 1x1: "
+        "public analysis has the wrong base or target, T=(1,) G=(1,)",
+    ),
+    "public coreductions are the reductions": (
+        {"analysis_by_coreductions": grid.analysis_by_reductions},
+        "analyses_minimal instances=141 FAIL grid 2x2: "
+        "public analysis disagrees with the verified chain, T=(0, 0) G=(1, 2)",
+    ),
+    "coreduction chain of lists": (
+        {"_cored_chain": lambda t_h, g_h: [list(h) for h in grid._cored_chain(t_h, g_h)]},
+        "equal_utype_canonical instances=2 FAIL grid 1x1: analyses disagree stepwise, T=(0,) G=(1,)",
+    ),
+    "search yields one cell per step": (
+        {"height_chains": lambda t_h, g_h, max_length, steps: iter([_one_cell_chain(t_h, g_h)])},
+        "incompressible_ones_minimal instances=9 FAIL grid 1x2: "
+        "incompressible (1,..,1) analysis of length 2 but minimum is 1, T=(0, 0) G=(1, 1)",
+    ),
+    "is_incompressible refuses everything": (
+        {"is_incompressible": lambda a: False},
+        "incompressible_ones_minimal instances=2 FAIL grid 1x1: "
+        "public predicates disagree on [(1,)], T=(0,) G=(1,)",
+    ),
+    "is_minimal refuses a column": (
+        {"is_minimal": lambda a: False},
+        "column_chain_length instances=1 FAIL column of depth 1: public analysis has length 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", FAIL_BRANCHES)
+def test_each_fail_branch_reports_its_mutant(monkeypatch, mutant):
+    patches, line = FAIL_BRANCHES[mutant]
+    for name, broken in patches.items():
+        owner, _, attr = name.rpartition(".")
+        monkeypatch.setattr(getattr(gridcheck, owner) if owner else gridcheck, attr, broken)
+    prop = line.split(" ", 1)[0]
+    assert {n: fn for n, fn, _ in ALL_PROPERTIES}[prop](4).line() == line
+
+
 def _patch_1x3_closure(monkeypatch, images):
     """Change the closure of the 1x3 grid (cells a, b, c, bits 0-2) on the
     masks in images, in the _Grid table (and its closed masks, the fixed

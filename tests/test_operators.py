@@ -23,10 +23,9 @@ from deltatower import (
     wronskian,
 )
 from deltatower.elements import ZERO_ELEMENT
-from deltatower.operators import prolonged_residual
-from deltatower.series import residual
+from deltatower.series import SeriesContext, eval_series, prolonged_residual, residual
 from deltatower.textio import parse_element
-from deltatower.tower import SeriesContext, eval_series, random_element
+from deltatower.tower import random_element
 
 SPEC = build_spec((2, 1))
 B11 = SPEC.generator(1, 1)

@@ -13,12 +13,12 @@ from deltatower.gridcheck import PropertyReport
 from deltatower.operators import build_E, decompose, expand, logd_system
 from deltatower.relations import (
     MonomialRelation,
-    RankReport,
     ReductionStep,
     ReductionTrace,
     certify_independence,
 )
-from deltatower.tower import SeriesContext, TowerSpec, build_spec
+from deltatower.series import RankReport, SeriesContext
+from deltatower.tower import TowerSpec, build_spec
 
 SPEC = build_spec((2, 1))
 B11, B12 = SPEC.generators(1)

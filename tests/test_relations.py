@@ -28,7 +28,8 @@ from deltatower.relations import (
     qlinear_dot,
 )
 from deltatower.textio import parse_element
-from deltatower.tower import SeriesContext, logd
+from deltatower.series import SeriesContext
+from deltatower.tower import logd
 
 from _support import counting_cancel, seeded_relations
 
@@ -230,6 +231,14 @@ class TestCertifyIndependence:
         trace = certify_independence([B11, B11], 1, SPEC)
         assert trace.verdict is Verdict.DEGENERATE
         assert trace.colliding_pair is not None
+
+    def test_a_constant_variable_infers_level_one(self):
+        # no generator to take the level from: level 1, where the
+        # eigenvalue of a constant is 0, the weight of the zero vector
+        trace = certify_independence([C11], 1, SPEC)
+        assert trace.initial.level == 1
+        assert trace.verdict is Verdict.DEGENERATE and trace.colliding_pair == ((0,), (1,))
+        assert trace.replay(SPEC)
 
     def test_level_two_generators(self):
         trace = certify_independence(SPEC.generators(2), 2, SPEC, level=2)

@@ -321,6 +321,18 @@ def _tampered(kind):
     return retrace(FULL, steps=tuple(steps))
 
 
+def test_a_pivot_outside_the_support_fails_on_elements():
+    # a generator coefficient keeps the Element path, whose first guard is
+    # that the step's pivot is in the support
+    G = relation(1, (B11, B12), {(1, 0): B13, (0, 1): ONE_ELEMENT})
+    trace = run_reduction(G, SPEC)
+    step = trace.steps[0]
+    tampered = retrace(trace, steps=(ReductionStep((3, 0), step.functionals, step.remaining_support),))
+    with support_replays() as finals:
+        assert trace.replay(SPEC) and not tampered.replay(SPEC)
+    assert finals == [] and len(trace.steps) == 1
+
+
 @pytest.mark.parametrize("kind", [
     "swapped pivot", "functional changed", "extra remaining", "reordered remaining",
     "dropped middle step", "dropped last step", "step past the survivor",

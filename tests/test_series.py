@@ -16,14 +16,14 @@ from deltatower import (
     derive,
     eval_series,
     logd,
-    tower,
+    series,
 )
 from deltatower.elements import Element
 from deltatower.errors import UnknownSymbol
 from deltatower.polyring import Poly, m_pairs, monomial, var_b, var_c
-from deltatower.series import residual
+from deltatower.series import SeriesContext, delta_consistency_residual, residual
 from deltatower.textio import parse_element
-from deltatower.tower import SeriesContext, _derive_poly, delta_consistency_residual, random_element
+from deltatower.tower import _derive_poly, random_element
 
 SPEC = build_spec((2, 1))
 
@@ -222,7 +222,7 @@ class TestDeltaConsistency:
         cases += [(parse_element(text), build_spec((3,))) for text in self.HARD]
         differing = [(x, spec) for x, spec in cases if wrong(x, spec) != derive(x, spec)]
         assert len(differing) >= 10
-        monkeypatch.setattr(tower, "derive", wrong)
+        monkeypatch.setattr(series, "derive", wrong)
         for x, spec in differing:
             for order in (12, 32, 64):
                 ctx = SeriesContext.default(spec, order=order)
@@ -248,7 +248,7 @@ def _count_exp(monkeypatch):
 def _generator_tables(ctx, spec):
     """The generator series and their reciprocals, by generator, from the
     numeric table of (spec, ctx)."""
-    terms = tower._terms(ctx, spec)
+    terms = series._terms(ctx, spec)
     return terms.gens, terms.recips
 
 
@@ -283,7 +283,7 @@ class TestGeneratorTable:
         eval_series(1 / spec.generator(2, 1), second, spec)
         delta_consistency_residual(spec.generator(1, 2), second, spec)
         assert len(calls) == 6
-        assert tower._terms(first, spec) is tower._terms(second, spec)
+        assert series._terms(first, spec) is series._terms(second, spec)
 
     def test_default_context_is_one_object_per_spec_and_order(self):
         spec = build_spec((2, 1))
@@ -355,14 +355,14 @@ class TestReciprocalDenominators:
     def test_agrees_with_series_division_at_low_order(self, utype):
         spec = build_spec(utype)
         ctx = SeriesContext.default(spec, order=12)
-        terms = tower._terms(ctx, spec)
+        terms = series._terms(ctx, spec)
         rng = random.Random(f"reciprocal {utype}")
         checked = 0
         for _ in range(40):
             x = random_element(rng, spec)
             if x.den.is_const():
                 continue
-            num, den = (tower._eval_poly(p, terms) for p in (x.num, x.den))
+            num, den = (series._eval_poly(p, terms) for p in (x.num, x.den))
             # division loses digits even here (6e-12 on (2*c[1][2] - b[1][2])/b[1][3]^2)
             assert residual(eval_series(x, ctx, spec), num / den) < 1e-9, str(x)
             checked += 1
@@ -484,7 +484,7 @@ class TestMonomialTable:
         ctx = SeriesContext.default(spec, order=12)
         x = parse_element("(b[1][1]^2*b[2][1] + c[1][2]*b[1][2] - 3)/(b[1][2]*b[2][1]^2)")
         eval_series(x, ctx, spec)
-        terms = tower._terms(ctx, spec)
+        terms = series._terms(ctx, spec)
         arrays = [factor for factor, _ in terms.products.values() if factor is not None]
         arrays += [s.coeffs for s in terms.powers.values()]
         assert len(arrays) >= 6 and any(e < 0 for _, e in terms.powers)
@@ -516,12 +516,12 @@ class TestMonomialTable:
         values = SeriesContext.default(spec).values
         first, second = SeriesContext(16, values), SeriesContext(16, values)
         assert first is not second
-        assert tower._terms(first, spec) is tower._terms(second, spec)
-        assert tower._terms(SeriesContext(12, values), spec) is not tower._terms(first, spec)
+        assert series._terms(first, spec) is series._terms(second, spec)
+        assert series._terms(SeriesContext(12, values), spec) is not series._terms(first, spec)
         x = parse_element("b[1][1]*b[2][1]")
         eval_series(x, first, spec)
         [m] = x.num.terms
-        assert m in tower._terms(second, spec).products
+        assert m in series._terms(second, spec).products
 
     @pytest.mark.parametrize(
         "text, error",
@@ -542,7 +542,7 @@ class TestMonomialTable:
 
     @staticmethod
     def _raises_every_time(x, ctx, spec, error):
-        terms = tower._terms(ctx, spec)
+        terms = series._terms(ctx, spec)
         for _ in range(2):
             with pytest.raises(error):
                 eval_series(x, ctx, spec)

@@ -18,10 +18,8 @@ PACKAGE = Path(deltatower.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 PERFBENCH = ROOT / "perfbench"
 
-# the numeric half: only the series oracle may import numpy when it loads
+# the numeric half, the float oracle: the one module that imports numpy
 NUMERIC_MODULES = {"series.py"}
-# the grid half runs on Python ints: these import numpy nowhere
-GRID_MODULES = {"grid.py", "gridcheck.py"}
 
 
 def test_no_assert_statements():
@@ -44,22 +42,18 @@ def _load_time_nodes(node):
 
 
 def _numeric_imports(tree) -> list[int]:
-    """Lines of load-time imports of numpy, the series module or gridcheck."""
+    """Lines of load-time imports of the series module or gridcheck."""
     lines = []
     for node in _load_time_nodes(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.ImportFrom):
             base = "." * node.level + (node.module or "")
             names = [base] if node.module else [base + alias.name for alias in node.names]
-        else:
-            continue
-        if any(n.split(".")[0] == "numpy" or n in (".series", ".gridcheck") for n in names):
-            lines.append(node.lineno)
+            if any(n in (".series", ".gridcheck") for n in names):
+                lines.append(node.lineno)
     return lines
 
 
-def test_only_the_numeric_modules_import_numpy_at_load():
+def test_no_module_imports_series_or_gridcheck_at_load():
     found = [
         f"{path.name}:{line}"
         for path in SOURCES
@@ -68,11 +62,11 @@ def test_only_the_numeric_modules_import_numpy_at_load():
     ]
     assert found == []
     # the rule sees every spelling it forbids
-    for text in ("import numpy as np", "from numpy import dot", "from .series import Series",
-                 "from . import gridcheck", "if True:\n    import numpy",
+    for text in ("from .series import Series", "from . import gridcheck", "from . import series",
+                 "if True:\n    from .gridcheck import properties",
                  "class A:\n    from .series import residual"):
         assert _numeric_imports(ast.parse(text)) != [], text
-    assert _numeric_imports(ast.parse("def f():\n    import numpy")) == []
+    assert _numeric_imports(ast.parse("def f():\n    from . import series")) == []
 
 
 def _imports(tree, packages) -> list[int]:
@@ -110,8 +104,9 @@ def _never_imported(modules, packages):
         assert _imports(ast.parse(f"from . import {p}"), packages) == []
 
 
-def test_the_grid_modules_never_import_numpy():
-    _never_imported(GRID_MODULES, {"numpy"})
+def test_only_the_series_module_imports_numpy():
+    # at load time or inside a function: the float oracle is one module
+    _never_imported({path.name for path in SOURCES} - NUMERIC_MODULES, {"numpy"})
 
 
 def test_no_module_imports_dataclasses():
@@ -304,6 +299,47 @@ def test_the_benchmark_surface_resolves():
 
     assert all(len(entry) == 3 for entry in ALL_PROPERTIES)
     assert [name for name, _, _ in ALL_PROPERTIES] == tracing.GRID_PROPERTIES
+
+
+def _perfbench_reads() -> dict[str, set[str]]:
+    """module -> the names perfbench/ops.py imports from it or
+    tracing.FUNCTIONS wraps there."""
+    tree = ast.parse((PERFBENCH / "ops.py").read_text(encoding="utf-8"))
+    reads: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("deltatower."):
+            reads.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, module, attr in tracing.FUNCTIONS:
+        reads.setdefault(f"deltatower.{module}", set()).add(attr)
+    return reads
+
+
+def test_the_forwards_to_series_are_only_what_perfbench_reads():
+    # an exact module forwards (PEP 562) exactly the names perfbench reads
+    # from it that live in ``series``: a forward cannot grow into API
+    series = importlib.import_module("deltatower.series")
+    reads = _perfbench_reads()
+    forwards = {}
+    for path in SOURCES:
+        if path.stem in ("__init__", "__main__", "series"):
+            continue
+        module = importlib.import_module(f"deltatower.{path.stem}")
+        moved = {
+            name for name in reads.get(module.__name__, ())
+            if getattr(getattr(module, name), "__module__", None) == series.__name__
+        }
+        forwarded = vars(module).get("_FORWARDED", ())
+        assert set(forwarded) == moved and len(forwarded) == len(moved), path.name
+        assert ("__getattr__" in vars(module)) == bool(moved), path.name
+        for name in forwarded:
+            assert getattr(module, name) is getattr(series, name), name
+        if moved:
+            forwards[path.stem] = sorted(forwarded)
+            assert not hasattr(module, "Series") and not hasattr(module, "_terms"), path.name
+    assert sum(map(len, forwards.values())) == 6, forwards
 
 
 def _unresolved_hints(module) -> list[str]:

@@ -25,7 +25,8 @@ from deltatower import cli, elements, polyring, tower
 from deltatower.elements import ONE_ELEMENT, ZERO_ELEMENT, Element
 from deltatower.polyring import Poly, m_pairs, monomial
 from deltatower.relations import certify_independence
-from deltatower.tower import SeriesContext, _derive_poly, eval_series, random_element
+from deltatower.series import SeriesContext, eval_series
+from deltatower.tower import _derive_poly, random_element
 
 SPEC = build_spec((2, 2, 1))
 B11 = SPEC.generator(1, 1)
