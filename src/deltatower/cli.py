@@ -34,6 +34,7 @@ or grid module, and the grid commands no exact-side module.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -279,6 +280,15 @@ def _small(residual: float, label: str) -> tuple[bool, str]:
     return residual < 1e-9, f"{label} {residual:.3e}"
 
 
+def _consistent(s: deltatower.Series, verdict) -> tuple[bool, str]:
+    """The exact delta-consistency verdict, a FAIL without it when the
+    printed series is not finite."""
+    if not math.isfinite(s.max_abs()):
+        return False, "printed series is not finite"
+    holds = verdict() == 0.0
+    return holds, f"N d^2 {'=' if holds else '!='} D (n'd - n d') at a point mod a prime"
+
+
 def cmd_series(args, argv) -> int:
     from .operators import logd_system
     from .series import SeriesContext, delta_consistency_residual, eval_series, quiet_overflow
@@ -336,10 +346,8 @@ def cmd_series(args, argv) -> int:
             s = eval_series(x, ctx, spec)
             print(f"element: {x}")
             print(f"series: {_format_series(s)}")
-            residual = partial(delta_consistency_residual, x, ctx, spec)
-            report.run(
-                "delta_consistency", lambda: _small(residual(), "derivation/series residual")
-            )
+            verdict = partial(delta_consistency_residual, x, ctx, spec)
+            report.run("delta_consistency", lambda: _consistent(s, verdict))
     return report.finish()
 
 

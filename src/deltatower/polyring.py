@@ -180,7 +180,8 @@ def _normal(c):
     """c as an int when it is integral, else as a Fraction."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if type(c) is not Fraction:  # a Fraction is already in lowest terms
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

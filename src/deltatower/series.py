@@ -19,13 +19,16 @@ out afresh.  A denominator that is one monomial is evaluated by
 multiplying with reciprocal series, with no division; any other
 denominator, such as a power of e_k, is divided by series division.
 
-The oracle checks the exact side three ways: ``delta_consistency_residual``
-compares ``tower.derive`` with d/dt, ``solve_prolonged`` and
-``prolonged_residual`` solve and check the prolonged system x_i' = x_i
-x_{i+1} behind the iterated logarithmic derivative, and
-``series_rank_check`` is the numerical rank of all monomials y^r up to a
-degree bound, where full row rank means no relation is detected
-numerically.
+The oracle checks the exact side three ways.  ``delta_consistency_residual``
+checks ``tower.derive`` with no float at all: it evaluates the identity
+N d^2 = D (n' d - n d') at one pseudo-random point mod a Mersenne prime,
+with delta carried as the dual part of each value (eps^2 = 0), so its
+verdict is exact (a FAIL proves derive wrong) and independent of the
+order.  ``solve_prolonged`` and ``prolonged_residual`` solve and check the
+prolonged system x_i' = x_i x_{i+1} behind the iterated logarithmic
+derivative, and ``series_rank_check`` is the numerical rank of all
+monomials y^r up to a degree bound, where full row rank means no relation
+is detected numerically.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import count, islice, takewhile
+from random import Random
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from .elements import Element
 from .errors import BudgetExceeded, NonInvertibleSeries, ParseError, Record, TruncationTooShort
 from .errors import UnknownSymbol, ZeroInitialValue
 from .operators import ProlongedSystem
-from .polyring import Poly, Var, m_pairs, var_c, var_name
+from .polyring import _PRIMES, _SLOT_VARS, Poly, Var, _fields, m_pairs, var_b, var_c, var_name
 from .relations import degree_vectors
 from .tower import TowerSpec, derive
 
@@ -218,6 +222,8 @@ class SeriesContext(Record):
     def __init__(self, order: int, values: tuple[tuple[Var, float], ...]):
         if order < 2:
             raise ValueError("truncation order must be >= 2")
+        if not all(math.isfinite(val) for _, val in values):
+            raise ValueError("assigned values must be finite")
         by_level: dict[int, list[float]] = {}
         for (kind, level, _), val in values:
             if kind == "c":
@@ -399,17 +405,83 @@ def eval_series(x: Element, ctx: SeriesContext, spec: TowerSpec) -> Series:
     return num / scalar
 
 
+# --- delta-consistency, exact at one point ---------------------------------
+
+
+class _Unlucky(Exception):
+    """A denominator vanishes mod the prime: the check moves to the next one."""
+
+
+def _residue(q, prime: int) -> int:
+    """The rational q mod prime."""
+    if type(q) is int:
+        return q % prime
+    if not q.denominator % prime:
+        raise _Unlucky
+    return q.numerator * pow(q.denominator, -1, prime) % prime
+
+
+def _point(ctx: SeriesContext, spec: TowerSpec, prime: int) -> dict[Var, tuple[int, int]]:
+    """v -> (value, delta v / v) mod prime, once per (spec, values, prime).
+    A constant takes its context value, exactly, with delta c / c = 0.  A
+    generator b[i][j] takes a residue drawn from its name and the prime,
+    with delta b / b = c[i][j] * P_i, P_i = prod_{k<i} e_k at the point."""
+    key = ("point", ctx.values, prime)
+    if key not in spec._caches:
+        point = {v: (_residue(Fraction(x), prime), 0) for v, x in ctx.values}
+        below = 1  # P_i
+        for i, n in enumerate(spec.ranks, 1):
+            level = 0  # e_i
+            for j in range(1, n + 1):
+                # seeded by text: a str seed is hashed by sha512, not by hash()
+                seed = f"{var_name(var_b(i, j))} mod 2^{prime.bit_length()} - 1"
+                b = Random(seed).randrange(1, prime)
+                point[var_b(i, j)] = b, _lookup(point, var_c(i, j))[0] * below % prime
+                level += b
+            below = below * level % prime
+        spec._caches[key] = point
+    return spec._caches[key]
+
+
+def _dual(p: Poly, point: dict[Var, tuple[int, int]], prime: int) -> tuple[int, int]:
+    """(p, delta p) at the point, in Z/prime[eps]/(eps^2): a term c*m adds
+    c*m, and c*m times delta m / m = sum_v e_v * delta v / v."""
+    value = slope = 0
+    for m, c in p.terms.items():
+        term, log = _residue(c, prime), 0
+        for s, e in enumerate(_fields(m)):
+            if e:
+                r, dlog = _lookup(point, _SLOT_VARS[s])
+                term = term * pow(r, e, prime) % prime
+                log += e * dlog
+        value += term
+        slope += term * log
+    return value % prime, slope % prime
+
+
 def delta_consistency_residual(x: Element, ctx: SeriesContext, spec: TowerSpec) -> float:
-    """Scaled disagreement between derive(x) and d/dt of x as series, with no
-    division: for x = n/d and derive(x) = N/D it compares N d^2 with
-    D (n' d - n d') over the shared coefficients.  d(0) = 0 raises
-    NonInvertibleSeries, as evaluating x would."""
-    terms = _terms(ctx, spec)
+    """0.0 when derive(x) is delta(x) at one point, 1.0 when it is not.
+    For x = n/d and derive(x) = N/D it tests N d^2 = D (n' d - n d') mod
+    2^61 - 1, the first prime of ``polyring._PRIMES``, at ``_point``: n and
+    d are evaluated with their derivatives as dual parts, and of N and D
+    only the values are read.
+    Where a coefficient's denominator, d or D vanishes there, the next
+    prime is tried.  A difference is a proof that derive is wrong; a wrong
+    derive agrees at the point with probability at most its degree over
+    the prime (Schwartz 1980, Zippel 1979).  No series is built, so the
+    verdict depends neither on ctx.order nor on rounding."""
     dx = derive(x, spec)
-    n, d, num, den = (_eval_poly(p, terms) for p in (x.num, x.den, dx.num, dx.den))
-    if d[0] == 0.0:
-        raise NonInvertibleSeries("denominator has zero constant term")
-    return residual(num * d * d, den * (n.deriv() * d - n * d.deriv()))
+    for prime in _PRIMES:
+        try:
+            point = _point(ctx, spec, prime)
+            (n, dn), (d, dd), (num, _), (den, _) = (
+                _dual(p, point, prime) for p in (x.num, x.den, dx.num, dx.den)
+            )
+        except _Unlucky:
+            continue
+        if d and den:
+            return 0.0 if (num * d * d - den * (dn * d - n * dd)) % prime == 0 else 1.0
+    raise NonInvertibleSeries("a denominator vanishes at every point tried")
 
 
 # --- the prolonged system ---------------------------------------------------

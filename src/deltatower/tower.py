@@ -28,13 +28,14 @@ import json
 import random
 import re
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 from .elements import Element
 from .errors import DomainViolation, LevelOutOfRange, LogOfZero, ParseError, Record
-from .polyring import ONE, LevelSum, Poly, Var, cancel, level_sum, m_pairs, monomial, product
-from .polyring import var_b, var_c
+from .polyring import _SLOT_VARS, ONE, LevelSum, Poly, Var, cancel, level_sum, monomial, product
+from .polyring import _fields, var_b, var_c
 
 
 def _level_key(k: int, n: int) -> LevelSum:
@@ -49,8 +50,9 @@ class TowerSpec(Record):
     ``_caches`` holds what is computed once per spec and outlives a call,
     keyed by tuples whose first entry names the kind; equality and the hash
     ignore it.  ``("twist", i)``: 1/P_i.  ``("generator", i, j)``: the
-    element b[i][j].  ``("default", order)`` and ``("terms", ctx)``: the
-    default SeriesContext and the numeric table of a context, which
+    element b[i][j].  ``("default", order)``, ``("terms", ctx)`` and
+    ``("point", values, prime)``: the default SeriesContext, the numeric
+    table of a context and the point of the exact delta check, which
     ``series`` fills.  ``("eigenvalues", level, variables)`` and
     ``("weights", level, variables)``: the relations' logD_i of the
     variables and the table r -> r . lambda that a reduction run reads and
@@ -166,21 +168,29 @@ def build_spec(utype: tuple[int, ...] | list[int]) -> TowerSpec:
 # --- derivations ----------------------------------------------------------
 
 
+@cache
+def _euler_slot(s: int) -> tuple[int, int] | None:
+    """(i, the monomial c[i][j]) when slot s holds b[i][j], else None."""
+    kind, i, j = _SLOT_VARS[s]
+    return (i, monomial(((var_c(i, j), 1),))) if kind == "b" else None
+
+
 def _derive_poly(p: Poly, spec: TowerSpec) -> Poly:
     """delta(p) = sum_i P_i * E_i(p), P_i = prod_{k<i} e_k, with the Euler
     operator E_i = sum_{v at level i} c_v x_v d/dx_v mapping coeff*m to
     e_v*coeff on m*c_v for each level-i generator v of exponent e_v in m.
-    Two (m, v) can land on one monomial (b1*b2*c2 from v = b1, b1*b2*c1
-    from v = b2): coefficients add up, and Poly drops a zero sum."""
-    euler: dict[int, Counter] = defaultdict(Counter)  # i -> E_i(p), monomial -> coefficient
-    c_of: dict[tuple[int, int], int] = {}  # (i, j) -> the monomial c[i][j], built once per call
+    Each monomial is decoded once; P_1 = 1 multiplies nothing.  Two (m, v)
+    can land on one monomial (b1*b2*c2 from v = b1, b1*b2*c1 from v = b2):
+    coefficients add up, and Poly drops a zero sum."""
+    euler: dict[int, dict] = {}  # i -> E_i(p), monomial -> coefficient
     for m, coeff in p.terms.items():
-        for (kind, i, j), e in m_pairs(m):
-            if kind == "b":
-                if (i, j) not in c_of:
-                    c_of[i, j] = monomial(((var_c(i, j), 1),))
-                euler[i][m + c_of[i, j]] += e * coeff
-    return sum((Poly(euler[i]) * spec.twist(i).den for i in sorted(euler)), Poly())
+        for s, e in enumerate(_fields(m)):
+            if e and (found := _euler_slot(s)):
+                i, c = found
+                level = euler.setdefault(i, {})
+                level[m + c] = level.get(m + c, 0) + e * coeff
+    levels = [product(Poly(euler[i]), spec.twist(i).den) for i in sorted(euler)]
+    return sum(levels[1:], levels[0]) if levels else Poly()
 
 
 def derive(x: Element, spec: TowerSpec) -> Element:

@@ -19,6 +19,7 @@ from deltatower.polyring import (
     _PRIMES,
     _make_primitive,
     _monomial_content,
+    _normal,
     _points,
     _slot,
     cancel,
@@ -79,6 +80,16 @@ def test_monomial_order_lex_tiebreak():
     for cmp in (m_cmp, key_cmp):
         assert cmp(monomial([(C11, 1)]), monomial([(B11, 1)])) > 0
         assert cmp(monomial([(B12, 1)]), monomial([(B11, 1)])) > 0
+
+
+def test_normal_keeps_a_fraction_and_makes_the_rest_canonical():
+    q = Fraction(3, 7)
+    assert _normal(q) is q  # already in lowest terms: no copy
+    for c, want in [(True, 1), (False, 0), (2.0, 2), (2.5, Fraction(5, 2)), (Fraction(6, 3), 2), (7, 7)]:
+        got = _normal(c)
+        assert got == want and type(got) is type(want), c
+    terms = Poly({monomial([(B11, 1)]): q}).terms
+    assert next(iter(terms.values())) is q
 
 
 def test_exact_div_simple():

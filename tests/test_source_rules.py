@@ -109,6 +109,27 @@ def test_only_the_series_module_imports_numpy():
     _never_imported({path.name for path in SOURCES} - NUMERIC_MODULES, {"numpy"})
 
 
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"the exact verdict read numpy.{name}")
+
+
+def test_the_delta_consistency_verdict_uses_no_float(monkeypatch):
+    # its verdict is exact: with numpy gone from ``series`` it still decides,
+    # and eval_series, which needs numpy, would fail here
+    from deltatower.series import SeriesContext, delta_consistency_residual
+    from deltatower.textio import parse_element
+    from deltatower.tower import build_spec
+
+    spec = build_spec((2, 1))
+    ctx = SeriesContext.default(spec, order=16)
+    monkeypatch.setattr(deltatower.series, "np", _NoNumpy())
+    for text in ["b[1][1]*b[2][1]", "b[1][2]^2/b[1][1]^3", "(c[1][1] + b[2][1])/(b[1][1] + b[1][2])^2"]:
+        assert delta_consistency_residual(parse_element(text), ctx, spec) == 0.0, text
+    with pytest.raises(AssertionError, match="numpy"):
+        deltatower.series.eval_series(parse_element("b[1][1]"), ctx, spec)
+
+
 def test_no_module_imports_dataclasses():
     # a CLI start that imports it also loads ``inspect``, which costs more
     # than the exact checks of a small tower

@@ -25,7 +25,7 @@ from deltatower import cli, elements, polyring, tower
 from deltatower.elements import ONE_ELEMENT, ZERO_ELEMENT, Element
 from deltatower.polyring import Poly, m_pairs, monomial
 from deltatower.relations import certify_independence
-from deltatower.series import SeriesContext, eval_series
+from deltatower.series import SeriesContext, delta_consistency_residual, eval_series
 from deltatower.tower import _derive_poly, random_element
 
 SPEC = build_spec((2, 2, 1))
@@ -307,12 +307,12 @@ class TestTowerSpec:
 
 
 # the kinds of TowerSpec._caches keys; the TowerSpec docstring names each
-SPEC_CACHE_KINDS = {"twist", "default", "terms", "eigenvalues", "weights", "generator"}
+SPEC_CACHE_KINDS = {"twist", "default", "terms", "point", "eigenvalues", "weights", "generator"}
 
 
 def test_every_per_spec_cache_is_named(monkeypatch, capsys):
     # the spec that tower build --check builds and checks, then a
-    # certificate with its replay and eval_series on the same spec
+    # certificate with its replay, eval_series and the delta check on the same spec
     specs = []
     real = tower.build_spec
     monkeypatch.setattr(tower, "build_spec", lambda utype: specs.append(real(utype)) or specs[-1])
@@ -322,6 +322,8 @@ def test_every_per_spec_cache_is_named(monkeypatch, capsys):
     trace = certify_independence(spec.generators(1), 3, spec)
     assert trace.replay(spec)
     ctx = SeriesContext.default(spec, order=12)
-    eval_series(parse_element("(b[1][1]*c[2][1] - b[2][1])/(b[1][1] + b[1][2])^2"), ctx, spec)
+    x = parse_element("(b[1][1]*c[2][1] - b[2][1])/(b[1][1] + b[1][2])^2")
+    eval_series(x, ctx, spec)
+    assert delta_consistency_residual(x, ctx, spec) == 0.0
     assert {key[0] for key in spec._caches} == SPEC_CACHE_KINDS
     assert all(f'``("{kind}"' in TowerSpec.__doc__ for kind in SPEC_CACHE_KINDS)
