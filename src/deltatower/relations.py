@@ -26,11 +26,14 @@ Over the constants (every functional constant) no step changes a
 functional: phi* - phi(r) is constant, so its logD_i is 0.  A step
 multiplies s_r by the constant (p - r) . lambda, and the constants are a
 field, so s_r becomes 0 exactly when r . lambda == p . lambda.  A run
-then carries the functionals restricted to the support, and a replay of a
-relation with constant coefficients follows the support alone: the trace
-stores no coefficient, so the zero test is all a product was for.  Other
-relations step on Elements.  A replay re-executes every step, compares it
-with the trace, then checks the verdict against the end state.
+then restricts the functionals to the support and looks for a collision
+once, as distinct values stay distinct.  A replay of a relation with
+constant coefficients follows the support alone (the trace stores no
+coefficient): it checks each step's functionals against the step before,
+so those the run carried over compare by identity, and drops weight
+classes found once.  Other relations step on Elements.  A replay
+re-executes every step, compares it with the trace, then checks the
+verdict against the end state.
 
 The weights r . lambda are pairwise distinct for all r exactly when the
 eigenvalues are Q-linearly independent (`qlinear_independent`): the
@@ -43,13 +46,14 @@ The independent numerical oracle, the series rank check, is in
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .elements import Element, ONE_ELEMENT, ZERO_ELEMENT
 from .errors import LengthMismatch, NotLinear, Record, SupportTooSmall
-from .polyring import ONE, Poly, Var, m_pairs
+from .polyring import ONE, Poly, Var, _normal, m_pairs
 from .tower import TowerSpec, logd
 
 ExponentVector = tuple[int, ...]
@@ -61,17 +65,18 @@ ExponentVector = tuple[int, ...]
 def qlinear_dot(r: Sequence[int], values: Sequence[Element]) -> Element:
     """The Q-linear functional sum(r_j * values_j).  Over the shared
     denominator 1 it is one accumulation of the numerators' terms, each
-    scaled by r_j; other denominators take the Element sums."""
+    scaled by r_j, in the pass that tests the denominators; other
+    denominators take the Element sums."""
     if len(r) != len(values):
         raise LengthMismatch(f"{len(r)} coefficients for {len(values)} values")
-    if any(value.den is not ONE for value in values):
-        return sum((value * Fraction(coeff) for coeff, value in zip(r, values)), ZERO_ELEMENT)
     acc: dict = {}
     for coeff, value in zip(r, values):
+        if value.den is not ONE:
+            return sum((value * Fraction(coeff) for coeff, value in zip(r, values)), ZERO_ELEMENT)
         if coeff:
             for m, c in value.num.terms.items():
                 acc[m] = acc.get(m, 0) + coeff * c
-    return Element._parts(Poly(acc))
+    return Element._parts(Poly({m: _normal(c) for m, c in acc.items() if c}, _trusted=True))
 
 
 def linear_coefficients(x: Element) -> tuple[Fraction, dict[Var, Fraction]]:
@@ -292,18 +297,27 @@ def _replay_literal(G: MonomialRelation, steps, weights: dict, spec: TowerSpec) 
     return G.coefficients
 
 
-def _replay_support(G: MonomialRelation, steps, weights: dict) -> set | None:
+def _replay_support(G: MonomialRelation, steps, weights: dict) -> list | None:
     """The steps of G with constant coefficients, on its support alone: the
-    final support, or None at the first step that does not match.  Each
-    functional is the weight r . lambda, and step p keeps r exactly when
-    (p - r) . lambda, the constant s_r is multiplied by, is nonzero."""
-    support = set(G.coefficients)
+    final support, sorted, or None at the first step that does not match.
+    Each functional is the weight r . lambda, checked against ``weights`` at
+    the first step and against the step before, restricted, after it; step
+    p keeps r exactly when (p - r) . lambda, the constant s_r is multiplied
+    by, is nonzero, so it drops the pivot's weight class."""
+    support, expected, classes = sorted(G.coefficients), weights, None
     for step in steps:
-        if step.pivot not in support or step.functionals != {r: weights[r] for r in support}:
+        if step.functionals != expected or step.pivot not in expected:
             return None
-        weight = weights[step.pivot]
-        support = {r for r in support if weights[r] != weight}
-        if not support or tuple(sorted(support)) != step.remaining_support:
+        if classes is None:  # keyed by checked functionals, which hash once
+            classes = {}
+            for r, phi in step.functionals.items():
+                classes.setdefault(phi, []).append(r)
+        # a class leaves whole, so each member is still in the support
+        expected = step.functionals.copy()
+        for r in classes[step.functionals[step.pivot]]:
+            del expected[r]
+            del support[bisect_left(support, r)]
+        if not support or tuple(support) != step.remaining_support:
             return None
     return support
 
@@ -332,9 +346,10 @@ class ReductionTrace(Record):
         When every initial coefficient is constant, every functional is its
         weight and a step drops the pivot and each r of the pivot's weight,
         the exact zero test of the constant product (p - r) . lambda * s_r,
-        so the replay follows the support alone (`_replay_support`).  Any
-        other relation steps on Elements as reduce_step does, each step
-        adding logD_i of its expanded coefficients.
+        so the replay follows the support alone (`_replay_support`), each
+        step compared with the step before.  Any other relation steps on
+        Elements as reduce_step does, each adding logD_i of its expanded
+        coefficients.
 
         NoNontrivialRelation needs one vector left; InvariantMonomialFound
         the colliding pair left, with equal functionals and
@@ -375,31 +390,31 @@ class ReductionTrace(Record):
         )
 
     def to_json(self) -> str:
-        # each support vector's text is built once; an Element keeps its own
-        keys: dict[ExponentVector, str] = {}
+        # each key's text is built once, from the initial support, which
+        # holds every step's vectors; dumps sorts the keys, as strings
+        keys = {r: ",".join(map(str, r)) for r in self.initial.coefficients}
         doc = {
             "verdict": self.verdict.value,
-            "initial_support": [list(r) for r in self.initial.support],
+            "initial_support": self.initial.support,
             "variables": [str(v) for v in self.initial.variables],
             "level": self.initial.level,
             "steps": [
                 {
-                    "pivot": list(s.pivot),
-                    "functionals": {
-                        keys.get(r) or keys.setdefault(r, ",".join(map(str, r))): str(phi)
-                        for r, phi in sorted(s.functionals.items())
-                    },
-                    "eliminated_term": list(s.pivot),
-                    "remaining_support": [list(r) for r in s.remaining_support],
+                    "pivot": s.pivot,
+                    "functionals": dict(
+                        zip(map(keys.__getitem__, s.functionals), map(str, s.functionals.values()))
+                    ),
+                    "eliminated_term": s.pivot,
+                    "remaining_support": s.remaining_support,
                 }
                 for s in self.steps
             ],
         }
         if self.invariant_exponent is not None:
-            doc["invariant_exponent"] = list(self.invariant_exponent)
+            doc["invariant_exponent"] = self.invariant_exponent
             doc["invariant_element"] = str(self.invariant_element)
         if self.colliding_pair is not None:
-            doc["colliding_pair"] = [list(r) for r in self.colliding_pair]
+            doc["colliding_pair"] = self.colliding_pair
         return json.dumps(doc, sort_keys=True)
 
 
@@ -409,9 +424,11 @@ def run_reduction(G: MonomialRelation, spec: TowerSpec) -> ReductionTrace:
     logD_i is additive over products, so phi(r) gains logD_i(phi* - phi(r)).
     That is zero when the difference is constant, and phi(r) is kept as it
     is; the weights r . lambda are read once, from the spec's table, by the
-    first functionals.
-    When every functional is constant, every difference is, and the
-    functionals are only restricted to the support left."""
+    first functionals.  Without a collision a step drops only its pivot, so
+    the pivots are the support sorted once.
+    When every functional is constant, every difference is: the functionals
+    are only restricted to the support left, and a collision is looked for
+    once, before the first step, since they stay pairwise distinct."""
     return _run_reduction(G, G.functionals(spec) if len(G.coefficients) > 1 else {}, spec)
 
 
@@ -419,8 +436,9 @@ def _run_reduction(G: MonomialRelation, phis: dict, spec: TowerSpec) -> Reductio
     """run_reduction with the functionals phis of G already computed."""
     steps: list[ReductionStep] = []
     constant = _all_constant(phis.values())
-    while len(phis) > 1:
-        collision = _find_collision(phis)
+    order = sorted(phis)
+    for i, pivot in enumerate(order[:-1]):
+        collision = _find_collision(phis) if i == 0 or not constant else None
         if collision is not None:
             r1, r2 = collision
             return ReductionTrace(
@@ -431,17 +449,16 @@ def _run_reduction(G: MonomialRelation, phis: dict, spec: TowerSpec) -> Reductio
                 invariant_element=invariant_monomial(G, r1, r2, spec),
                 colliding_pair=(r1, r2),
             )
-        pivot = min(phis)
-        rest = tuple(sorted(r for r in phis if r != pivot))
+        rest = tuple(order[i + 1:])
         steps.append(ReductionStep(pivot, phis, rest))
         if len(rest) == 1:
             # the survivor's functional is never needed, and its logD can
             # take the general gcd far longer than the whole run
             break
-        phis = {
-            r: phis[r] if constant else _plus_logd(phis[r], phis[pivot] - phis[r], G.level, spec)
-            for r in rest
-        }
+        phi_star, phis = phis[pivot], phis.copy()
+        del phis[pivot]
+        if not constant:
+            phis = {r: _plus_logd(phi, phi_star - phi, G.level, spec) for r, phi in phis.items()}
     return ReductionTrace(G, tuple(steps), Verdict.NO_NONTRIVIAL_RELATION)
 
 

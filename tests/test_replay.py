@@ -202,6 +202,25 @@ def test_a_certificate_and_its_replay_multiply_nothing():
     assert calls == []
 
 
+def test_a_certificate_over_the_constants_compares_each_functional_once():
+    # a run looks for a collision once, a restriction of distinct constants
+    # staying distinct; a replay compares each step's functionals with the
+    # step before, the same objects, and drops weight classes found once
+    spec = build_spec((3,))
+    collisions, equalities = [], []
+    find_collision, eq = relations._find_collision, Element.__eq__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relations, "_find_collision", lambda phis: collisions.append(1) or find_collision(phis))
+        trace = certify_independence(spec.generators(1), 6, spec)
+        mp.setattr(Element, "__eq__", lambda a, b: equalities.append(1) or eq(a, b))
+        assert trace.replay(spec)
+    assert (len(trace.initial.coefficients), len(trace.steps)) == (83, 82)
+    # 83 and 6,970 when every step looked for a collision and compared
+    # every remaining weight
+    assert len(collisions) <= 2
+    assert len(equalities) <= 2 * 83
+
+
 # --- the end state ----------------------------------------------------------
 
 FULL = certify_independence([B11, B12, B13], 2, SPEC)  # 9 terms, 8 steps
@@ -272,6 +291,21 @@ def test_an_invariant_over_generator_coefficients_steps_on_elements():
     assert finals == []
 
 
+def test_a_collision_after_a_step_is_found_on_elements():
+    # generator coefficients: the functionals of (1,1) and (2,0) differ
+    # until the step with pivot (0,2) adds logD_2 of their differences with
+    # the pivot's, so the general loop looks for a collision at every step
+    spec = build_spec((1, 2))
+    b11, b21 = spec.generator(1, 1), spec.generator(2, 1)
+    G = relation(2, (b21, b21), {(0, 2): b11, (1, 1): b11 - 1, (2, 0): b11 + 1})
+    trace = run_reduction(G, spec)
+    assert trace.verdict is Verdict.INVARIANT_MONOMIAL_FOUND
+    assert len(trace.steps) == 1 and trace.colliding_pair == ((1, 1), (2, 0))
+    with support_replays() as finals:
+        assert trace.replay(spec)
+    assert finals == []
+
+
 def test_degenerate_traces():
     dup = certify_independence([B11, B11], 1, SPEC)
     assert dup.verdict is Verdict.DEGENERATE and dup.replay(SPEC)
@@ -296,21 +330,30 @@ def test_degenerate_traces():
 # --- tampered steps over the constants --------------------------------------
 
 
-def _tampered(kind):
+def _tampered(kind, at=2):
+    """FULL with its step ``at`` changed, or with a step dropped or added."""
     steps = list(FULL.steps)
-    step = steps[2]
+    step = steps[at]
     if kind == "swapped pivot":
         other = step.remaining_support[0]
-        steps[2] = ReductionStep(other, step.functionals, step.remaining_support)
-    elif kind == "functional changed":
+        steps[at] = ReductionStep(other, step.functionals, step.remaining_support)
+    elif kind in ("functional changed", "equal functional"):
+        # the lex-greatest vector survives every step, so each later step
+        # carries the functional on to compare with this one
         r = max(step.functionals)
-        phis = {**step.functionals, r: step.functionals[r] + ONE_ELEMENT}
-        steps[2] = ReductionStep(step.pivot, phis, step.remaining_support)
+        phi = step.functionals[r]
+        # parsed back from its text: equal, but a distinct object
+        phi = phi + ONE_ELEMENT if kind == "functional changed" else parse_element(str(phi))
+        steps[at] = ReductionStep(step.pivot, {**step.functionals, r: phi}, step.remaining_support)
+    elif kind == "functional of a dropped vector":
+        gone = steps[at - 1].pivot
+        phis = {**step.functionals, gone: steps[at - 1].functionals[gone]}
+        steps[at] = ReductionStep(step.pivot, phis, step.remaining_support)
     elif kind == "extra remaining":
         extra = step.remaining_support + ((3, 0, 0),)
-        steps[2] = ReductionStep(step.pivot, step.functionals, extra)
+        steps[at] = ReductionStep(step.pivot, step.functionals, extra)
     elif kind == "reordered remaining":
-        steps[2] = ReductionStep(step.pivot, step.functionals, step.remaining_support[::-1])
+        steps[at] = ReductionStep(step.pivot, step.functionals, step.remaining_support[::-1])
     elif kind == "dropped middle step":
         del steps[2]
     elif kind == "step past the survivor":  # it leaves no vector, so no step
@@ -339,6 +382,35 @@ def test_a_pivot_outside_the_support_fails_on_elements():
 ])
 def test_a_tampered_constant_trace_fails(kind):
     assert both_replays(_tampered(kind), SPEC) == (False, False)
+
+
+@pytest.mark.parametrize("kind, at", [
+    (kind, at)
+    for kind in ("swapped pivot", "functional changed", "extra remaining", "reordered remaining")
+    for at in (0, -1)
+    if (kind, at) != ("reordered remaining", -1)  # the last step keeps one vector
+])
+def test_a_tampered_first_or_last_step_fails(kind, at):
+    assert both_replays(_tampered(kind, at), SPEC) == (False, False)
+
+
+@pytest.mark.parametrize("at", [0, 2, -1])
+def test_an_equal_but_distinct_functional_replays(at):
+    # the support path checks each step's functionals against the step
+    # before; a copy is not the object the run carried on, and compares
+    # by value, at this step and at every later one
+    trace = _tampered("equal functional", at)
+    step = trace.steps[at]
+    r = max(step.functionals)
+    assert step.functionals[r] is not FULL.steps[at].functionals[r]
+    assert both_replays(trace, SPEC) == (True, True)
+
+
+@pytest.mark.parametrize("at", [2, -1])
+def test_a_functional_of_a_dropped_vector_fails(at):
+    # the step before was checked, and holds the dropped vector's true
+    # functional: only the support restricts the comparison
+    assert both_replays(_tampered("functional of a dropped vector", at), SPEC) == (False, False)
 
 
 # --- drawn supports ---------------------------------------------------------
