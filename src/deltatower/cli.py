@@ -164,49 +164,43 @@ def cmd_tower_build(args, argv) -> int:
 
     report = RunReport("tower build", tuple(argv))
     rng = random.Random(args.seed)
+
+    def check_kernel(i, op, e_i):
+        return apply_operator(op, e_i, spec).is_zero(), f"apply(E{i}, e_{i})"
+
+    def check_generic(i, op, e_i):
+        deco = decompose(e_i, i, spec)
+        return is_generic(deco), f"{len(deco.components)} eigencomponents"
+
+    def check_symmetry(i, op, e_i):
+        base = expand(op)
+        for perm in permutations(op.eigenvalues):
+            if expand(FactoredOperator(i, perm)).coefficients != base.coefficients:
+                return False, "expansion depends on the factor order"
+        return True, f"{len(op.eigenvalues)} factors, all orders agree"
+
+    def check_expand_apply(i, op, e_i):
+        probe = random_element(rng, spec, allow_denominator=False)
+        same = apply_operator(expand(op), probe, spec) == apply_operator(op, probe, spec)
+        return same, "factored and expanded forms agree on a random element"
+
+    def check_independence(i, op, e_i):
+        trace = certify_independence(spec.generators(i), 2, spec, level=i)
+        verdict = trace.verdict is Verdict.NO_NONTRIVIAL_RELATION
+        return verdict, f"degree<=2, {len(trace.steps)} reduction steps"
+
+    # CHECK name (formatted with the level) -> check, run in this order at each level
+    checks = {
+        "kernel_e{i}": check_kernel,
+        "genericity_e{i}": check_generic,
+        "expand_symmetry_E{i}": check_symmetry,
+        "expand_apply_E{i}": check_expand_apply,
+        "independence_level{i}": check_independence,
+    }
     for i in range(1, spec.ell + 1):
-        op = operators[i]
         e_i = spec.e(i)
-
-        def check_kernel(op=op, e_i=e_i, i=i):
-            value = apply_operator(op, e_i, spec)
-            return value.is_zero(), f"apply(E{i}, e_{i})"
-
-        report.run(f"kernel_e{i}", check_kernel)
-
-        def check_generic(e_i=e_i, i=i):
-            deco = decompose(e_i, i, spec)
-            return is_generic(deco), f"{len(deco.components)} eigencomponents"
-
-        report.run(f"genericity_e{i}", check_generic)
-
-        def check_symmetry(op=op, i=i):
-            base = expand(op)
-            for perm in permutations(op.eigenvalues):
-                other = expand(FactoredOperator(i, perm))
-                if other.coefficients != base.coefficients:
-                    return False, "expansion depends on the factor order"
-            return True, f"{len(op.eigenvalues)} factors, all orders agree"
-
-        report.run(f"expand_symmetry_E{i}", check_symmetry)
-
-        def check_expand_apply(op=op, rng=rng):
-            probe = random_element(rng, spec, allow_denominator=False)
-            expanded = expand(op)
-            same = apply_operator(expanded, probe, spec) == apply_operator(op, probe, spec)
-            return same, "factored and expanded forms agree on a random element"
-
-        report.run(f"expand_apply_E{i}", check_expand_apply)
-
-        def check_independence(i=i):
-            trace = certify_independence(spec.generators(i), 2, spec, level=i)
-            return (
-                trace.verdict is Verdict.NO_NONTRIVIAL_RELATION,
-                f"degree<=2, {len(trace.steps)} reduction steps",
-            )
-
-        report.run(f"independence_level{i}", check_independence)
-
+        for name, check in checks.items():
+            report.run(name.format(i=i), partial(check, i, operators[i], e_i))
     return report.finish()
 
 

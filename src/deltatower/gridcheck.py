@@ -224,21 +224,14 @@ def _pairs_closed(gr: GridModel | _Grid):
 
 
 def _check(name, gen):
-    """Build a property's report.  gen yields None for an instance that
-    holds, an int for a batch of that many instances that hold, or a
-    counterexample string, which ends the run."""
+    """Build a property's report.  gen yields the count of a batch of
+    instances that hold, or a counterexample string, which ends the run."""
     count = 0
-    counterexample = None
     for outcome in gen:
-        if outcome is None:
-            count += 1
-        elif isinstance(outcome, int):
-            count += outcome
-        else:
-            count += 1
-            counterexample = outcome
-            break
-    return PropertyReport(name, count, counterexample is None, counterexample)
+        if isinstance(outcome, str):
+            return PropertyReport(name, count + 1, False, outcome)
+        count += outcome
+    return PropertyReport(name, count, True)
 
 
 def _check_pairs(name, grids, per_pair):
@@ -303,7 +296,7 @@ def check_closure_axioms(max_cells: int) -> PropertyReport:
             for mask in masks:
                 S = gr.to_set(mask)
                 same = closure(S, gr.g) == gr.to_set(table[mask])
-                yield None if same else f"{where} mismatch on {sorted(S)}"
+                yield 1 if same else f"{where} mismatch on {sorted(S)}"
             # the public closure is the table, so the axioms are its laws;
             # monotone on covering pairs A <= A | {x} is monotone on all
             # 3^cells nested pairs, as inclusion is transitive
@@ -496,7 +489,7 @@ def check_column_chain_length(max_cells: int) -> PropertyReport:
             a = analysis_by_reductions(frozenset({(depth, 1)}), frozenset(), g)
             if a.length != depth or not is_minimal(a):
                 yield f"column of depth {depth}: public analysis has length {a.length}"
-            yield None
+            yield 1
 
     return _check("column_chain_length", gen())
 

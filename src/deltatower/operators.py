@@ -67,9 +67,8 @@ class ExpandedOperator(Record):
 
 def build_E(spec: TowerSpec, i: int) -> FactoredOperator:
     """The level-i defining operator (D_i - c[i][1]) ... (D_i - c[i][n_i])."""
-    spec.check_level(i)
-    eigenvalues = tuple(spec.symbol(i, j) for j in range(1, spec.rank(i) + 1))
-    return FactoredOperator(i, eigenvalues)
+    n = spec.rank(i)
+    return FactoredOperator(i, tuple(spec.symbol(i, j) for j in range(1, n + 1)))
 
 
 def apply_operator(
@@ -121,10 +120,9 @@ def decompose(f: Element, i: int, spec: TowerSpec) -> EigenDecomposition:
     Raises NotNormalForm when f is not a constant-linear combination of the
     level-i generators.
     """
-    spec.check_level(i)
+    n = spec.rank(i)
     if not f.den.is_const():
         raise NotNormalForm("denominator must be constant in normal form")
-    n = spec.rank(i)
     parts: dict[int, Element] = {}
     for m, coeff in f.num.terms.items():
         pairs = m_pairs(m)

@@ -308,14 +308,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, Poly.const(1))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -328,21 +321,28 @@ ZERO = Poly()
 ONE = Poly.const(1)
 
 
+def power(base, n: int, one):
+    """base^n for n >= 0 by square and multiply from one, for Poly and Series."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
 def exact_div(p: Poly, q: Poly) -> Poly | None:
     """p / q when the division is exact, else None.
 
-    The remainder's monomials sit in a heap, so each step finds the
-    leading term in O(log n) instead of rescanning the whole remainder.
-    Each step removes the remainder's leading term and only adds smaller
-    ones, so a monomial popped once never comes back; a heap entry whose
-    term has cancelled meanwhile is skipped.
+    The remainder's monomials sit in a heap, so each step finds the leading
+    term in O(log n) instead of rescanning the whole remainder.  Each step
+    removes the remainder's leading term and only adds smaller ones, so a
+    monomial popped once never comes back; a heap entry whose term has
+    cancelled meanwhile is skipped.  Every divisor takes this one loop.
     """
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero():
-        return ZERO
-    if q.is_const():
-        return p.scale(Fraction(1, q.const_value()))
     qm, qc = q.lead()
     q_tail = [(m, c) for m, c in q.terms.items() if m != qm]
     rest = dict(p.terms)

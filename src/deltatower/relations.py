@@ -165,12 +165,13 @@ def degree_vectors(m: int, d: int, *, include_zero: bool = True) -> list[Exponen
 
 
 class MonomialRelation(Record):
-    """G(y) = sum over the support of coefficient * y^exponent."""
+    """G(y) = sum over the support of coefficient * y^exponent.  The
+    variables are kept as a tuple, so a list of them hashes too."""
 
     __slots__ = ("level", "variables", "coefficients")
     _compared = ("level", "variables")
 
-    def __init__(self, level: int, variables: tuple[Element, ...], coefficients: dict):
+    def __init__(self, level: int, variables: tuple[Element, ...] | list[Element], coefficients: dict):
         if not coefficients:
             raise ValueError("support must be nonempty")
         for r, s in coefficients.items():
@@ -180,7 +181,7 @@ class MonomialRelation(Record):
                 raise ValueError("exponents must be nonnegative")
             if s.is_zero():
                 raise ValueError("coefficients must be nonzero")
-        super().__init__(level, variables, coefficients)
+        super().__init__(level, tuple(variables), coefficients)
 
     @property
     def support(self) -> list[ExponentVector]:
@@ -497,7 +498,7 @@ def certify_independence(
     full = {
         r: ONE_ELEMENT for r in degree_vectors(m, degree_bound, include_zero=False)
     }
-    generic = MonomialRelation(level, tuple(variables), full)
+    generic = MonomialRelation(level, variables, full)
     phis = generic.functionals(spec)
     collision = _find_collision({(0,) * m: ZERO_ELEMENT, **phis})
     if collision is not None:

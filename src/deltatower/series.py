@@ -45,7 +45,7 @@ from .elements import Element
 from .errors import BudgetExceeded, NonInvertibleSeries, ParseError, Record, TruncationTooShort
 from .errors import UnknownSymbol, ZeroInitialValue
 from .operators import ProlongedSystem
-from .polyring import _PRIMES, _SLOT_VARS, Poly, Var, _fields, m_pairs, var_b, var_c, var_name
+from .polyring import _PRIMES, _SLOT_VARS, Poly, Var, _fields, m_pairs, power, var_b, var_c, var_name
 from .relations import degree_vectors
 from .tower import TowerSpec, derive
 
@@ -136,14 +136,7 @@ class Series:
     def __pow__(self, n: int) -> "Series":
         if n < 0:
             return Series.const(1.0, self.order) / (self ** (-n))
-        result = Series.const(1.0, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, Series.const(1.0, self.order))
 
     def deriv(self) -> "Series":
         """d/dt; the result has one coefficient fewer."""

@@ -220,8 +220,8 @@ def derive(x: Element, spec: TowerSpec) -> Element:
 
 def d_twist(x: Element, i: int, spec: TowerSpec) -> Element:
     """The twisted derivation D_i = delta / prod_{k<i} e_k."""
-    spec.check_level(i)
-    return derive(x, spec) * spec.twist(i)
+    twist = spec.twist(i)
+    return derive(x, spec) * twist
 
 
 def logd(x: Element, i: int, spec: TowerSpec) -> Element:

@@ -166,6 +166,11 @@ class TestDecompose:
         with pytest.raises(NotNormalForm):
             decompose(B11 + 1, 1, SPEC)
 
+    def test_the_level_is_checked_before_the_normal_form(self):
+        for i in (0, SPEC.ell + 1):
+            with pytest.raises(LevelOutOfRange):
+                decompose(B11 / B12, i, SPEC)
+
 
 class TestWronskian:
     def test_two_generators_closed_form(self):

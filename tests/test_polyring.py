@@ -15,6 +15,7 @@ from deltatower.errors import BudgetExceeded
 from deltatower.polyring import (
     MAX_EXPONENT,
     MONOMIAL_KEY,
+    ZERO,
     Poly,
     _PRIMES,
     _make_primitive,
@@ -100,6 +101,23 @@ def test_exact_div_simple():
 
 def test_exact_div_inexact_returns_none():
     assert exact_div(P(B11) * P(B11) + Poly.const(1), P(B12)) is None
+
+
+@pytest.mark.parametrize("c", [3, Fraction(2, 3), -5, Fraction(-7, 4)], ids=str)
+def test_exact_div_by_a_constant_scales_by_its_inverse(c):
+    # a constant divisor and a zero dividend take the heap loop, as any other
+    p = (P(B11) + Poly.const(Fraction(1, 2))) * (P(B12) - P(C11)) ** 2
+    got, want = exact_div(p, Poly.const(c)), p.scale(Fraction(1) / c)
+    assert got == want
+    assert [type(got.terms[m]) for m in want.terms] == [type(v) for v in want.terms.values()]
+    assert exact_div(ZERO, Poly.const(c)) == ZERO == exact_div(ZERO, P(B11) + P(B12))
+
+
+def test_power_is_repeated_multiplication():
+    base, want = P(B11) - P(C11).scale(Fraction(1, 2)), Poly.const(1)
+    for n in range(10):
+        assert base**n == want, n
+        want = want * base
 
 
 def test_gcd_of_coprime_is_one():

@@ -172,6 +172,16 @@ class TestRunReduction:
         trace = run_reduction(G, SPEC)
         assert trace.replay(SPEC)
 
+    def test_a_list_of_variables_is_kept_as_a_tuple(self):
+        # spec.generators returns a list; the spec's tables and the hash key on it
+        support = {r: ONE_ELEMENT for r in degree_vectors(3, 2, include_zero=False)}
+        from_list = MonomialRelation(1, SPEC.generators(1), support)
+        from_tuple = MonomialRelation(1, tuple(SPEC.generators(1)), support)
+        assert type(from_list.variables) is tuple
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+        trace = run_reduction(from_list, SPEC)
+        assert trace.verdict is Verdict.NO_NONTRIVIAL_RELATION and trace.replay(SPEC)
+
     def test_run_does_not_expand_coefficients(self, monkeypatch):
         # only replay re-executes the literal step
         def refuse(*args):
@@ -441,7 +451,9 @@ def test_weights_are_computed_once_per_run_and_per_replay(monkeypatch):
 
 def test_eigenvalues_are_cached_per_spec_and_equal_a_fresh_logd():
     spec = build_spec((3, 2))
-    for level, variables in ((1, (B11, B12 * B13**2)), (2, tuple(spec.generators(2)))):
+    # two variable tuples at level 1: the cache keys on the variables too
+    cases = ((1, (B11, B12 * B13**2)), (2, tuple(spec.generators(2))), (1, (B12, B11)))
+    for level, variables in cases:
         G = relation(level, variables, {(1,) * len(variables): ONE_ELEMENT})
         first = G.eigenvalues(spec)
         assert G.eigenvalues(spec) is first
